@@ -96,9 +96,6 @@ class Dfa:
                     problems.append(f"missing transition ({s!r}, {sym!r})")
         return problems
 
-    def step(self, state: str, sym: str) -> str:
-        return self._map[(state, sym)]
-
     def run(self, word, state: Optional[str] = None) -> str:
         cur = self.initial if state is None else state
         for sym in word:

@@ -116,12 +116,14 @@ def _budget(args) -> Budget:
     )
 
 
-def _word(g, text: str) -> tuple[str, ...]:
+def _word(text: str, alphabet) -> tuple[str, ...]:
+    """A word argument: `_` is the empty word, spaces separate letters, and
+    otherwise each character is a letter unless some letter is longer."""
     if text == "_":
         return ()
     if " " in text:
         return tuple(text.split())
-    if all(len(t) == 1 for t in g.terminals):
+    if all(len(t) == 1 for t in alphabet):
         return tuple(text)
     return (text,)
 
@@ -177,7 +179,7 @@ def cmd_enumerate(args) -> int:
 def cmd_member(args) -> int:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
-    w = _word(g, args.word)
+    w = _word(args.word, g.terminals)
     t0 = time.monotonic()
     v = membership(g, w, _budget(args), caps_exact=args.exhaustive)
     fields = {
@@ -198,7 +200,7 @@ def cmd_member(args) -> int:
 def cmd_min_index(args) -> int:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
-    w = _word(g, args.word)
+    w = _word(args.word, g.terminals)
     t0 = time.monotonic()
     try:
         got = min_index(g, w, _budget(args), caps_exact=args.exhaustive)
@@ -373,9 +375,7 @@ def cmd_bounded(args) -> int:
         raise GrammarError(f"{args.slset} has no `shape:` line")
     op = args.bounded_op
     if op == "member":
-        w = tuple(args.word) if " " not in args.word else tuple(args.word.split())
-        if args.word == "_":
-            w = ()
+        w = _word(args.word, [c for u in shape1.words for c in u])
         got = bounded_word_member(w, shape1, s1)
         emit_report({
             "command": "bounded member", "input": digest, "word": args.word,
@@ -438,9 +438,7 @@ def cmd_ncm(args) -> int:
     m = parse_ncm(text)
     op = args.ncm_op
     if op == "run":
-        w = tuple(args.word) if " " not in args.word else tuple(args.word.split())
-        if args.word == "_":
-            w = ()
+        w = _word(args.word, m.alphabet)
         res = ncm_run(m, w)
         emit_report({
             "command": "ncm run", "input": digest, "word": args.word,

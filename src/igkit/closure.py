@@ -116,13 +116,6 @@ def parse_morphism(text: str) -> Morphism:
     return Morphism.make(mapping, target=target, name=name)
 
 
-def serialize_morphism(h: Morphism) -> str:
-    lines = [f"morphism {h.name}", "target: " + ", ".join(h.target)]
-    for a, w in h.rules:
-        lines.append(f"map: {a} -> {' '.join(w) if w else '_'}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -222,11 +215,20 @@ def clean(g: IndexedGrammar) -> IndexedGrammar:
 
 def union(g1: IndexedGrammar, g2: IndexedGrammar) -> IndexedGrammar:
     """Grammar for L(g1) ∪ L(g2): both sides renamed apart, a fresh start
-    variable chains into either original start."""
+    variable chains into either original start. New names avoid every name
+    of both inputs."""
+    taken = _all_names(g1) | _all_names(g2)
+
+    def rename(name: str, tag: str) -> str:
+        new = f"{name}#{tag}"
+        if new in taken:
+            new = fresh_name(new, taken)
+        taken.add(new)
+        return new
 
     def side(g: IndexedGrammar, tag: str):
-        vmap = {v: f"{v}#{tag}" for v in g.variables}
-        imap = {i: f"{i}#{tag}" for i in g.indices}
+        vmap = {v: rename(v, tag) for v in g.variables}
+        imap = {i: rename(i, tag) for i in g.indices}
 
         def conv(p: Production) -> Production:
             if p.kind == PUSH:
@@ -240,7 +242,7 @@ def union(g1: IndexedGrammar, g2: IndexedGrammar) -> IndexedGrammar:
     v1, i1, p1 = side(g1, "1")
     v2, i2, p2 = side(g2, "2")
     variables = tuple(v1[v] for v in g1.variables) + tuple(v2[v] for v in g2.variables)
-    start = fresh_name("S", variables)
+    start = fresh_name("S", taken)
     terminals = g1.terminals + tuple(t for t in g2.terminals if t not in set(g1.terminals))
     return IndexedGrammar(
         variables=(start,) + variables,

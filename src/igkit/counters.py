@@ -18,6 +18,7 @@ a letter-count constraint.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,7 @@ from .grammar import (
     ParseError,
     strip_comment,
 )
+from .search import EXPAND, FOUND, GOAL, bfs, moves
 from .semilinear import parikh
 
 ZERO = "z"
@@ -117,81 +119,49 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
     cap = counter_cap if counter_cap is not None else 2 * len(w) + 4
     up = tuple([0] * m.num_counters)
     start = (m.initial, 0, up, up, up)  # state, pos, counters, phases, reversals
-    parents = {start: None}
-    frontier = [start]
-    truncated = False
-    steps = 0
+    capped = False
 
-    def accepting(cfg) -> bool:
+    def successors(cfg):
+        nonlocal capped
+        state, pos, counters, dirs, revs = cfg
+        for ti, t in enumerate(m.transitions):
+            if t.src != state:
+                continue
+            if t.letter is not None:
+                if pos >= len(w) or w[pos] != t.letter:
+                    continue
+            if any((ts == ZERO) != (c == 0) for ts, c in zip(t.tests, counters)):
+                continue
+            new_c, new_d, new_r = [], list(dirs), list(revs)
+            for i, (c, d) in enumerate(zip(counters, t.deltas)):
+                v = c + d
+                if d == 1 and dirs[i] == 1:
+                    new_r[i] += 1
+                    new_d[i] = 0
+                elif d == -1 and dirs[i] == 0:
+                    new_r[i] += 1
+                    new_d[i] = 1
+                if v < 0 or new_r[i] > m.reversal_bounds[i]:
+                    break
+                if v > cap:
+                    capped = True
+                    break
+                new_c.append(v)
+            else:
+                step = 0 if t.letter is None else 1
+                yield ti, (t.dst, pos + step, tuple(new_c), tuple(new_d), tuple(new_r))
+
+    def visit(cfg):
         state, pos, counters, _, _ = cfg
-        return state == m.halt and pos == len(w) and not any(counters)
+        return GOAL if state == m.halt and pos == len(w) and not any(counters) else EXPAND
 
-    if accepting(start):
-        return RunResult(ACCEPTED, trace=(), configs_seen=1)
-    while frontier and steps < max_steps:
-        nxt = []
-        for cfg in frontier:
-            state, pos, counters, dirs, revs = cfg
-            for ti, t in enumerate(m.transitions):
-                if t.src != state:
-                    continue
-                if t.letter is not None:
-                    if pos >= len(w) or w[pos] != t.letter:
-                        continue
-                if any(
-                    (ts == ZERO) != (c == 0) for ts, c in zip(t.tests, counters)
-                ):
-                    continue
-                new_c = []
-                new_d = list(dirs)
-                new_r = list(revs)
-                ok = True
-                for i, (c, d) in enumerate(zip(counters, t.deltas)):
-                    v = c + d
-                    if v < 0:
-                        ok = False
-                        break
-                    if d == 1 and dirs[i] == 1:
-                        new_r[i] += 1
-                        new_d[i] = 0
-                    elif d == -1 and dirs[i] == 0:
-                        new_r[i] += 1
-                        new_d[i] = 1
-                    if new_r[i] > m.reversal_bounds[i]:
-                        ok = False
-                        break
-                    if v > cap:
-                        ok = False
-                        truncated = True
-                        break
-                    new_c.append(v)
-                if not ok:
-                    continue
-                cfg2 = (
-                    t.dst,
-                    pos + (0 if t.letter is None else 1),
-                    tuple(new_c),
-                    tuple(new_d),
-                    tuple(new_r),
-                )
-                if cfg2 in parents:
-                    continue
-                parents[cfg2] = (cfg, ti)
-                if accepting(cfg2):
-                    chain = []
-                    node = cfg2
-                    while parents[node] is not None:
-                        prev, ti2 = parents[node]
-                        chain.append((ti2, node[0], node[1], node[2]))
-                        node = prev
-                    chain.reverse()
-                    return RunResult(ACCEPTED, trace=tuple(chain), configs_seen=len(parents))
-                nxt.append(cfg2)
-        frontier = nxt
-        steps += 1
-    if frontier:
-        truncated = True
-    return RunResult(REJECTED if not truncated else UNKNOWN, configs_seen=len(parents))
+    s = bfs(start, successors, max_steps, math.inf, visit)
+    if s.stop == FOUND:
+        trace = tuple((ti, cfg[0], cfg[1], cfg[2])
+                      for ti, cfg in moves(successors, s.parents, s.goal))
+        return RunResult(ACCEPTED, trace=trace, configs_seen=len(s.parents))
+    return RunResult(REJECTED if s.swept and not capped else UNKNOWN,
+                     configs_seen=len(s.parents))
 
 
 def audit_run(m: CounterMachine, w, trace) -> list[str]:
@@ -448,42 +418,50 @@ def expand_to_nfa(m: CounterMachine) -> Nfa:
     )
 
 
-def accepts_via_expansion(nfa: Nfa, input_alphabet, k: int, x, cap: Optional[int] = None) -> bool:
-    """Decide whether some NFA word with balanced p#i/q#i counts projects to
-    x (memoized search over state, input position and count differences)."""
+def accepts_via_expansion(
+    nfa: Nfa, input_alphabet, k: int, x, cap: Optional[int] = None
+) -> RunResult:
+    """Search for an NFA word with balanced p#i/q#i counts that projects to x,
+    over (state, input position, count differences). Each difference is
+    capped at |x|+4 by default (a budget): REJECTED is reported only when the
+    capped space was swept without the cap ever biting."""
     x = tuple(x)
     cap = cap if cap is not None else len(x) + 4
     inputs = set(input_alphabet)
     pletters = {f"p#{i + 1}": i for i in range(k)}
     qletters = {f"q#{i + 1}": i for i in range(k)}
-    seen = set()
-    start = (nfa.initial, 0, (0,) * k)
-    stack = [start]
-    while stack:
-        cfg = stack.pop()
-        if cfg in seen:
-            continue
-        seen.add(cfg)
+    capped = False
+
+    def successors(cfg):
+        nonlocal capped
         state, pos, bal = cfg
-        if pos == len(x) and not any(bal) and state in nfa.accepting:
-            return True
         for src, label, dst in nfa.transitions:
             if src != state:
                 continue
             if label is None:
-                stack.append((dst, pos, bal))
+                yield label, (dst, pos, bal)
             elif label in inputs:
                 if pos < len(x) and x[pos] == label:
-                    stack.append((dst, pos + 1, bal))
+                    yield label, (dst, pos + 1, bal)
             elif label in pletters:
                 i = pletters[label]
                 if bal[i] < cap:
-                    stack.append((dst, pos, bal[:i] + (bal[i] + 1,) + bal[i + 1:]))
+                    yield label, (dst, pos, bal[:i] + (bal[i] + 1,) + bal[i + 1:])
+                else:
+                    capped = True
             else:
                 i = qletters[label]
                 if bal[i] > 0:
-                    stack.append((dst, pos, bal[:i] + (bal[i] - 1,) + bal[i + 1:]))
-    return False
+                    yield label, (dst, pos, bal[:i] + (bal[i] - 1,) + bal[i + 1:])
+
+    def visit(cfg):
+        state, pos, bal = cfg
+        return GOAL if pos == len(x) and not any(bal) and state in nfa.accepting else EXPAND
+
+    s = bfs((nfa.initial, 0, (0,) * k), successors, math.inf, math.inf, visit)
+    if s.stop == FOUND:
+        return RunResult(ACCEPTED, configs_seen=len(s.parents))
+    return RunResult(REJECTED if not capped else UNKNOWN, configs_seen=len(s.parents))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ igkit.kernel, which picks the compiled kernel when it is available.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,16 +29,13 @@ from .grammar import (
     apply_production,
     start_form,
 )
+from .search import EXPAND, FOUND, GOAL, HARD_CAP, LEAF, Search, bfs, moves, path
 
 PROVEN = "proven"
 REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 Word = tuple[str, ...]
-
-
-class BudgetOverflow(Exception):
-    """The internal frontier outgrew the configured hard cap."""
 
 
 class NotAMember(Exception):
@@ -53,7 +49,9 @@ class NotAMember(Exception):
 @dataclass(frozen=True)
 class Budget:
     """Search bounds. max_steps (derivation length) is always required so the
-    explored space is finite; the remaining caps default to unbounded."""
+    explored space is finite; the width, stack and yield caps default to
+    unbounded. hard_cap bounds the forms a search stores: a search it stops
+    is reported like one the step cap stops, never as a refutation."""
 
     max_steps: int
     max_width: Optional[int] = None
@@ -211,23 +209,20 @@ class CompiledGrammar:
 
 
 def _is_terminal_enc(form: tuple[int, ...]) -> bool:
-    return all(x < 0 for x in form)
+    # a plain loop: called once per stored form, and all() over a generator
+    # costs a quarter more on twin.ig enumeration
+    for x in form:
+        if x >= 0:
+            return False
+    return True
 
 
-def _rebuild(c: CompiledGrammar, parents: dict, last) -> Derivation:
-    chain = []
-    node = last
-    while parents[node] is not None:
-        parent, pid, pos = parents[node]
-        chain.append((node, pid, pos))
-        node = parent
-    chain.reverse()
-    forms = [c.decode_form(node)]
-    steps = []
-    for enc, pid, pos in chain:
-        forms.append(c.decode_form(enc))
-        steps.append((pid, pos))
-    return Derivation(tuple(forms), tuple(steps))
+def _derivation(c: CompiledGrammar, successors, parents: dict, goal, key=None) -> Derivation:
+    """Decode the derivation of `goal` that a search stored; `key` maps a
+    search node to its encoded form."""
+    nodes = path(parents, goal)
+    steps = tuple((pid, pos) for pos, pid, _ in moves(successors, parents, goal))
+    return Derivation(tuple(c.decode_form(n if key is None else key(n)) for n in nodes), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -240,35 +235,25 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
     was swept completely, making the list exact under the active caps."""
     c = CompiledGrammar(g)
     max_terms = max_len if budget.max_yield is None else min(max_len, budget.max_yield)
-    start = c.start()
-    visited = {start}
-    frontier = [start]
-    words: set[tuple[int, ...]] = set()
-    steps = 0
-    while frontier and steps < budget.max_steps:
-        nxt = []
-        for form in frontier:
-            for _, _, f2 in c.expand(form, budget, max_terms=max_terms):
-                if f2 in visited:
-                    continue
-                visited.add(f2)
-                if _is_terminal_enc(f2):
-                    words.add(f2)
-                else:
-                    nxt.append(f2)
-        if len(visited) > budget.hard_cap:
-            raise BudgetOverflow(f"frontier exceeded hard cap {budget.hard_cap}")
-        frontier = nxt
-        steps += 1
+    words: list[tuple[int, ...]] = []
+
+    def visit(form):
+        if _is_terminal_enc(form):
+            words.append(form)
+            return LEAF
+        return EXPAND
+
+    s = bfs(c.start(), lambda f: c.expand(f, budget, max_terms=max_terms),
+            budget.max_steps, budget.hard_cap, visit)
     decoded = sorted(
         (tuple(c.term_names[-x - 1] for x in w) for w in words if len(w) <= max_len),
         key=lambda w: (len(w), w),
     )
     return EnumerationResult(
         words=tuple(decoded),
-        exhausted=not frontier,
+        exhausted=s.swept,
         active_caps=budget.active_caps(),
-        forms_seen=len(visited),
+        forms_seen=len(s.parents),
     )
 
 
@@ -325,107 +310,80 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
     width/stack caps cover every derivation of words up to |w|."""
     c = CompiledGrammar(g)
     target = c.encode_word(w)
-    start = c.start()
-    parents: dict = {start: None}
-    frontier = [start]
-    steps = 0
-    exhausted = False
-    while frontier and steps < budget.max_steps:
-        nxt = []
-        for form in frontier:
-            for pos, pid, f2 in c.expand(form, budget, max_terms=len(target)):
-                if f2 in parents:
-                    continue
-                parents[f2] = (form, pid, pos)
-                if _is_terminal_enc(f2):
-                    if f2 == target:
-                        d = _rebuild(c, parents, f2)
-                        return Verdict(PROVEN, d, {"exhausted": False, "forms": len(parents)})
-                    continue
-                if not _can_yield(f2, target):
-                    continue
-                nxt.append(f2)
-        if len(parents) > budget.hard_cap:
-            raise BudgetOverflow(f"frontier exceeded hard cap {budget.hard_cap}")
-        frontier = nxt
-        steps += 1
-    exhausted = not frontier
-    kind = REFUTED if (exhausted and caps_exact) else UNKNOWN
-    return Verdict(kind, None, {"exhausted": exhausted, "forms": len(parents)})
+
+    def successors(form):
+        return c.expand(form, budget, max_terms=len(target))
+
+    def visit(form):
+        if _is_terminal_enc(form):
+            return GOAL if form == target else LEAF
+        return EXPAND if _can_yield(form, target) else LEAF
+
+    s = bfs(c.start(), successors, budget.max_steps, budget.hard_cap, visit)
+    info = {"exhausted": s.swept, "forms": len(s.parents), "stop": s.stop}
+    if s.stop == FOUND:
+        return Verdict(PROVEN, _derivation(c, successors, s.parents, s.goal), info)
+    return Verdict(REFUTED if (s.swept and caps_exact) else UNKNOWN, None, info)
 
 
 def min_index(
     g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = False
 ) -> Optional[tuple[int, Derivation]]:
     """Smallest k such that some derivation of w within the budget has index k,
-    with the witness. None when the budget was exhausted without a proof;
-    NotAMember when the (caps_exact) search refutes membership."""
+    with the witness. None when the budget was exhausted without a proof, or
+    when the hard cap cut short the search for some smaller k; NotAMember when
+    the (caps_exact) search refutes membership."""
     full = membership(g, w, budget, caps_exact)
     if full.is_refuted:
         raise NotAMember(f"{''.join(w)!r} is not generated", exhausted=True)
     if full.is_unknown:
         return None
     best_k = full.witness.index()
-    best_wit = full.witness
     for k in range(1, best_k):
         v = membership(g, w, replace(budget, max_width=k))
         if v.is_proven:
             return (k, v.witness)
-    return (best_k, best_wit)
+        if v.info["stop"] == HARD_CAP:
+            return None
+    return (best_k, full.witness)
 
 
-def special_count_min(g: IndexedGrammar, w: Word, budget: Budget) -> tuple[int, Derivation]:
+def special_count_min(
+    g: IndexedGrammar, w: Word, budget: Budget
+) -> Optional[tuple[int, Derivation]]:
     """Minimum number of special-production applications over all derivations
-    of w found within the budget."""
+    of w found within the budget. None when the hard cap cut the search short."""
     c = CompiledGrammar(g)
     target = c.encode_word(w)
     specials = frozenset(
         pid for pid, p in enumerate(g.productions) if g.classify(p) == SPECIAL
     )
-    start = c.start()
-    parents: dict = {(start, 0): None}
-    frontier = [(start, 0)]
     best: Optional[int] = None
     best_state = None
-    steps = 0
-    while frontier and steps < budget.max_steps:
-        nxt = []
-        for form, nspec in frontier:
-            for pos, pid, f2 in c.expand(form, budget, max_terms=len(target)):
-                n2 = nspec + (1 if pid in specials else 0)
-                if best is not None and n2 >= best:
-                    continue
-                state = (f2, n2)
-                if state in parents:
-                    continue
-                parents[state] = ((form, nspec), pid, pos)
-                if _is_terminal_enc(f2):
-                    if f2 == target:
-                        best = n2
-                        best_state = state
-                    continue
-                if not _can_yield(f2, target):
-                    continue
-                nxt.append(state)
-        if len(parents) > budget.hard_cap:
-            raise BudgetOverflow(f"frontier exceeded hard cap {budget.hard_cap}")
-        frontier = nxt
-        steps += 1
+
+    def step(state):
+        form, nspec = state
+        return [(pos, pid, (f2, nspec + (pid in specials)))
+                for pos, pid, f2 in c.expand(form, budget, max_terms=len(target))]
+
+    def successors(state):
+        return (t for t in step(state) if best is None or t[2][1] < best)
+
+    def visit(state):
+        nonlocal best, best_state
+        form, nspec = state
+        if _is_terminal_enc(form):
+            if form == target:
+                best, best_state = nspec, state
+            return LEAF
+        return EXPAND if _can_yield(form, target) else LEAF
+
+    s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
+    if s.stop == HARD_CAP:
+        return None
     if best is None:
-        raise NotAMember(f"{''.join(w)!r} not derived within budget", exhausted=not frontier)
-    chain = []
-    node = best_state
-    while parents[node] is not None:
-        parent, pid, pos = parents[node]
-        chain.append((node[0], pid, pos))
-        node = parent
-    chain.reverse()
-    forms = [c.decode_form(node[0])]
-    steps_out = []
-    for enc, pid, pos in chain:
-        forms.append(c.decode_form(enc))
-        steps_out.append((pid, pos))
-    return best, Derivation(tuple(forms), tuple(steps_out))
+        raise NotAMember(f"{''.join(w)!r} not derived within budget", exhausted=s.swept)
+    return best, _derivation(c, step, s.parents, best_state, key=lambda st: st[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,88 +410,51 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
     base_budget = replace(budget, max_width=None)
     phase1_budget = replace(budget, max_width=k + max(0, max_jump))
 
-    def skeleton_path(parent_map, last):
-        chain = []
-        node = last
-        while parent_map[node] is not None:
-            parent, pid, pos = parent_map[node]
-            chain.append((pid, pos))
-            node = parent
-        chain.reverse()
-        return chain
+    def phase1(form):
+        return c.expand(form, phase1_budget, skeleton=True)
 
-    start = c.start()
-    parents: dict = {start: None}
-    heap: list[tuple[int, int, int, tuple[int, ...]]] = [(-1, 0, 0, start)]
-    seq = 1
-    truncated = False
+    def phase2(form):
+        return c.expand(form, base_budget, skeleton=True)
+
+    def finished(form):
+        return EXPAND if form else GOAL
+
+    finish: Optional[Search] = None  # the phase-2 search that finished a wide form
     refute_incomplete = False
     dead: set = set()  # skeletons whose budgeted closure provably never finishes
-    while heap:
-        _, _, depth, form = heapq.heappop(heap)
-        if depth >= budget.max_steps:
-            truncated = True
-            continue
-        for pos, pid, f2 in c.expand(form, phase1_budget, skeleton=True):
-            if f2 in parents:
-                continue
-            parents[f2] = (form, pid, pos)
-            if len(parents) > budget.hard_cap:
-                return Verdict(UNKNOWN, None, {"reason": "hard cap"})
-            if len(f2) > k and f2 not in dead:
-                found, p2_parents, p2_trunc = _skeleton_reach_empty(c, f2, base_budget)
-                if found:
-                    moves = skeleton_path(parents, f2) + skeleton_path(p2_parents, ())
-                    witness = _lift_skeleton(g, moves)
-                    return Verdict(
-                        REFUTED, witness,
-                        {"exhausted": False, "width": witness.index(),
-                         "caps": budget.active_caps()},
-                    )
-                if p2_trunc:
-                    refute_incomplete = True
-                else:
-                    # the whole budgeted closure was swept without finishing,
-                    # so everything in it is equally hopeless
-                    dead.update(p2_parents)
-            if f2:
-                heapq.heappush(heap, (-len(f2), seq, depth + 1, f2))
-                seq += 1
-    if truncated or refute_incomplete:
-        return Verdict(UNKNOWN, None, {"exhausted": False, "caps": budget.active_caps()})
-    return Verdict(PROVEN, None, {"exhausted": True, "caps": budget.active_caps()})
+
+    def visit(form):
+        nonlocal finish, refute_incomplete
+        if len(form) > k and form not in dead:
+            s2 = bfs(form, phase2, budget.max_steps, budget.hard_cap, finished)
+            if s2.stop == FOUND:
+                finish = s2
+                return GOAL
+            if s2.swept:
+                # the whole budgeted closure was swept without finishing, so
+                # everything in it is equally hopeless
+                dead.update(s2.parents)
+            else:
+                refute_incomplete = True
+        return EXPAND if form else LEAF
+
+    s = bfs(c.start(), phase1, budget.max_steps, budget.hard_cap, visit)
+    info = {"exhausted": s.swept and not refute_incomplete, "caps": budget.active_caps(),
+            "stop": s.stop}
+    if s.stop == FOUND:
+        steps = moves(phase1, s.parents, s.goal) + moves(phase2, finish.parents, ())
+        witness = _lift_skeleton(g, [(pid, pos) for pos, pid, _ in steps])
+        return Verdict(REFUTED, witness, {**info, "width": witness.index()})
+    return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
 
 
-def _skeleton_reach_empty(c: CompiledGrammar, origin, budget: Budget):
-    parents: dict = {origin: None}
-    frontier = [origin]
-    steps = 0
-    truncated = False
-    while frontier and steps < budget.max_steps:
-        nxt = []
-        for form in frontier:
-            for pos, pid, f2 in c.expand(form, budget, skeleton=True):
-                if f2 in parents:
-                    continue
-                parents[f2] = (form, pid, pos)
-                if len(parents) > budget.hard_cap:
-                    return False, parents, True
-                if not f2:
-                    return True, parents, False
-                nxt.append(f2)
-        frontier = nxt
-        steps += 1
-    truncated = bool(frontier)
-    return False, parents, truncated
-
-
-def _lift_skeleton(g: IndexedGrammar, moves: list[tuple[int, int]]) -> Derivation:
+def _lift_skeleton(g: IndexedGrammar, skeleton_moves: list[tuple[int, int]]) -> Derivation:
     """Replay skeleton moves (production id, variable-occurrence ordinal) on
     concrete forms, reinstating emitted terminals."""
     form = start_form(g)
     forms = [form]
     steps = []
-    for pid, vpos in moves:
+    for pid, vpos in skeleton_moves:
         item_pos = form.var_positions()[vpos]
         form = apply_production(g, form, item_pos, g.productions[pid])
         forms.append(form)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import Budget, BudgetOverflow
+from .engine import Budget
 from .grammar import (
     GrammarError,
     IndexedGrammar,
@@ -23,6 +23,7 @@ from .grammar import (
     fresh_name,
     strip_comment,
 )
+from .search import EXPAND, FOUND, GOAL, HARD_CAP, bfs
 
 
 class NotInANF(GrammarError):
@@ -117,7 +118,8 @@ def etol_step(sys: EtolSystem, word, table: int | str, choices) -> tuple[str, ..
 
 
 def _successor_words(sys: EtolSystem, word, inactive: frozenset[str]):
-    for t in sys.tables:
+    """(table index, successor word) for every parallel step from word."""
+    for ti, t in enumerate(sys.tables):
         option_lists = []
         ok = True
         for sym in word:
@@ -132,7 +134,7 @@ def _successor_words(sys: EtolSystem, word, inactive: frozenset[str]):
         if not ok:
             continue
         for combo in itertools.product(*option_lists):
-            yield tuple(itertools.chain.from_iterable(combo))
+            yield ti, tuple(itertools.chain.from_iterable(combo))
 
 
 @dataclass(frozen=True)
@@ -145,76 +147,50 @@ class EtolEnumeration:
         return tuple("".join(w) for w in self.words)
 
 
+def _bounded_successors(sys: EtolSystem, max_inactive: int, max_active: Optional[int]):
+    """Successor function for the search: the parallel steps to words with at
+    most max_inactive inert and max_active (None: any number) active
+    occurrences."""
+    inactive = frozenset(sys.alphabet) - sys.active_symbols()
+
+    def successors(word):
+        for step in _successor_words(sys, word, inactive):
+            n_inactive = sum(1 for s in step[1] if s in inactive)
+            if n_inactive <= max_inactive and (
+                max_active is None or len(step[1]) - n_inactive <= max_active
+            ):
+                yield step
+
+    return successors
+
+
 def etol_enumerate(sys: EtolSystem, max_len: int, budget: Budget) -> EtolEnumeration:
     """Terminal words of length <= max_len reachable within the budget;
     budget.max_width caps the number of active occurrences per word."""
-    active = sys.active_symbols()
-    inactive = frozenset(sys.alphabet) - active
+    s = bfs((sys.axiom,), _bounded_successors(sys, max_len, budget.max_width),
+            budget.max_steps, budget.hard_cap)
     terminals = set(sys.terminals)
-
-    def pruned(word) -> bool:
-        n_inactive = sum(1 for s in word if s in inactive)
-        if n_inactive > max_len:
-            return True
-        if budget.max_width is not None:
-            if len(word) - n_inactive > budget.max_width:
-                return True
-        return False
-
-    start = (sys.axiom,)
-    seen = {start}
-    frontier = [start]
-    found = set()
-    steps = 0
-    while frontier and steps < budget.max_steps:
-        nxt = []
-        for word in frontier:
-            for w2 in _successor_words(sys, word, inactive):
-                if w2 in seen or pruned(w2):
-                    continue
-                seen.add(w2)
-                if len(seen) > budget.hard_cap:
-                    raise BudgetOverflow("parallel frontier exceeded the hard cap")
-                nxt.append(w2)
-        frontier = nxt
-        steps += 1
-    for w in seen:
-        if len(w) <= max_len and all(s in terminals for s in w):
-            found.add(w)
+    found = [w for w in s.parents if len(w) <= max_len and all(x in terminals for x in w)]
     return EtolEnumeration(
         words=tuple(sorted(found, key=lambda w: (len(w), w))),
-        exhausted=not frontier,
-        words_seen=len(seen),
+        exhausted=s.swept,
+        words_seen=len(s.parents),
     )
 
 
 def etol_min_index(sys: EtolSystem, w, budget: Budget) -> Optional[int]:
     """Smallest cap on simultaneous active occurrences under which some
-    parallel derivation of w exists within the budget; None when not found."""
+    parallel derivation of w exists within the budget; None when not found,
+    or when the hard cap cut short the search under a smaller cap."""
     w = tuple(w)
-    active = sys.active_symbols()
-    inactive = frozenset(sys.alphabet) - active
     top = budget.max_width if budget.max_width is not None else max(len(w), 1) + 2
     for cap in range(1, top + 1):
-        start = (sys.axiom,)
-        seen = {start}
-        frontier = [start]
-        steps = 0
-        while frontier and steps < budget.max_steps:
-            nxt = []
-            for word in frontier:
-                for w2 in _successor_words(sys, word, inactive):
-                    if w2 in seen:
-                        continue
-                    n_inactive = sum(1 for s in w2 if s in inactive)
-                    if n_inactive > len(w) or len(w2) - n_inactive > cap:
-                        continue
-                    seen.add(w2)
-                    if w2 == w:
-                        return cap
-                    nxt.append(w2)
-            frontier = nxt
-            steps += 1
+        s = bfs((sys.axiom,), _bounded_successors(sys, len(w), cap), budget.max_steps,
+                budget.hard_cap, lambda word: GOAL if word == w else EXPAND)
+        if s.stop == FOUND:
+            return cap
+        if s.stop == HARD_CAP:
+            return None
     return None
 
 

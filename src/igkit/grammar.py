@@ -179,9 +179,6 @@ class SententialForm:
     def is_terminal(self) -> bool:
         return all(isinstance(it, Terminal) for it in self.items)
 
-    def terminal_count(self) -> int:
-        return sum(1 for it in self.items if isinstance(it, Terminal))
-
     def yield_word(self) -> tuple[str, ...]:
         if not self.is_terminal():
             raise GrammarError("form still contains variables")
@@ -189,9 +186,6 @@ class SententialForm:
 
     def var_positions(self) -> tuple[int, ...]:
         return tuple(i for i, it in enumerate(self.items) if isinstance(it, Var))
-
-    def max_stack_depth(self) -> int:
-        return max((len(it.stack) for it in self.items if isinstance(it, Var)), default=0)
 
 
 def start_form(g: IndexedGrammar) -> SententialForm:

@@ -1,0 +1,101 @@
+"""The budgeted breadth-first search behind every bounded decision procedure.
+
+Enumeration, membership, index measurement, width refutation, parallel
+rewriting, counter-machine runs and automaton emptiness all explore a graph
+level by level from one start node under two caps: `max_steps` levels, and
+`hard_cap` stored nodes. `bfs` runs that search and reports why it stopped;
+`path` and `moves` rebuild the witness for any node it stored.
+
+A verdict that needs the whole space (a refutation, a rejection, a minimum)
+may only rest on a search that stopped with SWEPT.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Optional
+
+# why a search stopped
+SWEPT = "swept"  # no stored node is left to expand
+FOUND = "found"  # visit returned GOAL
+MAX_STEPS = "max_steps"  # max_steps levels were expanded and nodes remain
+HARD_CAP = "hard_cap"  # storing one more node would exceed hard_cap
+
+# what visit asks for a newly stored node
+EXPAND, LEAF, GOAL = 0, 1, 2
+
+Successors = Callable[[Hashable], Iterable[tuple]]
+
+
+@dataclass(frozen=True)
+class Search:
+    parents: dict  # stored node -> the node it was first reached from (None for the start)
+    stop: str
+    goal: Optional[Hashable] = None
+
+    @property
+    def swept(self) -> bool:
+        return self.stop == SWEPT
+
+
+def bfs(
+    start: Hashable,
+    successors: Successors,
+    max_steps: float,
+    hard_cap: float,
+    visit: Optional[Callable[[Hashable], int]] = None,
+) -> Search:
+    """Breadth-first search from `start`.
+
+    `successors(node)` returns tuples whose last item is a child node; the
+    items before it name the move. `visit(node)` is called once for every
+    stored node, the start included, and returns EXPAND, LEAF (keep the node
+    but do not expand it) or GOAL (stop here); without `visit` every node is
+    expanded. Either cap may be `math.inf`.
+    """
+    parents: dict = {start: None}
+    act = EXPAND if visit is None else visit(start)
+    if act == GOAL:
+        return Search(parents, FOUND, start)
+    frontier = [start] if act == EXPAND else []
+    depth = 0
+    while frontier:
+        if depth >= max_steps:
+            return Search(parents, MAX_STEPS)
+        nxt = []
+        for node in frontier:
+            for step in successors(node):
+                child = step[-1]
+                if child in parents:
+                    continue
+                if len(parents) >= hard_cap:
+                    return Search(parents, HARD_CAP)
+                parents[child] = node
+                if visit is None:
+                    nxt.append(child)
+                    continue
+                act = visit(child)
+                if act == EXPAND:
+                    nxt.append(child)
+                elif act == GOAL:
+                    return Search(parents, FOUND, child)
+        frontier = nxt
+        depth += 1
+    return Search(parents, SWEPT)
+
+
+def path(parents: dict, node: Hashable) -> list:
+    """The stored nodes from the start to `node`."""
+    out = [node]
+    while (node := parents[node]) is not None:
+        out.append(node)
+    out.reverse()
+    return out
+
+
+def moves(successors: Successors, parents: dict, node: Hashable) -> list[tuple]:
+    """The successor tuple taken into each node after the start on the path to
+    `node`. Each parent is expanded again and its first successor that is the
+    child is taken: the step through which the search stored that child."""
+    nodes = path(parents, node)
+    return [next(s for s in successors(a) if s[-1] == b) for a, b in zip(nodes, nodes[1:])]

@@ -12,7 +12,10 @@ followed by saturate().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .search import EXPAND, FOUND, GOAL, bfs, moves
 
 
 class TrackMismatch(Exception):
@@ -239,29 +242,15 @@ def complement(a: TupleAutomaton) -> TupleAutomaton:
 def is_empty(a: TupleAutomaton):
     """None when no vector is accepted; otherwise a witness vector decoded
     from a shortest accepted word."""
-    if a.initial in a.accepting:
-        return tuple([0] * a.tracks)
-    parents = {a.initial: None}
-    frontier = [a.initial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for sym in range(1 << a.tracks):
-                for d in a.targets(s, sym):
-                    if d in parents:
-                        continue
-                    parents[d] = (s, sym)
-                    if d in a.accepting:
-                        word = []
-                        node = d
-                        while parents[node] is not None:
-                            node, sym2 = parents[node]
-                            word.append(sym2)
-                        word.reverse()
-                        return decode(word, a.tracks)
-                    nxt.append(d)
-        frontier = nxt
-    return None
+
+    def successors(state):
+        return [(sym, d) for sym in range(1 << a.tracks) for d in a.targets(state, sym)]
+
+    s = bfs(a.initial, successors, math.inf, math.inf,
+            lambda state: GOAL if state in a.accepting else EXPAND)
+    if s.stop != FOUND:
+        return None
+    return decode([sym for sym, _ in moves(successors, s.parents, s.goal)], a.tracks)
 
 
 def member(a: TupleAutomaton, v) -> bool:

@@ -270,7 +270,7 @@ def test_criterion_7_counter_pipeline():
             for w in itertools.product(m.alphabet, repeat=ln):
                 assert accepts_via_expansion(
                     nfa, m.alphabet, m.num_counters, w
-                ) == ncm_run(m, w).is_accepted, (name, w)
+                ).is_accepted == ncm_run(m, w).is_accepted, (name, w)
 
     empty_ab = parse_grammar(
         "grammar empty_ab\nvariables: S\nterminals: a, b\nindices:\nstart: S\n"

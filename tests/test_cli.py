@@ -39,6 +39,44 @@ def test_member_exit_codes(capsys):
     assert code == 3 and blocks[0]["verdict"] == "unknown"
 
 
+def run_clean(capsys, *argv):
+    """run, and require that nothing was written to stderr (no traceback)."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, parse_report(captured.out)
+
+
+def test_enumerate_hard_cap_is_a_stop_reason(capsys):
+    code, blocks = run_clean(
+        capsys, "enumerate", "fixture:twin.ig", "--max-len", "14", "--max-stack", "3",
+        "--hard-cap", "10",
+    )
+    assert code == 0
+    assert blocks[0]["exhausted"] == "false"
+    assert blocks[0]["status"] == "ok"
+    assert int(blocks[0]["forms"]) <= 10
+
+
+def test_member_hard_cap_is_unknown(capsys):
+    code, blocks = run_clean(
+        capsys, "member", "fixture:twin.ig", "aabbcc$aabbcc", "--max-stack", "3",
+        "--hard-cap", "10", "--exhaustive",
+    )
+    assert code == 3
+    assert blocks[0]["verdict"] == "unknown"
+    assert blocks[0]["exhausted"] == "false"
+
+
+def test_etol_enumerate_hard_cap_is_a_stop_reason(capsys):
+    code, blocks = run_clean(
+        capsys, "etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6", "--hard-cap", "3"
+    )
+    assert code == 0
+    assert blocks[0]["exhausted"] == "false"
+    assert blocks[0]["status"] == "ok"
+
+
 def test_min_index_report(capsys):
     code, blocks = run(
         capsys, "min-index", "fixture:ramp.ig", "abaa", "--max-stack", "4",

@@ -22,7 +22,7 @@ from igkit.closure import (
     prune_unreachable,
     union,
 )
-from igkit.grammar import Production, make_grammar, validate
+from igkit.grammar import Production, make_grammar, parse_grammar, validate
 
 from util import enum_set, interleavings, load, words_upto
 
@@ -74,6 +74,18 @@ def test_union_renames_apart():
     out = union(g, g)
     assert not set(out.variables) & set(g.variables)
     assert out.start not in g.variable_set
+
+
+def test_union_names_avoid_generated_looking_terminals():
+    # renaming A to A#1 would make it both a variable and a terminal
+    g = parse_grammar(
+        "grammar clash\nvariables: A\nterminals: A#1\nindices:\nstart: A\nprod: A -> A#1\n"
+    )
+    assert validate(g) == []
+    out = union(g, g)
+    assert validate(out) == []
+    assert not set(out.variables) & set(out.terminals)
+    assert enum_set(out, 2) == {"A#1"}
 
 
 # ---------------------------------------------------------------------------

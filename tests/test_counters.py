@@ -5,6 +5,9 @@ import pytest
 
 from igkit import fixture_text
 from igkit.counters import (
+    ACCEPTED,
+    REJECTED,
+    UNKNOWN,
     NotOneReversal,
     accepts_via_expansion,
     audit_run,
@@ -124,7 +127,7 @@ def test_expansion_conditions_exhaustively(name, max_len):
     nfa = expand_to_nfa(m)
     for w in words_upto(m.alphabet, max_len):
         expected = accepts(m, w)
-        got = accepts_via_expansion(nfa, m.alphabet, m.num_counters, tuple(w))
+        got = accepts_via_expansion(nfa, m.alphabet, m.num_counters, tuple(w)).is_accepted
         assert got == expected, w
 
 
@@ -134,8 +137,8 @@ def test_expansion_of_trivial_machine():
         "initial: s0\nhalt: f\ntrans: s0, _, tests() -> f, deltas()\n"
     )
     nfa = expand_to_nfa(m)
-    assert accepts_via_expansion(nfa, m.alphabet, 0, ())
-    assert not accepts_via_expansion(nfa, m.alphabet, 0, ("a",))
+    assert accepts_via_expansion(nfa, m.alphabet, 0, ()).is_accepted
+    assert not accepts_via_expansion(nfa, m.alphabet, 0, ("a",)).is_accepted
 
 
 def test_increment_only_machine_accepts_nothing():
@@ -149,7 +152,7 @@ def test_increment_only_machine_accepts_nothing():
     nfa = expand_to_nfa(m)
     for w in words_upto(("a",), 4):
         want = len(w) == 0  # any a increments and the counter can never drain
-        assert accepts_via_expansion(nfa, m.alphabet, 1, tuple(w)) == want
+        assert accepts_via_expansion(nfa, m.alphabet, 1, tuple(w)).is_accepted == want
 
 
 def test_silent_counter_moves_still_emit_letters():
@@ -167,7 +170,27 @@ def test_silent_counter_moves_still_emit_letters():
     nfa = expand_to_nfa(m)
     assert any(label and label.startswith("q#") for _, label, _ in nfa.transitions)
     for n in range(4):
-        assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",) * n)
+        assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",) * n).is_accepted
+
+
+# counts to 6 on silent moves, then back to 0: accepts exactly the empty word
+SILENT_SIX = (
+    "ncm six\nstates: s0, s1, s2, s3, s4, s5, s6, d, f\nalphabet: a\ncounters: 1\n"
+    "reversals: 1\ninitial: s0\nhalt: f\ntrans: s0, _, tests(z) -> s1, deltas(+)\n"
+    + "".join(f"trans: s{i}, _, tests(p) -> s{i + 1}, deltas(+)\n" for i in range(1, 6))
+    + "trans: s6, _, tests(p) -> d, deltas(-)\ntrans: d, _, tests(p) -> d, deltas(-)\n"
+    "trans: d, _, tests(z) -> f, deltas(0)\n"
+)
+
+
+def test_expansion_is_unknown_when_the_balance_cap_bites():
+    m = parse_ncm(SILENT_SIX)
+    nfa = expand_to_nfa(m)
+    # the default cap (|x| + 4) is below the 6 silent increments
+    assert accepts_via_expansion(nfa, m.alphabet, 1, ()).outcome == UNKNOWN
+    assert accepts_via_expansion(nfa, m.alphabet, 1, (), cap=50).outcome == ACCEPTED
+    assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",), cap=50).outcome == REJECTED
+    assert ncm_run(m, (), counter_cap=50).is_accepted
 
 
 # -- counting pipeline ----------------------------------------------------------------
@@ -277,7 +300,7 @@ def test_mixed_machine_expansion_conditions():
     for w in words_upto(m1.alphabet, 6):
         assert accepts_via_expansion(
             nfa, m1.alphabet, m1.num_counters, tuple(w)
-        ) == ncm_run(m1, tuple(w)).is_accepted, w
+        ).is_accepted == ncm_run(m1, tuple(w)).is_accepted, w
 
 
 CARRYOVER = """ncm carry
