@@ -13,7 +13,7 @@ IMPLEMENTATION = "pure"
 
 def expand(form, by_var, prods, nv,
            pool_top, pool_rest, pool_depth, intern,
-           max_width, max_stack, max_terms, drop_terminals):
+           max_width, max_stack, max_terms, drop_terminals, leftmost):
     """All one-step successors of an encoded form, position-major.
 
     prods[pid] = (kind, lhs_index_id, rhs, push_var, push_index, rhs_nvars,
@@ -21,6 +21,7 @@ def expand(form, by_var, prods, nv,
     encoding as forms except that variable entries hold the bare var id.
     Caps are -1 when absent; successors violating a cap are dropped.
     `drop_terminals` keeps successor forms terminal-free (skeleton search).
+    `leftmost` returns the successors of the first variable occurrence only.
     """
     width = 0
     for it in form:
@@ -65,4 +66,6 @@ def expand(form, by_var, prods, nv,
             else:
                 mid = tuple(c if c < 0 else s2 * nv + c for c in rhs)
             out.append((i, pid, head + mid + tail))
+        if leftmost:
+            break
     return out

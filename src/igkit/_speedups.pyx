@@ -7,7 +7,7 @@ IMPLEMENTATION = "compiled"
 def expand(tuple form, tuple by_var, tuple prods, long long nv,
            list pool_top, list pool_rest, list pool_depth, dict intern,
            long long max_width, long long max_stack, long long max_terms,
-           bint drop_terminals):
+           bint drop_terminals, bint leftmost):
     cdef Py_ssize_t n = len(form)
     cdef Py_ssize_t i, j
     cdef long long item, vid, sid, s2, c
@@ -74,4 +74,6 @@ def expand(tuple form, tuple by_var, tuple prods, long long nv,
                 else:
                     mid.append(s2 * nv + c)
             out.append((i, pid, head + tuple(mid) + tail))
+        if leftmost:
+            break
     return out

@@ -53,6 +53,7 @@ from .grammar import (
     validate,
 )
 from .automata import serialize_fsa
+from .search import HARD_CAP, MAX_STEPS
 from .semilinear import (
     bounded_lang_subset,
     bounded_word_member,
@@ -116,6 +117,10 @@ def _budget(args) -> Budget:
     )
 
 
+def _stopped_by(stop: str) -> dict:
+    return {"stopped_by": stop} if stop in (MAX_STEPS, HARD_CAP) else {}
+
+
 def _word(text: str, alphabet) -> tuple[str, ...]:
     """A word argument: `_` is the empty word, spaces separate letters, and
     otherwise each character is a letter unless some letter is longer."""
@@ -168,6 +173,7 @@ def cmd_enumerate(args) -> int:
         "count": len(res.words),
         "words": ", ".join(_render_word(w) for w in res.words),
         "exhausted": str(res.exhausted).lower(),
+        **_stopped_by(res.stop),
         "caps": " ".join(res.active_caps),
         "forms": res.forms_seen,
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
@@ -188,6 +194,7 @@ def cmd_member(args) -> int:
         "word": _render_word(w),
         "verdict": v.kind,
         "exhausted": str(v.info.get("exhausted", False)).lower(),
+        **_stopped_by(v.info["stop"]),
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": v.kind,
     }
@@ -439,7 +446,7 @@ def cmd_ncm(args) -> int:
     op = args.ncm_op
     if op == "run":
         w = _word(args.word, m.alphabet)
-        res = ncm_run(m, w)
+        res = ncm_run(m, w, counter_cap=args.counter_cap)
         emit_report({
             "command": "ncm run", "input": digest, "word": args.word,
             "outcome": res.outcome, "configs": res.configs_seen,
@@ -733,6 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     np_ = nsub.add_parser("run")
     np_.add_argument("machine")
     np_.add_argument("word")
+    np_.add_argument("--counter-cap", type=int, help="largest counter value (default 2|w|+4)")
     np_.set_defaults(func=cmd_ncm)
     np_ = nsub.add_parser("one-reversal")
     np_.add_argument("machine")

@@ -6,7 +6,8 @@ every operation takes a Budget; verdicts are relative to the budget caps and
 each result records whether the budgeted space was swept completely.
 
 The hot path (one-step expansion of a sentential form) runs through
-igkit.kernel, which picks the compiled kernel when it is available.
+igkit.kernel, which picks the compiled kernel when it is available. Searches
+without a width cap follow leftmost derivations only (CompiledGrammar.expand).
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ class EnumerationResult:
     exhausted: bool
     active_caps: tuple[str, ...]
     forms_seen: int
+    stop: str  # why the search stopped: swept, max_steps or hard_cap
 
     def rendered(self) -> tuple[str, ...]:
         return tuple("".join(w) for w in self.words)
@@ -199,12 +201,21 @@ class CompiledGrammar:
         return (self.var_id[self.g.start],)
 
     def expand(self, form, budget: Budget, *, max_terms: int = -1, skeleton: bool = False):
+        """Successors of `form` under the budget's caps; without a width cap,
+        those of its leftmost variable only. Every derivation reorders into a
+        leftmost one with the same length, stacks and terminals; the terminal
+        count never falls, so max_terms prunes alike in every order;
+        `_can_yield` holds on every form of a derivation of the target; and a
+        swept leftmost closure without () is closed under successors, so the
+        `dead` set of `check_uncontrolled` stays sound. Only widths depend on
+        the order, so a width cap keeps every order (leftmost order loses
+        words under it); max_width=10**9 gives the all-orders search."""
         return kernel.expand(
             form, self.by_var, self.prods, self.nv,
             self.pool_top, self.pool_rest, self.pool_depth, self.intern,
             -1 if budget.max_width is None else budget.max_width,
             -1 if budget.max_stack is None else budget.max_stack,
-            max_terms, 1 if skeleton else 0,
+            max_terms, 1 if skeleton else 0, 1 if budget.max_width is None else 0,
         )
 
 
@@ -254,6 +265,7 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
         exhausted=s.swept,
         active_caps=budget.active_caps(),
         forms_seen=len(s.parents),
+        stop=s.stop,
     )
 
 

@@ -4,6 +4,8 @@
 
 from igkit.cli import main, parse_report
 
+from util import SILENT_SIX
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -54,8 +56,22 @@ def test_enumerate_hard_cap_is_a_stop_reason(capsys):
     )
     assert code == 0
     assert blocks[0]["exhausted"] == "false"
+    assert blocks[0]["stopped_by"] == "hard_cap"
     assert blocks[0]["status"] == "ok"
     assert int(blocks[0]["forms"]) <= 10
+
+
+def test_enumerate_step_cap_is_named(capsys):
+    code, blocks = run_clean(
+        capsys, "enumerate", "fixture:twin.ig", "--max-len", "14", "--max-stack", "3",
+        "--max-steps", "2",
+    )
+    assert code == 0
+    assert blocks[0]["exhausted"] == "false"
+    assert blocks[0]["stopped_by"] == "max_steps"
+    # a swept search names no cap
+    code, blocks = run_clean(capsys, "enumerate", "fixture:anbn.ig", "--max-len", "4")
+    assert blocks[0]["exhausted"] == "true" and "stopped_by" not in blocks[0]
 
 
 def test_member_hard_cap_is_unknown(capsys):
@@ -66,6 +82,7 @@ def test_member_hard_cap_is_unknown(capsys):
     assert code == 3
     assert blocks[0]["verdict"] == "unknown"
     assert blocks[0]["exhausted"] == "false"
+    assert blocks[0]["stopped_by"] == "hard_cap"
 
 
 def test_etol_enumerate_hard_cap_is_a_stop_reason(capsys):
@@ -75,6 +92,16 @@ def test_etol_enumerate_hard_cap_is_a_stop_reason(capsys):
     assert code == 0
     assert blocks[0]["exhausted"] == "false"
     assert blocks[0]["status"] == "ok"
+
+
+def test_ncm_run_counter_cap(capsys, tmp_path):
+    p = tmp_path / "six.ncm"
+    p.write_text(SILENT_SIX)
+    # the default cap (2|w| + 4) is below the 6 silent increments
+    code, blocks = run_clean(capsys, "ncm", "run", str(p), "_")
+    assert code == 3 and blocks[0]["outcome"] == "unknown"
+    code, blocks = run_clean(capsys, "ncm", "run", str(p), "_", "--counter-cap", "6")
+    assert code == 0 and blocks[0]["outcome"] == "accepted"
 
 
 def test_min_index_report(capsys):

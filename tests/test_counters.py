@@ -24,7 +24,7 @@ from igkit.engine import Budget, enumerate_language
 from igkit.grammar import parse_grammar
 from igkit.semilinear import parikh
 
-from util import load, words_upto
+from util import SILENT_SIX, load, words_upto
 
 
 def m_fix(name):
@@ -171,16 +171,6 @@ def test_silent_counter_moves_still_emit_letters():
     assert any(label and label.startswith("q#") for _, label, _ in nfa.transitions)
     for n in range(4):
         assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",) * n).is_accepted
-
-
-# counts to 6 on silent moves, then back to 0: accepts exactly the empty word
-SILENT_SIX = (
-    "ncm six\nstates: s0, s1, s2, s3, s4, s5, s6, d, f\nalphabet: a\ncounters: 1\n"
-    "reversals: 1\ninitial: s0\nhalt: f\ntrans: s0, _, tests(z) -> s1, deltas(+)\n"
-    + "".join(f"trans: s{i}, _, tests(p) -> s{i + 1}, deltas(+)\n" for i in range(1, 6))
-    + "trans: s6, _, tests(p) -> d, deltas(-)\ntrans: d, _, tests(p) -> d, deltas(-)\n"
-    "trans: d, _, tests(z) -> f, deltas(0)\n"
-)
 
 
 def test_expansion_is_unknown_when_the_balance_cap_bites():

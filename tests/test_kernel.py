@@ -35,13 +35,13 @@ def random_forms(g, c, rng, count=60):
 
 
 def call(impl, c, form, **kw):
-    args = dict(max_width=-1, max_stack=-1, max_terms=-1, drop_terminals=0)
+    args = dict(max_width=-1, max_stack=-1, max_terms=-1, drop_terminals=0, leftmost=0)
     args.update(kw)
     return impl.expand(
         form, c.by_var, c.prods, c.nv,
         c.pool_top, c.pool_rest, c.pool_depth, c.intern,
         args["max_width"], args["max_stack"], args["max_terms"],
-        args["drop_terminals"],
+        args["drop_terminals"], args["leftmost"],
     )
 
 
@@ -57,6 +57,7 @@ def test_kernels_agree_on_random_forms(fixture):
             {"max_stack": 2},
             {"max_terms": 4},
             {"drop_terminals": 1},
+            {"leftmost": 1},
         ):
             assert call(pure, c, form, **kw) == call(compiled, c, form, **kw)
 
@@ -74,6 +75,12 @@ def test_kernel_matches_reference_semantics():
             (pos, g.productions.index(p), out) for pos, p, out in successors(g, decoded)
         ]
         assert got == want
+        first = decoded.var_positions()[:1]
+        got = [
+            (pos, pid, c.decode_form(f2))
+            for pos, pid, f2 in call(kernel, c, form, leftmost=1)
+        ]
+        assert got == [t for t in want if t[0] in first]
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled kernel not built")

@@ -35,6 +35,8 @@ from igkit.search import (
     path,
 )
 
+from util import all_orders
+
 
 def g_fix(name):
     return parse_grammar(fixture_text(name))
@@ -136,47 +138,58 @@ def test_special_count_min_is_unknown_when_the_hard_cap_cuts_the_search():
 
 # -- pinned fixture values ------------------------------------------------------------------
 
+# `forms` is the count of the all-orders search: the same budget under a width
+# cap that cannot bind. `forms_default` is the count of the budget as given:
+# without a width cap only the leftmost variable is rewritten, so it stores far
+# fewer forms; a width-capped row searches every order either way. The test ids
+# leave `forms_default` out.
 ENUMERATIONS = [
     ("twin.ig", 19, Budget(max_steps=400, max_stack=4),
-     ["$", "abc$abc", "aabbcc$aabbcc", "aaabbbccc$aaabbbccc"], True, 96829),
+     ["$", "abc$abc", "aabbcc$aabbcc", "aaabbbccc$aaabbbccc"], True, 96829, 79),
     ("twin.ig", 14, Budget(max_steps=60, max_stack=3), ["$", "abc$abc", "aabbcc$aabbcc"], True,
-     18703),
-    ("twin.ig", 10, Budget(max_steps=8, max_stack=3), [], False, 994),
+     18703, 49),
+    ("twin.ig", 10, Budget(max_steps=8, max_stack=3), [], False, 994, 22),
     ("ramp.ig", 13, Budget(max_steps=120, max_width=4, max_stack=5),
-     ["abaa", "abaabaaa", "abaabaaabaaaa"], True, 3532),
+     ["abaa", "abaabaaa", "abaabaaabaaaa"], True, 3532, 3532),
     ("anbncn.ig", 12, Budget(max_steps=400, max_stack=5),
-     ["", "abc", "aabbcc", "aaabbbccc", "aaaabbbbcccc"], True, 446),
-    ("mix2.ig", 6, Budget(max_steps=60), ["", "abc", "aabcbc", "ababcc"], True, 22),
+     ["", "abc", "aabbcc", "aaabbbccc", "aaaabbbbcccc"], True, 446, 56),
+    ("mix2.ig", 6, Budget(max_steps=60), ["", "abc", "aabcbc", "ababcc"], True, 22, 12),
 ]
 
 
-@pytest.mark.parametrize("name,n,budget,words,exhausted,forms", ENUMERATIONS)
-def test_enumeration_pinned(name, n, budget, words, exhausted, forms):
-    res = enumerate_language(g_fix(name), n, budget)
-    assert list(res.rendered()) == words
-    assert res.exhausted == exhausted
-    assert res.forms_seen == forms
+@pytest.mark.parametrize(
+    "name,n,budget,words,exhausted,forms,forms_default", ENUMERATIONS,
+    ids=[f"{r[0]}-{r[1]}-budget{i}-words{i}-{r[4]}-{r[5]}" for i, r in enumerate(ENUMERATIONS)])
+def test_enumeration_pinned(name, n, budget, words, exhausted, forms, forms_default):
+    for b, count in ((all_orders(budget), forms), (budget, forms_default)):
+        res = enumerate_language(g_fix(name), n, b)
+        assert list(res.rendered()) == words
+        assert res.exhausted == exhausted
+        assert res.forms_seen == count
 
 
 MEMBERSHIPS = [
-    ("twin.ig", "aabbcc$aabbcc", False, Budget(max_steps=400, max_stack=3), "proven", 18561),
-    ("twin.ig", "abc$abc", False, Budget(max_steps=400, max_stack=3), "proven", 3337),
-    ("twin.ig", "abc$ab", True, Budget(max_steps=400, max_stack=3), "refuted", 2224),
-    ("anbn.ig", "aabb", True, Budget(max_steps=400), "proven", 6),
-    ("anbn.ig", "aab", True, Budget(max_steps=400), "refuted", 4),
-    ("ramp.ig", "abaabaaa", False, Budget(max_steps=400, max_stack=5), "proven", 2411),
-    ("anbncn.ig", "aabbcc", False, Budget(max_steps=400, max_stack=4), "proven", 154),
+    ("twin.ig", "aabbcc$aabbcc", False, Budget(max_steps=400, max_stack=3), "proven", 18561, 35),
+    ("twin.ig", "abc$abc", False, Budget(max_steps=400, max_stack=3), "proven", 3337, 27),
+    ("twin.ig", "abc$ab", True, Budget(max_steps=400, max_stack=3), "refuted", 2224, 25),
+    ("anbn.ig", "aabb", True, Budget(max_steps=400), "proven", 6, 6),
+    ("anbn.ig", "aab", True, Budget(max_steps=400), "refuted", 4, 4),
+    ("ramp.ig", "abaabaaa", False, Budget(max_steps=400, max_stack=5), "proven", 2411, 24),
+    ("anbncn.ig", "aabbcc", False, Budget(max_steps=400, max_stack=4), "proven", 154, 27),
 ]
 
 
-@pytest.mark.parametrize("name,w,exact,budget,kind,forms", MEMBERSHIPS)
-def test_membership_pinned(name, w, exact, budget, kind, forms):
+@pytest.mark.parametrize(
+    "name,w,exact,budget,kind,forms,forms_default", MEMBERSHIPS,
+    ids=[f"{r[0]}-{r[1]}-{r[2]}-budget{i}-{r[4]}-{r[5]}" for i, r in enumerate(MEMBERSHIPS)])
+def test_membership_pinned(name, w, exact, budget, kind, forms, forms_default):
     g = g_fix(name)
-    v = membership(g, tuple(w), budget, caps_exact=exact)
-    assert v.kind == kind
-    assert v.info["forms"] == forms
-    if v.is_proven:
-        assert replay(g, v.witness).yield_word() == tuple(w)
+    for b, count in ((all_orders(budget), forms), (budget, forms_default)):
+        v = membership(g, tuple(w), b, caps_exact=exact)
+        assert v.kind == kind
+        assert v.info["forms"] == count
+        if v.is_proven:
+            assert replay(g, v.witness).yield_word() == tuple(w)
 
 
 TWIN_STEPS = ((0, 0), (1, 0), (2, 0), (3, 0), (10, 1), (4, 1), (11, 2), (5, 2), (12, 3),
