@@ -2,7 +2,9 @@
 
 Forms are tuples of ints: a terminal item is -(terminal_id + 1); a variable
 occurrence is stack_id * nv + var_id where stack_id interns an index stack in
-the cons pool (pool_top / pool_rest / pool_depth, entry 0 = empty stack).
+the cons pool (pool_top / pool_rest / pool_depth, entry 0 = empty stack). In
+subtree order (`depths` > 0) a variable occurrence also carries the depth of
+its sibling group: (stack_id * depths + depth) * nv + var_id.
 
 igkit._speedups is a Cython twin of this module; both must produce identical
 successor lists in identical order.
@@ -13,7 +15,7 @@ IMPLEMENTATION = "pure"
 
 def expand(form, by_var, prods, nv,
            pool_top, pool_rest, pool_depth, intern,
-           max_width, max_stack, max_terms, drop_terminals, leftmost):
+           max_width, max_stack, max_terms, drop_terminals, leftmost, depths):
     """All one-step successors of an encoded form, position-major.
 
     prods[pid] = (kind, lhs_index_id, rhs, push_var, push_index, rhs_nvars,
@@ -22,11 +24,24 @@ def expand(form, by_var, prods, nv,
     Caps are -1 when absent; successors violating a cap are dropped.
     `drop_terminals` keeps successor forms terminal-free (skeleton search).
     `leftmost` returns the successors of the first variable occurrence only.
+    `depths` > 0 gives subtree order: only the variables of the deepest
+    sibling group are rewritten, and the children of a rewrite form a new
+    group one deeper, or take the rewritten variable's depth when it was the
+    last of its group. Depths stay below `depths`.
     """
+    nd = depths or 1
     width = 0
+    top = ntop = 0  # the deepest group's depth and size
     for it in form:
         if it >= 0:
             width += 1
+            if depths:
+                d = it // nv % nd
+                if d > top:
+                    top, ntop = d, 1
+                elif d == top:
+                    ntop += 1
+    child = top + 1 if ntop > 1 else top
     nterms = len(form) - width
     out = []
     for i, item in enumerate(form):
@@ -34,6 +49,10 @@ def expand(form, by_var, prods, nv,
             continue
         vid = item % nv
         sid = item // nv
+        if depths:
+            if sid % nd != top:
+                continue
+            sid //= nd
         head = form[:i]
         tail = form[i + 1:]
         for pid in by_var[vid]:
@@ -49,7 +68,7 @@ def expand(form, by_var, prods, nv,
                     pool_rest.append(sid)
                     pool_depth.append(pool_depth[sid] + 1)
                     intern[key] = s2
-                out.append((i, pid, head + (s2 * nv + push_var,) + tail))
+                out.append((i, pid, head + ((s2 * nd + child) * nv + push_var,) + tail))
                 continue
             if kind == 2:
                 if sid == 0 or pool_top[sid] != lhs_idx:
@@ -61,10 +80,11 @@ def expand(form, by_var, prods, nv,
                 continue
             if max_terms >= 0 and nterms + rhs_nterms > max_terms:
                 continue
+            base = (s2 * nd + child) * nv
             if drop_terminals:
-                mid = tuple(s2 * nv + c for c in rhs if c >= 0)
+                mid = tuple(base + c for c in rhs if c >= 0)
             else:
-                mid = tuple(c if c < 0 else s2 * nv + c for c in rhs)
+                mid = tuple(c if c < 0 else base + c for c in rhs)
             out.append((i, pid, head + mid + tail))
         if leftmost:
             break

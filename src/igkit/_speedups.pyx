@@ -7,11 +7,12 @@ IMPLEMENTATION = "compiled"
 def expand(tuple form, tuple by_var, tuple prods, long long nv,
            list pool_top, list pool_rest, list pool_depth, dict intern,
            long long max_width, long long max_stack, long long max_terms,
-           bint drop_terminals, bint leftmost):
+           bint drop_terminals, bint leftmost, long long depths):
     cdef Py_ssize_t n = len(form)
     cdef Py_ssize_t i, j
-    cdef long long item, vid, sid, s2, c
-    cdef long long width = 0, nterms
+    cdef long long item, vid, sid, s2, c, d, base
+    cdef long long nd = depths if depths > 0 else 1
+    cdef long long width = 0, nterms, top = 0, ntop = 0, child
     cdef long long kind, lhs_idx, push_var, push_idx, rhs_nvars, rhs_nterms
     cdef list out = []
     cdef list mid
@@ -19,8 +20,17 @@ def expand(tuple form, tuple by_var, tuple prods, long long nv,
     cdef object key, cached
 
     for i in range(n):
-        if <long long> form[i] >= 0:
+        item = <long long> form[i]
+        if item >= 0:
             width += 1
+            if depths > 0:
+                d = (item // nv) % nd
+                if d > top:
+                    top = d
+                    ntop = 1
+                elif d == top:
+                    ntop += 1
+    child = top + 1 if ntop > 1 else top
     nterms = n - width
 
     for i in range(n):
@@ -29,6 +39,10 @@ def expand(tuple form, tuple by_var, tuple prods, long long nv,
             continue
         vid = item % nv
         sid = item // nv
+        if depths > 0:
+            if sid % nd != top:
+                continue
+            sid = sid // nd
         head = form[:i]
         tail = form[i + 1:]
         for pid in by_var[vid]:
@@ -49,7 +63,7 @@ def expand(tuple form, tuple by_var, tuple prods, long long nv,
                     intern[key] = s2
                 else:
                     s2 = <long long> cached
-                out.append((i, pid, head + (s2 * nv + push_var,) + tail))
+                out.append((i, pid, head + ((s2 * nd + child) * nv + push_var,) + tail))
                 continue
             if kind == 2:
                 lhs_idx = <long long> prod[1]
@@ -65,6 +79,7 @@ def expand(tuple form, tuple by_var, tuple prods, long long nv,
             if max_terms >= 0 and nterms + rhs_nterms > max_terms:
                 continue
             rhs = prod[2]
+            base = (s2 * nd + child) * nv
             mid = []
             for j in range(len(rhs)):
                 c = <long long> rhs[j]
@@ -72,7 +87,7 @@ def expand(tuple form, tuple by_var, tuple prods, long long nv,
                     if not drop_terminals:
                         mid.append(c)
                 else:
-                    mid.append(s2 * nv + c)
+                    mid.append(base + c)
             out.append((i, pid, head + tuple(mid) + tail))
         if leftmost:
             break

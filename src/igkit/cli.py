@@ -246,6 +246,8 @@ def cmd_check_uncontrolled(args) -> int:
         "input": digest,
         "k": args.k,
         "verdict": v.kind,
+        "exhausted": str(v.info["exhausted"]).lower(),
+        **_stopped_by(v.info["stop"]),
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": v.kind,
     }

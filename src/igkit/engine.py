@@ -6,8 +6,11 @@ every operation takes a Budget; verdicts are relative to the budget caps and
 each result records whether the budgeted space was swept completely.
 
 The hot path (one-step expansion of a sentential form) runs through
-igkit.kernel, which picks the compiled kernel when it is available. Searches
-without a width cap follow leftmost derivations only (CompiledGrammar.expand).
+igkit.kernel, which picks the compiled kernel when it is available.
+Enumeration, membership (and so the per-k searches of min_index) and the
+special-production minimum follow one rewrite order per derivation tree:
+leftmost without a width cap, subtree at a time with one (CompiledGrammar.expand).
+Phase 1 of check_uncontrolled looks for the widest forms and tries every order.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class NotAMember(Exception):
 class Budget:
     """Search bounds. max_steps (derivation length) is always required so the
     explored space is finite; the width, stack and yield caps default to
-    unbounded. hard_cap bounds the forms a search stores: a search it stops
-    is reported like one the step cap stops, never as a refutation."""
+    unbounded. hard_cap bounds the forms a search stores (under a width cap,
+    the (form, depth) states of the subtree order): a search it stops is
+    reported like one the step cap stops, never as a refutation."""
 
     max_steps: int
     max_width: Optional[int] = None
@@ -182,13 +186,16 @@ class CompiledGrammar:
                 items.append(self.intern_stack(it.stack) * self.nv + self.var_id[it.symbol])
         return tuple(items)
 
-    def decode_form(self, enc: tuple[int, ...]) -> SententialForm:
+    def decode_form(self, enc: tuple[int, ...], depths: int = 0) -> SententialForm:
+        """The form of `enc`; `depths` is the one the search expanded it with."""
+        nd = depths or 1
         items: list = []
         for x in enc:
             if x < 0:
                 items.append(Terminal(self.term_names[-x - 1]))
             else:
-                items.append(Var(self.var_names[x % self.nv], self.stack_tuple(x // self.nv)))
+                sid = x // self.nv // nd
+                items.append(Var(self.var_names[x % self.nv], self.stack_tuple(sid)))
         return SententialForm(tuple(items))
 
     def encode_word(self, w: Word) -> tuple[int, ...]:
@@ -200,23 +207,42 @@ class CompiledGrammar:
     def start(self) -> tuple[int, ...]:
         return (self.var_id[self.g.start],)
 
-    def expand(self, form, budget: Budget, *, max_terms: int = -1, skeleton: bool = False):
-        """Successors of `form` under the budget's caps; without a width cap,
-        those of its leftmost variable only. Every derivation reorders into a
-        leftmost one with the same length, stacks and terminals; the terminal
-        count never falls, so max_terms prunes alike in every order;
-        `_can_yield` holds on every form of a derivation of the target; and a
-        swept leftmost closure without () is closed under successors, so the
-        `dead` set of `check_uncontrolled` stays sound. Only widths depend on
-        the order, so a width cap keeps every order (leftmost order loses
-        words under it); max_width=10**9 gives the all-orders search."""
+    def expand(self, form, budget: Budget, *, max_terms: int = -1, skeleton: bool = False,
+               subtrees: bool = False):
+        """Successors of `form` under the budget's caps: without a width cap,
+        those of its leftmost variable only; with one, those of every
+        variable, or with `subtrees` those of the deepest sibling group only.
+
+        Every derivation reorders into a leftmost one with the same length,
+        stacks and terminals; the terminal count never falls, so max_terms
+        prunes alike in every order; `_can_yield` holds on every form of a
+        derivation of the target; and a swept leftmost closure without () is
+        closed under successors, so the `dead` set of `check_uncontrolled`
+        stays sound. Only widths depend on the order, and leftmost order
+        loses words under a width cap. A derivation tree's minimum width is
+        reached by an order that finishes each child subtree before it starts
+        the next (Sethi & Ullman 1970): `subtrees` keeps exactly those orders,
+        so a search bounded by the minimum width of a tree keeps its words,
+        proofs and minimums (like the leftmost search, it can need more levels
+        to sweep). Forms then carry `_subtree_depths(budget)` depth values
+        (decode them with that count), and the hard cap counts (form, depth)
+        states. A search for the widest forms needs every order;
+        max_width=10**9 gives the all-orders search."""
         return kernel.expand(
             form, self.by_var, self.prods, self.nv,
             self.pool_top, self.pool_rest, self.pool_depth, self.intern,
             -1 if budget.max_width is None else budget.max_width,
             -1 if budget.max_stack is None else budget.max_stack,
             max_terms, 1 if skeleton else 0, 1 if budget.max_width is None else 0,
+            _subtree_depths(budget) if subtrees else 0,
         )
+
+
+def _subtree_depths(budget: Budget) -> int:
+    """The depth values of a form in subtree order: every sibling group holds
+    a variable, so the depth of the deepest one is below the width cap. 0
+    without a width cap, where the search is leftmost and carries no depths."""
+    return 0 if budget.max_width is None else max(1, budget.max_width)
 
 
 def _is_terminal_enc(form: tuple[int, ...]) -> bool:
@@ -228,12 +254,14 @@ def _is_terminal_enc(form: tuple[int, ...]) -> bool:
     return True
 
 
-def _derivation(c: CompiledGrammar, successors, parents: dict, goal, key=None) -> Derivation:
+def _derivation(c: CompiledGrammar, successors, parents: dict, goal, depths: int,
+                key=None) -> Derivation:
     """Decode the derivation of `goal` that a search stored; `key` maps a
     search node to its encoded form."""
     nodes = path(parents, goal)
     steps = tuple((pid, pos) for pos, pid, _ in moves(successors, parents, goal))
-    return Derivation(tuple(c.decode_form(n if key is None else key(n)) for n in nodes), steps)
+    return Derivation(
+        tuple(c.decode_form(n if key is None else key(n), depths) for n in nodes), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +282,7 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
             return LEAF
         return EXPAND
 
-    s = bfs(c.start(), lambda f: c.expand(f, budget, max_terms=max_terms),
+    s = bfs(c.start(), lambda f: c.expand(f, budget, max_terms=max_terms, subtrees=True),
             budget.max_steps, budget.hard_cap, visit)
     decoded = sorted(
         (tuple(c.term_names[-x - 1] for x in w) for w in words if len(w) <= max_len),
@@ -324,7 +352,7 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
     target = c.encode_word(w)
 
     def successors(form):
-        return c.expand(form, budget, max_terms=len(target))
+        return c.expand(form, budget, max_terms=len(target), subtrees=True)
 
     def visit(form):
         if _is_terminal_enc(form):
@@ -334,7 +362,8 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
     s = bfs(c.start(), successors, budget.max_steps, budget.hard_cap, visit)
     info = {"exhausted": s.swept, "forms": len(s.parents), "stop": s.stop}
     if s.stop == FOUND:
-        return Verdict(PROVEN, _derivation(c, successors, s.parents, s.goal), info)
+        return Verdict(PROVEN, _derivation(c, successors, s.parents, s.goal,
+                                           _subtree_depths(budget)), info)
     return Verdict(REFUTED if (s.swept and caps_exact) else UNKNOWN, None, info)
 
 
@@ -376,7 +405,8 @@ def special_count_min(
     def step(state):
         form, nspec = state
         return [(pos, pid, (f2, nspec + (pid in specials)))
-                for pos, pid, f2 in c.expand(form, budget, max_terms=len(target))]
+                for pos, pid, f2 in c.expand(form, budget, max_terms=len(target),
+                                             subtrees=True)]
 
     def successors(state):
         return (t for t in step(state) if best is None or t[2][1] < best)
@@ -395,7 +425,8 @@ def special_count_min(
         return None
     if best is None:
         raise NotAMember(f"{''.join(w)!r} not derived within budget", exhausted=s.swept)
-    return best, _derivation(c, step, s.parents, best_state, key=lambda st: st[0])
+    return best, _derivation(c, step, s.parents, best_state, _subtree_depths(budget),
+                             key=lambda st: st[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +463,11 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
         return EXPAND if form else GOAL
 
     finish: Optional[Search] = None  # the phase-2 search that finished a wide form
-    refute_incomplete = False
+    cut: Optional[str] = None  # why a phase-2 search stopped short, if one did
     dead: set = set()  # skeletons whose budgeted closure provably never finishes
 
     def visit(form):
-        nonlocal finish, refute_incomplete
+        nonlocal finish, cut
         if len(form) > k and form not in dead:
             s2 = bfs(form, phase2, budget.max_steps, budget.hard_cap, finished)
             if s2.stop == FOUND:
@@ -447,12 +478,12 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
                 # everything in it is equally hopeless
                 dead.update(s2.parents)
             else:
-                refute_incomplete = True
+                cut = s2.stop
         return EXPAND if form else LEAF
 
     s = bfs(c.start(), phase1, budget.max_steps, budget.hard_cap, visit)
-    info = {"exhausted": s.swept and not refute_incomplete, "caps": budget.active_caps(),
-            "stop": s.stop}
+    info = {"exhausted": s.swept and cut is None, "caps": budget.active_caps(),
+            "stop": cut if s.swept and cut else s.stop}
     if s.stop == FOUND:
         steps = moves(phase1, s.parents, s.goal) + moves(phase2, finish.parents, ())
         witness = _lift_skeleton(g, [(pid, pos) for pos, pid, _ in steps])

@@ -122,6 +122,51 @@ def test_check_uncontrolled_refuted(capsys):
     assert code == 1
     assert blocks[0]["verdict"] == "refuted"
     assert int(blocks[0]["witness_width"]) > 3
+    assert blocks[0]["exhausted"] == "false" and "stopped_by" not in blocks[0]
+
+
+def test_check_uncontrolled_swept_names_no_cap(capsys):
+    code, blocks = run_clean(capsys, "check-uncontrolled", "fixture:anbn.ig", "--k", "1")
+    assert code == 0 and blocks[0]["verdict"] == "proven"
+    assert blocks[0]["exhausted"] == "true" and "stopped_by" not in blocks[0]
+
+
+def test_check_uncontrolled_step_cap_is_named(capsys):
+    code, blocks = run_clean(
+        capsys, "check-uncontrolled", "fixture:twin.ig", "--k", "7", "--max-stack", "3",
+        "--max-steps", "5",
+    )
+    assert code == 3 and blocks[0]["verdict"] == "unknown"
+    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
+
+
+def test_check_uncontrolled_hard_cap_is_named(capsys):
+    code, blocks = run_clean(
+        capsys, "check-uncontrolled", "fixture:twin.ig", "--k", "7", "--max-stack", "3",
+        "--hard-cap", "20",
+    )
+    assert code == 3 and blocks[0]["verdict"] == "unknown"
+    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "hard_cap"
+
+
+# the first phase (widths up to k + 3) sweeps after S -> W W W, but finishing
+# W W W takes 15 steps
+WIDE = (
+    "grammar wide\nvariables: S, W, X\nterminals: x\nindices:\nstart: S\n"
+    "prod: S -> W W W\nprod: W -> X X X X\nprod: X -> x\n"
+)
+
+
+def test_check_uncontrolled_names_the_cap_of_a_cut_finishing_search(capsys, tmp_path):
+    p = tmp_path / "wide.ig"
+    p.write_text(WIDE)
+    code, blocks = run_clean(capsys, "check-uncontrolled", str(p), "--k", "1",
+                             "--max-steps", "10")
+    assert code == 3 and blocks[0]["verdict"] == "unknown"
+    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
+    code, blocks = run_clean(capsys, "check-uncontrolled", str(p), "--k", "1",
+                             "--max-steps", "20")
+    assert code == 1 and int(blocks[0]["witness_width"]) > 1
 
 
 def test_transform_union_writes_grammar(tmp_path, capsys):

@@ -1,18 +1,30 @@
-"""The leftmost search (no width cap) against the all-orders search.
+"""The engine's rewrite orders against the all-orders search.
 
 Without a width cap every search rewrites only the leftmost variable of a
-form. The all-orders search stays reachable as the oracle through a width cap
-that cannot bind. On random small grammars the two must give the same words,
-and the leftmost search must decide whatever the oracle decides, the same way.
-The words are equal by the reordering argument; the second property is only
-checked here: the leftmost search can need more levels to sweep when the
-shortest derivation of some form is not leftmost. A grammar of seven variables
-shows it: S -> X0 Y | Xi W (i = 0..3), Xi -> Xi+1 (i < 3), X3 -> x, W -> Y,
-Y -> y sweeps in 4 levels in all orders and needs 5 leftmost. No grammar
-within the bounds below has shown it.
+form; with one, enumeration, membership, min_index and special_count_min
+rewrite only the deepest sibling group (subtree order), so each child subtree
+is finished before the next starts. The all-orders search is the oracle in
+util.py. On random small grammars both orders must give the oracle's words,
+its proofs and its minimums, and every witness must replay within the width
+cap. The words are equal by the reordering argument.
+
+A refutation needs a sweep, and either order can need more levels to sweep
+than the oracle when the shortest derivation of some form is not in that
+order. A grammar of seven variables shows it for the leftmost order:
+S -> X0 Y | Xi W (i = 0..3), Xi -> Xi+1 (i < 3), X3 -> x, W -> Y, Y -> y
+sweeps in 4 levels in all orders and needs 5 leftmost; no grammar within the
+bounds below has shown it, and the leftmost tests require the oracle's sweeps.
+The subtree order shows it on S -> S | S S at width 2: every order sweeps in
+2 levels, but S S is stored again once per grouping of its variables (both in
+one group, or one S started in a group of its own), and those states need a
+third level. The capped tests allow an unknown answer where the oracle
+refutes, when the search ran out of levels. The subtree order can also store
+more states than the oracle stores forms.
 """
 
-from hypothesis import given, strategies as st
+from dataclasses import replace
+
+from hypothesis import example, given, strategies as st
 
 from igkit import fixture_text
 from igkit.engine import (
@@ -25,9 +37,15 @@ from igkit.engine import (
     special_count_min,
 )
 from igkit.grammar import Production, make_grammar, parse_grammar, replay
-from igkit.search import HARD_CAP
+from igkit.search import HARD_CAP, MAX_STEPS
 
-from util import all_orders
+from util import (
+    ALL_ORDERS,
+    oracle_enumerate,
+    oracle_membership,
+    oracle_min_index,
+    oracle_special_count_min,
+)
 
 TERMS = ("a", "b")
 
@@ -51,19 +69,25 @@ def grammars(draw):
     return make_grammar("rnd", vs, TERMS, idx, prods, "S")
 
 
-budgets = st.builds(
-    Budget,
-    max_steps=st.integers(2, 10),
-    max_stack=st.sampled_from((None, 1, 2, 3)),
-    hard_cap=st.just(5000),
-)
+def budget_strategy(widths):
+    return st.builds(
+        Budget,
+        max_steps=st.integers(2, 10),
+        max_width=st.sampled_from(widths),
+        max_stack=st.sampled_from((None, 1, 2, 3)),
+        hard_cap=st.just(5000),
+    )
+
+
+budgets = budget_strategy((None,))  # leftmost order
+capped = budget_strategy((1, 2, 3, 4))  # subtree order
 words = st.lists(st.sampled_from(TERMS), max_size=4).map(tuple)
 
 
 @given(grammars(), budgets)
 def test_enumeration_matches_all_orders(g, budget):
     left = enumerate_language(g, 5, budget)
-    full = enumerate_language(g, 5, all_orders(budget))
+    full = oracle_enumerate(g, 5, budget)
     if HARD_CAP not in (left.stop, full.stop):
         assert left.words == full.words
     if full.exhausted:
@@ -71,37 +95,96 @@ def test_enumeration_matches_all_orders(g, budget):
     assert left.forms_seen <= full.forms_seen or full.stop == HARD_CAP
 
 
+# S -> B A, A -> a, B -> C C, C -> b: "bba" has width 2 only when A, the
+# later sibling, is finished first
+LATER_SIBLING_FIRST = make_grammar(
+    "later", ("S", "A", "B", "C"), TERMS, (),
+    [Production("S", ("B", "A")), Production("A", ("a",)), Production("B", ("C", "C")),
+     Production("C", ("b",))], "S")
+
+
+@given(grammars(), capped)
+@example(LATER_SIBLING_FIRST, Budget(max_steps=10, max_width=2))
+def test_capped_enumeration_matches_all_orders(g, budget):
+    ours = enumerate_language(g, 5, budget)
+    full = oracle_enumerate(g, 5, budget)
+    if HARD_CAP not in (ours.stop, full.stop):
+        assert ours.words == full.words
+
+
+def _replays_within(g, witness, w, budget):
+    assert replay(g, witness).yield_word() == w
+    assert budget.max_width is None or witness.index() <= budget.max_width
+
+
 @given(grammars(), budgets, words)
 def test_membership_matches_all_orders(g, budget, w):
     left = membership(g, w, budget, caps_exact=True)
-    full = membership(g, w, all_orders(budget), caps_exact=True)
+    full = oracle_membership(g, w, budget, caps_exact=True)
     if not full.is_unknown:
         assert left.kind == full.kind
     if left.is_proven:
-        assert replay(g, left.witness).yield_word() == w
+        _replays_within(g, left.witness, w, budget)
 
 
-def _outcome(fn):
-    """A minimum, None (unknown), or how NotAMember was raised."""
+@given(grammars(), capped, words)
+def test_capped_membership_matches_all_orders(g, budget, w):
+    ours = membership(g, w, budget, caps_exact=True)
+    full = oracle_membership(g, w, budget, caps_exact=True)
+    if not full.is_unknown:
+        # a refutation needs a sweep, which can take more levels here
+        assert ours.kind == full.kind or (
+            full.is_refuted and ours.is_unknown and ours.info["stop"] == MAX_STEPS)
+    if ours.is_proven:
+        _replays_within(g, ours.witness, w, budget)
+
+
+def _outcome(fn, g, w, budget):
+    """A minimum, None (unknown), or how NotAMember was raised; a witness must
+    replay to w within the width cap."""
     try:
-        out = fn()
+        out = fn(g, w, budget)
     except NotAMember as exc:
         return ("not a member", exc.exhausted)
-    return None if out is None else out[0]
+    if out is None:
+        return None
+    if out[1] is not None:
+        _replays_within(g, out[1], w, budget)
+    return out[0]
+
+
+MINIMUMS = ((special_count_min, oracle_special_count_min),
+            (lambda *a: min_index(*a, caps_exact=True),
+             lambda *a: oracle_min_index(*a, caps_exact=True)))
 
 
 @given(grammars(), budgets, words)
 def test_minimums_match_all_orders(g, budget, w):
-    for fn in (special_count_min, lambda *a: min_index(*a, caps_exact=True)):
-        full = _outcome(lambda: fn(g, w, all_orders(budget)))
+    for ours, oracle in MINIMUMS:
+        full = _outcome(oracle, g, w, budget)
         if isinstance(full, int) or full == ("not a member", True):
-            assert _outcome(lambda: fn(g, w, budget)) == full
+            assert _outcome(ours, g, w, budget) == full
+
+
+@given(grammars(), capped, words)
+def test_capped_minimums_match_all_orders(g, budget, w):
+    for ours, oracle in MINIMUMS:
+        full = _outcome(oracle, g, w, budget)
+        got = _outcome(ours, g, w, budget)
+        if isinstance(full, int):
+            assert got == full
+        elif full == ("not a member", True):
+            # as for membership, the sweep can take more levels here, and
+            # then the answer stays open
+            assert got in (full, ("not a member", False), None)
 
 
 @given(grammars(), budgets, st.integers(1, 2))
 def test_check_uncontrolled_matches_all_orders(g, budget, k):
+    # the verdict ignores the budget's width cap: phase 1 caps widths itself
+    # and tries every order, phase 2 is leftmost
     left = check_uncontrolled(g, k, budget)
-    full = check_uncontrolled(g, k, all_orders(budget))
+    full = check_uncontrolled(g, k, replace(budget, max_width=ALL_ORDERS))
     if not full.is_unknown:
         assert left.kind == full.kind
     if left.is_refuted:

@@ -1,12 +1,27 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
-and brute-force oracles for the closure constructions."""
+brute-force oracles for the closure constructions, and the all-orders search
+that the leftmost and subtree orders of the engine are checked against."""
 
 from dataclasses import replace
 from itertools import product
 
 from igkit import fixture_text
-from igkit.engine import Budget, enumerate_language
-from igkit.grammar import parse_grammar
+from igkit.engine import (
+    PROVEN,
+    REFUTED,
+    UNKNOWN,
+    Budget,
+    CompiledGrammar,
+    EnumerationResult,
+    NotAMember,
+    Verdict,
+    _can_yield,
+    _derivation,
+    _is_terminal_enc,
+    enumerate_language,
+)
+from igkit.grammar import SPECIAL, parse_grammar
+from igkit.search import EXPAND, FOUND, GOAL, HARD_CAP, LEAF, bfs
 
 
 # counts to 6 on silent moves, then back to 0: accepts exactly the empty word
@@ -19,14 +34,101 @@ SILENT_SIX = (
 )
 
 
-# A width cap that cannot bind: the search tries every rewrite order, as it does
-# under any width cap, where a budget without one follows leftmost derivations.
+# A width cap that cannot bind: with it, CompiledGrammar.expand tries every order.
 ALL_ORDERS = 10**9
 
 
-def all_orders(budget):
-    """The budget on the all-orders search, the oracle of the leftmost one."""
-    return budget if budget.max_width is not None else replace(budget, max_width=ALL_ORDERS)
+def _all_orders(g, budget):
+    """The budget with a width cap, and a CompiledGrammar of g."""
+    b = budget if budget.max_width is not None else replace(budget, max_width=ALL_ORDERS)
+    return b, CompiledGrammar(g)
+
+
+def oracle_enumerate(g, max_len, budget):
+    """enumerate_language over every rewrite order: search.bfs over
+    CompiledGrammar.expand, the oracle of the leftmost and subtree orders."""
+    b, c = _all_orders(g, budget)
+    max_terms = max_len if b.max_yield is None else min(max_len, b.max_yield)
+    words = []
+
+    def visit(form):
+        if _is_terminal_enc(form):
+            words.append(form)
+            return LEAF
+        return EXPAND
+
+    s = bfs(c.start(), lambda f: c.expand(f, b, max_terms=max_terms), b.max_steps, b.hard_cap,
+            visit)
+    decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words if len(w) <= max_len),
+                     key=lambda w: (len(w), w))
+    return EnumerationResult(tuple(decoded), s.swept, budget.active_caps(), len(s.parents), s.stop)
+
+
+def oracle_membership(g, w, budget, caps_exact=False):
+    """membership over every rewrite order (see oracle_enumerate)."""
+    b, c = _all_orders(g, budget)
+    target = c.encode_word(w)
+
+    def successors(form):
+        return c.expand(form, b, max_terms=len(target))
+
+    def visit(form):
+        if _is_terminal_enc(form):
+            return GOAL if form == target else LEAF
+        return EXPAND if _can_yield(form, target) else LEAF
+
+    s = bfs(c.start(), successors, b.max_steps, b.hard_cap, visit)
+    info = {"exhausted": s.swept, "forms": len(s.parents), "stop": s.stop}
+    if s.stop == FOUND:
+        return Verdict(PROVEN, _derivation(c, successors, s.parents, s.goal, 0), info)
+    return Verdict(REFUTED if (s.swept and caps_exact) else UNKNOWN, None, info)
+
+
+def oracle_min_index(g, w, budget, caps_exact=False):
+    """The smallest k whose all-orders search proves w, as min_index answers
+    it: None when unknown, NotAMember when the full search refutes w."""
+    full = oracle_membership(g, w, budget, caps_exact)
+    if full.is_refuted:
+        raise NotAMember("refuted", exhausted=True)
+    if full.is_unknown:
+        return None
+    for k in range(1, full.witness.index()):
+        v = oracle_membership(g, w, replace(budget, max_width=k))
+        if v.is_proven:
+            return k, v.witness
+        if v.info["stop"] == HARD_CAP:
+            return None
+    return full.witness.index(), full.witness
+
+
+def oracle_special_count_min(g, w, budget):
+    """special_count_min over every rewrite order (see oracle_enumerate)."""
+    b, c = _all_orders(g, budget)
+    target = c.encode_word(w)
+    specials = {pid for pid, p in enumerate(g.productions) if g.classify(p) == SPECIAL}
+    best = None
+
+    def successors(state):
+        form, nspec = state
+        return [(pos, pid, (f2, nspec + (pid in specials)))
+                for pos, pid, f2 in c.expand(form, b, max_terms=len(target))
+                if best is None or nspec + (pid in specials) < best]
+
+    def visit(state):
+        nonlocal best
+        form, nspec = state
+        if _is_terminal_enc(form):
+            if form == target:
+                best = nspec
+            return LEAF
+        return EXPAND if _can_yield(form, target) else LEAF
+
+    s = bfs((c.start(), 0), successors, b.max_steps, b.hard_cap, visit)
+    if s.stop == HARD_CAP:
+        return None
+    if best is None:
+        raise NotAMember("not derived", exhausted=s.swept)
+    return best, None
 
 
 def load(name):
