@@ -248,6 +248,7 @@ def cmd_check_uncontrolled(args) -> int:
         "verdict": v.kind,
         "exhausted": str(v.info["exhausted"]).lower(),
         **_stopped_by(v.info["stop"]),
+        "forms": v.info["forms"],
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": v.kind,
     }

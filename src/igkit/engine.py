@@ -1,20 +1,22 @@
 """Bounded exploration of the derivation relation.
 
-Search-based language enumeration, membership, index measurement and
-uncontrolled-width refutation. Index stacks are unbounded in general, so
-every operation takes a Budget; verdicts are relative to the budget caps and
-each result records whether the budgeted space was swept completely.
+Search-based language enumeration, membership and index measurement, and a
+table of derivation-tree widths for uncontrolled-width checking. Index stacks
+are unbounded in general, so every operation takes a Budget; verdicts are
+relative to the budget caps and each result records whether the budgeted
+space was swept completely.
 
 The hot path (one-step expansion of a sentential form) runs through
-igkit.kernel, which picks the compiled kernel when it is available.
-Enumeration, membership (and so the per-k searches of min_index) and the
-special-production minimum follow one rewrite order per derivation tree:
-leftmost without a width cap, subtree at a time with one (CompiledGrammar.expand).
-Phase 1 of check_uncontrolled looks for the widest forms and tries every order.
+igkit.kernel. Enumeration, membership (and so the per-k searches of
+min_index) and the special-production minimum follow one rewrite order per
+derivation tree: leftmost without a width cap, subtree at a time with one
+(CompiledGrammar.expand). check_uncontrolled searches no forms: it tabulates
+the widest tree below each (variable, stack) pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -33,7 +35,7 @@ from .grammar import (
     apply_production,
     start_form,
 )
-from .search import EXPAND, FOUND, GOAL, HARD_CAP, LEAF, Search, bfs, moves, path
+from .search import EXPAND, FOUND, GOAL, HARD_CAP, LEAF, MAX_STEPS, bfs, moves, path
 
 PROVEN = "proven"
 REFUTED = "refuted"
@@ -207,33 +209,30 @@ class CompiledGrammar:
     def start(self) -> tuple[int, ...]:
         return (self.var_id[self.g.start],)
 
-    def expand(self, form, budget: Budget, *, max_terms: int = -1, skeleton: bool = False,
-               subtrees: bool = False):
+    def expand(self, form, budget: Budget, *, max_terms: int = -1, subtrees: bool = False):
         """Successors of `form` under the budget's caps: without a width cap,
         those of its leftmost variable only; with one, those of every
         variable, or with `subtrees` those of the deepest sibling group only.
 
         Every derivation reorders into a leftmost one with the same length,
         stacks and terminals; the terminal count never falls, so max_terms
-        prunes alike in every order; `_can_yield` holds on every form of a
-        derivation of the target; and a swept leftmost closure without () is
-        closed under successors, so the `dead` set of `check_uncontrolled`
-        stays sound. Only widths depend on the order, and leftmost order
-        loses words under a width cap. A derivation tree's minimum width is
-        reached by an order that finishes each child subtree before it starts
-        the next (Sethi & Ullman 1970): `subtrees` keeps exactly those orders,
-        so a search bounded by the minimum width of a tree keeps its words,
-        proofs and minimums (like the leftmost search, it can need more levels
-        to sweep). Forms then carry `_subtree_depths(budget)` depth values
-        (decode them with that count), and the hard cap counts (form, depth)
-        states. A search for the widest forms needs every order;
-        max_width=10**9 gives the all-orders search."""
+        prunes alike in every order; and `_can_yield` holds on every form of
+        a derivation of the target. Only widths depend on the order, and
+        leftmost order loses words under a width cap. A derivation tree's
+        minimum width is reached by an order that finishes each child subtree
+        before it starts the next (Sethi & Ullman 1970): `subtrees` keeps
+        exactly those orders, so a search bounded by the minimum width of a
+        tree keeps its words, proofs and minimums (like the leftmost search,
+        it can need more levels to sweep). Forms then carry
+        `_subtree_depths(budget)` depth values (decode them with that count),
+        and the hard cap counts (form, depth) states. max_width=10**9 gives
+        the search over every order."""
         return kernel.expand(
             form, self.by_var, self.prods, self.nv,
             self.pool_top, self.pool_rest, self.pool_depth, self.intern,
             -1 if budget.max_width is None else budget.max_width,
             -1 if budget.max_stack is None else budget.max_stack,
-            max_terms, 1 if skeleton else 0, 1 if budget.max_width is None else 0,
+            max_terms, 1 if budget.max_width is None else 0,
             _subtree_depths(budget) if subtrees else 0,
         )
 
@@ -434,72 +433,123 @@ def special_count_min(
 
 
 def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
-    """Refuted with a witness when a successful derivation contains a form
-    wider than k; Proven when the whole budgeted space was swept without one.
+    """Refuted with a witness when a successful derivation within the stack
+    cap has a form wider than k; proven when none has, whatever its length.
 
-    The search runs on the terminal-erased quotient of the form space (the
-    variable/stack skeleton): widths and completability only depend on the
-    skeleton, which keeps the space finite for many grammars whose concrete
-    form space is not.
+    Each child of a rewrite gets its own copy of the stack, so the widest
+    derivation tree below a (variable, stack) pair depends on that pair
+    alone, and `_widths` tabulates it. Without a stack cap, a stack of depth d
+    needs d pushes, so max_steps bounds the depth: the depth cap doubles from
+    1 up to max_steps, and the first table that refutes, or that left out no
+    push, gives the verdict. When the last one left out a push and refutes
+    nothing, the answer is unknown. The hard cap counts the pairs of a table.
+    The budget's width cap is ignored: it would hide the forms looked for.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     c = CompiledGrammar(g)
-    # Any form on a successful derivation that exceeds k is preceded by a
-    # first offender of width <= k + (largest rhs width jump), so exploring
-    # candidates up to that cap loses no refutation. The caller's own
-    # max_width is ignored: it would mask exactly the forms we look for.
-    max_jump = max((row[5] - 1 for row in c.prods if row[0] != 1), default=0)
-    base_budget = replace(budget, max_width=None)
-    phase1_budget = replace(budget, max_width=k + max(0, max_jump))
-
-    def phase1(form):
-        return c.expand(form, phase1_budget, skeleton=True)
-
-    def phase2(form):
-        return c.expand(form, base_budget, skeleton=True)
-
-    def finished(form):
-        return EXPAND if form else GOAL
-
-    finish: Optional[Search] = None  # the phase-2 search that finished a wide form
-    cut: Optional[str] = None  # why a phase-2 search stopped short, if one did
-    dead: set = set()  # skeletons whose budgeted closure provably never finishes
-
-    def visit(form):
-        nonlocal finish, cut
-        if len(form) > k and form not in dead:
-            s2 = bfs(form, phase2, budget.max_steps, budget.hard_cap, finished)
-            if s2.stop == FOUND:
-                finish = s2
-                return GOAL
-            if s2.swept:
-                # the whole budgeted closure was swept without finishing, so
-                # everything in it is equally hopeless
-                dead.update(s2.parents)
-            else:
-                cut = s2.stop
-        return EXPAND if form else LEAF
-
-    s = bfs(c.start(), phase1, budget.max_steps, budget.hard_cap, visit)
-    info = {"exhausted": s.swept and cut is None, "caps": budget.active_caps(),
-            "stop": cut if s.swept and cut else s.stop}
-    if s.stop == FOUND:
-        steps = moves(phase1, s.parents, s.goal) + moves(phase2, finish.parents, ())
-        witness = _lift_skeleton(g, [(pid, pos) for pos, pid, _ in steps])
-        return Verdict(REFUTED, witness, {**info, "width": witness.index()})
-    return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+    start = c.start()[0]
+    if budget.max_stack is not None:
+        caps = [budget.max_stack]
+    else:
+        caps, d = [], 1
+        while d < budget.max_steps:
+            caps.append(d)
+            d *= 2
+        caps.append(budget.max_steps)
+    for cap in caps:
+        s, value, back, cut = _widths(c, start, k, replace(budget, max_width=None, max_stack=cap))
+        info = {"exhausted": False, "caps": budget.active_caps(), "stop": s.stop,
+                "forms": len(s.parents)}
+        if s.stop == HARD_CAP:
+            return Verdict(UNKNOWN, None, info)
+        if value.get(start, 0) > k:
+            witness = _widest_derivation(g, back, (start, k + 1))
+            return Verdict(REFUTED, witness, {**info, "stop": FOUND, "width": witness.index()})
+        if budget.max_stack is not None or not cut:
+            return Verdict(PROVEN, None, {**info, "exhausted": True})
+    return Verdict(UNKNOWN, None, {**info, "stop": MAX_STEPS})
 
 
-def _lift_skeleton(g: IndexedGrammar, skeleton_moves: list[tuple[int, int]]) -> Derivation:
-    """Replay skeleton moves (production id, variable-occurrence ordinal) on
-    concrete forms, reinstating emitted terminals."""
+def _widths(c: CompiledGrammar, start: int, k: int, budget: Budget):
+    """The widest productive derivation tree below each (variable, stack)
+    pair reachable from `start` within the stack cap, saturated at k + 1. A
+    pair is encoded like a variable occurrence, and its rules are the
+    one-step successors of the form that holds it alone.
+
+    A tree's widest form, over every rewrite order, is max(1, the sum over
+    its children), a terminal child counting 0. The values are a monotone
+    fixpoint over the productions (Knuth 1977), computed with a worklist over
+    reverse dependencies; it stops once the start pair reaches k + 1. For
+    each (pair, value) it keeps the first back-pointer that reached it: the
+    production and the children's (pair, value) entries, all of them earlier
+    ones, so the tree they build is finite on cyclic grammars too.
+
+    Returns the search that discovered the pairs (swept, or stopped by the
+    hard cap), the values, the back-pointers and whether a push was left out."""
+    leaves: list = []  # the rules without variable children
+    users: dict = {}  # pair -> the rules with it among their children
+    cut = False
+
+    def children(pair):
+        nonlocal cut
+        sid, vid = divmod(pair, c.nv)
+        if c.pool_depth[sid] >= budget.max_stack:
+            cut = cut or any(c.prods[pid][0] == 1 for pid in c.by_var[vid])
+        rules = [(pid, tuple(x for x in f if x >= 0)) for _, pid, f in c.expand((pair,), budget)]
+        for pid, kids in rules:
+            if not kids:
+                leaves.append((pair, pid, kids))
+            for kid in set(kids):
+                users.setdefault(kid, []).append((pair, pid, kids))
+        return [(pid, kid) for pid, kids in rules for kid in kids]
+
+    s = bfs(start, children, math.inf, budget.hard_cap)
+    value: dict = {}
+    back: dict = {}
+    top = k + 1
+    risen: list = []  # every pair whose value rose, in order
+
+    def offer(pair, pid, kids):
+        if all(kid in value for kid in kids):
+            v = min(top, max(1, sum(value[kid] for kid in kids)))
+            if v > value.get(pair, 0):
+                back[pair, v] = (pid, tuple((kid, value[kid]) for kid in kids))
+                value[pair] = v
+                risen.append(pair)
+
+    for rule in leaves:
+        offer(*rule)
+    for kid in risen:  # the loop also takes the pairs appended as it runs
+        if value.get(start, 0) == top:
+            break
+        for pair, pid, kids in users.get(kid, ()):
+            offer(pair, pid, kids)
+    return s, value, back, cut
+
+
+def _widest_derivation(g: IndexedGrammar, back: dict, root: tuple) -> Derivation:
+    """The derivation of the tree that `back` holds below the entry `root`.
+    It first rewrites every node of value at least 2, leftmost first: each
+    such node's children sum to at least its value, so that reaches a form
+    with at least the root's value in variables. Then it finishes the rest,
+    leftmost."""
     form = start_form(g)
-    forms = [form]
-    steps = []
-    for pid, vpos in skeleton_moves:
-        item_pos = form.var_positions()[vpos]
-        form = apply_production(g, form, item_pos, g.productions[pid])
-        forms.append(form)
-        steps.append((pid, item_pos))
+    entries = [root]  # the entry below each item of the form; None for a terminal
+    forms, steps = [form], []
+    for wide in (True, False):
+        i = 0
+        while i < len(entries):
+            e = entries[i]
+            if e is None or (wide and e[1] < 2):
+                i += 1
+                continue
+            pid, kids = back[e]
+            p = g.productions[pid]
+            form = apply_production(g, form, i, p)
+            kids = iter(kids)
+            entries[i:i + 1] = [next(kids) if isinstance(x, Var) else None
+                                for x in form.items[i:i + len(p.rhs)]]
+            forms.append(form)
+            steps.append((pid, i))
     return Derivation(tuple(forms), tuple(steps))

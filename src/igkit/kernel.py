@@ -1,18 +1,85 @@
-"""Select the expansion kernel at import: compiled when available, else pure.
+"""The expansion kernel of the derivation search: the one-step successors of
+an encoded sentential form.
 
-Set IGKIT_PURE=1 to force the pure-Python kernel (used by the benchmark and
-by tests that compare both implementations).
+Forms are tuples of ints: a terminal item is -(terminal_id + 1); a variable
+occurrence is stack_id * nv + var_id where stack_id interns an index stack in
+the cons pool (pool_top / pool_rest / pool_depth, entry 0 = empty stack). In
+subtree order (`depths` > 0) a variable occurrence also carries the depth of
+its sibling group: (stack_id * depths + depth) * nv + var_id.
 """
 
-import os
+IMPLEMENTATION = "pure"
 
-if os.environ.get("IGKIT_PURE"):
-    from . import _expand_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _expand_py as _impl  # type: ignore[no-redef]
 
-IMPLEMENTATION: str = _impl.IMPLEMENTATION
-expand = _impl.expand
+def expand(form, by_var, prods, nv,
+           pool_top, pool_rest, pool_depth, intern,
+           max_width, max_stack, max_terms, leftmost, depths):
+    """All one-step successors of an encoded form, position-major.
+
+    prods[pid] = (kind, lhs_index_id, rhs, push_var, push_index, rhs_nvars,
+    rhs_nterms) with kind 0=plain, 1=push, 2=consume; rhs items use the same
+    encoding as forms except that variable entries hold the bare var id.
+    Caps are -1 when absent; successors violating a cap are dropped.
+    `leftmost` returns the successors of the first variable occurrence only.
+    `depths` > 0 gives subtree order: only the variables of the deepest
+    sibling group are rewritten, and the children of a rewrite form a new
+    group one deeper, or take the rewritten variable's depth when it was the
+    last of its group. Depths stay below `depths`.
+    """
+    nd = depths or 1
+    width = 0
+    top = ntop = 0  # the deepest group's depth and size
+    for it in form:
+        if it >= 0:
+            width += 1
+            if depths:
+                d = it // nv % nd
+                if d > top:
+                    top, ntop = d, 1
+                elif d == top:
+                    ntop += 1
+    child = top + 1 if ntop > 1 else top
+    nterms = len(form) - width
+    out = []
+    for i, item in enumerate(form):
+        if item < 0:
+            continue
+        vid = item % nv
+        sid = item // nv
+        if depths:
+            if sid % nd != top:
+                continue
+            sid //= nd
+        head = form[:i]
+        tail = form[i + 1:]
+        for pid in by_var[vid]:
+            kind, lhs_idx, rhs, push_var, push_idx, rhs_nvars, rhs_nterms = prods[pid]
+            if kind == 1:
+                if max_stack >= 0 and pool_depth[sid] + 1 > max_stack:
+                    continue
+                key = (push_idx, sid)
+                s2 = intern.get(key)
+                if s2 is None:
+                    s2 = len(pool_top)
+                    pool_top.append(push_idx)
+                    pool_rest.append(sid)
+                    pool_depth.append(pool_depth[sid] + 1)
+                    intern[key] = s2
+                out.append((i, pid, head + ((s2 * nd + child) * nv + push_var,) + tail))
+                continue
+            if kind == 2:
+                if sid == 0 or pool_top[sid] != lhs_idx:
+                    continue
+                s2 = pool_rest[sid]
+            else:
+                s2 = sid
+            if max_width >= 0 and width - 1 + rhs_nvars > max_width:
+                continue
+            if max_terms >= 0 and nterms + rhs_nterms > max_terms:
+                continue
+            base = (s2 * nd + child) * nv
+            mid = tuple(c if c < 0 else base + c for c in rhs)
+            out.append((i, pid, head + mid + tail))
+        if leftmost:
+            break
+    return out

@@ -1,6 +1,6 @@
 """Command-line surface: exit codes, report shape, file outputs."""
 
-
+import pytest
 
 from igkit.cli import main, parse_report
 
@@ -132,12 +132,42 @@ def test_check_uncontrolled_swept_names_no_cap(capsys):
 
 
 def test_check_uncontrolled_step_cap_is_named(capsys):
+    # without a stack cap, max_steps bounds the stack depth, and twin.ig
+    # pushes at every depth: the depth caps 1, 2, 4 and 5 leave out a push
+    code, blocks = run_clean(
+        capsys, "check-uncontrolled", "fixture:twin.ig", "--k", "7", "--max-steps", "5",
+    )
+    assert code == 3 and blocks[0]["verdict"] == "unknown"
+    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
+    assert blocks[0]["forms"] == "41"
+
+
+def test_check_uncontrolled_proof_outlasts_the_step_cap(capsys):
+    # a proof covers every derivation within the stack cap, whatever its length
     code, blocks = run_clean(
         capsys, "check-uncontrolled", "fixture:twin.ig", "--k", "7", "--max-stack", "3",
         "--max-steps", "5",
     )
-    assert code == 3 and blocks[0]["verdict"] == "unknown"
-    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
+    assert code == 0 and blocks[0]["verdict"] == "proven"
+    assert blocks[0]["exhausted"] == "true" and "stopped_by" not in blocks[0]
+
+
+@pytest.mark.parametrize("stack,pairs", [("3", "25"), ("4", "33"), ("64", "513")])
+def test_check_uncontrolled_pairs_pinned(capsys, stack, pairs):
+    code, blocks = run_clean(
+        capsys, "check-uncontrolled", "fixture:twin.ig", "--k", "8", "--max-stack", stack,
+    )
+    assert code == 0 and blocks[0]["verdict"] == "proven"
+    assert blocks[0]["forms"] == pairs
+
+
+@pytest.mark.parametrize("name,k,code,verdict", [
+    ("twin.ig", "7", 3, "unknown"),
+    ("ramp.ig", "3", 1, "refuted"),
+])
+def test_check_uncontrolled_default_steps_without_stack_cap(capsys, name, k, code, verdict):
+    got, blocks = run_clean(capsys, "check-uncontrolled", f"fixture:{name}", "--k", k)
+    assert got == code and blocks[0]["verdict"] == verdict
 
 
 def test_check_uncontrolled_hard_cap_is_named(capsys):
@@ -149,24 +179,21 @@ def test_check_uncontrolled_hard_cap_is_named(capsys):
     assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "hard_cap"
 
 
-# the first phase (widths up to k + 3) sweeps after S -> W W W, but finishing
-# W W W takes 15 steps
+# S -> W W W -> ... has 12 variables after 4 steps, and finishing them takes 12 more
 WIDE = (
     "grammar wide\nvariables: S, W, X\nterminals: x\nindices:\nstart: S\n"
     "prod: S -> W W W\nprod: W -> X X X X\nprod: X -> x\n"
 )
 
 
-def test_check_uncontrolled_names_the_cap_of_a_cut_finishing_search(capsys, tmp_path):
+def test_check_uncontrolled_witness_outlasts_the_step_cap(capsys, tmp_path):
     p = tmp_path / "wide.ig"
     p.write_text(WIDE)
     code, blocks = run_clean(capsys, "check-uncontrolled", str(p), "--k", "1",
                              "--max-steps", "10")
-    assert code == 3 and blocks[0]["verdict"] == "unknown"
-    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
-    code, blocks = run_clean(capsys, "check-uncontrolled", str(p), "--k", "1",
-                             "--max-steps", "20")
-    assert code == 1 and int(blocks[0]["witness_width"]) > 1
+    assert code == 1 and blocks[0]["verdict"] == "refuted"
+    assert blocks[0]["witness_width"] == "12"
+    assert len(blocks[0]["witness"].split(" ; ")) == 1 + 16
 
 
 def test_transform_union_writes_grammar(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
-brute-force oracles for the closure constructions, and the all-orders search
-that the leftmost and subtree orders of the engine are checked against."""
+brute-force oracles for the closure constructions, the all-orders search
+that the leftmost and subtree orders of the engine are checked against, and
+the form search that the width table of check_uncontrolled is checked
+against."""
 
 from dataclasses import replace
 from itertools import product
@@ -129,6 +131,48 @@ def oracle_special_count_min(g, w, budget):
     if best is None:
         raise NotAMember("not derived", exhausted=s.swept)
     return best, None
+
+
+def oracle_check_uncontrolled(g, k, budget):
+    """check_uncontrolled as a search over terminal-erased forms, in every
+    order. Phase 1 looks for a form wider than k under a width cap of k plus
+    the largest widening of one step: the first form of a derivation wider
+    than k is within it. Phase 2 looks for a way to finish such a form; a
+    finishing search that sweeps without () marks every form it stored as
+    hopeless. Both phases run within max_steps levels. The verdict only: no
+    witness."""
+    c = CompiledGrammar(g)
+    max_jump = max((row[5] - 1 for row in c.prods if row[0] != 1), default=0)
+    phase1_budget = replace(budget, max_width=k + max(0, max_jump))
+    phase2_budget = replace(budget, max_width=ALL_ORDERS)
+
+    def erased(b):
+        return lambda form: [(pos, pid, tuple(x for x in f2 if x >= 0))
+                             for pos, pid, f2 in c.expand(form, b)]
+
+    phase2 = erased(phase2_budget)
+    cut = None  # why a phase-2 search stopped short, if one did
+    dead = set()
+
+    def visit(form):
+        nonlocal cut
+        if len(form) > k and form not in dead:
+            s2 = bfs(form, phase2, budget.max_steps, budget.hard_cap,
+                     lambda f: EXPAND if f else GOAL)
+            if s2.stop == FOUND:
+                return GOAL
+            if s2.swept:
+                dead.update(s2.parents)
+            else:
+                cut = s2.stop
+        return EXPAND if form else LEAF
+
+    s = bfs(c.start(), erased(phase1_budget), budget.max_steps, budget.hard_cap, visit)
+    info = {"exhausted": s.swept and cut is None,
+            "stop": cut if s.swept and cut else s.stop}
+    if s.stop == FOUND:
+        return Verdict(REFUTED, None, info)
+    return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
 
 
 def load(name):
