@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .grammar import ParseError, strip_comment
+from .grammar import ParseError, read_sections, require, set_once, split_names
 
 
 @dataclass(frozen=True)
@@ -166,34 +166,16 @@ def determinize(nfa: Nfa, alphabet=None, name: Optional[str] = None) -> Dfa:
 
 
 def parse_fsa(text: str) -> Nfa:
-    name = None
+    name, sections = read_sections(text, "fsa")
     fields: dict = {}
     transitions = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if name is None:
-            parts = line.split()
-            if parts[0] != "fsa" or len(parts) != 2:
-                raise ParseError("expected header `fsa <name>`", line_no)
-            name = parts[1]
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        key = key.strip()
-        rest = rest.strip()
+    for line_no, key, value in sections:
         if key in ("states", "alphabet", "accepting"):
-            if key in fields:
-                raise ParseError(f"duplicate `{key}:`", line_no)
-            fields[key] = tuple(t.strip() for t in rest.split(",") if t.strip())
+            set_once(fields, key, split_names(value, line_no, key), line_no)
         elif key == "initial":
-            if key in fields:
-                raise ParseError("duplicate `initial:`", line_no)
-            fields[key] = rest
+            set_once(fields, key, value, line_no)
         elif key == "trans":
-            lhs, arrow, dsts = rest.partition("->")
+            lhs, arrow, dsts = value.partition("->")
             if not arrow:
                 raise ParseError("transition needs `->`", line_no)
             toks = lhs.split()
@@ -201,16 +183,11 @@ def parse_fsa(text: str) -> Nfa:
                 raise ParseError("transition lhs must be `state symbol`", line_no)
             src, sym = toks
             label = None if sym == "_" else sym
-            for dst in (t.strip() for t in dsts.split(",")):
-                if dst:
-                    transitions.append((src, label, dst))
+            for dst in split_names(dsts, line_no, "transition target"):
+                transitions.append((src, label, dst))
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
-    if name is None:
-        raise ParseError("empty automaton file", 1)
-    for req in ("states", "alphabet", "initial", "accepting"):
-        if req not in fields:
-            raise ParseError(f"missing `{req}:` line", 1)
+    require(fields, ("states", "alphabet", "initial", "accepting"))
     nfa = Nfa(
         states=fields["states"],
         alphabet=fields["alphabet"],

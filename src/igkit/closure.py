@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .automata import Dfa, Nfa, determinize
@@ -26,7 +26,10 @@ from .grammar import (
     Production,
     fresh_name,
     fresh_names,
-    strip_comment,
+    read_sections,
+    read_symbols,
+    set_once,
+    split_names,
 )
 
 
@@ -79,40 +82,29 @@ class Morphism:
 
 
 def parse_morphism(text: str) -> Morphism:
-    name = None
+    name, sections = read_sections(text, "morphism")
+    fields: dict = {}
     mapping: dict[str, tuple[str, ...]] = {}
-    target: Optional[tuple[str, ...]] = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if name is None:
-            parts = line.split()
-            if parts[0] != "morphism" or len(parts) != 2:
-                raise ParseError("expected header `morphism <name>`", line_no)
-            name = parts[1]
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        key = key.strip()
+    map_lines: dict[str, int] = {}
+    for line_no, key, value in sections:
         if key == "target":
-            target = tuple(t.strip() for t in rest.split(",") if t.strip())
+            set_once(fields, key, split_names(value, line_no, key), line_no)
         elif key == "map":
-            lhs, arrow, rhs = rest.partition("->")
+            lhs, arrow, rhs = value.partition("->")
             if not arrow:
                 raise ParseError("map line needs `->`", line_no)
             letter = lhs.strip()
-            toks = rhs.split()
-            if toks == ["_"]:
-                toks = []
             if letter in mapping:
                 raise ParseError(f"duplicate map for {letter!r}", line_no)
-            mapping[letter] = tuple(toks)
+            mapping[letter] = read_symbols(rhs.split(), line_no)
+            map_lines[letter] = line_no
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
-    if name is None:
-        raise ParseError("empty morphism file", 1)
+    target = fields.get("target")
+    for letter, image in mapping.items():
+        for s in image:
+            if target is not None and s not in target:
+                raise ParseError(f"image letter {s!r} is not in `target:`", map_lines[letter])
     return Morphism.make(mapping, target=target, name=name)
 
 
@@ -162,13 +154,11 @@ def prune_unreachable(g: IndexedGrammar) -> IndexedGrammar:
             used_idx.add(p.lhs_index)
         if p.push_index is not None:
             used_idx.add(p.push_index)
-    return IndexedGrammar(
+    return replace(
+        g,
         variables=tuple(v for v in g.variables if v in reach),
-        terminals=g.terminals,
         indices=tuple(i for i in g.indices if i in used_idx),
         productions=prods,
-        start=g.start,
-        name=g.name,
     )
 
 
@@ -194,14 +184,7 @@ def prune_nonproductive(g: IndexedGrammar) -> IndexedGrammar:
         and all(s not in g.variable_set or s in productive for s in p.rhs)
     )
     keep = productive | {g.start}
-    return IndexedGrammar(
-        variables=tuple(v for v in g.variables if v in keep),
-        terminals=g.terminals,
-        indices=g.indices,
-        productions=prods,
-        start=g.start,
-        name=g.name,
-    )
+    return replace(g, variables=tuple(v for v in g.variables if v in keep), productions=prods)
 
 
 def clean(g: IndexedGrammar) -> IndexedGrammar:
@@ -563,14 +546,7 @@ def nivat_transduce(g: IndexedGrammar, tau: NivatTransducer) -> IndexedGrammar:
             name="untag",
         )
         out = morphism_image(out, rename)
-    return IndexedGrammar(
-        variables=out.variables,
-        terminals=out.terminals,
-        indices=out.indices,
-        productions=out.productions,
-        start=out.start,
-        name=f"{tau.name}({g.name})",
-    )
+    return replace(out, name=f"{tau.name}({g.name})")
 
 
 def inverse_morphism(g: IndexedGrammar, h: Morphism) -> IndexedGrammar:
@@ -609,11 +585,4 @@ def inverse_morphism(g: IndexedGrammar, h: Morphism) -> IndexedGrammar:
         name=f"inv_{h.name}",
     )
     out = nivat_transduce(g, tau)
-    return IndexedGrammar(
-        variables=out.variables,
-        terminals=tuple(h.source),
-        indices=out.indices,
-        productions=out.productions,
-        start=out.start,
-        name=f"inv_{h.name}({g.name})",
-    )
+    return replace(out, name=f"inv_{h.name}({g.name})")

@@ -29,7 +29,11 @@ from .grammar import (
     GrammarError,
     IndexedGrammar,
     ParseError,
-    strip_comment,
+    read_int,
+    read_sections,
+    require,
+    set_once,
+    split_names,
 )
 from .search import EXPAND, FOUND, GOAL, bfs, moves
 from .semilinear import parikh
@@ -531,41 +535,24 @@ def parikh_of_intersection(
 
 
 def parse_ncm(text: str) -> CounterMachine:
-    name = None
+    name, sections = read_sections(text, "ncm")
     fields: dict = {}
     transitions: list[CmTransition] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if name is None:
-            parts = line.split()
-            if parts[0] != "ncm" or len(parts) != 2:
-                raise ParseError("expected header `ncm <name>`", line_no)
-            name = parts[1]
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        key = key.strip()
-        rest = rest.strip()
+    for line_no, key, value in sections:
         if key in ("states", "alphabet"):
-            fields[key] = tuple(t.strip() for t in rest.split(",") if t.strip())
+            set_once(fields, key, split_names(value, line_no, key), line_no)
         elif key == "counters":
-            fields[key] = int(rest)
+            set_once(fields, key, read_int(value, line_no, key), line_no)
         elif key == "reversals":
-            fields[key] = tuple(int(t) for t in rest.split(",") if t.strip())
+            bounds = tuple(read_int(t, line_no, key) for t in split_names(value, line_no, key))
+            set_once(fields, key, bounds, line_no)
         elif key in ("initial", "halt"):
-            fields[key] = rest
+            set_once(fields, key, value, line_no)
         elif key == "trans":
-            transitions.append(_parse_cm_transition(rest, line_no))
+            transitions.append(_parse_cm_transition(value, line_no))
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
-    if name is None:
-        raise ParseError("empty machine file", 1)
-    for req in ("states", "alphabet", "counters", "reversals", "initial", "halt"):
-        if req not in fields:
-            raise ParseError(f"missing `{req}:` line", 1)
+    require(fields, ("states", "alphabet", "counters", "reversals", "initial", "halt"))
     m = CounterMachine(
         states=fields["states"],
         alphabet=fields["alphabet"],
@@ -599,12 +586,12 @@ def _parse_cm_transition(text: str, line_no: int) -> CmTransition:
         return head, items
 
     head_l, tests = split_head(lhs, "tests")
-    toks = [t.strip() for t in head_l.split(",") if t.strip()]
+    toks = split_names(head_l, line_no, "transition")
     if len(toks) != 3 or toks[2] != "tests":
         raise ParseError("transition lhs must be `state, letter|_, tests(…)`", line_no)
     src, letter = toks[0], (None if toks[1] == "_" else toks[1])
     head_r, delta_toks = split_head(rhs, "deltas")
-    rtoks = [t.strip() for t in head_r.split(",") if t.strip()]
+    rtoks = split_names(head_r, line_no, "transition")
     if len(rtoks) != 2 or rtoks[1] != "deltas":
         raise ParseError("transition rhs must be `state, deltas(…)`", line_no)
     dst = rtoks[0]

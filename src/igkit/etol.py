@@ -21,7 +21,10 @@ from .grammar import (
     ParseError,
     Production,
     fresh_name,
-    strip_comment,
+    read_sections,
+    read_symbols,
+    set_once,
+    split_names,
 )
 from .search import EXPAND, FOUND, GOAL, HARD_CAP, bfs
 
@@ -246,10 +249,8 @@ def parse_etol(text: str) -> EtolSystem:
     """Line format: `etol <name>`, `axiom:`, `terminals:`, optional `strict:`,
     then `table <name>:` blocks of `rule: B -> ν` lines. Without `strict:`,
     symbols a table does not mention default to the identity rule."""
-    name = None
-    axiom = None
-    terminals: Optional[tuple[str, ...]] = None
-    strict = False
+    name, sections = read_sections(text, "etol")
+    fields: dict = {}
     tables: list[tuple[str, list]] = []
     order: list[str] = []
 
@@ -257,67 +258,49 @@ def parse_etol(text: str) -> EtolSystem:
         if sym not in order:
             order.append(sym)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if name is None:
-            parts = line.split()
-            if parts[0] != "etol" or len(parts) != 2:
-                raise ParseError("expected header `etol <name>`", line_no)
-            name = parts[1]
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        key = key.strip()
-        rest = rest.strip()
+    for line_no, key, value in sections:
         if key == "axiom":
-            axiom = rest
-            note(axiom)
+            set_once(fields, key, value, line_no)
+            note(value)
         elif key == "terminals":
-            terminals = tuple(t.strip() for t in rest.split(",") if t.strip())
-            for t in terminals:
+            set_once(fields, key, split_names(value, line_no, key), line_no)
+            for t in fields[key]:
                 note(t)
         elif key == "strict":
-            strict = True
+            set_once(fields, key, True, line_no)
         elif key.startswith("table"):
             parts = key.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or parts[0] != "table":
                 raise ParseError("expected `table <name>:`", line_no)
             tables.append((parts[1], []))
         elif key == "rule":
             if not tables:
                 raise ParseError("rule outside a table block", line_no)
-            lhs, arrow, rhs = rest.partition("->")
+            lhs, arrow, rhs = value.partition("->")
             if not arrow:
                 raise ParseError("rule needs `->`", line_no)
             sym = lhs.strip()
-            toks = rhs.split()
-            if toks == ["_"]:
-                toks = []
+            toks = read_symbols(rhs.split(), line_no)
             note(sym)
             for s in toks:
                 note(s)
-            tables[-1][1].append((sym, tuple(toks)))
+            tables[-1][1].append((sym, toks))
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
-    if name is None:
-        raise ParseError("empty system file", 1)
-    if axiom is None or terminals is None:
+    if "axiom" not in fields or "terminals" not in fields:
         raise ParseError("missing `axiom:` or `terminals:`", 1)
     if not tables:
         raise ParseError("missing `table <name>:` block", 1)
     filled = []
     for tname, rules in tables:
         covered = {sym for sym, _ in rules}
-        if not strict:
+        if "strict" not in fields:
             rules = list(rules) + [(s, (s,)) for s in order if s not in covered]
         filled.append(Table(tname, tuple(rules)))
     return EtolSystem(
         alphabet=tuple(order),
-        terminals=terminals,
-        axiom=axiom,
+        terminals=fields["terminals"],
+        axiom=fields["axiom"],
         tables=tuple(filled),
         name=name,
     )

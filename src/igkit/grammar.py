@@ -348,7 +348,54 @@ def strip_comment(line: str) -> str:
     return line
 
 
-def _split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
+def read_sections(text: str, kind: str) -> tuple[str, list[tuple[int, str, str]]]:
+    """Read the layout that every igkit file format shares: a `<kind> <name>`
+    header, then one `key: value` line per section, with comments and blank
+    lines skipped. Returns the name and the (line number, key, value) triples
+    in file order, keys and values stripped."""
+    name = None
+    sections = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment(raw).strip()
+        if not line:
+            continue
+        if name is None:
+            parts = line.split()
+            if parts[0] != kind or len(parts) != 2:
+                raise ParseError(f"expected header `{kind} <name>`", line_no)
+            name = parts[1]
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
+        sections.append((line_no, key.strip(), value.strip()))
+    if name is None:
+        raise ParseError(f"empty {kind} file", 1)
+    return name, sections
+
+
+def set_once(fields: dict, key: str, value, line_no: int) -> None:
+    """Record the value of a single-valued section; a second line is an error."""
+    if key in fields:
+        raise ParseError(f"duplicate `{key}:` line", line_no)
+    fields[key] = value
+
+
+def require(fields: dict, keys: Iterable[str]) -> None:
+    for key in keys:
+        if key not in fields:
+            raise ParseError(f"missing `{key}:` line", 1)
+
+
+def read_int(text: str, line_no: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer in `{what}:`, got {text!r}", line_no) from None
+
+
+def split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
+    """A comma list; empty text is the empty list, an empty item is an error."""
     names = []
     text = text.strip()
     if not text:
@@ -361,54 +408,36 @@ def _split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def read_symbols(toks: list[str], line_no: int) -> tuple[str, ...]:
+    """The tokens of a right side; `_` alone is the empty word."""
+    if toks == ["_"]:
+        return ()
+    if "_" in toks:
+        raise ParseError("`_` (empty rhs) cannot be mixed with symbols", line_no)
+    return tuple(toks)
+
+
 def parse_grammar(text: str) -> IndexedGrammar:
     """Parse the line-oriented grammar format (see serialize_grammar)."""
-    name = None
-    sections: dict[str, tuple] = {}
-    prods: list[Production] = []
+    name, sections = read_sections(text, "grammar")
+    fields: dict = {}
     prod_lines: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if name is None:
-            if not line.startswith("grammar"):
-                raise ParseError("expected header `grammar <name>`", line_no)
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("header must be `grammar <name>`", line_no)
-            name = parts[1]
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        key = key.strip()
+    for line_no, key, value in sections:
         if key in ("variables", "terminals", "indices"):
-            if key in sections:
-                raise ParseError(f"duplicate `{key}:` line", line_no)
-            sections[key] = _split_names(rest, line_no, key)
+            set_once(fields, key, split_names(value, line_no, key), line_no)
         elif key == "start":
-            if "start" in sections:
-                raise ParseError("duplicate `start:` line", line_no)
-            sections["start"] = (rest.strip(),)
+            set_once(fields, key, value, line_no)
         elif key == "prod":
-            prod_lines.append((line_no, rest.strip()))
+            prod_lines.append((line_no, value))
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
-    if name is None:
-        raise ParseError("empty grammar file", 1)
-    for req in ("variables", "terminals", "indices", "start"):
-        if req not in sections:
-            raise ParseError(f"missing `{req}:` line", 1)
-    variables = sections["variables"]
-    for line_no, body in prod_lines:
-        prods.append(_parse_production(body, line_no, set(variables)))
+    require(fields, ("variables", "terminals", "indices", "start"))
     g = IndexedGrammar(
-        variables=variables,
-        terminals=sections["terminals"],
-        indices=sections["indices"],
-        productions=tuple(prods),
-        start=sections["start"][0],
+        variables=fields["variables"],
+        terminals=fields["terminals"],
+        indices=fields["indices"],
+        productions=tuple(_parse_production(body, line_no) for line_no, body in prod_lines),
+        start=fields["start"],
         name=name,
     )
     problems = validate(g)
@@ -417,7 +446,7 @@ def parse_grammar(text: str) -> IndexedGrammar:
     return g
 
 
-def _parse_production(body: str, line_no: int, variables: set[str]) -> Production:
+def _parse_production(body: str, line_no: int) -> Production:
     lhs_text, arrow, rhs_text = body.partition("->")
     if not arrow:
         raise ParseError("production needs `->`", line_no)
@@ -437,20 +466,16 @@ def _parse_production(body: str, line_no: int, variables: set[str]) -> Productio
     if rhs_toks and rhs_toks[-1].startswith("[+") and rhs_toks[-1].endswith("]"):
         push_index = rhs_toks[-1][2:-1]
         rhs_toks = rhs_toks[:-1]
-        if len(rhs_toks) != 1:
+        if len(rhs_toks) != 1 or rhs_toks == ["_"]:
             raise ParseError("push production must be `A -> B [+f]`", line_no)
         if lhs_index is not None:
             raise ParseError("a push production cannot consume an index", line_no)
     for tok in rhs_toks:
-        if tok != "_" and ("[" in tok or "]" in tok):
+        if "[" in tok or "]" in tok:
             raise ParseError(f"unexpected bracket in rhs token {tok!r}", line_no)
-    if rhs_toks == ["_"]:
-        rhs_toks = []
-    elif "_" in rhs_toks:
-        raise ParseError("`_` (empty rhs) cannot be mixed with symbols", line_no)
     return Production(
         lhs_var=lhs_var,
-        rhs=tuple(rhs_toks),
+        rhs=read_symbols(rhs_toks, line_no),
         lhs_index=lhs_index,
         push_index=push_index,
     )

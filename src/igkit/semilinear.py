@@ -12,7 +12,7 @@ never be merged.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import vector_automata as va
@@ -21,7 +21,10 @@ from .grammar import (
     IndexedGrammar,
     ParseError,
     Production,
-    strip_comment,
+    read_int,
+    read_sections,
+    require,
+    set_once,
 )
 
 PROVEN = "proven"
@@ -378,14 +381,7 @@ def semilinear_to_grammar(shape: GinsburgShape, s: SemilinearSet, name: str = "s
     out = linear_to_grammar(shape, s.components[0], name=f"{name}0")
     for i, comp in enumerate(s.components[1:], start=1):
         out = g_union(out, linear_to_grammar(shape, comp, name=f"{name}{i}"))
-    return IndexedGrammar(
-        variables=out.variables,
-        terminals=out.terminals,
-        indices=out.indices,
-        productions=out.productions,
-        start=out.start,
-        name=name,
-    )
+    return replace(out, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -440,33 +436,18 @@ def parse_slset(text: str):
     space-separated, a plain token is split per character); one `linear:`
     block per component: `linear: base = (…); periods = (…),(…)` (the periods
     clause may be omitted)."""
-    name = None
-    dim = None
-    shape = None
+    name, sections = read_sections(text, "slset")
+    fields: dict = {}
     comps: list[LinearSet] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if name is None:
-            parts = line.split()
-            if parts[0] != "slset" or len(parts) != 2:
-                raise ParseError("expected header `slset <name>`", line_no)
-            name = parts[1]
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        key = key.strip()
-        rest = rest.strip()
+    for line_no, key, value in sections:
         if key == "dim":
-            dim = int(rest)
+            set_once(fields, key, read_int(value, line_no, key), line_no)
         elif key == "shape":
-            shape = _parse_shape_words(rest, line_no)
+            set_once(fields, key, _parse_shape_words(value, line_no), line_no)
         elif key == "linear":
             base = None
             periods: list = []
-            for clause in rest.split(";"):
+            for clause in value.split(";"):
                 ckey, csep, cval = clause.partition("=")
                 if not csep:
                     raise ParseError(f"bad clause {clause.strip()!r}", line_no)
@@ -479,13 +460,14 @@ def parse_slset(text: str):
                     raise ParseError(f"unknown clause {ckey!r}", line_no)
             if base is None:
                 raise ParseError("linear block needs `base = (…)`", line_no)
-            comps.append(LinearSet.make(base, periods))
+            try:
+                comps.append(LinearSet.make(base, periods))
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
-    if name is None:
-        raise ParseError("empty semilinear-set file", 1)
-    if dim is None:
-        raise ParseError("missing `dim:` line", 1)
+    require(fields, ("dim",))
+    dim, shape = fields["dim"], fields.get("shape")
     for c in comps:
         if c.dim != dim:
             raise ParseError(f"component dimension {c.dim} != dim {dim}", 1)
@@ -499,6 +481,8 @@ def serialize_slset(name: str, shape: Optional[GinsburgShape], s: SemilinearSet)
     if shape is not None:
         rendered = []
         for w in shape.words:
+            if len(w) == 1 and len(w[0]) > 1:
+                raise GrammarError(f"shape word {w[0]!r} would read back as {len(w[0])} letters")
             rendered.append(" ".join(w) if any(len(sym) > 1 for sym in w) else "".join(w))
         lines.append("shape: " + ", ".join(rendered))
     for c in s.components:

@@ -230,6 +230,29 @@ def test_transform_transduce(tmp_path, capsys):
     assert blocks2[0]["words"] == "_, c, cc, ccc"
 
 
+@pytest.mark.parametrize("argv,name,text,line", [
+    (["transform", "morph", "fixture:anbn.ig"], "bad.map",
+     "morphism bad\nmap: a -> x _\nmap: b -> x\n", 2),
+    (["transform", "morph", "fixture:anbn.ig"], "bad.map",
+     "morphism bad\ntarget: x\nmap: a -> y\nmap: b -> x\n", 3),
+    (["etol", "check-anf"], "bad.etol",
+     "etol bad\naxiom: S\nterminals: a\ntable t:\nrule: S -> a _\n", 5),
+], ids=["map-mixed-empty", "map-outside-target", "etol-mixed-empty"])
+def test_unreadable_right_sides_are_input_errors(tmp_path, capsys, argv, name, text, line):
+    """A morphism image or an ETOL rule that mixes `_` with letters, or a
+    morphism image outside its `target:`, is rejected at its line; before,
+    `transform morph` wrote a grammar that `validate` could not read."""
+    src = tmp_path / name
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "o.ig"
+    extra = ["--out", str(out)] if argv[0] == "transform" else []
+    code, blocks = run_clean(capsys, *argv, str(src), *extra)
+    assert code == 2
+    assert blocks[0]["status"] == "error"
+    assert blocks[0]["error"].startswith(f"ParseError: line {line},")
+    assert not out.exists()
+
+
 def test_synth_linear(tmp_path, capsys):
     out = tmp_path / "synth.ig"
     code, blocks = run(capsys, "synth-linear", "fixture:twin.sls", "--out", str(out))
