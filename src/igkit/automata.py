@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .grammar import ParseError, read_sections, require, set_once, split_names
+from .grammar import ParseError, declared, read_sections, require, set_once, split_names
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,10 @@ def parse_fsa(text: str) -> Nfa:
     fields: dict = {}
     transitions = []
     for line_no, key, value in sections:
-        if key in ("states", "alphabet", "accepting"):
+        if key in ("states", "accepting"):
             set_once(fields, key, split_names(value, line_no, key), line_no)
+        elif key == "alphabet":
+            set_once(fields, key, declared(value, line_no, key), line_no)
         elif key == "initial":
             set_once(fields, key, value, line_no)
         elif key == "trans":

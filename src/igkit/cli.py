@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 Every command prints a machine-readable report: `key: value` lines, blocks
-separated by `---`. Exit status: 0 for success/proven, 1 for refutations or
-violations, 2 for input errors, 3 for budget-limited unknown verdicts.
-Paths starting with `fixture:` resolve to the bundled fixture files.
+separated by `---`. Every command handler returns the kind of its answer,
+and `main` turns it into the exit status through EXIT: 0 for proven (or
+success), 1 for refuted (or violations), 3 for unknown, limited by the
+budget; 2 is an input error. Paths starting with `fixture:` resolve to the
+bundled fixture files.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .counters import (
 )
 from .engine import (
     Budget,
-    NotAMember,
     check_uncontrolled,
     enumerate_language,
     membership,
@@ -53,7 +54,7 @@ from .grammar import (
     validate,
 )
 from .automata import serialize_fsa
-from .search import HARD_CAP, MAX_STEPS
+from .search import HARD_CAP, MAX_STEPS, PROVEN, REFUTED, UNKNOWN
 from .semilinear import (
     bounded_lang_subset,
     bounded_word_member,
@@ -66,7 +67,12 @@ from .semilinear import (
     slset_subset,
 )
 
-OK, REFUTED_STATUS, ERROR, UNKNOWN_STATUS = 0, 1, 2, 3
+EXIT = {PROVEN: 0, REFUTED: 1, UNKNOWN: 3}
+ERROR = 2
+
+# how `ncm run` and `min-index` word the kind of their answer
+OUTCOME = {PROVEN: "accepted", REFUTED: "rejected", UNKNOWN: "unknown"}
+MIN_INDEX_STATUS = {PROVEN: "ok", REFUTED: "not-a-member", UNKNOWN: "unknown"}
 
 
 def _resolve(path: str) -> Path:
@@ -144,10 +150,11 @@ def _write_grammar(g, out: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns an exit status)
+# command handlers (each returns the kind of its answer; a command that only
+# computes something answers PROVEN)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
     problems = validate(g)
@@ -158,10 +165,10 @@ def cmd_validate(args) -> int:
         **{f"violation.{i}": p for i, p in enumerate(problems)},
         "status": "ok" if not problems else "invalid",
     })
-    return OK if not problems else REFUTED_STATUS
+    return REFUTED if problems else PROVEN
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> str:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
     t0 = time.monotonic()
@@ -179,10 +186,10 @@ def cmd_enumerate(args) -> int:
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": "ok",
     })
-    return OK
+    return PROVEN
 
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> str:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
     w = _word(args.word, g.terminals)
@@ -193,7 +200,7 @@ def cmd_member(args) -> int:
         "input": digest,
         "word": _render_word(w),
         "verdict": v.kind,
-        "exhausted": str(v.info.get("exhausted", False)).lower(),
+        "exhausted": str(v.info["exhausted"]).lower(),
         **_stopped_by(v.info["stop"]),
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": v.kind,
@@ -201,42 +208,27 @@ def cmd_member(args) -> int:
     if v.witness is not None:
         fields["witness"] = derivation_to_trace(g, v.witness).replace("\n", " ; ")
     emit_report(fields)
-    return {"proven": OK, "refuted": REFUTED_STATUS}.get(v.kind, UNKNOWN_STATUS)
+    return v.kind
 
 
-def cmd_min_index(args) -> int:
+def cmd_min_index(args) -> str:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
     w = _word(args.word, g.terminals)
     t0 = time.monotonic()
-    try:
-        got = min_index(g, w, _budget(args), caps_exact=args.exhaustive)
-    except NotAMember:
-        emit_report({
-            "command": "min-index", "input": digest, "word": _render_word(w),
-            "status": "not-a-member",
+    v = min_index(g, w, _budget(args), caps_exact=args.exhaustive)
+    fields = {"command": "min-index", "input": digest, "word": _render_word(w)}
+    if v.is_proven:
+        fields.update({
+            "min_index": v.info["k"],
+            "witness": derivation_to_trace(g, v.witness).replace("\n", " ; "),
+            "elapsed_s": f"{time.monotonic() - t0:.3f}",
         })
-        return REFUTED_STATUS
-    if got is None:
-        emit_report({
-            "command": "min-index", "input": digest, "word": _render_word(w),
-            "status": "unknown",
-        })
-        return UNKNOWN_STATUS
-    k, witness = got
-    emit_report({
-        "command": "min-index",
-        "input": digest,
-        "word": _render_word(w),
-        "min_index": k,
-        "witness": derivation_to_trace(g, witness).replace("\n", " ; "),
-        "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        "status": "ok",
-    })
-    return OK
+    emit_report({**fields, **_stopped_by(v.info["stop"]), "status": MIN_INDEX_STATUS[v.kind]})
+    return v.kind
 
 
-def cmd_check_uncontrolled(args) -> int:
+def cmd_check_uncontrolled(args) -> str:
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
     t0 = time.monotonic()
@@ -256,10 +248,10 @@ def cmd_check_uncontrolled(args) -> int:
         fields["witness_width"] = v.witness.index()
         fields["witness"] = derivation_to_trace(g, v.witness).replace("\n", " ; ")
     emit_report(fields)
-    return {"proven": OK, "refuted": REFUTED_STATUS}.get(v.kind, UNKNOWN_STATUS)
+    return v.kind
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> str:
     t0 = time.monotonic()
     text, digest = _read(args.grammar)
     g = parse_grammar(text)
@@ -317,10 +309,10 @@ def cmd_transform(args) -> int:
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": "ok",
     })
-    return OK
+    return PROVEN
 
 
-def cmd_synth(args, semi: bool) -> int:
+def cmd_synth(args, semi: bool) -> str:
     text, digest = _read(args.slset)
     name, shape, s = parse_slset(text)
     if shape is None:
@@ -340,45 +332,36 @@ def cmd_synth(args, semi: bool) -> int:
         "productions": len(g.productions),
         "status": "ok",
     })
-    return OK
+    return PROVEN
 
 
 def _parse_vector_arg(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.strip().strip("()").split(",") if t.strip())
 
 
-def cmd_slset(args) -> int:
+def cmd_slset(args) -> str:
     text, digest = _read(args.slset)
     _, _, s1 = parse_slset(text)
     op = args.slset_op
     fields = {"command": f"slset {op}", "input": digest}
     if op == "member":
-        v = _parse_vector_arg(args.vector)
-        got = slset_member(v, s1)
+        got = slset_member(_parse_vector_arg(args.vector), s1)
         fields.update({"vector": args.vector, "member": str(got).lower(), "status": "ok"})
         emit_report(fields)
-        return OK if got else REFUTED_STATUS
+        return PROVEN if got else REFUTED
     if op == "empty":
-        verdict = slset_empty(s1)
-        fields["verdict"] = verdict.verdict
-        if verdict.witness is not None:
-            fields["witness"] = str(verdict.witness)
-        fields["status"] = verdict.verdict
-        emit_report(fields)
-        return OK if verdict.is_proven else REFUTED_STATUS
-    text2, digest2 = _read(args.other)
-    _, _, s2 = parse_slset(text2)
-    fields["input.2"] = digest2
-    verdict = slset_subset(s1, s2) if op == "subset" else slset_equal(s1, s2)
-    fields["verdict"] = verdict.verdict
-    if verdict.witness is not None:
-        fields["witness"] = str(verdict.witness)
-    fields["status"] = verdict.verdict
-    emit_report(fields)
-    return OK if verdict.is_proven else REFUTED_STATUS
+        v = slset_empty(s1)
+    else:
+        text2, digest2 = _read(args.other)
+        _, _, s2 = parse_slset(text2)
+        fields["input.2"] = digest2
+        v = slset_subset(s1, s2) if op == "subset" else slset_equal(s1, s2)
+    witness = {} if v.witness is None else {"witness": str(v.witness)}
+    emit_report({**fields, "verdict": v.kind, **witness, "status": v.kind})
+    return v.kind
 
 
-def cmd_bounded(args) -> int:
+def cmd_bounded(args) -> str:
     text, digest = _read(args.slset)
     _, shape1, s1 = parse_slset(text)
     if shape1 is None:
@@ -391,26 +374,19 @@ def cmd_bounded(args) -> int:
             "command": "bounded member", "input": digest, "word": args.word,
             "member": str(got).lower(), "status": "ok",
         })
-        return OK if got else REFUTED_STATUS
+        return PROVEN if got else REFUTED
     text2, digest2 = _read(args.other)
     _, shape2, s2 = parse_slset(text2)
     if shape2 is None:
         raise GrammarError(f"{args.other} has no `shape:` line")
-    res = bounded_lang_subset(shape1, s1, shape2, s2, args.check_len)
-    fields = {
-        "command": "bounded subset", "input": digest, "input.2": digest2,
-        "verdict": res.verdict,
-    }
-    if res.witness is not None:
-        fields["witness"] = _render_word(res.witness)
-    if res.checked_len is not None:
-        fields["checked_len"] = res.checked_len
-    fields["status"] = res.verdict
-    emit_report(fields)
-    return REFUTED_STATUS if res.verdict == "refuted" else OK
+    v = bounded_lang_subset(shape1, s1, shape2, s2, args.check_len)
+    witness = {} if v.witness is None else {"witness": _render_word(v.witness)}
+    emit_report({"command": "bounded subset", "input": digest, "input.2": digest2,
+                 "verdict": v.kind, **witness, **v.info, "status": v.kind})
+    return v.kind
 
 
-def cmd_etol(args) -> int:
+def cmd_etol(args) -> str:
     text, digest = _read(args.system)
     sys_ = parse_etol(text)
     op = args.etol_op
@@ -421,9 +397,10 @@ def cmd_etol(args) -> int:
             "count": len(res.words),
             "words": ", ".join(_render_word(w) for w in res.words),
             "exhausted": str(res.exhausted).lower(),
+            **_stopped_by(res.stop),
             "status": "ok",
         })
-        return OK
+        return PROVEN
     if op == "check-anf":
         problems = check_anf(sys_)
         emit_report({
@@ -432,7 +409,7 @@ def cmd_etol(args) -> int:
             **{f"violation.{i}": p for i, p in enumerate(problems)},
             "status": "ok" if not problems else "invalid",
         })
-        return OK if not problems else REFUTED_STATUS
+        return REFUTED if problems else PROVEN
     g = etol_to_indexed(sys_)
     _write_grammar(g, args.out)
     emit_report({
@@ -440,22 +417,22 @@ def cmd_etol(args) -> int:
         "variables": len(g.variables), "productions": len(g.productions),
         "status": "ok",
     })
-    return OK
+    return PROVEN
 
 
-def cmd_ncm(args) -> int:
+def cmd_ncm(args) -> str:
     text, digest = _read(args.machine)
     m = parse_ncm(text)
     op = args.ncm_op
     if op == "run":
         w = _word(args.word, m.alphabet)
-        res = ncm_run(m, w, counter_cap=args.counter_cap)
+        v = ncm_run(m, w, counter_cap=args.counter_cap)
         emit_report({
             "command": "ncm run", "input": digest, "word": args.word,
-            "outcome": res.outcome, "configs": res.configs_seen,
-            "status": res.outcome,
+            "outcome": OUTCOME[v.kind], "configs": v.info["configs"],
+            "status": OUTCOME[v.kind],
         })
-        return {"accepted": OK, "rejected": REFUTED_STATUS}.get(res.outcome, UNKNOWN_STATUS)
+        return v.kind
     if op == "one-reversal":
         m1 = to_one_reversal(m)
         Path(args.out).write_text(serialize_ncm(m1), encoding="utf-8")
@@ -464,7 +441,7 @@ def cmd_ncm(args) -> int:
             "counters": m1.num_counters, "states": len(m1.states),
             "status": "ok",
         })
-        return OK
+        return PROVEN
     if op == "expand":
         nfa = expand_to_nfa(to_one_reversal(m))
         Path(args.out).write_text(serialize_fsa(nfa), encoding="utf-8")
@@ -472,7 +449,7 @@ def cmd_ncm(args) -> int:
             "command": "ncm expand", "input": digest, "out": args.out,
             "states": len(nfa.states), "status": "ok",
         })
-        return OK
+        return PROVEN
     text2, digest2 = _read(args.grammar)
     g = parse_grammar(text2)
     sample = parikh_of_intersection(
@@ -485,7 +462,7 @@ def cmd_ncm(args) -> int:
         "vectors": "; ".join(str(v) for v in sample.vectors),
         "status": "ok",
     })
-    return OK
+    return PROVEN
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +492,8 @@ def _replicate_checks():
 
     def ramp_min_index():
         g = parse_grammar(_read("fixture:ramp.ig")[0])
-        got = min_index(g, tuple("abaa"), Budget(max_steps=60, max_stack=4))
-        return got is not None and got[0] == 3
+        v = min_index(g, tuple("abaa"), Budget(max_steps=60, max_stack=4))
+        return v.is_proven and v.info["k"] == 3
 
     def ramp_not_uncontrolled():
         g = parse_grammar(_read("fixture:ramp.ig")[0])
@@ -557,7 +534,7 @@ def _replicate_checks():
 
     def ncm_acceptance():
         m = parse_ncm(_read("fixture:anbn.ncm")[0])
-        return ncm_run(m, tuple("aabb")).is_accepted and not ncm_run(m, tuple("aab")).is_accepted
+        return ncm_run(m, tuple("aabb")).is_proven and not ncm_run(m, tuple("aab")).is_proven
 
     def ncm_counting():
         m = parse_ncm(_read("fixture:anbn.ncm")[0])
@@ -594,7 +571,7 @@ def _replicate_checks():
     ]
 
 
-def cmd_replicate(args) -> int:
+def cmd_replicate(args) -> str:
     failures = 0
     t0 = time.monotonic()
     for name, check in _replicate_checks():
@@ -614,7 +591,7 @@ def cmd_replicate(args) -> int:
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": "ok" if failures == 0 else "fail",
     })
-    return OK if failures == 0 else REFUTED_STATUS
+    return REFUTED if failures else PROVEN
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return EXIT[args.func(args)]
     except (GrammarError, FileNotFoundError, ValueError) as exc:
         emit_report({
             "command": args.command,

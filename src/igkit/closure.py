@@ -24,12 +24,12 @@ from .grammar import (
     IndexedGrammar,
     ParseError,
     Production,
+    declared,
     fresh_name,
     fresh_names,
     read_sections,
     read_symbols,
     set_once,
-    split_names,
 )
 
 
@@ -88,7 +88,7 @@ def parse_morphism(text: str) -> Morphism:
     map_lines: dict[str, int] = {}
     for line_no, key, value in sections:
         if key == "target":
-            set_once(fields, key, split_names(value, line_no, key), line_no)
+            set_once(fields, key, declared(value, line_no, key), line_no)
         elif key == "map":
             lhs, arrow, rhs = value.partition("->")
             if not arrow:

@@ -29,21 +29,18 @@ from .grammar import (
     GrammarError,
     IndexedGrammar,
     ParseError,
+    declared,
     read_int,
     read_sections,
     require,
     set_once,
     split_names,
 )
-from .search import EXPAND, FOUND, GOAL, bfs, moves
+from .search import EXPAND, GOAL, Verdict, bfs, decide, moves
 from .semilinear import parikh
 
 ZERO = "z"
 POS = "p"
-
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-UNKNOWN = "unknown"
 
 
 class NotOneReversal(GrammarError):
@@ -101,21 +98,13 @@ def validate_ncm(m: CounterMachine) -> list[str]:
 # simulation
 
 
-@dataclass(frozen=True)
-class RunResult:
-    outcome: str  # ACCEPTED | REJECTED | UNKNOWN
-    trace: Optional[tuple[tuple[int, str, int, tuple[int, ...]], ...]] = None
-    configs_seen: int = 0
-
-    @property
-    def is_accepted(self) -> bool:
-        return self.outcome == ACCEPTED
-
-
-def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[int] = None) -> RunResult:
-    """Breadth-first search over configurations. Counter values are capped at
-    2|w|+4 by default (a budget, not machine semantics): REJECTED is reported
-    only when the capped space was swept without the cap ever biting."""
+def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[int] = None) -> Verdict:
+    """Breadth-first search over configurations: proven (accepted) with the
+    run trace, one (transition, state, position, counters) per step.
+    Counter values are capped at 2|w|+4 by default (a budget, not machine
+    semantics): refuted (rejected) only when the capped space was swept
+    without the cap ever biting. `info["configs"]` counts the
+    configurations stored."""
     w = tuple(w)
     for ltr in w:
         if ltr not in set(m.alphabet):
@@ -160,12 +149,9 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
         return GOAL if state == m.halt and pos == len(w) and not any(counters) else EXPAND
 
     s = bfs(start, successors, max_steps, math.inf, visit)
-    if s.stop == FOUND:
-        trace = tuple((ti, cfg[0], cfg[1], cfg[2])
-                      for ti, cfg in moves(successors, s.parents, s.goal))
-        return RunResult(ACCEPTED, trace=trace, configs_seen=len(s.parents))
-    return RunResult(REJECTED if s.swept and not capped else UNKNOWN,
-                     configs_seen=len(s.parents))
+    return decide(s, not capped, lambda goal: tuple(
+        (ti, cfg[0], cfg[1], cfg[2]) for ti, cfg in moves(successors, s.parents, goal)),
+        configs=len(s.parents))
 
 
 def audit_run(m: CounterMachine, w, trace) -> list[str]:
@@ -424,11 +410,12 @@ def expand_to_nfa(m: CounterMachine) -> Nfa:
 
 def accepts_via_expansion(
     nfa: Nfa, input_alphabet, k: int, x, cap: Optional[int] = None
-) -> RunResult:
+) -> Verdict:
     """Search for an NFA word with balanced p#i/q#i counts that projects to x,
-    over (state, input position, count differences). Each difference is
-    capped at |x|+4 by default (a budget): REJECTED is reported only when the
-    capped space was swept without the cap ever biting."""
+    over (state, input position, count differences): proven with the run
+    trace, one (label, state, position, differences) per step. Each
+    difference is capped at |x|+4 by default (a budget): refuted only when
+    the capped space was swept without the cap ever biting."""
     x = tuple(x)
     cap = cap if cap is not None else len(x) + 4
     inputs = set(input_alphabet)
@@ -463,9 +450,9 @@ def accepts_via_expansion(
         return GOAL if pos == len(x) and not any(bal) and state in nfa.accepting else EXPAND
 
     s = bfs((nfa.initial, 0, (0,) * k), successors, math.inf, math.inf, visit)
-    if s.stop == FOUND:
-        return RunResult(ACCEPTED, configs_seen=len(s.parents))
-    return RunResult(REJECTED if not capped else UNKNOWN, configs_seen=len(s.parents))
+    return decide(s, not capped, lambda goal: tuple(
+        (label, *cfg) for label, cfg in moves(successors, s.parents, goal)),
+        configs=len(s.parents))
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +526,10 @@ def parse_ncm(text: str) -> CounterMachine:
     fields: dict = {}
     transitions: list[CmTransition] = []
     for line_no, key, value in sections:
-        if key in ("states", "alphabet"):
+        if key == "states":
             set_once(fields, key, split_names(value, line_no, key), line_no)
+        elif key == "alphabet":
+            set_once(fields, key, declared(value, line_no, key), line_no)
         elif key == "counters":
             set_once(fields, key, read_int(value, line_no, key), line_no)
         elif key == "reversals":

@@ -17,7 +17,7 @@ the widest tree below each (variable, stack) pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import kernel
@@ -35,21 +35,24 @@ from .grammar import (
     apply_production,
     start_form,
 )
-from .search import EXPAND, FOUND, GOAL, HARD_CAP, LEAF, MAX_STEPS, bfs, moves, path
-
-PROVEN = "proven"
-REFUTED = "refuted"
-UNKNOWN = "unknown"
+from .search import (
+    EXPAND,
+    FOUND,
+    GOAL,
+    HARD_CAP,
+    LEAF,
+    MAX_STEPS,
+    PROVEN,
+    REFUTED,
+    UNKNOWN,
+    Verdict,
+    bfs,
+    decide,
+    moves,
+    path,
+)
 
 Word = tuple[str, ...]
-
-
-class NotAMember(Exception):
-    """Raised by operations whose precondition is membership of the word."""
-
-    def __init__(self, message: str, exhausted: bool):
-        super().__init__(message)
-        self.exhausted = exhausted
 
 
 @dataclass(frozen=True)
@@ -78,25 +81,6 @@ class Budget:
             if getattr(self, name) is not None:
                 out.append(name)
         return tuple(out)
-
-
-@dataclass
-class Verdict:
-    kind: str
-    witness: Optional[Derivation] = None
-    info: dict = field(default_factory=dict)
-
-    @property
-    def is_proven(self) -> bool:
-        return self.kind == PROVEN
-
-    @property
-    def is_refuted(self) -> bool:
-        return self.kind == REFUTED
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -359,40 +343,37 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
         return EXPAND if _can_yield(form, target) else LEAF
 
     s = bfs(c.start(), successors, budget.max_steps, budget.hard_cap, visit)
-    info = {"exhausted": s.swept, "forms": len(s.parents), "stop": s.stop}
-    if s.stop == FOUND:
-        return Verdict(PROVEN, _derivation(c, successors, s.parents, s.goal,
-                                           _subtree_depths(budget)), info)
-    return Verdict(REFUTED if (s.swept and caps_exact) else UNKNOWN, None, info)
+    return decide(s, caps_exact, lambda goal: _derivation(c, successors, s.parents, goal,
+                                                          _subtree_depths(budget)),
+                  forms=len(s.parents))
 
 
-def min_index(
-    g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = False
-) -> Optional[tuple[int, Derivation]]:
-    """Smallest k such that some derivation of w within the budget has index k,
-    with the witness. None when the budget was exhausted without a proof, or
-    when the hard cap cut short the search for some smaller k; NotAMember when
-    the (caps_exact) search refutes membership."""
+def min_index(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = False) -> Verdict:
+    """Proven with the smallest k (`info["k"]`) such that some derivation of
+    w within the budget has index k, and that derivation; refuted when the
+    (caps_exact) membership search refutes w; unknown when that search ends
+    without a proof, or when the hard cap cut short the search for some
+    smaller k. `info` has no `forms`: each membership search reports its
+    own."""
     full = membership(g, w, budget, caps_exact)
-    if full.is_refuted:
-        raise NotAMember(f"{''.join(w)!r} is not generated", exhausted=True)
-    if full.is_unknown:
-        return None
-    best_k = full.witness.index()
-    for k in range(1, best_k):
+    if not full.is_proven:
+        return Verdict(full.kind, None, {"stop": full.info["stop"]})
+    for k in range(1, full.witness.index()):
         v = membership(g, w, replace(budget, max_width=k))
         if v.is_proven:
-            return (k, v.witness)
+            return Verdict(PROVEN, v.witness, {"k": k, "stop": FOUND})
         if v.info["stop"] == HARD_CAP:
-            return None
-    return (best_k, full.witness)
+            return Verdict(UNKNOWN, None, {"stop": HARD_CAP})
+    return Verdict(PROVEN, full.witness, {"k": full.witness.index(), "stop": FOUND})
 
 
-def special_count_min(
-    g: IndexedGrammar, w: Word, budget: Budget
-) -> Optional[tuple[int, Derivation]]:
-    """Minimum number of special-production applications over all derivations
-    of w found within the budget. None when the hard cap cut the search short."""
+def special_count_min(g: IndexedGrammar, w: Word, budget: Budget,
+                      caps_exact: bool = False) -> Verdict:
+    """Proven with the minimum number (`info["k"]`) of special-production
+    applications over all derivations of w found within the budget, and a
+    derivation that reaches it; refuted when the search swept without one
+    and the caller asserts (caps_exact) that the caps cover every derivation
+    of w; unknown otherwise, and whenever the hard cap cut the search short."""
     c = CompiledGrammar(g)
     target = c.encode_word(w)
     specials = frozenset(
@@ -420,12 +401,11 @@ def special_count_min(
         return EXPAND if _can_yield(form, target) else LEAF
 
     s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
-    if s.stop == HARD_CAP:
-        return None
-    if best is None:
-        raise NotAMember(f"{''.join(w)!r} not derived within budget", exhausted=s.swept)
-    return best, _derivation(c, step, s.parents, best_state, _subtree_depths(budget),
-                             key=lambda st: st[0])
+    if best is None or s.stop == HARD_CAP:
+        return decide(s, caps_exact)
+    return Verdict(PROVEN, _derivation(c, step, s.parents, best_state, _subtree_depths(budget),
+                                       key=lambda st: st[0]),
+                   {"k": best, "stop": s.stop})
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from .grammar import (
     IndexedGrammar,
     ParseError,
     Production,
+    declared,
     fresh_name,
     read_sections,
     read_symbols,
     set_once,
-    split_names,
 )
-from .search import EXPAND, FOUND, GOAL, HARD_CAP, bfs
+from .search import EXPAND, FOUND, GOAL, HARD_CAP, PROVEN, UNKNOWN, Verdict, bfs, path
 
 
 class NotInANF(GrammarError):
@@ -145,6 +145,7 @@ class EtolEnumeration:
     words: tuple[tuple[str, ...], ...]
     exhausted: bool
     words_seen: int
+    stop: str  # why the search stopped: swept, max_steps or hard_cap
 
     def rendered(self) -> tuple[str, ...]:
         return tuple("".join(w) for w in self.words)
@@ -178,23 +179,28 @@ def etol_enumerate(sys: EtolSystem, max_len: int, budget: Budget) -> EtolEnumera
         words=tuple(sorted(found, key=lambda w: (len(w), w))),
         exhausted=s.swept,
         words_seen=len(s.parents),
+        stop=s.stop,
     )
 
 
-def etol_min_index(sys: EtolSystem, w, budget: Budget) -> Optional[int]:
-    """Smallest cap on simultaneous active occurrences under which some
-    parallel derivation of w exists within the budget; None when not found,
-    or when the hard cap cut short the search under a smaller cap."""
+def etol_min_index(sys: EtolSystem, w, budget: Budget) -> Verdict:
+    """Proven with the smallest cap (`info["k"]`) on simultaneous active
+    occurrences under which some parallel derivation of w exists within the
+    budget, and the words of that derivation. Unknown when none is found,
+    since the caps need not cover every derivation, or when the hard cap cut
+    short the search under a smaller cap."""
     w = tuple(w)
     top = budget.max_width if budget.max_width is not None else max(len(w), 1) + 2
+    info: dict = {}
     for cap in range(1, top + 1):
         s = bfs((sys.axiom,), _bounded_successors(sys, len(w), cap), budget.max_steps,
                 budget.hard_cap, lambda word: GOAL if word == w else EXPAND)
         if s.stop == FOUND:
-            return cap
+            return Verdict(PROVEN, tuple(path(s.parents, s.goal)), {"k": cap, "stop": FOUND})
+        info = {"stop": s.stop}
         if s.stop == HARD_CAP:
-            return None
-    return None
+            break
+    return Verdict(UNKNOWN, None, info)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +266,11 @@ def parse_etol(text: str) -> EtolSystem:
 
     for line_no, key, value in sections:
         if key == "axiom":
+            declared(value, line_no, key)
             set_once(fields, key, value, line_no)
             note(value)
         elif key == "terminals":
-            set_once(fields, key, split_names(value, line_no, key), line_no)
+            set_once(fields, key, declared(value, line_no, key), line_no)
             for t in fields[key]:
                 note(t)
         elif key == "strict":
@@ -280,6 +287,7 @@ def parse_etol(text: str) -> EtolSystem:
             if not arrow:
                 raise ParseError("rule needs `->`", line_no)
             sym = lhs.strip()
+            declared(sym, line_no, key)
             toks = read_symbols(rhs.split(), line_no)
             note(sym)
             for s in toks:

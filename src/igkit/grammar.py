@@ -408,6 +408,15 @@ def split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def declared(text: str, line_no: int, what: str) -> tuple[str, ...]:
+    """A comma list of declared symbols (see split_names). `_` is not one: on
+    a right side it is the empty word, and in a transition a silent move."""
+    names = split_names(text, line_no, what)
+    if "_" in names:
+        raise ParseError(f"`_` cannot be declared in `{what}:`", line_no)
+    return names
+
+
 def read_symbols(toks: list[str], line_no: int) -> tuple[str, ...]:
     """The tokens of a right side; `_` alone is the empty word."""
     if toks == ["_"]:
@@ -424,7 +433,7 @@ def parse_grammar(text: str) -> IndexedGrammar:
     prod_lines: list[tuple[int, str]] = []
     for line_no, key, value in sections:
         if key in ("variables", "terminals", "indices"):
-            set_once(fields, key, split_names(value, line_no, key), line_no)
+            set_once(fields, key, declared(value, line_no, key), line_no)
         elif key == "start":
             set_once(fields, key, value, line_no)
         elif key == "prod":

@@ -6,14 +6,16 @@ level by level from one start node under two caps: `max_steps` levels, and
 `hard_cap` stored nodes. `bfs` runs that search and reports why it stopped;
 `path` and `moves` rebuild the witness for any node it stored.
 
-A verdict that needs the whole space (a refutation, a rejection, a minimum)
-may only rest on a search that stopped with SWEPT.
+Every decision procedure answers with one `Verdict` of three kinds, and
+`decide` turns a finished search into one. A verdict that needs the whole
+space (a refutation, a minimum) may only rest on a search that stopped with
+SWEPT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Iterable, Optional
 
 # why a search stopped
 SWEPT = "swept"  # no stored node is left to expand
@@ -23,6 +25,11 @@ HARD_CAP = "hard_cap"  # storing one more node would exceed hard_cap
 
 # what visit asks for a newly stored node
 EXPAND, LEAF, GOAL = 0, 1, 2
+
+# the kind of a verdict
+PROVEN = "proven"  # a witness was found
+REFUTED = "refuted"  # the whole space was swept, and it holds every witness there is
+UNKNOWN = "unknown"  # a cap cut the answer short, or the space may miss a witness
 
 Successors = Callable[[Hashable], Iterable[tuple]]
 
@@ -36,6 +43,49 @@ class Search:
     @property
     def swept(self) -> bool:
         return self.stop == SWEPT
+
+
+@dataclass
+class Verdict:
+    """The answer of a decision procedure: its kind, the witness that backs
+    it where there is one (a derivation, a run trace, a vector or a word),
+    and what else it reports in `info` (why its search stopped, a minimum
+    `k`, a size)."""
+
+    kind: str
+    witness: Any = None
+    info: dict = field(default_factory=dict)
+
+    @property
+    def is_proven(self) -> bool:
+        return self.kind == PROVEN
+
+    @property
+    def is_refuted(self) -> bool:
+        return self.kind == REFUTED
+
+    @property
+    def is_unknown(self) -> bool:
+        return self.kind == UNKNOWN
+
+    @property
+    def configs_seen(self) -> int:
+        # The benchmark's tracer (perfbench/tracing.py) reads
+        # `counters.configs` from this attribute of a `cli.ncm_run` result;
+        # keep it while the tracer does.
+        return self.info["configs"]
+
+
+def decide(s: Search, exact: bool, witness: Optional[Callable[[Hashable], Any]] = None,
+           **info) -> Verdict:
+    """The verdict of a finished search for a goal: proven when it found
+    one, with `witness(goal)`; refuted only when it swept and the caller's
+    caps are `exact` (the capped space holds every goal there is); unknown
+    otherwise. `info` also gets `exhausted` and `stop`."""
+    info = {"exhausted": s.swept, "stop": s.stop, **info}
+    if s.stop == FOUND:
+        return Verdict(PROVEN, witness(s.goal) if witness else None, info)
+    return Verdict(REFUTED if s.swept and exact else UNKNOWN, None, info)
 
 
 def bfs(

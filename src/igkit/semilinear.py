@@ -26,10 +26,7 @@ from .grammar import (
     require,
     set_once,
 )
-
-PROVEN = "proven"
-REFUTED = "refuted"
-VERIFIED_UP_TO = "verified_up_to"
+from .search import PROVEN, REFUTED, UNKNOWN, Verdict
 
 
 @dataclass(frozen=True)
@@ -92,23 +89,6 @@ class GinsburgShape:
                 if ltr not in seen:
                     seen.append(ltr)
         return tuple(seen)
-
-
-@dataclass(frozen=True)
-class SetVerdict:
-    verdict: str  # PROVEN | REFUTED
-    witness: Optional[tuple[int, ...]] = None
-
-    @property
-    def is_proven(self) -> bool:
-        return self.verdict == PROVEN
-
-
-@dataclass(frozen=True)
-class BoundedSubsetResult:
-    verdict: str  # PROVEN | REFUTED | VERIFIED_UP_TO
-    witness: Optional[tuple[str, ...]] = None
-    checked_len: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +179,24 @@ def slset_member(v, s: SemilinearSet) -> bool:
     return va.member(slset_automaton(s), tuple(v))
 
 
-def slset_subset(s1: SemilinearSet, s2: SemilinearSet) -> SetVerdict:
-    """Inclusion decided exactly: emptiness of s1 ∩ complement(s2); a Refuted
+def slset_subset(s1: SemilinearSet, s2: SemilinearSet) -> Verdict:
+    """Inclusion decided exactly: emptiness of s1 ∩ complement(s2); a refuted
     verdict carries a concrete vector in s1 but not s2."""
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
     diff = va.product(slset_automaton(s1), va.complement(slset_automaton(s2)))
     witness = va.is_empty(diff)
-    if witness is None:
-        return SetVerdict(PROVEN)
-    return SetVerdict(REFUTED, witness)
+    return Verdict(PROVEN) if witness is None else Verdict(REFUTED, witness)
 
 
-def slset_equal(s1: SemilinearSet, s2: SemilinearSet) -> SetVerdict:
+def slset_equal(s1: SemilinearSet, s2: SemilinearSet) -> Verdict:
     fwd = slset_subset(s1, s2)
-    if not fwd.is_proven:
-        return fwd
-    return slset_subset(s2, s1)
+    return fwd if fwd.is_refuted else slset_subset(s2, s1)
 
 
-def slset_empty(s: SemilinearSet) -> SetVerdict:
+def slset_empty(s: SemilinearSet) -> Verdict:
     witness = va.is_empty(slset_automaton(s))
-    if witness is None:
-        return SetVerdict(PROVEN)
-    return SetVerdict(REFUTED, witness)
+    return Verdict(PROVEN) if witness is None else Verdict(REFUTED, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +271,19 @@ def bounded_lang_subset(
     shape2: GinsburgShape,
     s2: SemilinearSet,
     check_len: int,
-) -> BoundedSubsetResult:
+) -> Verdict:
     """Inclusion of shape-images. Equal shapes with set-level inclusion give
-    an exact Proven; otherwise every image word of s1 up to check_len is
-    tested against (shape2, s2): a failure refutes exactly, full success is
-    reported as VerifiedUpTo(check_len) only."""
+    an exact proof; otherwise every image word of s1 up to check_len is
+    tested against (shape2, s2): a failure refutes exactly with that word,
+    and full success is unknown, with `info["checked_len"]`."""
     if shape1 == shape2 and slset_subset(s1, s2).is_proven:
-        return BoundedSubsetResult(PROVEN)
+        return Verdict(PROVEN)
     weights = tuple(len(u) for u in shape1.words)
     for v in members_up_to(s1, weights, check_len):
         w = ginsburg_apply(shape1, v)
         if not bounded_word_member(w, shape2, s2):
-            return BoundedSubsetResult(REFUTED, witness=w)
-    return BoundedSubsetResult(VERIFIED_UP_TO, checked_len=check_len)
+            return Verdict(REFUTED, w)
+    return Verdict(UNKNOWN, None, {"checked_len": check_len})
 
 
 # ---------------------------------------------------------------------------

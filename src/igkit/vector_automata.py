@@ -272,27 +272,3 @@ def member(a: TupleAutomaton, v) -> bool:
                 todo.append(d)
     return False
 
-
-def grid_members(a: TupleAutomaton, radius: int) -> frozenset:
-    """All accepted vectors with every component <= radius (walked on the
-    determinized, saturated automaton: one dict lookup per symbol)."""
-    d = saturate(determinize(a))
-    length = radius.bit_length()
-    out = []
-    tracks = a.tracks
-
-    def walk(state, t, partial):
-        if t == length:
-            if state in d.accepting:
-                out.append(tuple(partial))
-            return
-        for sym in range(1 << tracks):
-            vals = [p | (((sym >> i) & 1) << t) for i, p in enumerate(partial)]
-            if any(x > radius for x in vals):
-                continue
-            nxt = d.targets(state, sym)
-            if nxt:
-                walk(nxt[0], t + 1, vals)
-
-    walk(d.initial, 0, [0] * tracks)
-    return frozenset(out)

@@ -8,7 +8,6 @@ import itertools
 import random
 import time
 
-import igkit.vector_automata as va
 import test_closure as closure_cases
 from igkit import fixture_text
 from igkit.closure import intersect_dfa, normalize_rhs, union
@@ -36,7 +35,7 @@ from igkit.semilinear import (
     slset_subset,
 )
 
-from util import enum_set, load
+from util import enum_set, grid_members, load
 
 
 def ramp_word(n):
@@ -80,7 +79,7 @@ def test_criterion_2_ramp_grammar():
     assert set(res.rendered()) == {ramp_word(n) for n in (1, 2, 3, 4)}
 
     got = min_index(g, tuple("abaa"), Budget(max_steps=60, max_stack=4))
-    assert got is not None and got[0] == 3
+    assert got.is_proven and got.info["k"] == 3
 
     v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=5))
     assert v.is_refuted
@@ -120,8 +119,8 @@ def test_criterion_3_closure_oracle_suite():
 
 def _min_index_value(g, w, steps=200, stack=None):
     got = min_index(g, tuple(w), Budget(max_steps=steps, max_stack=stack))
-    assert got is not None, (g.name, w)
-    return got[0]
+    assert got.is_proven, (g.name, w)
+    return got.info["k"]
 
 
 def test_criterion_4_index_claims():
@@ -165,8 +164,8 @@ def test_criterion_4_index_claims():
         g = linear_to_grammar(shape, ls)
         assert len(g.special_productions()) == 1
         for w in enum_set(g, 14, stack=stack):
-            n, _ = special_count_min(g, tuple(w), Budget(max_steps=120, max_stack=stack))
-            assert n == 1, (w,)
+            v = special_count_min(g, tuple(w), Budget(max_steps=120, max_stack=stack))
+            assert v.info["k"] == 1, (w,)
     ok("criterion-4", "union<=max, normalize<=, intersect==, synthesis special==1")
 
 
@@ -208,7 +207,7 @@ def test_criterion_5_semilinear_core():
     rng = random.Random(20260808)
     sets = [_rand_slset(rng) for _ in range(200)]
     for s in sets:
-        grid = va.grid_members(slset_automaton(s), 8)
+        grid = grid_members(slset_automaton(s), 8)
         oracle = _oracle_grid(s, 8)
         assert grid == oracle, s
         for _ in range(5):  # pointwise spot check of the per-vector oracle
@@ -255,8 +254,9 @@ def test_criterion_6_etol_conversion():
         for w in direct.words:
             k_sys = etol_min_index(sys_, w, Budget(max_steps=30))
             got = min_index(g, w, Budget(max_steps=220, max_stack=stack, max_width=width))
-            assert k_sys is not None and got is not None
-            assert got[0] <= 2 * k_sys, (name, w, got[0], k_sys)
+            assert k_sys.is_proven and got.is_proven
+            k, k_sys = got.info["k"], k_sys.info["k"]
+            assert k <= 2 * k_sys, (name, w, k, k_sys)
             checked_words += 1
     assert len(test_etol.FIXTURES) >= 5
     ok("criterion-6", f"{len(test_etol.FIXTURES)} systems, {checked_words} words, width <= 2k")
@@ -270,7 +270,7 @@ def test_criterion_7_counter_pipeline():
             for w in itertools.product(m.alphabet, repeat=ln):
                 assert accepts_via_expansion(
                     nfa, m.alphabet, m.num_counters, w
-                ).is_accepted == ncm_run(m, w).is_accepted, (name, w)
+                ).is_proven == ncm_run(m, w).is_proven, (name, w)
 
     empty_ab = parse_grammar(
         "grammar empty_ab\nvariables: S\nterminals: a, b\nindices:\nstart: S\n"
@@ -287,7 +287,7 @@ def test_criterion_7_counter_pipeline():
         assert sample.exhausted
         res = enumerate_language(g, 6, Budget(max_steps=30))
         brute = tuple(sorted(
-            parikh(w, g.terminals) for w in res.words if ncm_run(m, w).is_accepted
+            parikh(w, g.terminals) for w in res.words if ncm_run(m, w).is_proven
         ))
         assert sample.vectors == brute, (g.name, mname)
     ok("criterion-7", "conditions exhaustive to 8; pipeline == brute force at radius 6")

@@ -91,7 +91,12 @@ def test_etol_enumerate_hard_cap_is_a_stop_reason(capsys):
     )
     assert code == 0
     assert blocks[0]["exhausted"] == "false"
+    assert blocks[0]["stopped_by"] == "hard_cap"
     assert blocks[0]["status"] == "ok"
+    code, blocks = run_clean(
+        capsys, "etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6", "--max-steps", "2"
+    )
+    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
 
 
 def test_ncm_run_counter_cap(capsys, tmp_path):
@@ -361,3 +366,63 @@ def test_bounded_subset_cli(capsys):
         "--check-len", "14",
     )
     assert code == 0 and blocks[0]["verdict"] == "proven"
+
+
+def test_bounded_subset_checked_up_to_a_length_is_unknown(tmp_path, capsys):
+    # every image word up to --check-len is in the other language, which
+    # proves nothing beyond that length
+    for name in ("aa.sls", "a.sls"):
+        (tmp_path / name).write_text(CONTRACT_FILES[name], encoding="utf-8")
+    code, blocks = run_clean(capsys, "bounded", "subset", str(tmp_path / "aa.sls"),
+                             str(tmp_path / "a.sls"), "--check-len", "10")
+    assert code == 3
+    assert blocks[0]["verdict"] == "unknown" == blocks[0]["status"]
+    assert blocks[0]["checked_len"] == "10"
+
+
+# -- one exit-status rule for every decision ------------------------------------------------
+
+# Files the contract rows below read from the temporary directory.
+CONTRACT_FILES = {
+    "six.ncm": SILENT_SIX,
+    "none.sls": "slset none\ndim: 2\n",
+    "aa.sls": "slset aa\ndim: 2\nshape: a, a\nlinear: base = (0,0); periods = (1,0),(0,1)\n",
+    "a.sls": "slset a\ndim: 1\nshape: a\nlinear: base = (0); periods = (1)\n",
+    "even.sls": "slset even\ndim: 1\nshape: a\nlinear: base = (0); periods = (2)\n",
+}
+CONTRACT_EXIT = {"proven": 0, "refuted": 1, "unknown": 3}
+CONTRACT = [
+    (["member", "fixture:anbn.ig", "aabb", "--exhaustive"], "proven"),
+    (["member", "fixture:anbn.ig", "aab", "--exhaustive"], "refuted"),
+    (["member", "fixture:anbn.ig", "aab"], "unknown"),
+    (["min-index", "fixture:ramp.ig", "abaa", "--max-stack", "4", "--max-steps", "60"], "proven"),
+    (["min-index", "fixture:anbn.ig", "ba", "--exhaustive"], "refuted"),
+    (["min-index", "fixture:twin.ig", "aabbcc$aabbcc", "--max-stack", "3", "--hard-cap", "10"],
+     "unknown"),
+    (["check-uncontrolled", "fixture:anbn.ig", "--k", "1"], "proven"),
+    (["check-uncontrolled", "fixture:ramp.ig", "--k", "3", "--max-stack", "5"], "refuted"),
+    (["check-uncontrolled", "fixture:twin.ig", "--k", "7", "--max-steps", "5"], "unknown"),
+    (["slset", "subset", "fixture:diag.sls", "fixture:quadrant.sls"], "proven"),
+    (["slset", "subset", "fixture:quadrant.sls", "fixture:diag.sls"], "refuted"),
+    (["slset", "equal", "fixture:diag.sls", "fixture:diag.sls"], "proven"),
+    (["slset", "equal", "fixture:diag.sls", "fixture:quadrant.sls"], "refuted"),
+    (["slset", "empty", "{tmp}/none.sls"], "proven"),
+    (["slset", "empty", "fixture:diag.sls"], "refuted"),
+    (["bounded", "subset", "fixture:twin.sls", "fixture:twin.sls", "--check-len", "14"], "proven"),
+    (["bounded", "subset", "{tmp}/a.sls", "{tmp}/even.sls", "--check-len", "10"], "refuted"),
+    (["bounded", "subset", "{tmp}/aa.sls", "{tmp}/a.sls", "--check-len", "10"], "unknown"),
+    (["ncm", "run", "fixture:anbn.ncm", "aabb"], "proven"),
+    (["ncm", "run", "fixture:anbn.ncm", "aab"], "refuted"),
+    (["ncm", "run", "{tmp}/six.ncm", "_"], "unknown"),
+]
+
+
+@pytest.mark.parametrize("argv,kind", CONTRACT, ids=[f"{r[0][0]} {r[0][1]}-{r[1]}" for r in CONTRACT])
+def test_exit_status_follows_the_kind(tmp_path, capsys, argv, kind):
+    """Every decision command exits with the status of the kind of its
+    answer, through one table, and reports a `status:` line on stdout only."""
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == CONTRACT_EXIT[kind]
+    assert "status" in blocks[0]

@@ -497,8 +497,8 @@ def test_morphism_preserves_min_widths_when_injective():
         image = tuple(h.apply(tuple(w)))
         got = min_index(out, image, budget)
         want = min_index(g, tuple(w), budget)
-        assert got is not None and want is not None
-        assert got[0] == want[0], w
+        assert got.is_proven and want.is_proven
+        assert got.info["k"] == want.info["k"], w
 
 
 def test_deep_composition_chain():

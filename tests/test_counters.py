@@ -5,9 +5,6 @@ import pytest
 
 from igkit import fixture_text
 from igkit.counters import (
-    ACCEPTED,
-    REJECTED,
-    UNKNOWN,
     NotOneReversal,
     accepts_via_expansion,
     audit_run,
@@ -22,6 +19,7 @@ from igkit.counters import (
 )
 from igkit.engine import Budget, enumerate_language
 from igkit.grammar import parse_grammar
+from igkit.search import PROVEN, REFUTED, UNKNOWN
 from igkit.semilinear import parikh
 
 from util import SILENT_SIX, load, words_upto
@@ -32,7 +30,7 @@ def m_fix(name):
 
 
 def accepts(m, w):
-    return ncm_run(m, tuple(w)).is_accepted
+    return ncm_run(m, tuple(w)).is_proven
 
 
 # -- simulation -----------------------------------------------------------------
@@ -63,20 +61,20 @@ def test_no_transition_machine_accepts_nothing():
 
 def test_rejection_is_definite_within_caps():
     res = ncm_run(m_fix("anbn.ncm"), tuple("aab"))
-    assert res.outcome == "rejected"
+    assert res.kind == REFUTED
 
 
 def test_run_trace_passes_audit():
     m = m_fix("updown.ncm")
     res = ncm_run(m, tuple("aabbab"))
-    assert res.is_accepted
-    assert audit_run(m, tuple("aabbab"), res.trace) == []
+    assert res.is_proven
+    assert audit_run(m, tuple("aabbab"), res.witness) == []
 
 
 def test_audit_flags_tampered_trace():
     m = m_fix("anbn.ncm")
     res = ncm_run(m, tuple("ab"))
-    bad = res.trace[:-1]
+    bad = res.witness[:-1]
     assert audit_run(m, tuple("ab"), bad) != []
 
 
@@ -127,7 +125,7 @@ def test_expansion_conditions_exhaustively(name, max_len):
     nfa = expand_to_nfa(m)
     for w in words_upto(m.alphabet, max_len):
         expected = accepts(m, w)
-        got = accepts_via_expansion(nfa, m.alphabet, m.num_counters, tuple(w)).is_accepted
+        got = accepts_via_expansion(nfa, m.alphabet, m.num_counters, tuple(w)).is_proven
         assert got == expected, w
 
 
@@ -137,8 +135,8 @@ def test_expansion_of_trivial_machine():
         "initial: s0\nhalt: f\ntrans: s0, _, tests() -> f, deltas()\n"
     )
     nfa = expand_to_nfa(m)
-    assert accepts_via_expansion(nfa, m.alphabet, 0, ()).is_accepted
-    assert not accepts_via_expansion(nfa, m.alphabet, 0, ("a",)).is_accepted
+    assert accepts_via_expansion(nfa, m.alphabet, 0, ()).is_proven
+    assert not accepts_via_expansion(nfa, m.alphabet, 0, ("a",)).is_proven
 
 
 def test_increment_only_machine_accepts_nothing():
@@ -152,7 +150,7 @@ def test_increment_only_machine_accepts_nothing():
     nfa = expand_to_nfa(m)
     for w in words_upto(("a",), 4):
         want = len(w) == 0  # any a increments and the counter can never drain
-        assert accepts_via_expansion(nfa, m.alphabet, 1, tuple(w)).is_accepted == want
+        assert accepts_via_expansion(nfa, m.alphabet, 1, tuple(w)).is_proven == want
 
 
 def test_silent_counter_moves_still_emit_letters():
@@ -170,17 +168,17 @@ def test_silent_counter_moves_still_emit_letters():
     nfa = expand_to_nfa(m)
     assert any(label and label.startswith("q#") for _, label, _ in nfa.transitions)
     for n in range(4):
-        assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",) * n).is_accepted
+        assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",) * n).is_proven
 
 
 def test_expansion_is_unknown_when_the_balance_cap_bites():
     m = parse_ncm(SILENT_SIX)
     nfa = expand_to_nfa(m)
     # the default cap (|x| + 4) is below the 6 silent increments
-    assert accepts_via_expansion(nfa, m.alphabet, 1, ()).outcome == UNKNOWN
-    assert accepts_via_expansion(nfa, m.alphabet, 1, (), cap=50).outcome == ACCEPTED
-    assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",), cap=50).outcome == REJECTED
-    assert ncm_run(m, (), counter_cap=50).is_accepted
+    assert accepts_via_expansion(nfa, m.alphabet, 1, ()).kind == UNKNOWN
+    assert accepts_via_expansion(nfa, m.alphabet, 1, (), cap=50).kind == PROVEN
+    assert accepts_via_expansion(nfa, m.alphabet, 1, ("a",), cap=50).kind == REFUTED
+    assert ncm_run(m, (), counter_cap=50).is_proven
 
 
 # -- counting pipeline ----------------------------------------------------------------
@@ -193,7 +191,7 @@ def brute_vectors(g, m, radius, g_budget):
     res = enumerate_language(g, radius, g_budget)
     assert res.exhausted
     return tuple(sorted(
-        parikh(w, g.terminals) for w in res.words if ncm_run(m, w).is_accepted
+        parikh(w, g.terminals) for w in res.words if ncm_run(m, w).is_proven
     ))
 
 
@@ -279,9 +277,9 @@ def test_mixed_reversal_bounds_collapse():
     for w in words_upto(m.alphabet, 7):
         direct = ncm_run(m, tuple(w))
         collapsed = ncm_run(m1, tuple(w))
-        assert direct.is_accepted == collapsed.is_accepted, w
-        if direct.is_accepted:
-            assert audit_run(m, tuple(w), direct.trace) == []
+        assert direct.is_proven == collapsed.is_proven, w
+        if direct.is_proven:
+            assert audit_run(m, tuple(w), direct.witness) == []
 
 
 def test_mixed_machine_expansion_conditions():
@@ -290,7 +288,7 @@ def test_mixed_machine_expansion_conditions():
     for w in words_upto(m1.alphabet, 6):
         assert accepts_via_expansion(
             nfa, m1.alphabet, m1.num_counters, tuple(w)
-        ).is_accepted == ncm_run(m1, tuple(w)).is_accepted, w
+        ).is_proven == ncm_run(m1, tuple(w)).is_proven, w
 
 
 CARRYOVER = """ncm carry
@@ -324,4 +322,4 @@ def test_partial_drain_carries_over_across_pieces():
     assert accepts(m, "aababb")   # n=2 j=1 m=1 k=2
     assert not accepts(m, "aabab")
     for w in words_upto(("a", "b"), 8):
-        assert ncm_run(m, tuple(w)).is_accepted == ncm_run(m1, tuple(w)).is_accepted, w
+        assert ncm_run(m, tuple(w)).is_proven == ncm_run(m1, tuple(w)).is_proven, w

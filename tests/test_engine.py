@@ -1,11 +1,8 @@
 """Derivation search: enumeration, membership, index measurement, width audit."""
 
-import pytest
-
 from igkit import fixture_text
 from igkit.engine import (
     Budget,
-    NotAMember,
     check_uncontrolled,
     enumerate_language,
     membership,
@@ -114,27 +111,29 @@ def test_membership_agrees_with_enumeration():
 
 def test_min_index_twin_word_is_7():
     got = min_index(g_fix("twin.ig"), tuple("abc$abc"), TWIN_BUDGET)
-    assert got is not None
-    k, wit = got
+    assert got.is_proven
+    k, wit = got.info["k"], got.witness
     assert k == 7
     assert wit.index() == 7
 
 
 def test_min_index_eps_is_1():
-    k, wit = min_index(g_fix("eps.ig"), (), Budget(max_steps=4))
+    v = min_index(g_fix("eps.ig"), (), Budget(max_steps=4))
+    k, wit = v.info["k"], v.witness
     assert k == 1 and wit.index() == 1
 
 
 def test_min_index_abaa_is_3():
-    k, wit = min_index(g_fix("ramp.ig"), tuple("abaa"), Budget(max_steps=60, max_stack=4))
+    v = min_index(g_fix("ramp.ig"), tuple("abaa"), Budget(max_steps=60, max_stack=4))
+    k, wit = v.info["k"], v.witness
     assert k == 3
     assert wit.index() == 3
     assert replay(g_fix("ramp.ig"), wit).yield_word() == tuple("abaa")
 
 
 def test_min_index_not_a_member():
-    with pytest.raises(NotAMember):
-        min_index(g_fix("anbn.ig"), tuple("ba"), Budget(max_steps=20), caps_exact=True)
+    assert min_index(g_fix("anbn.ig"), tuple("ba"), Budget(max_steps=20),
+                     caps_exact=True).is_refuted
 
 
 # -- check_uncontrolled ------------------------------------------------------------
@@ -176,19 +175,19 @@ def test_uncontrolled_union_of_uncontrolled():
 
 
 def test_special_count_zero_for_linear_grammar():
-    n, wit = special_count_min(g_fix("astar.ig"), tuple("aaa"), Budget(max_steps=20))
-    assert n == 0
+    v = special_count_min(g_fix("astar.ig"), tuple("aaa"), Budget(max_steps=20))
+    assert v.info["k"] == 0
 
 
 def test_special_count_one_for_twin_word():
-    n, wit = special_count_min(g_fix("twin.ig"), tuple("abc$abc"), TWIN_BUDGET)
-    assert n == 1
-    assert wit.special_count(g_fix("twin.ig")) == 1
+    v = special_count_min(g_fix("twin.ig"), tuple("abc$abc"), TWIN_BUDGET)
+    assert v.info["k"] == 1
+    assert v.witness.special_count(g_fix("twin.ig")) == 1
 
 
 def test_special_count_not_a_member():
-    with pytest.raises(NotAMember):
-        special_count_min(g_fix("anbn.ig"), tuple("ba"), Budget(max_steps=10))
+    assert special_count_min(g_fix("anbn.ig"), tuple("ba"), Budget(max_steps=10),
+                             caps_exact=True).is_refuted
 
 
 # -- witness serialization --------------------------------------------------------
@@ -211,7 +210,8 @@ def test_enumeration_reports_active_caps():
 
 def test_special_count_witness_replays():
     g = g_fix("twin.ig")
-    n, wit = special_count_min(g, tuple("abc$abc"), TWIN_BUDGET)
+    v = special_count_min(g, tuple("abc$abc"), TWIN_BUDGET)
+    n, wit = v.info["k"], v.witness
     final = replay(g, wit)
     assert final.yield_word() == tuple("abc$abc")
     assert wit.special_count(g) == n == 1

@@ -147,8 +147,8 @@ def test_conversion_index_at_most_double():
         w = tuple(word)
         k_sys = etol_min_index(sys, w, Budget(max_steps=20))
         got = min_index(g, w, Budget(max_steps=120, max_stack=10))
-        assert got is not None and k_sys is not None
-        assert got[0] <= 2 * k_sys
+        assert got.is_proven and k_sys.is_proven
+        assert got.info["k"] <= 2 * k_sys.info["k"]
 
 
 def test_conversion_invariant_under_table_renaming():
@@ -166,9 +166,9 @@ def test_conversion_invariant_under_table_renaming():
 
 
 def test_min_index_measures_width():
-    assert etol_min_index(sys_fix("anbn1.etol"), tuple("aabb"), B) == 1
-    assert etol_min_index(sys_fix("anbn2.etol"), tuple("aabb"), B) == 2
-    assert etol_min_index(sys_fix("abc.etol"), tuple("abc"), B) == 3
+    assert etol_min_index(sys_fix("anbn1.etol"), tuple("aabb"), B).info["k"] == 1
+    assert etol_min_index(sys_fix("anbn2.etol"), tuple("aabb"), B).info["k"] == 2
+    assert etol_min_index(sys_fix("abc.etol"), tuple("abc"), B).info["k"] == 3
 
 
 def test_round_trip():

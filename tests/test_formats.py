@@ -110,6 +110,18 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("ncm", "ncm m\nstates: s,,f\n", 2, "empty name in states list"),
     ("ncm", f"ncm m\n{NCM}trans: s, , a, tests(z) -> f, deltas(+)\n", 8,
      "empty name in transition list"),
+    # `_` is the empty word on a right side and a silent move in a transition,
+    # so it cannot be declared as a symbol
+    ("grammar", "grammar g\nvariables: S, _\n", 2, "`_` cannot be declared in `variables:`"),
+    ("grammar", "grammar g\nvariables: S\nterminals: _\n", 3,
+     "`_` cannot be declared in `terminals:`"),
+    ("grammar", "grammar g\nindices: f, _\n", 2, "`_` cannot be declared in `indices:`"),
+    ("fsa", "fsa d\nstates: q\nalphabet: a, _\n", 3, "`_` cannot be declared in `alphabet:`"),
+    ("morphism", "morphism h\ntarget: _\n", 2, "`_` cannot be declared in `target:`"),
+    ("etol", "etol e\naxiom: S\nterminals: a, _\n", 3, "`_` cannot be declared in `terminals:`"),
+    ("etol", "etol e\naxiom: _\n", 2, "`_` cannot be declared in `axiom:`"),
+    ("etol", f"etol e\n{ETOL}table t:\nrule: _ -> a\n", 5, "`_` cannot be declared in `rule:`"),
+    ("ncm", "ncm m\nstates: s\nalphabet: _\n", 3, "`_` cannot be declared in `alphabet:`"),
 ]
 
 

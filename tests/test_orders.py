@@ -30,7 +30,6 @@ from hypothesis import example, given, strategies as st
 from igkit import fixture_text
 from igkit.engine import (
     Budget,
-    NotAMember,
     check_uncontrolled,
     enumerate_language,
     membership,
@@ -38,7 +37,7 @@ from igkit.engine import (
     special_count_min,
 )
 from igkit.grammar import Production, make_grammar, parse_grammar, replay
-from igkit.search import HARD_CAP, MAX_STEPS
+from igkit.search import HARD_CAP, MAX_STEPS, REFUTED, UNKNOWN
 
 from util import (
     oracle_check_uncontrolled,
@@ -153,29 +152,22 @@ def test_capped_membership_matches_all_orders(g, budget, w):
 
 
 def _outcome(fn, g, w, budget):
-    """A minimum, None (unknown), or how NotAMember was raised; a witness must
-    replay to w within the width cap."""
-    try:
-        out = fn(g, w, budget)
-    except NotAMember as exc:
-        return ("not a member", exc.exhausted)
-    if out is None:
-        return None
-    if out[1] is not None:
-        _replays_within(g, out[1], w, budget)
-    return out[0]
+    """The minimum of a proven verdict, or the kind of any other; a witness
+    must replay to w within the width cap."""
+    v = fn(g, w, budget, caps_exact=True)
+    if v.witness is not None:
+        _replays_within(g, v.witness, w, budget)
+    return v.info["k"] if v.is_proven else v.kind
 
 
-MINIMUMS = ((special_count_min, oracle_special_count_min),
-            (lambda *a: min_index(*a, caps_exact=True),
-             lambda *a: oracle_min_index(*a, caps_exact=True)))
+MINIMUMS = ((special_count_min, oracle_special_count_min), (min_index, oracle_min_index))
 
 
 @given(grammars(), budgets, words)
 def test_minimums_match_all_orders(g, budget, w):
     for ours, oracle in MINIMUMS:
         full = _outcome(oracle, g, w, budget)
-        if isinstance(full, int) or full == ("not a member", True):
+        if isinstance(full, int) or full == REFUTED:
             assert _outcome(ours, g, w, budget) == full
 
 
@@ -186,10 +178,10 @@ def test_capped_minimums_match_all_orders(g, budget, w):
         got = _outcome(ours, g, w, budget)
         if isinstance(full, int):
             assert got == full
-        elif full == ("not a member", True):
+        elif full == REFUTED:
             # as for membership, the sweep can take more levels here, and
             # then the answer stays open
-            assert got in (full, ("not a member", False), None)
+            assert got in (full, UNKNOWN)
 
 
 @given(grammars(), uncontrolled, st.integers(1, 3))

@@ -10,7 +10,7 @@ import pytest
 from igkit import fixture_text
 from igkit import semilinear as sl
 from igkit import vector_automata as va
-from igkit.cli import main, parse_report
+from igkit.cli import OUTCOME, main, parse_report
 from igkit.counters import ncm_run, parse_ncm
 from igkit.engine import (
     Budget,
@@ -106,12 +106,12 @@ CHAIN_BUDGET = Budget(max_steps=40)
 
 def test_min_index_is_unknown_when_the_hard_cap_cuts_a_smaller_k():
     g = parse_grammar(CHAIN)
-    assert min_index(g, AA, CHAIN_BUDGET)[0] == 1
+    assert min_index(g, AA, CHAIN_BUDGET).info["k"] == 1
     capped = replace(CHAIN_BUDGET, hard_cap=10)
     full = membership(g, AA, capped)
     assert full.is_proven and full.witness.index() == 2  # the uncapped search fits
     assert membership(g, AA, replace(capped, max_width=1)).info["stop"] == HARD_CAP
-    assert min_index(g, AA, capped) is None
+    assert min_index(g, AA, capped).is_unknown
 
 
 def test_min_index_cli_reports_unknown_under_the_hard_cap(tmp_path, capsys):
@@ -119,21 +119,22 @@ def test_min_index_cli_reports_unknown_under_the_hard_cap(tmp_path, capsys):
     p.write_text(CHAIN)
     code = main(["min-index", str(p), "aa", "--max-steps", "40", "--hard-cap", "10"])
     assert code == 3
-    assert parse_report(capsys.readouterr().out)[0]["status"] == "unknown"
+    report = parse_report(capsys.readouterr().out)[0]
+    assert report["status"] == "unknown" and report["stopped_by"] == "hard_cap"
 
 
 def test_etol_min_index_is_unknown_when_the_hard_cap_cuts_a_smaller_cap():
     s = parse_etol(CHAIN_ETOL)
-    assert etol_min_index(s, AA, CHAIN_BUDGET) == 1
-    assert etol_min_index(s, AA, replace(CHAIN_BUDGET, hard_cap=8)) is None
+    assert etol_min_index(s, AA, CHAIN_BUDGET).info["k"] == 1
+    assert etol_min_index(s, AA, replace(CHAIN_BUDGET, hard_cap=8)).is_unknown
 
 
 def test_special_count_min_is_unknown_when_the_hard_cap_cuts_the_search():
     g = parse_grammar(CHAIN)
-    n, wit = special_count_min(g, AA, CHAIN_BUDGET)
-    assert n == 0 == wit.special_count(g)
+    v = special_count_min(g, AA, CHAIN_BUDGET)
+    assert v.info["k"] == 0 == v.witness.special_count(g)
     # the derivation through S -> A A (one special) is found before the cap bites
-    assert special_count_min(g, AA, replace(CHAIN_BUDGET, hard_cap=10)) is None
+    assert special_count_min(g, AA, replace(CHAIN_BUDGET, hard_cap=10)).is_unknown
 
 
 # -- pinned fixture values ------------------------------------------------------------------
@@ -201,21 +202,23 @@ def test_witnesses_pinned():
     assert v.witness.steps == ((0, 0), (0, 1), (1, 2))
     v = membership(g_fix("twin.ig"), tuple("abc$abc"), Budget(max_steps=400, max_stack=3))
     assert v.witness.steps == TWIN_STEPS
-    k, wit = min_index(g_fix("ramp.ig"), tuple("abaa"), Budget(max_steps=60, max_stack=4))
+    v = min_index(g_fix("ramp.ig"), tuple("abaa"), Budget(max_steps=60, max_stack=4))
+    k, wit = v.info["k"], v.witness
     assert k == 3
     assert wit.steps == ((0, 0), (1, 0), (8, 0), (10, 1), (2, 2), (4, 2), (5, 2), (6, 3))
-    n, wit = special_count_min(g_fix("twin.ig"), tuple("abc$abc"),
-                               Budget(max_steps=60, max_stack=3))
+    v = special_count_min(g_fix("twin.ig"), tuple("abc$abc"), Budget(max_steps=60, max_stack=3))
+    n, wit = v.info["k"], v.witness
     assert n == 1 and wit.steps == TWIN_STEPS
 
 
 def test_minimums_pinned():
-    assert min_index(g_fix("twin.ig"), tuple("abc$abc"), Budget(max_steps=120, max_stack=3))[0] == 7
+    assert min_index(g_fix("twin.ig"), tuple("abc$abc"),
+                     Budget(max_steps=120, max_stack=3)).info["k"] == 7
     assert min_index(g_fix("anbncn.ig"), tuple("aabbcc"),
-                     Budget(max_steps=120, max_stack=4))[0] == 3
-    assert special_count_min(g_fix("astar.ig"), tuple("aaa"), Budget(max_steps=20))[0] == 0
+                     Budget(max_steps=120, max_stack=4)).info["k"] == 3
+    assert special_count_min(g_fix("astar.ig"), tuple("aaa"), Budget(max_steps=20)).info["k"] == 0
     assert special_count_min(g_fix("anbncn.ig"), tuple("aabbcc"),
-                             Budget(max_steps=120, max_stack=4))[0] == 1
+                             Budget(max_steps=120, max_stack=4)).info["k"] == 1
 
 
 UNCONTROLLED = [
@@ -254,10 +257,10 @@ NCM_RUNS = [
 @pytest.mark.parametrize("name,w,outcome,configs,moves_", NCM_RUNS)
 def test_ncm_run_pinned(name, w, outcome, configs, moves_):
     r = ncm_run(parse_ncm(fixture_text(name)), tuple(w))
-    assert r.outcome == outcome
-    assert r.configs_seen == configs
+    assert OUTCOME[r.kind] == outcome
+    assert r.info["configs"] == configs
     if moves_ is not None:
-        assert tuple(t[0] for t in r.trace) == moves_
+        assert tuple(t[0] for t in r.witness) == moves_
 
 
 def test_vector_automaton_emptiness_pinned():

@@ -30,6 +30,9 @@ from igkit.semilinear import (
     slset_member,
     slset_subset,
 )
+from igkit.search import PROVEN, REFUTED, UNKNOWN
+
+from util import grid_members
 
 TWIN_SHAPE = GinsburgShape((("a",), ("b",), ("c",), ("$",), ("a",), ("b",), ("c",)))
 TWIN_SET = LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 1)])
@@ -155,7 +158,7 @@ def test_random_sets_agree_with_diophantine(seed):
     rng = random.Random(seed)
     dim = rng.randrange(1, 4)
     ls = rand_linear(rng, dim)
-    grid = va.grid_members(linearset_automaton(ls), 8)
+    grid = grid_members(linearset_automaton(ls), 8)
     import itertools
 
     for v in itertools.product(range(9), repeat=dim):
@@ -224,7 +227,7 @@ def test_bounded_subset_proven_for_equal_shapes():
         LinearSet.make((0,) * 7, [tuple(1 if i == j else 0 for i in range(7)) for j in range(7)])
     )
     res = bounded_lang_subset(TWIN_SHAPE, s, TWIN_SHAPE, full, 20)
-    assert res.verdict == "proven"
+    assert res.kind == PROVEN
 
 
 def test_bounded_subset_verified_up_to_for_distinct_shapes():
@@ -234,17 +237,17 @@ def test_bounded_subset_verified_up_to_for_distinct_shapes():
     s2 = SemilinearSet.of(LinearSet.make((0,), [(2,)]))
     shape2 = GinsburgShape((("a",),))
     res = bounded_lang_subset(shape1, s1, shape2, s2, 12)
-    assert res.verdict == "verified_up_to"
-    assert res.checked_len == 12
+    assert res.kind == UNKNOWN
+    assert res.info["checked_len"] == 12
 
 
 def test_bounded_subset_refuted():
     changed = SemilinearSet.of(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 2)]))
     res = bounded_lang_subset(TWIN_SHAPE, changed, TWIN_SHAPE, SemilinearSet.of(TWIN_SET), 20)
-    assert res.verdict == "refuted"
+    assert res.kind == REFUTED
     assert "".join(res.witness) == "abc$abcc"
     back = bounded_lang_subset(TWIN_SHAPE, SemilinearSet.of(TWIN_SET), TWIN_SHAPE, changed, 20)
-    assert back.verdict == "refuted"
+    assert back.kind == REFUTED
     assert "".join(back.witness) == "abc$abc"
 
 
@@ -282,8 +285,8 @@ def test_synthesis_single_word():
 def test_synthesis_has_one_special_production():
     g = linear_to_grammar(TWIN_SHAPE, TWIN_SET)
     assert len(g.special_productions()) == 1
-    n, _ = special_count_min(g, tuple("abc$abc"), Budget(max_steps=60, max_stack=3))
-    assert n == 1
+    v = special_count_min(g, tuple("abc$abc"), Budget(max_steps=60, max_stack=3))
+    assert v.info["k"] == 1
 
 
 def test_synthesis_is_uncontrolled_at_its_width():

@@ -1,29 +1,37 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
 brute-force oracles for the closure constructions, the all-orders search
-that the leftmost and subtree orders of the engine are checked against, and
-the form search that the width table of check_uncontrolled is checked
-against."""
+that the leftmost and subtree orders of the engine are checked against, the
+form search that the width table of check_uncontrolled is checked against,
+and the grid of a tuple automaton."""
 
 from dataclasses import replace
 from itertools import product
 
 from igkit import fixture_text
 from igkit.engine import (
-    PROVEN,
-    REFUTED,
-    UNKNOWN,
     Budget,
     CompiledGrammar,
     EnumerationResult,
-    NotAMember,
-    Verdict,
     _can_yield,
     _derivation,
     _is_terminal_enc,
     enumerate_language,
 )
 from igkit.grammar import SPECIAL, parse_grammar
-from igkit.search import EXPAND, FOUND, GOAL, HARD_CAP, LEAF, bfs
+from igkit.search import (
+    EXPAND,
+    FOUND,
+    GOAL,
+    HARD_CAP,
+    LEAF,
+    PROVEN,
+    REFUTED,
+    UNKNOWN,
+    Verdict,
+    bfs,
+    decide,
+)
+from igkit.vector_automata import determinize, saturate
 
 
 # counts to 6 on silent moves, then back to 0: accepts exactly the empty word
@@ -80,30 +88,26 @@ def oracle_membership(g, w, budget, caps_exact=False):
         return EXPAND if _can_yield(form, target) else LEAF
 
     s = bfs(c.start(), successors, b.max_steps, b.hard_cap, visit)
-    info = {"exhausted": s.swept, "forms": len(s.parents), "stop": s.stop}
-    if s.stop == FOUND:
-        return Verdict(PROVEN, _derivation(c, successors, s.parents, s.goal, 0), info)
-    return Verdict(REFUTED if (s.swept and caps_exact) else UNKNOWN, None, info)
+    return decide(s, caps_exact, lambda goal: _derivation(c, successors, s.parents, goal, 0),
+                  forms=len(s.parents))
 
 
 def oracle_min_index(g, w, budget, caps_exact=False):
     """The smallest k whose all-orders search proves w, as min_index answers
-    it: None when unknown, NotAMember when the full search refutes w."""
+    it: unknown, or refuted when the full search refutes w."""
     full = oracle_membership(g, w, budget, caps_exact)
-    if full.is_refuted:
-        raise NotAMember("refuted", exhausted=True)
-    if full.is_unknown:
-        return None
+    if not full.is_proven:
+        return Verdict(full.kind, None, {"stop": full.info["stop"]})
     for k in range(1, full.witness.index()):
         v = oracle_membership(g, w, replace(budget, max_width=k))
         if v.is_proven:
-            return k, v.witness
+            return Verdict(PROVEN, v.witness, {"k": k, "stop": FOUND})
         if v.info["stop"] == HARD_CAP:
-            return None
-    return full.witness.index(), full.witness
+            return Verdict(UNKNOWN, None, {"stop": HARD_CAP})
+    return Verdict(PROVEN, full.witness, {"k": full.witness.index(), "stop": FOUND})
 
 
-def oracle_special_count_min(g, w, budget):
+def oracle_special_count_min(g, w, budget, caps_exact=False):
     """special_count_min over every rewrite order (see oracle_enumerate)."""
     b, c = _all_orders(g, budget)
     target = c.encode_word(w)
@@ -126,11 +130,9 @@ def oracle_special_count_min(g, w, budget):
         return EXPAND if _can_yield(form, target) else LEAF
 
     s = bfs((c.start(), 0), successors, b.max_steps, b.hard_cap, visit)
-    if s.stop == HARD_CAP:
-        return None
-    if best is None:
-        raise NotAMember("not derived", exhausted=s.swept)
-    return best, None
+    if best is None or s.stop == HARD_CAP:
+        return decide(s, caps_exact)
+    return Verdict(PROVEN, None, {"k": best, "stop": s.stop})
 
 
 def oracle_check_uncontrolled(g, k, budget):
@@ -173,6 +175,32 @@ def oracle_check_uncontrolled(g, k, budget):
     if s.stop == FOUND:
         return Verdict(REFUTED, None, info)
     return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+
+
+def grid_members(a, radius):
+    """All vectors the tuple automaton accepts with every component <= radius
+    (walked on the determinized, saturated automaton: one dict lookup per
+    symbol)."""
+    d = saturate(determinize(a))
+    length = radius.bit_length()
+    out = []
+    tracks = a.tracks
+
+    def walk(state, t, partial):
+        if t == length:
+            if state in d.accepting:
+                out.append(tuple(partial))
+            return
+        for sym in range(1 << tracks):
+            vals = [p | (((sym >> i) & 1) << t) for i, p in enumerate(partial)]
+            if any(x > radius for x in vals):
+                continue
+            nxt = d.targets(state, sym)
+            if nxt:
+                walk(nxt[0], t + 1, vals)
+
+    walk(d.initial, 0, [0] * tracks)
+    return frozenset(out)
 
 
 def load(name):
