@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .grammar import ParseError, declared, read_sections, require, set_once, split_names
+from .search import explore
 
 
 @dataclass(frozen=True)
@@ -37,15 +38,7 @@ class Nfa:
         return self._by_src.get((state, label), [])
 
     def eps_closure(self, states) -> frozenset[str]:
-        seen = set(states)
-        todo = list(states)
-        while todo:
-            s = todo.pop()
-            for t in self.moves(s, None):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
+        return frozenset(explore(states, lambda s: [(t,) for t in self.moves(s, None)])[0])
 
     def accepts(self, word) -> bool:
         cur = self.eps_closure({self.initial})
@@ -128,34 +121,24 @@ def empty_dfa(alphabet, name="empty") -> Dfa:
     )
 
 
-def _subset_name(states: frozenset[str]) -> str:
-    return "{" + "|".join(sorted(states)) + "}"
-
-
 def determinize(nfa: Nfa, alphabet=None, name: Optional[str] = None) -> Dfa:
     """Total deterministic automaton for L(nfa) via the subset construction;
     the empty subset acts as the sink."""
     letters = tuple(alphabet) if alphabet is not None else nfa.alphabet
     start = nfa.eps_closure({nfa.initial})
-    order: list[frozenset[str]] = [start]
-    seen = {start}
-    transitions = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        for sym in letters:
-            nxt = nfa.eps_closure({t for s in cur for t in nfa.moves(s, sym)})
-            transitions.append((_subset_name(cur), sym, _subset_name(nxt)))
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
+
+    def successors(cur):
+        return [(sym, nfa.eps_closure({t for s in cur for t in nfa.moves(s, sym)}))
+                for sym in letters]
+
+    order, edges = explore([start], successors)
+    names = {s: "{" + "|".join(sorted(s)) + "}" for s in order}
     return Dfa(
-        states=tuple(_subset_name(s) for s in order),
+        states=tuple(names.values()),
         alphabet=letters,
-        initial=_subset_name(start),
-        accepting=frozenset(_subset_name(s) for s in order if s & nfa.accepting),
-        transitions=tuple(transitions),
+        initial=names[start],
+        accepting=frozenset(names[s] for s in order if s & nfa.accepting),
+        transitions=tuple((names[a], sym, names[b]) for a, sym, b in edges),
         name=name or f"det({nfa.name})",
     )
 
@@ -169,6 +152,7 @@ def parse_fsa(text: str) -> Nfa:
     name, sections = read_sections(text, "fsa")
     fields: dict = {}
     transitions = []
+    lines = []  # the line of each transition
     for line_no, key, value in sections:
         if key in ("states", "accepting"):
             set_once(fields, key, split_names(value, line_no, key), line_no)
@@ -187,6 +171,7 @@ def parse_fsa(text: str) -> Nfa:
             label = None if sym == "_" else sym
             for dst in split_names(dsts, line_no, "transition target"):
                 transitions.append((src, label, dst))
+                lines.append(line_no)
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
     require(fields, ("states", "alphabet", "initial", "accepting"))
@@ -199,11 +184,11 @@ def parse_fsa(text: str) -> Nfa:
         name=name,
     )
     known = set(nfa.states)
-    for src, label, dst in transitions:
+    for line_no, (src, label, dst) in zip(lines, transitions):
         if src not in known or dst not in known:
-            raise ParseError(f"transition uses unknown state {src!r} or {dst!r}", 1)
+            raise ParseError(f"transition uses unknown state {src!r} or {dst!r}", line_no)
         if label is not None and label not in set(nfa.alphabet):
-            raise ParseError(f"transition symbol {label!r} not in alphabet", 1)
+            raise ParseError(f"transition symbol {label!r} not in alphabet", line_no)
     if nfa.initial not in known:
         raise ParseError(f"initial state {nfa.initial!r} unknown", 1)
     return nfa

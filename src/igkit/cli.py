@@ -54,7 +54,7 @@ from .grammar import (
     validate,
 )
 from .automata import serialize_fsa
-from .search import HARD_CAP, MAX_STEPS, PROVEN, REFUTED, UNKNOWN
+from .search import FOUND, PROVEN, REFUTED, SWEPT, UNKNOWN
 from .semilinear import (
     bounded_lang_subset,
     bounded_word_member,
@@ -124,7 +124,8 @@ def _budget(args) -> Budget:
 
 
 def _stopped_by(stop: str) -> dict:
-    return {"stopped_by": stop} if stop in (MAX_STEPS, HARD_CAP) else {}
+    """The `stopped_by:` line of a search that a cap cut short."""
+    return {"stopped_by": stop} if stop not in (SWEPT, FOUND) else {}
 
 
 def _word(text: str, alphabet) -> tuple[str, ...]:
@@ -430,7 +431,7 @@ def cmd_ncm(args) -> str:
         emit_report({
             "command": "ncm run", "input": digest, "word": args.word,
             "outcome": OUTCOME[v.kind], "configs": v.info["configs"],
-            "status": OUTCOME[v.kind],
+            **_stopped_by(v.info["stop"]), "status": OUTCOME[v.kind],
         })
         return v.kind
     if op == "one-reversal":
@@ -458,7 +459,7 @@ def cmd_ncm(args) -> str:
     emit_report({
         "command": "ncm parikh-intersect", "input": digest, "input.2": digest2,
         "radius": sample.radius, "enum_len": sample.enum_len,
-        "exhausted": str(sample.exhausted).lower(),
+        "exhausted": str(sample.exhausted).lower(), **_stopped_by(sample.stop),
         "vectors": "; ".join(str(v) for v in sample.vectors),
         "status": "ok",
     })

@@ -31,6 +31,7 @@ from .grammar import (
     read_symbols,
     set_once,
 )
+from .search import explore
 
 
 class NotNormalized(GrammarError):
@@ -136,17 +137,10 @@ def _split_rhs(g: IndexedGrammar, rhs: tuple[str, ...]):
 def prune_unreachable(g: IndexedGrammar) -> IndexedGrammar:
     """Drop variables unreachable from the start symbol, their productions,
     and index symbols no production mentions. Language-preserving."""
-    reach = {g.start}
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs_var not in reach:
-                continue
-            for s in p.rhs:
-                if s in g.variable_set and s not in reach:
-                    reach.add(s)
-                    changed = True
+    below: dict = {}  # variable -> the variables on its right sides
+    for p in g.productions:
+        below.setdefault(p.lhs_var, []).extend(s for s in p.rhs if s in g.variable_set)
+    reach = set(explore([g.start], lambda v: [(s,) for s in below.get(v, ())])[0])
     prods = tuple(p for p in g.productions if p.lhs_var in reach)
     used_idx = set()
     for p in prods:
@@ -168,16 +162,23 @@ def prune_nonproductive(g: IndexedGrammar) -> IndexedGrammar:
     productions are treated as always applicable). Successful derivations are
     untouched, so the language, minimal widths and special counts are all
     preserved; dead search branches disappear."""
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs_var in productive:
-                continue
-            if all(s in productive or s not in g.variable_set for s in p.rhs):
-                productive.add(p.lhs_var)
-                changed = True
+    waiting = []  # per production: its right-side variables not yet known productive
+    uses: dict = {}  # variable -> the productions with it on the right side
+    for i, p in enumerate(g.productions):
+        rhs_vars = {s for s in p.rhs if s in g.variable_set}
+        waiting.append(len(rhs_vars))
+        for v in rhs_vars:
+            uses.setdefault(v, []).append(i)
+
+    def successors(v):
+        # explore expands each variable once, so each count drops once per variable
+        for i in uses.get(v, ()):
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                yield (g.productions[i].lhs_var,)
+
+    productive = set(explore([p.lhs_var for p, n in zip(g.productions, waiting) if n == 0],
+                             successors)[0])
     prods = tuple(
         p for p in g.productions
         if p.lhs_var in productive

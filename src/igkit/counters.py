@@ -30,17 +30,19 @@ from .grammar import (
     IndexedGrammar,
     ParseError,
     declared,
+    raise_located,
     read_int,
     read_sections,
     require,
     set_once,
     split_names,
 )
-from .search import EXPAND, GOAL, Verdict, bfs, decide, moves
+from .search import EXPAND, GOAL, Verdict, bfs, decide, explore, moves
 from .semilinear import parikh
 
 ZERO = "z"
 POS = "p"
+COUNTER_CAP = "counter_cap"  # why ncm_run stopped: it swept, but a counter value was capped
 
 
 class NotOneReversal(GrammarError):
@@ -68,7 +70,9 @@ class CounterMachine:
     name: str = field(default="ncm", compare=False)
 
 
-def validate_ncm(m: CounterMachine) -> list[str]:
+def validate_ncm(m: CounterMachine) -> list[tuple[Optional[int], str]]:
+    """Every structural violation, each with the number of its transition,
+    or None when it is a problem of the whole machine."""
     problems = []
     known = set(m.states)
     if m.initial not in known:
@@ -77,21 +81,22 @@ def validate_ncm(m: CounterMachine) -> list[str]:
         problems.append(f"halting state {m.halt!r} unknown")
     if len(m.reversal_bounds) != m.num_counters:
         problems.append("one reversal bound per counter is required")
+    located: list[tuple[Optional[int], str]] = [(None, msg) for msg in problems]
     for i, t in enumerate(m.transitions):
         where = f"transition {i}"
         if t.src not in known or t.dst not in known:
-            problems.append(f"{where}: unknown state")
+            located.append((i, f"{where}: unknown state"))
         if t.letter is not None and t.letter not in set(m.alphabet):
-            problems.append(f"{where}: letter {t.letter!r} not in the alphabet")
+            located.append((i, f"{where}: letter {t.letter!r} not in the alphabet"))
         if len(t.tests) != m.num_counters or len(t.deltas) != m.num_counters:
-            problems.append(f"{where}: tests/deltas arity mismatch")
+            located.append((i, f"{where}: tests/deltas arity mismatch"))
         if any(ts not in (ZERO, POS) for ts in t.tests):
-            problems.append(f"{where}: tests must be z or p")
+            located.append((i, f"{where}: tests must be z or p"))
         if any(d not in (-1, 0, 1) for d in t.deltas):
-            problems.append(f"{where}: deltas must be -1, 0 or +1")
+            located.append((i, f"{where}: deltas must be -1, 0 or +1"))
         if any(ts == ZERO and d == -1 for ts, d in zip(t.tests, t.deltas)):
-            problems.append(f"{where}: decrements a counter tested zero")
-    return problems
+            located.append((i, f"{where}: decrements a counter tested zero"))
+    return located
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +108,8 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
     run trace, one (transition, state, position, counters) per step.
     Counter values are capped at 2|w|+4 by default (a budget, not machine
     semantics): refuted (rejected) only when the capped space was swept
-    without the cap ever biting. `info["configs"]` counts the
-    configurations stored."""
+    without the cap ever biting; when it bit, `info["stop"]` is COUNTER_CAP.
+    `info["configs"]` counts the configurations stored."""
     w = tuple(w)
     for ltr in w:
         if ltr not in set(m.alphabet):
@@ -149,9 +154,12 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
         return GOAL if state == m.halt and pos == len(w) and not any(counters) else EXPAND
 
     s = bfs(start, successors, max_steps, math.inf, visit)
-    return decide(s, not capped, lambda goal: tuple(
+    v = decide(s, not capped, lambda goal: tuple(
         (ti, cfg[0], cfg[1], cfg[2]) for ti, cfg in moves(successors, s.parents, goal)),
         configs=len(s.parents))
+    if s.swept and capped:
+        v.info["stop"] = COUNTER_CAP
+    return v
 
 
 def audit_run(m: CounterMachine, w, trace) -> list[str]:
@@ -221,24 +229,16 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
 
     def counter_options(c: int, test: str, delta: int, phase: int):
         """(sub-tests for this counter's pieces, sub-delta index or None,
-        next phase) alternatives; None when impossible."""
+        next phase) alternatives; empty when impossible."""
         n = pairs[c]
         cur_pair = (phase + 1) // 2
-        out = []
         if test == ZERO:
-            subtests = (ZERO,) * n
-            if delta == 0:
-                out.append((subtests, None, phase))
-            elif delta == 1:
-                p2 = phase if phase % 2 == 1 else phase + 1
-                if p2 <= m.reversal_bounds[c] + 1:
-                    out.append((subtests, ("+", (p2 + 1) // 2 - 1), p2))
-            return out
-        # positive: enumerate sign patterns over the pairs in use
-        for pattern in itertools.product((ZERO, POS), repeat=cur_pair):
-            if POS not in pattern:
-                continue
-            subtests = pattern + (ZERO,) * (n - cur_pair)
+            patterns = [(ZERO,) * n] if delta != -1 else []
+        else:  # positive: the sign patterns over the pairs in use
+            patterns = [p + (ZERO,) * (n - cur_pair)
+                        for p in itertools.product((ZERO, POS), repeat=cur_pair) if POS in p]
+        out = []
+        for subtests in patterns:
             if delta == 0:
                 out.append((subtests, None, phase))
             elif delta == 1:
@@ -246,29 +246,13 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
                 if p2 <= m.reversal_bounds[c] + 1:
                     out.append((subtests, ("+", (p2 + 1) // 2 - 1), p2))
             else:
-                low = pattern.index(POS)
                 p2 = phase if phase % 2 == 0 else phase + 1
                 if p2 <= m.reversal_bounds[c] + 1:
-                    out.append((subtests, ("-", low), p2))
+                    out.append((subtests, ("-", subtests.index(POS)), p2))
         return out
 
-    new_transitions: list[CmTransition] = []
-    new_states: list[str] = []
-    seen_states = set()
-    start_phases = tuple([1] * m.num_counters)
-    todo = [(m.initial, start_phases)]
-    seen = {(m.initial, start_phases)}
-    halt_name = f"{m.halt}#halt"
-    while todo:
-        q, phases = todo.pop()
-        nm = state_name(q, phases)
-        if nm not in seen_states:
-            seen_states.add(nm)
-            new_states.append(nm)
-        if q == m.halt:
-            new_transitions.append(
-                CmTransition(nm, None, (ZERO,) * total, halt_name, (0,) * total)
-            )
+    def successors(node):
+        q, phases = node
         for t in m.transitions:
             if t.src != q:
                 continue
@@ -276,8 +260,6 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
                 counter_options(c, t.tests[c], t.deltas[c], phases[c])
                 for c in range(m.num_counters)
             ]
-            if any(not opts for opts in per_counter):
-                continue
             for combo in itertools.product(*per_counter):
                 subtests: list[str] = []
                 deltas = [0] * total
@@ -288,23 +270,22 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
                     if move is not None:
                         sign, piece = move
                         deltas[offsets[c] + piece] = 1 if sign == "+" else -1
-                key = (t.dst, tuple(new_phases))
-                if key not in seen:
-                    seen.add(key)
-                    todo.append(key)
-                new_transitions.append(
-                    CmTransition(
-                        nm, t.letter, tuple(subtests), state_name(*key), tuple(deltas)
-                    )
-                )
-    new_states.append(halt_name)
+                yield t.letter, tuple(subtests), tuple(deltas), (t.dst, tuple(new_phases))
+
+    start = (m.initial, tuple([1] * m.num_counters))
+    nodes, edges = explore([start], successors)
+    halt_name = f"{m.halt}#halt"
+    transitions = [CmTransition(state_name(*src), letter, tests, state_name(*dst), deltas)
+                   for src, letter, tests, deltas, dst in edges]
+    transitions += [CmTransition(state_name(*n), None, (ZERO,) * total, halt_name, (0,) * total)
+                    for n in nodes if n[0] == m.halt]
     return CounterMachine(
-        states=tuple(new_states),
+        states=tuple(state_name(*n) for n in nodes) + (halt_name,),
         alphabet=m.alphabet,
         num_counters=total,
         reversal_bounds=(1,) * total,
-        transitions=tuple(new_transitions),
-        initial=state_name(m.initial, start_phases),
+        transitions=tuple(transitions),
+        initial=state_name(*start),
         halt=halt_name,
         name=f"1rev({m.name})",
     )
@@ -336,73 +317,50 @@ def expand_to_nfa(m: CounterMachine) -> Nfa:
     def sname(q, modes):
         return f"<{q}|{''.join(modes)}>"
 
-    states: list[str] = []
-    transitions: list[tuple[str, Optional[str], str]] = []
-    accepting: set[str] = set()
-    start_modes = tuple([Z] * k)
-    seen = {(m.initial, start_modes)}
-    todo = [(m.initial, start_modes)]
-    chain_n = itertools.count()
-    while todo:
-        q, modes = todo.pop()
-        nm = sname(q, modes)
-        states.append(nm)
-        if q == m.halt and all(mo in (Z, G) for mo in modes):
-            accepting.add(nm)
+    def successors(node):
+        q, modes = node
         for t in m.transitions:
             if t.src != q:
                 continue
             per_counter = []
-            ok = True
             for c in range(k):
                 mo = modes[c]
                 if (t.tests[c] == ZERO) != (mo in (Z, G)):
-                    ok = False
                     break
                 d = t.deltas[c]
                 if d == 0:
                     per_counter.append(((None, mo),))
                 elif d == 1:
                     if mo not in (Z, I):
-                        ok = False
                         break
                     per_counter.append(((f"p#{c + 1}", I),))
                 else:
                     if mo not in (I, D):
-                        ok = False
                         break
                     per_counter.append(((f"q#{c + 1}", D), (f"q#{c + 1}", G)))
-            if not ok:
-                continue
-            for combo in itertools.product(*per_counter):
-                letters = [] if t.letter is None else [t.letter]
-                new_modes = []
-                for c, (ltr, mo2) in enumerate(combo):
-                    if ltr is not None:
-                        letters.append(ltr)
-                    new_modes.append(mo2)
-                key = (t.dst, tuple(new_modes))
-                if key not in seen:
-                    seen.add(key)
-                    todo.append(key)
-                target = sname(*key)
-                if not letters:
-                    transitions.append((nm, None, target))
-                    continue
-                prev = nm
-                for j, ltr in enumerate(letters):
-                    if j == len(letters) - 1:
-                        transitions.append((prev, ltr, target))
-                    else:
-                        mid = f"<em|{next(chain_n)}>"
-                        states.append(mid)
-                        transitions.append((prev, ltr, mid))
-                        prev = mid
+            else:
+                for combo in itertools.product(*per_counter):
+                    letters = [] if t.letter is None else [t.letter]
+                    letters += [ltr for ltr, _ in combo if ltr is not None]
+                    yield tuple(letters), (t.dst, tuple(mo2 for _, mo2 in combo))
+
+    start = (m.initial, tuple([Z] * k))
+    nodes, edges = explore([start], successors)
+    chain: list[str] = []  # the states inside a transition that reads several letters
+    transitions: list[tuple[str, Optional[str], str]] = []
+    for src, letters, dst in edges:
+        prev = sname(*src)
+        for ltr in letters[:-1]:
+            chain.append(f"<em|{len(chain)}>")
+            transitions.append((prev, ltr, chain[-1]))
+            prev = chain[-1]
+        transitions.append((prev, letters[-1] if letters else None, sname(*dst)))
     return Nfa(
-        states=tuple(dict.fromkeys(states)),
+        states=tuple(sname(*n) for n in nodes) + tuple(chain),
         alphabet=m.alphabet + counter_letters(k),
-        initial=sname(m.initial, start_modes),
-        accepting=frozenset(accepting),
+        initial=sname(*start),
+        accepting=frozenset(sname(q, modes) for q, modes in nodes
+                            if q == m.halt and all(mo in (Z, G) for mo in modes)),
         transitions=tuple(transitions),
         name=f"nfa({m.name})",
     )
@@ -468,6 +426,7 @@ class ParikhSample:
     radius: int
     enum_len: int
     exhausted: bool
+    stop: str  # why the enumeration stopped
 
 
 def parikh_of_intersection(
@@ -514,6 +473,7 @@ def parikh_of_intersection(
         radius=radius,
         enum_len=length,
         exhausted=res.exhausted,
+        stop=res.stop,
     )
 
 
@@ -525,6 +485,7 @@ def parse_ncm(text: str) -> CounterMachine:
     name, sections = read_sections(text, "ncm")
     fields: dict = {}
     transitions: list[CmTransition] = []
+    lines = []  # the line of each transition
     for line_no, key, value in sections:
         if key == "states":
             set_once(fields, key, split_names(value, line_no, key), line_no)
@@ -539,6 +500,7 @@ def parse_ncm(text: str) -> CounterMachine:
             set_once(fields, key, value, line_no)
         elif key == "trans":
             transitions.append(_parse_cm_transition(value, line_no))
+            lines.append(line_no)
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
     require(fields, ("states", "alphabet", "counters", "reversals", "initial", "halt"))
@@ -552,9 +514,7 @@ def parse_ncm(text: str) -> CounterMachine:
         halt=fields["halt"],
         name=name,
     )
-    problems = validate_ncm(m)
-    if problems:
-        raise ParseError("; ".join(problems), 1)
+    raise_located(validate_ncm(m), lines)
     return m
 
 

@@ -140,21 +140,7 @@ class CompiledGrammar:
         self.pool_depth = [0]
         self.intern: dict[tuple[int, int], int] = {}
 
-    # -- encoding ----------------------------------------------------------
-
-    def intern_stack(self, stack: tuple[str, ...]) -> int:
-        sid = 0
-        for sym in reversed(stack):
-            key = (self.idx_id[sym], sid)
-            nxt = self.intern.get(key)
-            if nxt is None:
-                nxt = len(self.pool_top)
-                self.pool_top.append(key[0])
-                self.pool_rest.append(sid)
-                self.pool_depth.append(self.pool_depth[sid] + 1)
-                self.intern[key] = nxt
-            sid = nxt
-        return sid
+    # -- decoding ----------------------------------------------------------
 
     def stack_tuple(self, sid: int) -> tuple[str, ...]:
         out = []
@@ -162,15 +148,6 @@ class CompiledGrammar:
             out.append(self.idx_names[self.pool_top[sid]])
             sid = self.pool_rest[sid]
         return tuple(out)
-
-    def encode_form(self, form: SententialForm) -> tuple[int, ...]:
-        items = []
-        for it in form.items:
-            if isinstance(it, Terminal):
-                items.append(-(self.term_id[it.symbol] + 1))
-            else:
-                items.append(self.intern_stack(it.stack) * self.nv + self.var_id[it.symbol])
-        return tuple(items)
 
     def decode_form(self, enc: tuple[int, ...], depths: int = 0) -> SententialForm:
         """The form of `enc`; `depths` is the one the search expanded it with."""

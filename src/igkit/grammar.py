@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 PLAIN = "plain"
 PUSH = "push"
@@ -251,12 +251,18 @@ def replay(g: IndexedGrammar, d: Derivation) -> SententialForm:
 
 def validate(g: IndexedGrammar) -> list[str]:
     """Return every structural violation (empty list means the grammar is valid)."""
+    return [message for _, message in located_problems(g)]
+
+
+def located_problems(g: IndexedGrammar) -> list[tuple[Optional[int], str]]:
+    """validate's problems, each with the number of its production, or None
+    when it is a problem of the whole grammar."""
     problems = []
     for group, names in (("variable", g.variables), ("terminal", g.terminals), ("index", g.indices)):
         seen = set()
         for n in names:
             err = symbol_name_error(n) if not is_generated_name(n) else None
-            if err and not is_generated_name(n):
+            if err:
                 problems.append(f"{group} {n!r}: {err}")
             if n in seen:
                 problems.append(f"duplicate {group} name {n!r}")
@@ -270,22 +276,31 @@ def validate(g: IndexedGrammar) -> list[str]:
         problems.append(f"alphabets not disjoint: {sorted(ts & is_)} in both terminals and indices")
     if g.start not in vs:
         problems.append(f"start symbol {g.start!r} is not a variable")
+    located: list[tuple[Optional[int], str]] = [(None, msg) for msg in problems]
     for i, p in enumerate(g.productions):
         where = f"production {i}"
         if p.lhs_var not in vs:
-            problems.append(f"{where}: lhs {p.lhs_var!r} is not a variable")
+            located.append((i, f"{where}: lhs {p.lhs_var!r} is not a variable"))
         if p.lhs_index is not None and p.lhs_index not in is_:
-            problems.append(f"{where}: consumed symbol {p.lhs_index!r} is not an index")
+            located.append((i, f"{where}: consumed symbol {p.lhs_index!r} is not an index"))
         if p.push_index is not None:
             if p.push_index not in is_:
-                problems.append(f"{where}: pushed symbol {p.push_index!r} not an index")
+                located.append((i, f"{where}: pushed symbol {p.push_index!r} not an index"))
             if p.rhs and p.rhs[0] not in vs:
-                problems.append(f"{where}: push target {p.rhs[0]!r} is not a variable")
+                located.append((i, f"{where}: push target {p.rhs[0]!r} is not a variable"))
         else:
             for s in p.rhs:
                 if s not in vs and s not in ts:
-                    problems.append(f"{where}: rhs symbol {s!r} is neither variable nor terminal")
-    return problems
+                    located.append((i, f"{where}: rhs symbol {s!r} is neither variable nor terminal"))
+    return located
+
+
+def raise_located(problems: list[tuple[Optional[int], str]], lines: Sequence[int]) -> None:
+    """Raise one ParseError that lists every problem, at the line of the
+    first: `lines[i]` when it is a problem of item i, else line 1."""
+    if problems:
+        i = problems[0][0]
+        raise ParseError("; ".join(msg for _, msg in problems), 1 if i is None else lines[i])
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +464,7 @@ def parse_grammar(text: str) -> IndexedGrammar:
         start=fields["start"],
         name=name,
     )
-    problems = validate(g)
-    if problems:
-        raise ParseError("; ".join(problems), 1)
+    raise_located(located_problems(g), [line_no for line_no, _ in prod_lines])
     return g
 
 

@@ -4,7 +4,9 @@ Enumeration, membership, index measurement, width refutation, parallel
 rewriting, counter-machine runs and automaton emptiness all explore a graph
 level by level from one start node under two caps: `max_steps` levels, and
 `hard_cap` stored nodes. `bfs` runs that search and reports why it stopped;
-`path` and `moves` rebuild the witness for any node it stored.
+`path` and `moves` rebuild the witness for any node it stored. The automata,
+machines and pruned grammars are built from the same search without caps:
+`explore` returns every node reachable from a set of starts and every edge.
 
 Every decision procedure answers with one `Verdict` of three kinds, and
 `decide` turns a finished search into one. A verdict that needs the whole
@@ -14,6 +16,7 @@ SWEPT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Optional
 
@@ -132,6 +135,25 @@ def bfs(
         frontier = nxt
         depth += 1
     return Search(parents, SWEPT)
+
+
+_ROOT = object()  # the private start node behind explore's starts
+
+
+def explore(starts: Iterable[Hashable], successors: Successors) -> tuple[list, list[tuple]]:
+    """Every node reachable from `starts`, in the order `bfs` stores them,
+    and every edge `(node, *move, child)`, one for each successor tuple of
+    each node, grouped by node in the same order."""
+    edges: list[tuple] = []
+
+    def step(node):
+        if node is _ROOT:
+            return [(s,) for s in starts]
+        out = list(successors(node))
+        edges.extend((node, *t) for t in out)
+        return out
+
+    return list(bfs(_ROOT, step, math.inf, math.inf).parents)[1:], edges
 
 
 def path(parents: dict, node: Hashable) -> list:

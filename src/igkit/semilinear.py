@@ -26,7 +26,7 @@ from .grammar import (
     require,
     set_once,
 )
-from .search import PROVEN, REFUTED, UNKNOWN, Verdict
+from .search import PROVEN, REFUTED, UNKNOWN, Verdict, explore
 
 
 @dataclass(frozen=True)
@@ -244,24 +244,19 @@ def members_up_to(s: SemilinearSet, weights, max_weight: int) -> list[tuple[int,
     """Vectors of s whose weighted sum is <= max_weight, generated forward
     from each component's base by period addition; ordered by total sum then
     lexicographically."""
+    def light(v):
+        return sum(x * wt for x, wt in zip(v, weights)) <= max_weight
+
     found = set()
     for comp in s.components:
-        base = comp.base
-        if sum(x * wt for x, wt in zip(base, weights)) > max_weight:
-            continue
-        seen = {base}
-        todo = [base]
-        while todo:
-            v = todo.pop()
-            found.add(v)
+        def successors(v):
             for p in comp.periods:
                 nxt = tuple(a + b for a, b in zip(v, p))
-                if nxt in seen:
-                    continue
-                if sum(x * wt for x, wt in zip(nxt, weights)) > max_weight:
-                    continue
-                seen.add(nxt)
-                todo.append(nxt)
+                if light(nxt):
+                    yield (nxt,)
+
+        if light(comp.base):
+            found.update(explore([comp.base], successors)[0])
     return sorted(found, key=lambda v: (sum(v), v))
 
 
@@ -412,12 +407,12 @@ def parse_slset(text: str):
     clause may be omitted)."""
     name, sections = read_sections(text, "slset")
     fields: dict = {}
-    comps: list[LinearSet] = []
+    comps: list[tuple[int, LinearSet]] = []  # (line, component)
     for line_no, key, value in sections:
         if key == "dim":
             set_once(fields, key, read_int(value, line_no, key), line_no)
         elif key == "shape":
-            set_once(fields, key, _parse_shape_words(value, line_no), line_no)
+            set_once(fields, key, (_parse_shape_words(value, line_no), line_no), line_no)
         elif key == "linear":
             base = None
             periods: list = []
@@ -435,19 +430,19 @@ def parse_slset(text: str):
             if base is None:
                 raise ParseError("linear block needs `base = (…)`", line_no)
             try:
-                comps.append(LinearSet.make(base, periods))
+                comps.append((line_no, LinearSet.make(base, periods)))
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
         else:
             raise ParseError(f"unknown section {key!r}", line_no)
     require(fields, ("dim",))
-    dim, shape = fields["dim"], fields.get("shape")
-    for c in comps:
+    dim, (shape, shape_line) = fields["dim"], fields.get("shape", (None, 1))
+    for line_no, c in comps:
         if c.dim != dim:
-            raise ParseError(f"component dimension {c.dim} != dim {dim}", 1)
+            raise ParseError(f"component dimension {c.dim} != dim {dim}", line_no)
     if shape is not None and shape.k != dim:
-        raise ParseError(f"shape has {shape.k} words but dim is {dim}", 1)
-    return name, shape, SemilinearSet(dim, tuple(comps))
+        raise ParseError(f"shape has {shape.k} words but dim is {dim}", shape_line)
+    return name, shape, SemilinearSet(dim, tuple(c for _, c in comps))
 
 
 def serialize_slset(name: str, shape: Optional[GinsburgShape], s: SemilinearSet) -> str:

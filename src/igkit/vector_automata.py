@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .search import EXPAND, FOUND, GOAL, bfs, moves
+from .search import EXPAND, FOUND, GOAL, bfs, explore, moves
 
 
 class TrackMismatch(Exception):
@@ -50,23 +50,19 @@ def decode(word, tracks: int) -> tuple[int, ...]:
     )
 
 
-def _renumber(tracks, initial_key, accepting_keys, trans, deterministic):
-    order = {initial_key: 0}
-    keys = [initial_key]
-    for (src, _), dsts in trans:
-        for k in (src, *dsts):
-            if k not in order:
-                order[k] = len(keys)
-                keys.append(k)
-    transitions = {}
-    for (src, sym), dsts in trans:
-        transitions[(order[src], sym)] = tuple(order[d] for d in dsts)
+def _renumber(tracks, keys, accepting_keys, edges, deterministic):
+    """The automaton whose state i is `keys[i]` (the initial state first);
+    `edges` are (src, symbol, dst) triples of keys."""
+    number = {k: i for i, k in enumerate(keys)}
+    targets: dict = {}
+    for src, sym, dst in edges:
+        targets.setdefault((number[src], sym), []).append(number[dst])
     return TupleAutomaton(
         tracks=tracks,
         num_states=len(keys),
         initial=0,
-        accepting=frozenset(order[k] for k in accepting_keys if k in order),
-        transitions=transitions,
+        accepting=frozenset(number[k] for k in accepting_keys),
+        transitions={k: tuple(v) for k, v in targets.items()},
         deterministic=deterministic,
     )
 
@@ -83,21 +79,12 @@ def equation_automaton(coefficients, constant: int) -> TupleAutomaton:
     coeffs = tuple(coefficients)
     m = len(coeffs)
     dots = [sum(c for i, c in enumerate(coeffs) if (sym >> i) & 1) for sym in range(1 << m)]
-    trans = []
-    seen = {constant}
-    todo = [constant]
-    while todo:
-        s = todo.pop()
-        for sym in range(1 << m):
-            d = s - dots[sym]
-            if d % 2:
-                continue
-            nxt = d // 2
-            trans.append(((s, sym), (nxt,)))
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return _renumber(m, constant, [0] if 0 in seen else [], trans, deterministic=True)
+
+    def successors(s):
+        return [(sym, (s - dot) // 2) for sym, dot in enumerate(dots) if (s - dot) % 2 == 0]
+
+    keys, edges = explore([constant], successors)
+    return _renumber(m, keys, [0] if 0 in keys else [], edges, deterministic=True)
 
 
 def never(tracks: int) -> TupleAutomaton:
@@ -112,25 +99,15 @@ def product(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
     """Intersection: synchronous product on equal track counts."""
     if a.tracks != b.tracks:
         raise TrackMismatch(f"{a.tracks} vs {b.tracks} tracks")
-    start = (a.initial, b.initial)
-    seen = {start}
-    todo = [start]
-    trans = []
-    while todo:
-        pa, pb = todo.pop()
-        for sym in range(1 << a.tracks):
-            ta = a.targets(pa, sym)
-            tb = b.targets(pb, sym)
-            dsts = tuple((x, y) for x in ta for y in tb)
-            if not dsts:
-                continue
-            trans.append((((pa, pb), sym), dsts))
-            for d in dsts:
-                if d not in seen:
-                    seen.add(d)
-                    todo.append(d)
-    acc = [s for s in seen if s[0] in a.accepting and s[1] in b.accepting]
-    return _renumber(a.tracks, start, acc, trans, a.deterministic and b.deterministic)
+
+    def successors(pair):
+        pa, pb = pair
+        return [(sym, (x, y)) for sym in range(1 << a.tracks)
+                for x in a.targets(pa, sym) for y in b.targets(pb, sym)]
+
+    keys, edges = explore([(a.initial, b.initial)], successors)
+    acc = [s for s in keys if s[0] in a.accepting and s[1] in b.accepting]
+    return _renumber(a.tracks, keys, acc, edges, a.deterministic and b.deterministic)
 
 
 def union(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
@@ -187,14 +164,12 @@ def project_tracks(a: TupleAutomaton, keep) -> TupleAutomaton:
 def saturate(a: TupleAutomaton) -> TupleAutomaton:
     """Also accept in every state from which an all-zero-symbol path reaches
     an accepting state (restores minimal-encoding acceptance)."""
-    acc = set(a.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for (s, sym), dsts in a.transitions.items():
-            if sym == 0 and s not in acc and any(d in acc for d in dsts):
-                acc.add(s)
-                changed = True
+    zero_preds: dict = {}
+    for (s, sym), dsts in a.transitions.items():
+        if sym == 0:
+            for d in dsts:
+                zero_preds.setdefault(d, []).append(s)
+    acc, _ = explore(a.accepting, lambda d: [(s,) for s in zero_preds.get(d, ())])
     return TupleAutomaton(
         tracks=a.tracks,
         num_states=a.num_states,
@@ -207,22 +182,14 @@ def saturate(a: TupleAutomaton) -> TupleAutomaton:
 
 def determinize(a: TupleAutomaton) -> TupleAutomaton:
     """Total deterministic automaton (empty subset = sink)."""
-    start = frozenset({a.initial})
-    seen = {start}
-    order = [start]
-    trans = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        for sym in range(1 << a.tracks):
-            nxt = frozenset(d for s in cur for d in a.targets(s, sym))
-            trans.append(((cur, sym), (nxt,)))
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    acc = [s for s in order if s & a.accepting]
-    return _renumber(a.tracks, start, acc, trans, deterministic=True)
+
+    def successors(cur):
+        return [(sym, frozenset(d for s in cur for d in a.targets(s, sym)))
+                for sym in range(1 << a.tracks)]
+
+    keys, edges = explore([frozenset({a.initial})], successors)
+    return _renumber(a.tracks, keys, [s for s in keys if s & a.accepting], edges,
+                     deterministic=True)
 
 
 def complement(a: TupleAutomaton) -> TupleAutomaton:
@@ -260,15 +227,6 @@ def member(a: TupleAutomaton, v) -> bool:
         cur = {d for s in cur for d in a.targets(s, sym)}
         if not cur:
             return False
-    seen = set(cur)
-    todo = list(cur)
-    while todo:
-        s = todo.pop()
-        if s in a.accepting:
-            return True
-        for d in a.targets(s, 0):
-            if d not in seen:
-                seen.add(d)
-                todo.append(d)
-    return False
+    reach, _ = explore(cur, lambda s: [(d,) for d in a.targets(s, 0)])
+    return not a.accepting.isdisjoint(reach)
 

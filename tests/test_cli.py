@@ -105,8 +105,9 @@ def test_ncm_run_counter_cap(capsys, tmp_path):
     # the default cap (2|w| + 4) is below the 6 silent increments
     code, blocks = run_clean(capsys, "ncm", "run", str(p), "_")
     assert code == 3 and blocks[0]["outcome"] == "unknown"
+    assert blocks[0]["stopped_by"] == "counter_cap"
     code, blocks = run_clean(capsys, "ncm", "run", str(p), "_", "--counter-cap", "6")
-    assert code == 0 and blocks[0]["outcome"] == "accepted"
+    assert code == 0 and blocks[0]["outcome"] == "accepted" and "stopped_by" not in blocks[0]
 
 
 def test_min_index_report(capsys):
@@ -314,6 +315,13 @@ def test_ncm_commands(tmp_path, capsys):
     )
     assert code == 0
     assert blocks[0]["vectors"] == "(0, 0); (1, 1); (2, 2)"
+    assert blocks[0]["exhausted"] == "true" and "stopped_by" not in blocks[0]
+    code, blocks = run_clean(
+        capsys, "ncm", "parikh-intersect", "fixture:anbn.ncm", "fixture:sigmastar_ab.ig",
+        "--radius", "4", "--max-width", "6", "--max-steps", "5",
+    )
+    assert code == 0 and blocks[0]["vectors"] == "(0, 0)"
+    assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
 
 
 def test_error_exit_code(capsys):

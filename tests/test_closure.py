@@ -5,13 +5,18 @@ language and the ε-language) by comparing output enumerations against the
 corresponding set operation applied to input enumerations.
 """
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+
+import igkit
 from igkit.automata import Dfa, Nfa, empty_dfa, universal_dfa
 from igkit.closure import (
     Morphism,
     NivatTransducer,
     NotNormalized,
+    clean,
     intersect_dfa,
     inverse_morphism,
     inverse_projection,
@@ -19,12 +24,21 @@ from igkit.closure import (
     morphism_image,
     nivat_transduce,
     normalize_rhs,
+    prune_nonproductive,
     prune_unreachable,
     union,
 )
 from igkit.grammar import Production, make_grammar, parse_grammar, validate
 
-from util import enum_set, interleavings, load, words_upto
+from util import (
+    enum_set,
+    grammars,
+    interleavings,
+    load,
+    oracle_prune_nonproductive,
+    oracle_prune_unreachable,
+    words_upto,
+)
 
 TWIN = dict(stack=3, steps=200)
 
@@ -465,6 +479,27 @@ def test_prune_unreachable_drops_dead_variables():
     assert out.variables == ("S",)
     assert out.indices == ()
     assert enum_set(out, 3) == enum_set(g, 3)
+
+
+IG_FIXTURES = sorted(p.name for p in (Path(igkit.__file__).parent / "fixtures").glob("*.ig"))
+PRUNES = [
+    (prune_unreachable, oracle_prune_unreachable),
+    (prune_nonproductive, oracle_prune_nonproductive),
+    (clean, lambda g: oracle_prune_unreachable(oracle_prune_nonproductive(g))),
+]
+
+
+@pytest.mark.parametrize("name", IG_FIXTURES)
+def test_pruning_matches_the_fixpoints_on_fixtures(name):
+    g = load(name)
+    for prune, oracle in PRUNES:
+        assert prune(g) == oracle(g)
+
+
+@given(grammars())
+def test_pruning_matches_the_fixpoints_on_random_grammars(g):
+    for prune, oracle in PRUNES:
+        assert prune(g) == oracle(g)
 
 
 def test_constructions_compose():

@@ -129,6 +129,22 @@ def test_expansion_conditions_exhaustively(name, max_len):
         assert got == expected, w
 
 
+# (states, transitions) of to_one_reversal, then of expand_to_nfa on its result
+@pytest.mark.parametrize("name,collapsed,expanded", [
+    ("anbn.ncm", (3, 6), (12, 14)),
+    ("anbncn.ncm", (4, 8), (20, 24)),
+    ("updown.ncm", (8, 20), (25, 30)),
+    ("freeall.ncm", (2, 3), (2, 3)),
+    ("none.ncm", (2, 0), (1, 0)),
+])
+def test_construction_sizes_pinned(name, collapsed, expanded):
+    m1 = to_one_reversal(m_fix(name))
+    nfa = expand_to_nfa(m1)
+    assert (len(m1.states), len(m1.transitions)) == collapsed
+    assert (len(nfa.states), len(nfa.transitions)) == expanded
+    assert len(set(nfa.states)) == len(nfa.states)
+
+
 def test_expansion_of_trivial_machine():
     m = parse_ncm(
         "ncm eps\nstates: s0, f\nalphabet: a\ncounters: 0\nreversals:\n"

@@ -61,13 +61,21 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
      "`[+f]` marks a push and belongs on the rhs"),
     ("grammar", "grammar g\nvariables: S\n", 1, "missing `terminals:` line"),
     ("grammar", f"grammar g\n{G}prod: S -> _ [+f]\n", 6, "push production must be `A -> B [+f]`"),
-    ("grammar", f"grammar g\n{G}prod: S -> T\n", 1,
+    ("grammar", f"grammar g\n{G}prod: S -> T\n", 6,
+     "production 0: rhs symbol 'T' is neither variable nor terminal"),
+    ("grammar", f"grammar g\n{G}prod: S -> a\nprod: S [e] -> a\n", 7,
+     "production 1: consumed symbol 'e' is not an index"),
+    # a problem of the whole file is reported at line 1, before any of a line
+    ("grammar", "grammar g\nvariables: S\nterminals: a\nindices:\nstart: T\nprod: S -> T\n", 1,
+     "start symbol 'T' is not a variable; "
      "production 0: rhs symbol 'T' is neither variable nor terminal"),
     ("fsa", f"fsa d\n{FSA}trans: q a p\n", 6, "transition needs `->`"),
     ("fsa", f"fsa d\n{FSA}trans: q -> p\n", 6, "transition lhs must be `state symbol`"),
     ("fsa", "fsa d\nstates: q\nstates: q\n", 3, "duplicate `states:` line"),
     ("fsa", "fsa d\nstates: q\ninitial: q\n", 1, "missing `alphabet:` line"),
-    ("fsa", f"fsa d\n{FSA}trans: q b -> p\n", 1, "transition symbol 'b' not in alphabet"),
+    ("fsa", f"fsa d\n{FSA}trans: q b -> p\n", 6, "transition symbol 'b' not in alphabet"),
+    ("fsa", f"fsa d\n{FSA}trans: q a -> p\ntrans: p a -> q, r\n", 7,
+     "transition uses unknown state 'p' or 'r'"),
     ("fsa", "fsa d\nstates: q,,p\n", 2, "empty name in states list"),
     ("fsa", f"fsa d\n{FSA}trans: q a -> p, , q\n", 6, "empty name in transition target list"),
     ("morphism", "morphism h\nmap: a -> x\nmap: a -> y\n", 3, "duplicate map for 'a'"),
@@ -81,7 +89,8 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("slset", "slset s\ndim: 1\nlinear: periods = (1)\n", 3, "linear block needs `base = (…)`"),
     ("slset", "slset s\ndim: 1\nlinear: base = (x)\n", 3, "bad vector '(x)'"),
     ("slset", "slset s\nlinear: base = (1)\n", 1, "missing `dim:` line"),
-    ("slset", "slset s\ndim: 2\nlinear: base = (1)\n", 1, "component dimension 1 != dim 2"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (1)\n", 3, "component dimension 1 != dim 2"),
+    ("slset", "slset s\nshape: a, b\ndim: 1\n", 2, "shape has 2 words but dim is 1"),
     ("slset", "slset s\ndim: 1\nshape: a, , b\n", 3, "empty shape word"),
     ("slset", "slset s\ndim: x\n", 2, "expected an integer in `dim:`, got 'x'"),
     ("slset", "slset s\ndim: 1\ndim: 1\n", 3, "duplicate `dim:` line"),
@@ -110,6 +119,10 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("ncm", "ncm m\nstates: s,,f\n", 2, "empty name in states list"),
     ("ncm", f"ncm m\n{NCM}trans: s, , a, tests(z) -> f, deltas(+)\n", 8,
      "empty name in transition list"),
+    ("ncm", f"ncm m\n{NCM}trans: s, a, tests(z) -> f, deltas(+)\ntrans: f, b, tests(p) -> f, deltas(-)\n",
+     9, "transition 1: letter 'b' not in the alphabet"),
+    ("ncm", "ncm m\nstates: s\nalphabet: a\ncounters: 1\nreversals: 1\ninitial: s\nhalt: f\n", 1,
+     "halting state 'f' unknown"),
     # `_` is the empty word on a right side and a silent move in a transition,
     # so it cannot be declared as a symbol
     ("grammar", "grammar g\nvariables: S, _\n", 2, "`_` cannot be declared in `variables:`"),

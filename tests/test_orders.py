@@ -40,34 +40,14 @@ from igkit.grammar import Production, make_grammar, parse_grammar, replay
 from igkit.search import HARD_CAP, MAX_STEPS, REFUTED, UNKNOWN
 
 from util import (
+    TERMS,
+    grammars,
     oracle_check_uncontrolled,
     oracle_enumerate,
     oracle_membership,
     oracle_min_index,
     oracle_special_count_min,
 )
-
-TERMS = ("a", "b")
-
-
-@st.composite
-def grammars(draw):
-    """At most 4 variables and 2 indices; plain, push and consume productions."""
-    vs = ("S", "A", "B", "C")[: draw(st.integers(1, 4))]
-    idx = ("e", "f")[: draw(st.integers(0, 2))]
-    prods = []
-    for _ in range(draw(st.integers(1, 7))):
-        lhs = draw(st.sampled_from(vs))
-        kind = draw(st.sampled_from(("plain", "push", "consume") if idx else ("plain",)))
-        if kind == "push":
-            prods.append(Production(lhs, (draw(st.sampled_from(vs)),),
-                                    push_index=draw(st.sampled_from(idx))))
-            continue
-        rhs = tuple(draw(st.lists(st.sampled_from(vs + TERMS), max_size=3)))
-        consumed = draw(st.sampled_from(idx)) if kind == "consume" else None
-        prods.append(Production(lhs, rhs, lhs_index=consumed))
-    return make_grammar("rnd", vs, TERMS, idx, prods, "S")
-
 
 def budget_strategy(widths, hard_cap=5000):
     return st.builds(

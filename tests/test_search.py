@@ -31,6 +31,7 @@ from igkit.search import (
     MAX_STEPS,
     SWEPT,
     bfs,
+    explore,
     moves,
     path,
 )
@@ -84,6 +85,17 @@ def test_bfs_hard_cap_counts_stored_nodes():
         s = bfs(1, doubling, math.inf, cap)
         assert s.stop == HARD_CAP and len(s.parents) == cap
     assert bfs(1, doubling, math.inf, 19).swept
+
+
+def test_explore_stores_in_bfs_order_and_lists_every_edge():
+    nodes, edges = explore([5, 1, 5], doubling)
+    # the starts first, then level by level
+    assert nodes == [5, 1, 6, 10, 2, 7, 12, 11, 3, 4, 8, 14, 13, 9, 16, 15, 18, 17, 19]
+    assert edges == [(n, *step) for n in nodes for step in doubling(n)]
+    assert explore([1], doubling)[0] == list(bfs(1, doubling, math.inf, math.inf).parents)
+    # a repeated successor tuple is a repeated edge
+    assert explore([1], lambda n: [("x", 2)] * 2 if n == 1 else []) == ([1, 2], [(1, "x", 2)] * 2)
+    assert explore([], doubling) == ([], [])
 
 
 # -- minimums stay sound under the hard cap -----------------------------------------------

@@ -1,11 +1,14 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
-brute-force oracles for the closure constructions, the all-orders search
-that the leftmost and subtree orders of the engine are checked against, the
-form search that the width table of check_uncontrolled is checked against,
-and the grid of a tuple automaton."""
+random grammars for Hypothesis, brute-force oracles for the closure
+constructions, the all-orders search that the leftmost and subtree orders of
+the engine are checked against, the form search that the width table of
+check_uncontrolled is checked against, the fixpoints that the pruning of
+closure.py is checked against, and the grid of a tuple automaton."""
 
 from dataclasses import replace
 from itertools import product
+
+from hypothesis import strategies as st
 
 from igkit import fixture_text
 from igkit.engine import (
@@ -17,7 +20,7 @@ from igkit.engine import (
     _is_terminal_enc,
     enumerate_language,
 )
-from igkit.grammar import SPECIAL, parse_grammar
+from igkit.grammar import SPECIAL, Production, make_grammar, parse_grammar
 from igkit.search import (
     EXPAND,
     FOUND,
@@ -46,6 +49,28 @@ SILENT_SIX = (
 
 # A width cap that cannot bind: with it, CompiledGrammar.expand tries every order.
 ALL_ORDERS = 10**9
+
+
+TERMS = ("a", "b")  # the terminals of the random grammars
+
+
+@st.composite
+def grammars(draw):
+    """At most 4 variables and 2 indices; plain, push and consume productions."""
+    vs = ("S", "A", "B", "C")[: draw(st.integers(1, 4))]
+    idx = ("e", "f")[: draw(st.integers(0, 2))]
+    prods = []
+    for _ in range(draw(st.integers(1, 7))):
+        lhs = draw(st.sampled_from(vs))
+        kind = draw(st.sampled_from(("plain", "push", "consume") if idx else ("plain",)))
+        if kind == "push":
+            prods.append(Production(lhs, (draw(st.sampled_from(vs)),),
+                                    push_index=draw(st.sampled_from(idx))))
+            continue
+        rhs = tuple(draw(st.lists(st.sampled_from(vs + TERMS), max_size=3)))
+        consumed = draw(st.sampled_from(idx)) if kind == "consume" else None
+        prods.append(Production(lhs, rhs, lhs_index=consumed))
+    return make_grammar("rnd", vs, TERMS, idx, prods, "S")
 
 
 def _all_orders(g, budget):
@@ -175,6 +200,55 @@ def oracle_check_uncontrolled(g, k, budget):
     if s.stop == FOUND:
         return Verdict(REFUTED, None, info)
     return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+
+
+def oracle_prune_unreachable(g):
+    """closure.prune_unreachable as a fixpoint over all productions."""
+    reach = {g.start}
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            if p.lhs_var not in reach:
+                continue
+            for s in p.rhs:
+                if s in g.variable_set and s not in reach:
+                    reach.add(s)
+                    changed = True
+    prods = tuple(p for p in g.productions if p.lhs_var in reach)
+    used_idx = set()
+    for p in prods:
+        if p.lhs_index is not None:
+            used_idx.add(p.lhs_index)
+        if p.push_index is not None:
+            used_idx.add(p.push_index)
+    return replace(
+        g,
+        variables=tuple(v for v in g.variables if v in reach),
+        indices=tuple(i for i in g.indices if i in used_idx),
+        productions=prods,
+    )
+
+
+def oracle_prune_nonproductive(g):
+    """closure.prune_nonproductive as a fixpoint over all productions."""
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            if p.lhs_var in productive:
+                continue
+            if all(s in productive or s not in g.variable_set for s in p.rhs):
+                productive.add(p.lhs_var)
+                changed = True
+    prods = tuple(
+        p for p in g.productions
+        if p.lhs_var in productive
+        and all(s not in g.variable_set or s in productive for s in p.rhs)
+    )
+    keep = productive | {g.start}
+    return replace(g, variables=tuple(v for v in g.variables if v in keep), productions=prods)
 
 
 def grid_members(a, radius):
