@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .grammar import ParseError, declared, read_sections, require, set_once, split_names
-from .search import explore
+from .search import explore, reach
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,7 @@ class Nfa:
         return self._by_src.get((state, label), [])
 
     def eps_closure(self, states) -> frozenset[str]:
-        return frozenset(explore(states, lambda s: [(t,) for t in self.moves(s, None)])[0])
-
-    def accepts(self, word) -> bool:
-        cur = self.eps_closure({self.initial})
-        for sym in word:
-            cur = self.eps_closure({t for s in cur for t in self.moves(s, sym)})
-            if not cur:
-                return False
-        return bool(cur & self.accepting)
+        return frozenset(reach(states, lambda s: [(t,) for t in self.moves(s, None)]))
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ def empty_dfa(alphabet, name="empty") -> Dfa:
     )
 
 
-def determinize(nfa: Nfa, alphabet=None, name: Optional[str] = None) -> Dfa:
+def determinize(nfa: Nfa, alphabet=None) -> Dfa:
     """Total deterministic automaton for L(nfa) via the subset construction;
     the empty subset acts as the sink."""
     letters = tuple(alphabet) if alphabet is not None else nfa.alphabet
@@ -139,7 +131,7 @@ def determinize(nfa: Nfa, alphabet=None, name: Optional[str] = None) -> Dfa:
         initial=names[start],
         accepting=frozenset(names[s] for s in order if s & nfa.accepting),
         transitions=tuple((names[a], sym, names[b]) for a, sym, b in edges),
-        name=name or f"det({nfa.name})",
+        name=f"det({nfa.name})",
     )
 
 

@@ -4,8 +4,9 @@ Every command prints a machine-readable report: `key: value` lines, blocks
 separated by `---`. Every command handler returns the kind of its answer,
 and `main` turns it into the exit status through EXIT: 0 for proven (or
 success), 1 for refuted (or violations), 3 for unknown, limited by the
-budget; 2 is an input error. Paths starting with `fixture:` resolve to the
-bundled fixture files.
+budget; 2 is an input error: an unreadable file or argument, or a file that
+does not parse (`validate` reports every problem this way). Paths starting
+with `fixture:` resolve to the bundled fixture files.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .grammar import (
     derivation_to_trace,
     parse_grammar,
     serialize_grammar,
-    validate,
 )
 from .automata import serialize_fsa
 from .search import FOUND, PROVEN, REFUTED, SWEPT, UNKNOWN
@@ -116,9 +116,8 @@ def parse_report(text: str) -> list[dict]:
 def _budget(args) -> Budget:
     return Budget(
         max_steps=args.max_steps,
-        max_width=args.max_width,
-        max_stack=args.max_stack,
-        max_yield=args.max_yield,
+        max_width=getattr(args, "max_width", None),
+        max_stack=getattr(args, "max_stack", None),
         hard_cap=args.hard_cap,
     )
 
@@ -157,16 +156,9 @@ def _write_grammar(g, out: str) -> None:
 
 def cmd_validate(args) -> str:
     text, digest = _read(args.grammar)
-    g = parse_grammar(text)
-    problems = validate(g)
-    emit_report({
-        "command": "validate",
-        "input": digest,
-        "violations": len(problems),
-        **{f"violation.{i}": p for i, p in enumerate(problems)},
-        "status": "ok" if not problems else "invalid",
-    })
-    return REFUTED if problems else PROVEN
+    parse_grammar(text)  # raises a ParseError listing every problem `validate` finds
+    emit_report({"command": "validate", "input": digest, "violations": 0, "status": "ok"})
+    return PROVEN
 
 
 def cmd_enumerate(args) -> str:
@@ -599,16 +591,27 @@ def cmd_replicate(args) -> str:
 # argument wiring
 
 
-def _add_budget_flags(p, steps=400):
+class UsageError(ValueError):
+    """A command line that does not parse: `main` reports it as an input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # the subparsers are built from the same class, so their errors end here too
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _add_budget_flags(p, *caps, steps=400):
+    """--max-steps, a --max-<cap> flag for each cap the command honors
+    (`width`, `stack`), and --hard-cap."""
     p.add_argument("--max-steps", type=int, default=steps)
-    p.add_argument("--max-width", type=int, default=None)
-    p.add_argument("--max-stack", type=int, default=None)
-    p.add_argument("--max-yield", type=int, default=None)
+    for cap in caps:
+        p.add_argument(f"--max-{cap}", type=int, default=None)
     p.add_argument("--hard-cap", type=int, default=1_000_000)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="igkit",
         description="workbench for grammars whose variables carry index stacks",
     )
@@ -621,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list generated words up to a length")
     p.add_argument("grammar")
     p.add_argument("--max-len", type=int, required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, "width", "stack")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("member", help="search for a derivation of a word")
@@ -629,20 +632,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--exhaustive", action="store_true",
                    help="caller asserts the width/stack caps cover every derivation")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "width", "stack")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("min-index", help="smallest derivation width for a word")
     p.add_argument("grammar")
     p.add_argument("word")
     p.add_argument("--exhaustive", action="store_true")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "width", "stack")
     p.set_defaults(func=cmd_min_index)
 
     p = sub.add_parser("check-uncontrolled", help="look for wide successful derivations")
     p.add_argument("grammar")
     p.add_argument("--k", type=int, required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, "stack")
     p.set_defaults(func=cmd_check_uncontrolled)
 
     p = sub.add_parser("transform", help="grammar-to-grammar constructions")
@@ -706,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep = esub.add_parser("enumerate")
     ep.add_argument("system")
     ep.add_argument("--max-len", type=int, required=True)
-    _add_budget_flags(ep, steps=30)
+    _add_budget_flags(ep, "width", steps=30)
     ep.set_defaults(func=cmd_etol)
     ep = esub.add_parser("check-anf")
     ep.add_argument("system")
@@ -736,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     np_.add_argument("grammar")
     np_.add_argument("--radius", type=int, required=True)
     np_.add_argument("--enum-len", type=int, default=None)
-    _add_budget_flags(np_, steps=600)
+    _add_budget_flags(np_, "width", "stack", steps=600)
     np_.set_defaults(func=cmd_ncm)
 
     p = sub.add_parser("replicate-paper", help="run the bundled fixture suite")
@@ -745,12 +748,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(argv)
         return EXIT[args.func(args)]
-    except (GrammarError, FileNotFoundError, ValueError) as exc:
+    except (GrammarError, OSError, ValueError) as exc:
         emit_report({
-            "command": args.command,
+            "command": argv[0] if argv else "igkit",
             "error": f"{type(exc).__name__}: {exc}",
             "status": "error",
         })

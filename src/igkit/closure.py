@@ -31,7 +31,7 @@ from .grammar import (
     read_symbols,
     set_once,
 )
-from .search import explore
+from .search import reach
 
 
 class NotNormalized(GrammarError):
@@ -140,8 +140,8 @@ def prune_unreachable(g: IndexedGrammar) -> IndexedGrammar:
     below: dict = {}  # variable -> the variables on its right sides
     for p in g.productions:
         below.setdefault(p.lhs_var, []).extend(s for s in p.rhs if s in g.variable_set)
-    reach = set(explore([g.start], lambda v: [(s,) for s in below.get(v, ())])[0])
-    prods = tuple(p for p in g.productions if p.lhs_var in reach)
+    reached = set(reach([g.start], lambda v: [(s,) for s in below.get(v, ())]))
+    prods = tuple(p for p in g.productions if p.lhs_var in reached)
     used_idx = set()
     for p in prods:
         if p.lhs_index is not None:
@@ -150,7 +150,7 @@ def prune_unreachable(g: IndexedGrammar) -> IndexedGrammar:
             used_idx.add(p.push_index)
     return replace(
         g,
-        variables=tuple(v for v in g.variables if v in reach),
+        variables=tuple(v for v in g.variables if v in reached),
         indices=tuple(i for i in g.indices if i in used_idx),
         productions=prods,
     )
@@ -171,14 +171,14 @@ def prune_nonproductive(g: IndexedGrammar) -> IndexedGrammar:
             uses.setdefault(v, []).append(i)
 
     def successors(v):
-        # explore expands each variable once, so each count drops once per variable
+        # reach expands each variable once, so each count drops once per variable
         for i in uses.get(v, ()):
             waiting[i] -= 1
             if waiting[i] == 0:
                 yield (g.productions[i].lhs_var,)
 
-    productive = set(explore([p.lhs_var for p, n in zip(g.productions, waiting) if n == 0],
-                             successors)[0])
+    productive = set(reach([p.lhs_var for p, n in zip(g.productions, waiting) if n == 0],
+                           successors))
     prods = tuple(
         p for p in g.productions
         if p.lhs_var in productive

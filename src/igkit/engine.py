@@ -58,26 +58,25 @@ Word = tuple[str, ...]
 @dataclass(frozen=True)
 class Budget:
     """Search bounds. max_steps (derivation length) is always required so the
-    explored space is finite; the width, stack and yield caps default to
-    unbounded. hard_cap bounds the forms a search stores (under a width cap,
-    the (form, depth) states of the subtree order): a search it stops is
-    reported like one the step cap stops, never as a refutation."""
+    explored space is finite; the width and stack caps default to unbounded.
+    hard_cap bounds the forms a search stores (under a width cap, the (form,
+    depth) states of the subtree order): a search it stops is reported like
+    one the step cap stops, never as a refutation."""
 
     max_steps: int
     max_width: Optional[int] = None
     max_stack: Optional[int] = None
-    max_yield: Optional[int] = None
     hard_cap: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("max_steps", "max_width", "max_stack", "max_yield", "hard_cap"):
+        for name in ("max_steps", "max_width", "max_stack", "hard_cap"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def active_caps(self) -> tuple[str, ...]:
         out = ["max_steps"]
-        for name in ("max_width", "max_stack", "max_yield"):
+        for name in ("max_width", "max_stack"):
             if getattr(self, name) is not None:
                 out.append(name)
         return tuple(out)
@@ -170,10 +169,10 @@ class CompiledGrammar:
     def start(self) -> tuple[int, ...]:
         return (self.var_id[self.g.start],)
 
-    def expand(self, form, budget: Budget, *, max_terms: int = -1, subtrees: bool = False):
+    def expand(self, form, budget: Budget, max_terms: int = -1):
         """Successors of `form` under the budget's caps: without a width cap,
-        those of its leftmost variable only; with one, those of every
-        variable, or with `subtrees` those of the deepest sibling group only.
+        those of its leftmost variable only; with one, those of the deepest
+        sibling group only.
 
         Every derivation reorders into a leftmost one with the same length,
         stacks and terminals; the terminal count never falls, so max_terms
@@ -181,20 +180,18 @@ class CompiledGrammar:
         a derivation of the target. Only widths depend on the order, and
         leftmost order loses words under a width cap. A derivation tree's
         minimum width is reached by an order that finishes each child subtree
-        before it starts the next (Sethi & Ullman 1970): `subtrees` keeps
-        exactly those orders, so a search bounded by the minimum width of a
-        tree keeps its words, proofs and minimums (like the leftmost search,
-        it can need more levels to sweep). Forms then carry
+        before it starts the next (Sethi & Ullman 1970): the subtree order
+        keeps exactly those orders, so a search bounded by the minimum width
+        of a tree keeps its words, proofs and minimums (like the leftmost
+        search, it can need more levels to sweep). Forms then carry
         `_subtree_depths(budget)` depth values (decode them with that count),
-        and the hard cap counts (form, depth) states. max_width=10**9 gives
-        the search over every order."""
+        and the hard cap counts (form, depth) states. kernel.expand with a
+        width cap and no depths gives the search over every order."""
         return kernel.expand(
-            form, self.by_var, self.prods, self.nv,
-            self.pool_top, self.pool_rest, self.pool_depth, self.intern,
+            self, form,
             -1 if budget.max_width is None else budget.max_width,
             -1 if budget.max_stack is None else budget.max_stack,
-            max_terms, 1 if budget.max_width is None else 0,
-            _subtree_depths(budget) if subtrees else 0,
+            max_terms, _subtree_depths(budget),
         )
 
 
@@ -233,7 +230,6 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
     length-lexicographic order. `exhausted` is True when the budgeted space
     was swept completely, making the list exact under the active caps."""
     c = CompiledGrammar(g)
-    max_terms = max_len if budget.max_yield is None else min(max_len, budget.max_yield)
     words: list[tuple[int, ...]] = []
 
     def visit(form):
@@ -242,10 +238,10 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
             return LEAF
         return EXPAND
 
-    s = bfs(c.start(), lambda f: c.expand(f, budget, max_terms=max_terms, subtrees=True),
-            budget.max_steps, budget.hard_cap, visit)
+    s = bfs(c.start(), lambda f: c.expand(f, budget, max_len), budget.max_steps,
+            budget.hard_cap, visit)
     decoded = sorted(
-        (tuple(c.term_names[-x - 1] for x in w) for w in words if len(w) <= max_len),
+        (tuple(c.term_names[-x - 1] for x in w) for w in words),
         key=lambda w: (len(w), w),
     )
     return EnumerationResult(
@@ -312,7 +308,7 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
     target = c.encode_word(w)
 
     def successors(form):
-        return c.expand(form, budget, max_terms=len(target), subtrees=True)
+        return c.expand(form, budget, len(target))
 
     def visit(form):
         if _is_terminal_enc(form):
@@ -362,8 +358,7 @@ def special_count_min(g: IndexedGrammar, w: Word, budget: Budget,
     def step(state):
         form, nspec = state
         return [(pos, pid, (f2, nspec + (pid in specials)))
-                for pos, pid, f2 in c.expand(form, budget, max_terms=len(target),
-                                             subtrees=True)]
+                for pos, pid, f2 in c.expand(form, budget, len(target))]
 
     def successors(state):
         return (t for t in step(state) if best is None or t[2][1] < best)

@@ -11,21 +11,22 @@ its sibling group: (stack_id * depths + depth) * nv + var_id.
 IMPLEMENTATION = "pure"
 
 
-def expand(form, by_var, prods, nv,
-           pool_top, pool_rest, pool_depth, intern,
-           max_width, max_stack, max_terms, leftmost, depths):
-    """All one-step successors of an encoded form, position-major.
+def expand(c, form, max_width, max_stack, max_terms, depths):
+    """All one-step successors of an encoded form, position-major, under the
+    tables and the stack pool of the CompiledGrammar `c`.
 
-    prods[pid] = (kind, lhs_index_id, rhs, push_var, push_index, rhs_nvars,
+    c.prods[pid] = (kind, lhs_index_id, rhs, push_var, push_index, rhs_nvars,
     rhs_nterms) with kind 0=plain, 1=push, 2=consume; rhs items use the same
     encoding as forms except that variable entries hold the bare var id.
-    Caps are -1 when absent; successors violating a cap are dropped.
-    `leftmost` returns the successors of the first variable occurrence only.
-    `depths` > 0 gives subtree order: only the variables of the deepest
-    sibling group are rewritten, and the children of a rewrite form a new
-    group one deeper, or take the rewritten variable's depth when it was the
-    last of its group. Depths stay below `depths`.
+    Caps are -1 when absent; successors violating a cap are dropped. Without
+    a width cap only the first variable occurrence is rewritten (leftmost
+    order). `depths` > 0 gives subtree order: only the variables of the
+    deepest sibling group are rewritten, and the children of a rewrite form a
+    new group one deeper, or take the rewritten variable's depth when it was
+    the last of its group. Depths stay below `depths`.
     """
+    by_var, prods, nv = c.by_var, c.prods, c.nv
+    pool_top, pool_rest, pool_depth, intern = c.pool_top, c.pool_rest, c.pool_depth, c.intern
     nd = depths or 1
     width = 0
     top = ntop = 0  # the deepest group's depth and size
@@ -78,8 +79,8 @@ def expand(form, by_var, prods, nv,
             if max_terms >= 0 and nterms + rhs_nterms > max_terms:
                 continue
             base = (s2 * nd + child) * nv
-            mid = tuple(c if c < 0 else base + c for c in rhs)
+            mid = tuple(x if x < 0 else base + x for x in rhs)
             out.append((i, pid, head + mid + tail))
-        if leftmost:
+        if max_width < 0:
             break
     return out

@@ -6,7 +6,8 @@ level by level from one start node under two caps: `max_steps` levels, and
 `hard_cap` stored nodes. `bfs` runs that search and reports why it stopped;
 `path` and `moves` rebuild the witness for any node it stored. The automata,
 machines and pruned grammars are built from the same search without caps:
-`explore` returns every node reachable from a set of starts and every edge.
+`reach` returns every node reachable from a set of starts, and `explore`
+also every edge.
 
 Every decision procedure answers with one `Verdict` of three kinds, and
 `decide` turns a finished search into one. A verdict that needs the whole
@@ -137,23 +138,29 @@ def bfs(
     return Search(parents, SWEPT)
 
 
-_ROOT = object()  # the private start node behind explore's starts
+_ROOT = object()  # the private start node behind reach's starts
+
+
+def reach(starts: Iterable[Hashable], successors: Successors) -> list:
+    """Every node reachable from `starts`, in the order `bfs` stores them."""
+
+    def step(node):
+        return [(s,) for s in starts] if node is _ROOT else successors(node)
+
+    return list(bfs(_ROOT, step, math.inf, math.inf).parents)[1:]
 
 
 def explore(starts: Iterable[Hashable], successors: Successors) -> tuple[list, list[tuple]]:
-    """Every node reachable from `starts`, in the order `bfs` stores them,
-    and every edge `(node, *move, child)`, one for each successor tuple of
-    each node, grouped by node in the same order."""
+    """`reach`, and every edge `(node, *move, child)`, one for each successor
+    tuple of each node, grouped by node in the order of the nodes."""
     edges: list[tuple] = []
 
     def step(node):
-        if node is _ROOT:
-            return [(s,) for s in starts]
         out = list(successors(node))
         edges.extend((node, *t) for t in out)
         return out
 
-    return list(bfs(_ROOT, step, math.inf, math.inf).parents)[1:], edges
+    return reach(starts, step), edges
 
 
 def path(parents: dict, node: Hashable) -> list:

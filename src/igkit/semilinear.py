@@ -26,7 +26,7 @@ from .grammar import (
     require,
     set_once,
 )
-from .search import PROVEN, REFUTED, UNKNOWN, Verdict, explore
+from .search import PROVEN, REFUTED, UNKNOWN, Verdict, reach
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def members_up_to(s: SemilinearSet, weights, max_weight: int) -> list[tuple[int,
                     yield (nxt,)
 
         if light(comp.base):
-            found.update(explore([comp.base], successors)[0])
+            found.update(reach([comp.base], successors))
     return sorted(found, key=lambda v: (sum(v), v))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .search import EXPAND, FOUND, GOAL, bfs, explore, moves
+from .search import EXPAND, FOUND, GOAL, bfs, explore, moves, reach
 
 
 class TrackMismatch(Exception):
@@ -169,7 +169,7 @@ def saturate(a: TupleAutomaton) -> TupleAutomaton:
         if sym == 0:
             for d in dsts:
                 zero_preds.setdefault(d, []).append(s)
-    acc, _ = explore(a.accepting, lambda d: [(s,) for s in zero_preds.get(d, ())])
+    acc = reach(a.accepting, lambda d: [(s,) for s in zero_preds.get(d, ())])
     return TupleAutomaton(
         tracks=a.tracks,
         num_states=a.num_states,
@@ -227,6 +227,5 @@ def member(a: TupleAutomaton, v) -> bool:
         cur = {d for s in cur for d in a.targets(s, sym)}
         if not cur:
             return False
-    reach, _ = explore(cur, lambda s: [(d,) for d in a.targets(s, 0)])
-    return not a.accepting.isdisjoint(reach)
+    return not a.accepting.isdisjoint(reach(cur, lambda s: [(d,) for d in a.targets(s, 0)]))
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from igkit.automata import parse_fsa
 from igkit.cli import main, parse_report
 
 from util import SILENT_SIX
@@ -324,10 +325,143 @@ def test_ncm_commands(tmp_path, capsys):
     assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
 
 
-def test_error_exit_code(capsys):
-    code, blocks = run(capsys, "validate", "fixture:missing.ig")
+# input and argument errors: each is one `status: error` report and exit 2
+ERRORS = [
+    (["validate", "fixture:missing.ig"], "FileNotFoundError: "),
+    (["validate", "{tmp}"], "IsADirectoryError: "),
+    (["transform", "normalize", "fixture:anbn.ig", "--out", "{tmp}"], "IsADirectoryError: "),
+    (["enumerate", "fixture:anbn.ig"],
+     "UsageError: igkit enumerate: the following arguments are required: --max-len"),
+    (["enumerate", "fixture:anbn.ig", "--max-len", "x"],
+     "UsageError: igkit enumerate: argument --max-len: invalid int value: 'x'"),
+    (["check-uncontrolled", "fixture:anbn.ig", "--k", "1", "--max-width", "3"],
+     "UsageError: igkit: unrecognized arguments: --max-width 3"),
+]
+
+
+@pytest.mark.parametrize("argv,error", ERRORS, ids=["missing-input", "dir-input", "dir-out",
+                                                  "no-max-len", "bad-int", "removed-flag"])
+def test_error_exit_code(tmp_path, capsys, argv, error):
+    code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
-    assert blocks[0]["status"] == "error"
+    assert len(blocks) == 1
+    assert blocks[0]["command"] == argv[0] and blocks[0]["status"] == "error"
+    assert blocks[0]["error"].startswith(error)
+
+
+# commands that write a file: (argv, the file, enumerate flags for the output
+# grammar, its words); a grammar must pass `validate`, an automaton `parse_fsa`
+WRITERS = [
+    (["ncm", "expand", "fixture:anbn.ncm"], "out.fsa", None, None),
+    (["synth-semilinear", "fixture:twin.sls"], "out.ig",
+     ["--max-len", "7", "--max-stack", "3"], "$, abc$abc"),
+    (["transform", "inv-morph", "fixture:anbn.ig", "fixture:idab.map"], "out.ig",
+     ["--max-len", "4"], "_, ab, aabb"),
+    (["transform", "normalize", "fixture:twin.ig"], "out.ig",
+     ["--max-len", "7", "--max-stack", "3"], "$, abc$abc"),
+    (["transform", "inv-proj", "fixture:abword.ig", "--letters", "x"], "out.ig",
+     ["--max-len", "3"], "ab, abx, axb, xab"),
+    # the words of anbncn with one $ after an a, the source letters erased, $ renamed x
+    (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
+      "--target", "$", "--rename", "$=x"], "out.ig", ["--max-len", "2", "--max-stack", "3"], "x"),
+]
+
+
+@pytest.mark.parametrize("argv,name,flags,words", WRITERS,
+                         ids=["ncm-expand", "synth-semilinear", "inv-morph", "normalize",
+                              "inv-proj", "transduce-rename"])
+def test_written_files_read_back(tmp_path, capsys, argv, name, flags, words):
+    out = tmp_path / name
+    code, blocks = run_clean(capsys, *argv, "--out", str(out))
+    assert code == 0 and blocks[0]["status"] == "ok"
+    if flags is None:
+        nfa = parse_fsa(out.read_text(encoding="utf-8"))
+        assert len(nfa.states) == int(blocks[0]["states"])
+        return
+    code, blocks = run_clean(capsys, "validate", str(out))
+    assert code == 0 and blocks[0]["violations"] == "0"
+    code, blocks = run_clean(capsys, "enumerate", str(out), *flags)
+    assert blocks[0]["exhausted"] == "true" and blocks[0]["words"] == words
+
+
+def test_parikh_intersect_enum_len(capsys):
+    # the words up to length 6 hold a^n b^n with its counter letters for n <= 1 only
+    argv = ["ncm", "parikh-intersect", "fixture:anbn.ncm", "fixture:sigmastar_ab.ig",
+            "--radius", "4", "--max-width", "6"]
+    code, blocks = run_clean(capsys, *argv)
+    assert code == 0 and blocks[0]["enum_len"] == "12"
+    assert blocks[0]["vectors"] == "(0, 0); (1, 1); (2, 2)"
+    code, blocks = run_clean(capsys, *argv, "--enum-len", "6")
+    assert code == 0 and blocks[0]["enum_len"] == "6" and blocks[0]["exhausted"] == "true"
+    assert blocks[0]["vectors"] == "(0, 0); (1, 1)"
+
+
+# every cap a budgeted command takes changes its report when set tight:
+# (argv, flag, loose value or None for absent, tight value, report key, its two values)
+ENUM = ["enumerate", "fixture:anbn.ig", "--max-len", "6"]
+MEMBER = ["member", "fixture:anbn.ig", "aabb"]
+MIN_INDEX = ["min-index", "fixture:ramp.ig", "abaa"]
+UNCONTROLLED = ["check-uncontrolled", "fixture:twin.ig", "--k", "7"]
+ETOL = ["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6"]
+PARIKH = ["ncm", "parikh-intersect", "fixture:anbn.ncm", "fixture:sigmastar_ab.ig",
+          "--radius", "4"]
+CAPS = [
+    (ENUM, "--max-steps", None, "2", "stopped_by", None, "max_steps"),
+    (ENUM, "--max-width", None, "0", "count", "4", "1"),
+    (["enumerate", "fixture:twin.ig", "--max-len", "7"], "--max-stack", "3", "0",
+     "count", "2", "0"),
+    (ENUM, "--hard-cap", None, "3", "stopped_by", None, "hard_cap"),
+    (MEMBER, "--max-steps", None, "2", "verdict", "proven", "unknown"),
+    (MEMBER, "--max-width", None, "0", "verdict", "proven", "unknown"),
+    (["member", "fixture:twin.ig", "abc$abc"], "--max-stack", "3", "0",
+     "verdict", "proven", "unknown"),
+    (MEMBER, "--hard-cap", None, "2", "stopped_by", None, "hard_cap"),
+    (MIN_INDEX + ["--max-stack", "4"], "--max-steps", None, "2", "stopped_by", None, "max_steps"),
+    (MIN_INDEX + ["--max-stack", "4"], "--max-width", None, "2", "status", "ok", "unknown"),
+    (MIN_INDEX, "--max-stack", "4", "1", "status", "ok", "unknown"),
+    (MIN_INDEX + ["--max-stack", "4"], "--hard-cap", None, "5", "stopped_by", None, "hard_cap"),
+    (UNCONTROLLED, "--max-steps", None, "5", "forms", "3201", "41"),
+    (UNCONTROLLED, "--max-stack", "64", "3", "forms", "513", "25"),
+    (UNCONTROLLED + ["--max-stack", "3"], "--hard-cap", None, "20", "verdict", "proven", "unknown"),
+    (ETOL, "--max-steps", None, "2", "stopped_by", None, "max_steps"),
+    (["etol", "enumerate", "fixture:abc.etol", "--max-len", "9"], "--max-width", None, "2",
+     "count", "4", "0"),
+    (ETOL, "--hard-cap", None, "3", "stopped_by", None, "hard_cap"),
+    (PARIKH + ["--max-width", "6"], "--max-steps", None, "5", "stopped_by", None, "max_steps"),
+    (PARIKH, "--max-width", None, "1", "vectors", "(0, 0); (1, 1); (2, 2)", "(0, 0)"),
+    (["ncm", "parikh-intersect", "fixture:anbncn.ncm", "fixture:anbncn.ig", "--radius", "1"],
+     "--max-stack", None, "1", "exhausted", "false", "true"),
+    (PARIKH + ["--max-width", "6"], "--hard-cap", None, "10", "stopped_by", None, "hard_cap"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,loose,tight,key,was,now", CAPS,
+                         ids=[f"{r[0][0]} {r[1]}" for r in CAPS])
+def test_every_cap_a_command_takes_is_honored(capsys, argv, flag, loose, tight, key, was, now):
+    _, blocks = run_clean(capsys, *argv, *([] if loose is None else [flag, loose]))
+    assert blocks[0].get(key) == was
+    _, blocks = run_clean(capsys, *argv, flag, tight)
+    assert blocks[0].get(key) == now
+
+
+# the caps a command does not honor are not flags of it: --max-<cap> is an
+# argument error (`yield` was a cap of every command until it was removed)
+REMOVED = [
+    (ENUM, ("yield",)),
+    (MEMBER, ("yield",)),
+    (MIN_INDEX, ("yield",)),
+    (UNCONTROLLED, ("yield", "width")),
+    (ETOL, ("yield", "stack")),
+    (PARIKH, ("yield",)),
+]
+
+
+@pytest.mark.parametrize("argv,caps", REMOVED, ids=[r[0][0] for r in REMOVED])
+def test_caps_a_command_ignores_are_rejected(capsys, argv, caps):
+    for flag in (f"--max-{cap}" for cap in caps):
+        code, blocks = run_clean(capsys, *argv, flag, "3")
+        assert code == 2 and blocks[0]["status"] == "error"
+        assert blocks[0]["error"] == f"UsageError: igkit: unrecognized arguments: {flag} 3"
 
 
 def test_replicate_paper(capsys):

@@ -6,6 +6,8 @@ from igkit import fixture_text, kernel
 from igkit.engine import Budget, CompiledGrammar
 from igkit.grammar import parse_grammar, successors
 
+from util import ALL_ORDERS
+
 
 def build(name="twin.ig"):
     g = parse_grammar(fixture_text(name))
@@ -16,13 +18,15 @@ def build(name="twin.ig"):
 WIDTH = 3
 
 
-def random_forms(g, c, rng, count=60, subtrees=False):
+def random_forms(g, c, rng, count=60, width=None):
+    """Forms the engine stores: leftmost without a width cap, in subtree
+    order with one."""
     forms = [c.start()]
     pool = [c.start()]
-    budget = Budget(max_steps=1, max_width=WIDTH if subtrees else None)
+    budget = Budget(max_steps=1, max_width=width)
     for _ in range(count):
         base = rng.choice(pool)
-        succ = c.expand(base, budget, max_terms=30, subtrees=subtrees)
+        succ = c.expand(base, budget, 30)
         if succ:
             nxt = rng.choice(succ)[2]
             pool.append(nxt)
@@ -30,15 +34,9 @@ def random_forms(g, c, rng, count=60, subtrees=False):
     return forms
 
 
-def call(impl, c, form, **kw):
-    args = dict(max_width=-1, max_stack=-1, max_terms=-1, leftmost=0, depths=0)
-    args.update(kw)
-    return impl.expand(
-        form, c.by_var, c.prods, c.nv,
-        c.pool_top, c.pool_rest, c.pool_depth, c.intern,
-        args["max_width"], args["max_stack"], args["max_terms"],
-        args["leftmost"], args["depths"],
-    )
+def call(c, form, max_width=ALL_ORDERS, depths=0):
+    """kernel.expand without stack or terminal caps; by default every order."""
+    return kernel.expand(c, form, max_width, -1, -1, depths)
 
 
 def test_kernel_matches_reference_semantics():
@@ -47,7 +45,7 @@ def test_kernel_matches_reference_semantics():
     for form in random_forms(g, c, rng, count=30):
         got = [
             (pos, pid, c.decode_form(f2))
-            for pos, pid, f2 in call(kernel, c, form)
+            for pos, pid, f2 in call(c, form)
         ]
         decoded = c.decode_form(form)
         want = [
@@ -57,13 +55,13 @@ def test_kernel_matches_reference_semantics():
         first = decoded.var_positions()[:1]
         got = [
             (pos, pid, c.decode_form(f2))
-            for pos, pid, f2 in call(kernel, c, form, leftmost=1)
+            for pos, pid, f2 in call(c, form, max_width=-1)
         ]
         assert got == [t for t in want if t[0] in first]
     # subtree order: the successors at the deepest sibling group within the
     # width cap; the children open a group one deeper, unless the rewritten
     # variable was the last of its group
-    for form in random_forms(g, c, rng, count=30, subtrees=True):
+    for form in random_forms(g, c, rng, count=30, width=WIDTH):
         depth = {i: x // c.nv % WIDTH for i, x in enumerate(form) if x >= 0}
         top = max(depth.values())
         group = [i for i, d in depth.items() if d == top]
@@ -71,7 +69,7 @@ def test_kernel_matches_reference_semantics():
         decoded = c.decode_form(form, WIDTH)
         want = [(pos, g.productions.index(p), out) for pos, p, out in successors(g, decoded)
                 if pos in group and out.width() <= WIDTH]
-        got = call(kernel, c, form, max_width=WIDTH, depths=WIDTH)
+        got = call(c, form, max_width=WIDTH, depths=WIDTH)
         assert [(pos, pid, c.decode_form(f2, WIDTH)) for pos, pid, f2 in got] == want
         for pos, pid, f2 in got:
             n = len(f2) - len(form) + 1

@@ -34,6 +34,7 @@ from igkit.search import (
     explore,
     moves,
     path,
+    reach,
 )
 
 from util import oracle_enumerate, oracle_membership
@@ -96,6 +97,10 @@ def test_explore_stores_in_bfs_order_and_lists_every_edge():
     # a repeated successor tuple is a repeated edge
     assert explore([1], lambda n: [("x", 2)] * 2 if n == 1 else []) == ([1, 2], [(1, "x", 2)] * 2)
     assert explore([], doubling) == ([], [])
+    # reach gives the same nodes, and expands each once
+    expanded = []
+    assert reach([5, 1, 5], lambda n: expanded.append(n) or doubling(n)) == nodes == expanded
+    assert reach([], doubling) == []
 
 
 # -- minimums stay sound under the hard cap -----------------------------------------------

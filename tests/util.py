@@ -10,7 +10,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from igkit import fixture_text
+from igkit import fixture_text, kernel
 from igkit.engine import (
     Budget,
     CompiledGrammar,
@@ -47,7 +47,7 @@ SILENT_SIX = (
 )
 
 
-# A width cap that cannot bind: with it, CompiledGrammar.expand tries every order.
+# A width cap that cannot bind: with it and no depths, kernel.expand tries every order.
 ALL_ORDERS = 10**9
 
 
@@ -73,17 +73,19 @@ def grammars(draw):
     return make_grammar("rnd", vs, TERMS, idx, prods, "S")
 
 
-def _all_orders(g, budget):
-    """The budget with a width cap, and a CompiledGrammar of g."""
-    b = budget if budget.max_width is not None else replace(budget, max_width=ALL_ORDERS)
-    return b, CompiledGrammar(g)
+def every_order(c, budget, max_terms=-1):
+    """The successors of a form in every rewrite order under the budget's
+    caps: kernel.expand with a width cap (ALL_ORDERS when the budget has
+    none) and no depths."""
+    width = ALL_ORDERS if budget.max_width is None else budget.max_width
+    stack = -1 if budget.max_stack is None else budget.max_stack
+    return lambda form: kernel.expand(c, form, width, stack, max_terms, 0)
 
 
 def oracle_enumerate(g, max_len, budget):
     """enumerate_language over every rewrite order: search.bfs over
-    CompiledGrammar.expand, the oracle of the leftmost and subtree orders."""
-    b, c = _all_orders(g, budget)
-    max_terms = max_len if b.max_yield is None else min(max_len, b.max_yield)
+    every_order, the oracle of the leftmost and subtree orders."""
+    c = CompiledGrammar(g)
     words = []
 
     def visit(form):
@@ -92,27 +94,24 @@ def oracle_enumerate(g, max_len, budget):
             return LEAF
         return EXPAND
 
-    s = bfs(c.start(), lambda f: c.expand(f, b, max_terms=max_terms), b.max_steps, b.hard_cap,
-            visit)
-    decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words if len(w) <= max_len),
+    s = bfs(c.start(), every_order(c, budget, max_len), budget.max_steps, budget.hard_cap, visit)
+    decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
                      key=lambda w: (len(w), w))
     return EnumerationResult(tuple(decoded), s.swept, budget.active_caps(), len(s.parents), s.stop)
 
 
 def oracle_membership(g, w, budget, caps_exact=False):
     """membership over every rewrite order (see oracle_enumerate)."""
-    b, c = _all_orders(g, budget)
+    c = CompiledGrammar(g)
     target = c.encode_word(w)
-
-    def successors(form):
-        return c.expand(form, b, max_terms=len(target))
+    successors = every_order(c, budget, len(target))
 
     def visit(form):
         if _is_terminal_enc(form):
             return GOAL if form == target else LEAF
         return EXPAND if _can_yield(form, target) else LEAF
 
-    s = bfs(c.start(), successors, b.max_steps, b.hard_cap, visit)
+    s = bfs(c.start(), successors, budget.max_steps, budget.hard_cap, visit)
     return decide(s, caps_exact, lambda goal: _derivation(c, successors, s.parents, goal, 0),
                   forms=len(s.parents))
 
@@ -134,15 +133,16 @@ def oracle_min_index(g, w, budget, caps_exact=False):
 
 def oracle_special_count_min(g, w, budget, caps_exact=False):
     """special_count_min over every rewrite order (see oracle_enumerate)."""
-    b, c = _all_orders(g, budget)
+    c = CompiledGrammar(g)
     target = c.encode_word(w)
+    expand = every_order(c, budget, len(target))
     specials = {pid for pid, p in enumerate(g.productions) if g.classify(p) == SPECIAL}
     best = None
 
     def successors(state):
         form, nspec = state
         return [(pos, pid, (f2, nspec + (pid in specials)))
-                for pos, pid, f2 in c.expand(form, b, max_terms=len(target))
+                for pos, pid, f2 in expand(form)
                 if best is None or nspec + (pid in specials) < best]
 
     def visit(state):
@@ -154,7 +154,7 @@ def oracle_special_count_min(g, w, budget, caps_exact=False):
             return LEAF
         return EXPAND if _can_yield(form, target) else LEAF
 
-    s = bfs((c.start(), 0), successors, b.max_steps, b.hard_cap, visit)
+    s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
     if best is None or s.stop == HARD_CAP:
         return decide(s, caps_exact)
     return Verdict(PROVEN, None, {"k": best, "stop": s.stop})
@@ -174,8 +174,9 @@ def oracle_check_uncontrolled(g, k, budget):
     phase2_budget = replace(budget, max_width=ALL_ORDERS)
 
     def erased(b):
+        expand = every_order(c, b)
         return lambda form: [(pos, pid, tuple(x for x in f2 if x >= 0))
-                             for pos, pid, f2 in c.expand(form, b)]
+                             for pos, pid, f2 in expand(form)]
 
     phase2 = erased(phase2_budget)
     cut = None  # why a phase-2 search stopped short, if one did
