@@ -12,13 +12,14 @@ with `fixture:` resolve to the bundled fixture files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
 from pathlib import Path
 
 from . import fixture_path
-from .automata import determinize, parse_fsa
+from .automata import determinize, parse_fsa, serialize_fsa
 from .closure import (
     Morphism,
     NivatTransducer,
@@ -53,7 +54,6 @@ from .grammar import (
     parse_grammar,
     serialize_grammar,
 )
-from .automata import serialize_fsa
 from .search import FOUND, PROVEN, REFUTED, SWEPT, UNKNOWN
 from .semilinear import (
     bounded_lang_subset,
@@ -250,24 +250,21 @@ def cmd_transform(args) -> str:
     g = parse_grammar(text)
     inputs = {"input": digest}
     kind = args.transform_kind
+
+    def second(path: str) -> str:  # the text of the second input
+        text2, inputs["input.2"] = _read(path)
+        return text2
+
     if kind == "union":
-        text2, digest2 = _read(args.other)
-        inputs["input.2"] = digest2
-        out = union(g, parse_grammar(text2))
+        out = union(g, parse_grammar(second(args.other)))
     elif kind == "morph":
-        text2, digest2 = _read(args.morphism)
-        inputs["input.2"] = digest2
-        out = morphism_image(g, parse_morphism(text2))
+        out = morphism_image(g, parse_morphism(second(args.morphism)))
     elif kind == "inv-morph":
-        text2, digest2 = _read(args.morphism)
-        inputs["input.2"] = digest2
-        out = inverse_morphism(g, parse_morphism(text2))
+        out = inverse_morphism(g, parse_morphism(second(args.morphism)))
     elif kind == "normalize":
         out = normalize_rhs(g)
     elif kind == "intersect-dfa":
-        text2, digest2 = _read(args.fsa)
-        inputs["input.2"] = digest2
-        nfa = parse_fsa(text2)
+        nfa = parse_fsa(second(args.fsa))
         out = intersect_dfa(normalize_rhs(g), determinize(nfa))
     elif kind == "inv-proj":
         ext = g.terminals + tuple(
@@ -275,9 +272,7 @@ def cmd_transform(args) -> str:
         )
         out = inverse_projection(g, ext)
     elif kind == "transduce":
-        text2, digest2 = _read(args.fsa)
-        inputs["input.2"] = digest2
-        rel = parse_fsa(text2)
+        rel = parse_fsa(second(args.fsa))
         rename = None
         if args.rename:
             rename = tuple(
@@ -567,7 +562,8 @@ def _replicate_checks():
 def cmd_replicate(args) -> str:
     failures = 0
     t0 = time.monotonic()
-    for name, check in _replicate_checks():
+    checks = _replicate_checks()
+    for name, check in checks:
         try:
             ok = check()
         except Exception as exc:  # report, keep going
@@ -579,7 +575,7 @@ def cmd_replicate(args) -> str:
         failures += 0 if ok else 1
     emit_report({
         "command": "replicate-paper",
-        "checks": len(_replicate_checks()),
+        "checks": len(checks),
         "failures": failures,
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": "ok" if failures == 0 else "fail",
@@ -595,10 +591,21 @@ class UsageError(ValueError):
     """A command line that does not parse: `main` reports it as an input error."""
 
 
+class _Help(Exception):
+    """`-h` printed the help: `main` returns 0."""
+
+
 class _Parser(argparse.ArgumentParser):
-    # the subparsers are built from the same class, so their errors end here too
+    # the subparsers are built from the same class, so their errors end here too,
+    # and every flag is exact (`add_parser` does not pass `allow_abbrev` on)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+    def exit(self, status=0, message=None):  # only `-h` exits
+        raise _Help
 
 
 def _add_budget_flags(p, *caps, steps=400):
@@ -747,11 +754,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache  # built on the first call of `main`, reused by later ones
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return EXIT[args.func(args)]
+    except _Help:
+        return 0
     except (GrammarError, OSError, ValueError) as exc:
         emit_report({
             "command": argv[0] if argv else "igkit",

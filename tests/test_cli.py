@@ -2,8 +2,9 @@
 
 import pytest
 
+from igkit import cli
 from igkit.automata import parse_fsa
-from igkit.cli import main, parse_report
+from igkit.cli import build_parser, main, parse_report
 
 from util import SILENT_SIX
 
@@ -336,11 +337,17 @@ ERRORS = [
      "UsageError: igkit enumerate: argument --max-len: invalid int value: 'x'"),
     (["check-uncontrolled", "fixture:anbn.ig", "--k", "1", "--max-width", "3"],
      "UsageError: igkit: unrecognized arguments: --max-width 3"),
+    # flags are exact: a prefix of a flag the command has is not that flag
+    (["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6", "--max-st", "2"],
+     "UsageError: igkit: unrecognized arguments: --max-st 2"),
+    (["enumerate", "fixture:anbn.ig", "--max-len", "4", "--max-w", "3"],
+     "UsageError: igkit: unrecognized arguments: --max-w 3"),
 ]
 
 
 @pytest.mark.parametrize("argv,error", ERRORS, ids=["missing-input", "dir-input", "dir-out",
-                                                  "no-max-len", "bad-int", "removed-flag"])
+                                                  "no-max-len", "bad-int", "removed-flag",
+                                                  "flag-prefix-etol", "flag-prefix-enumerate"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
@@ -348,6 +355,59 @@ def test_error_exit_code(tmp_path, capsys, argv, error):
     assert blocks[0]["command"] == argv[0] and blocks[0]["status"] == "error"
     assert blocks[0]["error"].startswith(error)
 
+
+
+@pytest.mark.parametrize("argv,usage", [(["-h"], "igkit [-h]"),
+                                        (["enumerate", "-h"], "igkit enumerate [-h]")],
+                         ids=["top", "enumerate"])
+def test_help_prints_and_returns_zero(capsys, argv, usage):
+    code, blocks = run_clean(capsys, *argv)
+    assert code == 0 and blocks[0]["usage"].startswith(usage)
+
+
+# a sequence of calls in one process: a flag given then left out, a usage error
+# then a valid call, and each top-level command once
+SEQUENCE = [
+    ["member", "fixture:anbn.ig", "aab", "--exhaustive"],
+    ["member", "fixture:anbn.ig", "aab"],
+    ["enumerate", "fixture:anbn.ig", "--max-len", "6", "--max-width", "3"],
+    ["enumerate", "fixture:anbn.ig", "--max-len", "6"],
+    ["enumerate", "fixture:anbn.ig", "--max-len", "x"],
+    ["enumerate", "fixture:anbn.ig", "--max-len", "4", "--max-w", "3"],
+    ["enumerate", "fixture:anbn.ig", "--max-len", "4"],
+    ["validate", "fixture:twin.ig"],
+    ["min-index", "fixture:ramp.ig", "abaa", "--max-stack", "4"],
+    ["check-uncontrolled", "fixture:ramp.ig", "--k", "3", "--max-stack", "5"],
+    ["transform", "union", "fixture:astar.ig", "fixture:bstar.ig", "--out", "{tmp}/u.ig"],
+    ["synth-linear", "fixture:twin.sls", "--out", "{tmp}/l.ig"],
+    ["synth-semilinear", "fixture:twin.sls", "--out", "{tmp}/s.ig"],
+    ["slset", "subset", "fixture:diag.sls", "fixture:quadrant.sls"],
+    ["bounded", "member", "fixture:twin.sls", "abc$abc"],
+    ["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6"],
+    ["ncm", "run", "fixture:anbn.ncm", "aabb"],
+    ["replicate-paper"],
+]
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    def outcomes():
+        got = []
+        for argv in SEQUENCE:
+            code = main([a.format(tmp=tmp_path) for a in argv])
+            blocks = parse_report(capsys.readouterr().out)
+            got.append((code, [{k: v for k, v in b.items() if k != "elapsed_s"}
+                               for b in blocks]))
+        return got
+
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    reused = outcomes()
+    assert len(builds) == 1
+    assert [code for code, _ in reused[:7]] == [1, 3, 0, 0, 2, 2, 0]
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser for every call
+    assert outcomes() == reused
 
 # commands that write a file: (argv, the file, enumerate flags for the output
 # grammar, its words); a grammar must pass `validate`, an automaton `parse_fsa`

@@ -259,22 +259,24 @@ def grid_members(a, radius):
     d = saturate(determinize(a))
     length = radius.bit_length()
     out = []
-    tracks = a.tracks
 
     def walk(state, t, partial):
         if t == length:
             if state in d.accepting:
                 out.append(tuple(partial))
             return
-        for sym in range(1 << tracks):
-            vals = [p | (((sym >> i) & 1) << t) for i, p in enumerate(partial)]
-            if any(x > radius for x in vals):
-                continue
+        bit = 1 << t
+        syms = [0]  # the symbols that set bit t only on tracks it keeps within the radius
+        for i, p in enumerate(partial):
+            if p | bit <= radius:
+                syms += [s | 1 << i for s in syms]
+        for sym in syms:
             nxt = d.targets(state, sym)
             if nxt:
-                walk(nxt[0], t + 1, vals)
+                walk(nxt[0], t + 1, [p | bit if sym >> i & 1 else p
+                                     for i, p in enumerate(partial)])
 
-    walk(d.initial, 0, [0] * tracks)
+    walk(d.initial, 0, [0] * a.tracks)
     return frozenset(out)
 
 
