@@ -608,6 +608,17 @@ class _Parser(argparse.ArgumentParser):
         raise _Help
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {n}")
+    return n
+
+
 def _add_budget_flags(p, *caps, steps=400):
     """--max-steps, a --max-<cap> flag for each cap the command honors
     (`width`, `stack`), and --hard-cap."""
@@ -630,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list generated words up to a length")
     p.add_argument("grammar")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_count, required=True)
     _add_budget_flags(p, "width", "stack")
     p.set_defaults(func=cmd_enumerate)
 
@@ -708,14 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
     bp = bsub.add_parser("subset")
     bp.add_argument("slset")
     bp.add_argument("other")
-    bp.add_argument("--check-len", type=int, default=20)
+    bp.add_argument("--check-len", type=_count, default=20)
     bp.set_defaults(func=cmd_bounded)
 
     p = sub.add_parser("etol", help="parallel rewriting systems")
     esub = p.add_subparsers(dest="etol_op", required=True)
     ep = esub.add_parser("enumerate")
     ep.add_argument("system")
-    ep.add_argument("--max-len", type=int, required=True)
+    ep.add_argument("--max-len", type=_count, required=True)
     _add_budget_flags(ep, "width", steps=30)
     ep.set_defaults(func=cmd_etol)
     ep = esub.add_parser("check-anf")
@@ -731,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     np_ = nsub.add_parser("run")
     np_.add_argument("machine")
     np_.add_argument("word")
-    np_.add_argument("--counter-cap", type=int, help="largest counter value (default 2|w|+4)")
+    np_.add_argument("--counter-cap", type=_count, help="largest counter value (default 2|w|+4)")
     np_.set_defaults(func=cmd_ncm)
     np_ = nsub.add_parser("one-reversal")
     np_.add_argument("machine")
@@ -744,8 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
     np_ = nsub.add_parser("parikh-intersect")
     np_.add_argument("machine")
     np_.add_argument("grammar")
-    np_.add_argument("--radius", type=int, required=True)
-    np_.add_argument("--enum-len", type=int, default=None)
+    np_.add_argument("--radius", type=_count, required=True)
+    np_.add_argument("--enum-len", type=_count, default=None)
     _add_budget_flags(np_, "width", "stack", steps=600)
     np_.set_defaults(func=cmd_ncm)
 

@@ -17,8 +17,6 @@ from typing import Optional, Sequence
 
 from .automata import Dfa, Nfa, determinize
 from .grammar import (
-    CONSUME,
-    PLAIN,
     PUSH,
     GrammarError,
     IndexedGrammar,
@@ -132,65 +130,6 @@ def _split_rhs(g: IndexedGrammar, rhs: tuple[str, ...]):
             cur.append(s)
     words.append(tuple(cur))
     return words, variables
-
-
-def prune_unreachable(g: IndexedGrammar) -> IndexedGrammar:
-    """Drop variables unreachable from the start symbol, their productions,
-    and index symbols no production mentions. Language-preserving."""
-    below: dict = {}  # variable -> the variables on its right sides
-    for p in g.productions:
-        below.setdefault(p.lhs_var, []).extend(s for s in p.rhs if s in g.variable_set)
-    reached = set(reach([g.start], lambda v: [(s,) for s in below.get(v, ())]))
-    prods = tuple(p for p in g.productions if p.lhs_var in reached)
-    used_idx = set()
-    for p in prods:
-        if p.lhs_index is not None:
-            used_idx.add(p.lhs_index)
-        if p.push_index is not None:
-            used_idx.add(p.push_index)
-    return replace(
-        g,
-        variables=tuple(v for v in g.variables if v in reached),
-        indices=tuple(i for i in g.indices if i in used_idx),
-        productions=prods,
-    )
-
-
-def prune_nonproductive(g: IndexedGrammar) -> IndexedGrammar:
-    """Drop variables that can never rewrite to a terminal word even when
-    index availability is ignored (a sound over-approximation: consume
-    productions are treated as always applicable). Successful derivations are
-    untouched, so the language, minimal widths and special counts are all
-    preserved; dead search branches disappear."""
-    waiting = []  # per production: its right-side variables not yet known productive
-    uses: dict = {}  # variable -> the productions with it on the right side
-    for i, p in enumerate(g.productions):
-        rhs_vars = {s for s in p.rhs if s in g.variable_set}
-        waiting.append(len(rhs_vars))
-        for v in rhs_vars:
-            uses.setdefault(v, []).append(i)
-
-    def successors(v):
-        # reach expands each variable once, so each count drops once per variable
-        for i in uses.get(v, ()):
-            waiting[i] -= 1
-            if waiting[i] == 0:
-                yield (g.productions[i].lhs_var,)
-
-    productive = set(reach([p.lhs_var for p, n in zip(g.productions, waiting) if n == 0],
-                           successors))
-    prods = tuple(
-        p for p in g.productions
-        if p.lhs_var in productive
-        and all(s not in g.variable_set or s in productive for s in p.rhs)
-    )
-    keep = productive | {g.start}
-    return replace(g, variables=tuple(v for v in g.variables if v in keep), productions=prods)
-
-
-def clean(g: IndexedGrammar) -> IndexedGrammar:
-    """Non-productive then unreachable pruning."""
-    return prune_unreachable(prune_nonproductive(g))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +270,19 @@ def normalize_rhs(g: IndexedGrammar) -> IndexedGrammar:
 
 
 def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
-    """Grammar for L(g) ∩ L(d). Requires g in normalized rhs form and d total
-    and deterministic over (at least) g's terminals. State-annotated variables
-    <p|A|q> generate exactly the words A derives that drive d from p to q;
-    the index alphabet is replaced by a disjoint copy. Unreachable triples are
-    pruned from the result."""
+    """Grammar for L(g) ∩ L(d) (Bar-Hillel, Perles & Shamir 1961). Requires g
+    in normalized rhs form and d total and deterministic over (at least) g's
+    terminals. State-annotated variables <p|A|q> generate exactly the words A
+    derives that drive d from p to q; the index alphabet is replaced by a
+    disjoint copy.
+
+    Only useful triples are built: `_spans` gives the state pairs each
+    variable can drive d between, and a search from the start triples emits
+    the productions whose child triples all lie in them. The result is the
+    full product with its non-productive, then its unreachable triples
+    pruned (indices ignored), in the full product's order: variables by
+    (variable, p, q), productions by (production, states), and the indices
+    that the productions use."""
     if not is_normalized(g):
         raise NotNormalized(f"{g.name} has productions outside the u/uXv/uXZ shapes")
     problems = d.validate()
@@ -345,70 +292,90 @@ def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
         raise InvalidAutomaton(f"{d.name} alphabet does not cover the grammar terminals")
 
     imap = {f: f"{f}#i" for f in g.indices}
-    states = d.states
+    rank = {q: i for i, q in enumerate(d.states)}
+    spans = _spans(g, d)
+    by_lhs: dict = {}  # variable -> its productions, numbered, with their split rhs
+    for i, prod in enumerate(g.productions):
+        by_lhs.setdefault(prod.lhs_var, []).append((i, prod, _split_rhs(g, prod.rhs)))
+    made = []  # (place in the full product, lhs triple, child triples, production, its words)
 
-    def tri(p: str, var: str, q: str) -> str:
-        return f"<{p}|{var}|{q}>"
+    def successors(node):
+        p, var, q = node
+        for i, prod, (words, xs) in by_lhs.get(var, ()):
+            for kids, end in _through(d, spans, p, words, xs):
+                if end == q:
+                    place = (i, rank[p]) + tuple(rank[k[2]] for k in kids)
+                    made.append((place, node, kids, prod, words))
+                    yield from ((kid,) for kid in kids)
 
-    variables = [tri(p, v, q) for v in g.variables for p in states for q in states]
-    start = fresh_name("S", variables)
-    prods: list[Production] = [
-        Production(start, (tri(d.initial, g.start, acc),))
-        for acc in states
-        if acc in d.accepting
-    ]
-    for prod in g.productions:
-        lhs_index = None if prod.lhs_index is None else imap[prod.lhs_index]
+    tops = [(d.initial, g.start, acc) for acc in d.states
+            if acc in d.accepting and acc in spans[g.start].get(d.initial, ())]
+    var_rank = {v: i for i, v in enumerate(g.variables)}
+    nodes = sorted(reach(tops, successors), key=lambda t: (var_rank[t[1]], rank[t[0]], rank[t[2]]))
+    names = {t: f"<{t[0]}|{t[1]}|{t[2]}>" for t in nodes}
+    start = fresh_name("S", names.values())
+    prods = [Production(start, (names[t],)) for t in tops]
+    for _, node, kids, prod, words in sorted(made, key=lambda m: m[0]):
+        rhs = words[0] + sum(((names[k],) + w for k, w in zip(kids, words[1:])), ())
         if prod.kind == PUSH:
-            for p, q in itertools.product(states, states):
-                prods.append(
-                    Production(
-                        tri(p, prod.lhs_var, q),
-                        (tri(p, prod.rhs[0], q),),
-                        push_index=imap[prod.push_index],
-                    )
-                )
-            continue
-        words, variables_in_rhs = _split_rhs(g, prod.rhs)
-        if not variables_in_rhs:
-            u = words[0]
-            for p in states:
-                q = d.run(u, p)
-                prods.append(Production(tri(p, prod.lhs_var, q), u, lhs_index=lhs_index))
-        elif len(variables_in_rhs) == 1:
-            u, v = words[0], words[1]
-            x = variables_in_rhs[0]
-            for p, s in itertools.product(states, states):
-                r = d.run(u, p)
-                q = d.run(v, s)
-                prods.append(
-                    Production(
-                        tri(p, prod.lhs_var, q),
-                        u + (tri(r, x, s),) + v,
-                        lhs_index=lhs_index,
-                    )
-                )
+            prods.append(Production(names[node], rhs, push_index=imap[prod.push_index]))
         else:
-            u = words[0]
-            x, z = variables_in_rhs
-            for p, mid, q in itertools.product(states, states, states):
-                r = d.run(u, p)
-                prods.append(
-                    Production(
-                        tri(p, prod.lhs_var, q),
-                        u + (tri(r, x, mid), tri(mid, z, q)),
-                        lhs_index=lhs_index,
-                    )
-                )
-    out = IndexedGrammar(
-        variables=(start,) + tuple(variables),
+            prods.append(Production(names[node], rhs, lhs_index=imap.get(prod.lhs_index)))
+    used = {f for p in prods for f in (p.lhs_index, p.push_index)}
+    return IndexedGrammar(
+        variables=(start,) + tuple(names.values()),
         terminals=g.terminals,
-        indices=tuple(imap[f] for f in g.indices),
+        indices=tuple(imap[f] for f in g.indices if imap[f] in used),
         productions=tuple(prods),
         start=start,
         name=f"cap({g.name},{d.name})",
     )
-    return clean(out)
+
+
+def _spans(g: IndexedGrammar, d: Dfa) -> dict:
+    """For each variable A, p -> the states q such that A derives a word
+    driving d from p to q, indices ignored (a consume production counts as
+    always applicable). A search over (p, A, q) items from the terminal
+    productions, for a normalized g: each item, when expanded, is combined
+    with the items expanded before it."""
+    spans: dict = {v: {} for v in g.variables}
+    uses: dict = {}  # variable -> (lhs, pre, the last word, the rhs variables, place) per place
+    leaves = []
+    for prod in g.productions:
+        words, xs = _split_rhs(g, prod.rhs)
+        pre: dict = {}  # r -> the states p that words[0] drives d from to r
+        for p in d.states:
+            pre.setdefault(d.run(words[0], p), []).append(p)
+        if not xs:
+            leaves += [(p, prod.lhs_var, r) for r, ps in pre.items() for p in ps]
+        for j, x in enumerate(xs):
+            uses.setdefault(x, []).append((prod.lhs_var, pre, words[-1], xs, j))
+
+    def successors(item):
+        r, x, s = item
+        spans[x].setdefault(r, set()).add(s)
+        for lhs, pre, tail, xs, j in uses.get(x, ()):
+            if len(xs) == 1:  # u x v
+                ends = [(r, d.run(tail, s))]
+            elif j == 0:  # u x Z
+                ends = [(r, q) for q in spans[xs[1]].get(s, ())]
+            else:  # u X x
+                ends = [(r0, s) for r0, mids in spans[xs[0]].items() if r in mids]
+            for r0, q in ends:
+                yield from (((p, lhs, q),) for p in pre.get(r0, ()))
+
+    reach(leaves, successors)
+    return spans
+
+
+def _through(d: Dfa, spans: dict, p: str, words, xs) -> list:
+    """Each way to drive d from p through words[0] xs[0] words[1] … with
+    each variable between a pair of its spans: (the child triples, the end
+    state)."""
+    out = [((), d.run(words[0], p))]
+    for x, w in zip(xs, words[1:]):
+        out = [(kids + ((r, x, s),), d.run(w, s)) for kids, r in out for s in spans[x].get(r, ())]
+    return out
 
 
 # ---------------------------------------------------------------------------

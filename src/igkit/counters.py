@@ -12,19 +12,22 @@ The pipeline here: collapse any machine to one whose counters are 1-reversal
 extended with per-counter increment/decrement letters; a word is accepted by
 the machine iff some expansion word with balanced increment/decrement counts
 projects onto it, which reduces counting behavior to a regular language plus
-a letter-count constraint.
+a letter-count constraint. parikh_of_intersection reads the letter counts of
+a grammar's intersection with it off a table over (variable, stack) pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .automata import Nfa, determinize
 from .closure import intersect_dfa, inverse_projection, normalize_rhs
-from .engine import Budget, enumerate_language
+# unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
+# `enumerate_language` among this module's names: keep it while the tracer does
+from .engine import Budget, CompiledGrammar, deepen, enumerate_language, tabulate  # noqa: F401
 from .grammar import (
     GrammarError,
     IndexedGrammar,
@@ -37,8 +40,7 @@ from .grammar import (
     set_once,
     split_names,
 )
-from .search import EXPAND, GOAL, Verdict, bfs, decide, explore, moves
-from .semilinear import parikh
+from .search import EXPAND, GOAL, HARD_CAP, SWEPT, Verdict, bfs, decide, explore, moves
 
 ZERO = "z"
 POS = "p"
@@ -366,53 +368,6 @@ def expand_to_nfa(m: CounterMachine) -> Nfa:
     )
 
 
-def accepts_via_expansion(
-    nfa: Nfa, input_alphabet, k: int, x, cap: Optional[int] = None
-) -> Verdict:
-    """Search for an NFA word with balanced p#i/q#i counts that projects to x,
-    over (state, input position, count differences): proven with the run
-    trace, one (label, state, position, differences) per step. Each
-    difference is capped at |x|+4 by default (a budget): refuted only when
-    the capped space was swept without the cap ever biting."""
-    x = tuple(x)
-    cap = cap if cap is not None else len(x) + 4
-    inputs = set(input_alphabet)
-    pletters = {f"p#{i + 1}": i for i in range(k)}
-    qletters = {f"q#{i + 1}": i for i in range(k)}
-    capped = False
-
-    def successors(cfg):
-        nonlocal capped
-        state, pos, bal = cfg
-        for src, label, dst in nfa.transitions:
-            if src != state:
-                continue
-            if label is None:
-                yield label, (dst, pos, bal)
-            elif label in inputs:
-                if pos < len(x) and x[pos] == label:
-                    yield label, (dst, pos + 1, bal)
-            elif label in pletters:
-                i = pletters[label]
-                if bal[i] < cap:
-                    yield label, (dst, pos, bal[:i] + (bal[i] + 1,) + bal[i + 1:])
-                else:
-                    capped = True
-            else:
-                i = qletters[label]
-                if bal[i] > 0:
-                    yield label, (dst, pos, bal[:i] + (bal[i] - 1,) + bal[i + 1:])
-
-    def visit(cfg):
-        state, pos, bal = cfg
-        return GOAL if pos == len(x) and not any(bal) and state in nfa.accepting else EXPAND
-
-    s = bfs((nfa.initial, 0, (0,) * k), successors, math.inf, math.inf, visit)
-    return decide(s, not capped, lambda goal: tuple(
-        (label, *cfg) for label, cfg in moves(successors, s.parents, goal)),
-        configs=len(s.parents))
-
-
 # ---------------------------------------------------------------------------
 # the counting pipeline
 
@@ -424,9 +379,9 @@ class ParikhSample:
 
     vectors: tuple[tuple[int, ...], ...]
     radius: int
-    enum_len: int
+    enum_len: int  # the length cap of the intersection grammar's words, counter letters included
     exhausted: bool
-    stop: str  # why the enumeration stopped
+    stop: str  # why the last table stopped: swept, max_steps (a push left out) or hard_cap
 
 
 def parikh_of_intersection(
@@ -438,43 +393,69 @@ def parikh_of_intersection(
 ) -> ParikhSample:
     """Counting vectors of L(g) ∩ L(m) up to the radius, computed through the
     regular route: extend the grammar alphabet with counter letters, intersect
-    with the expanded NFA, enumerate, keep balanced words, project away the
-    counter letters."""
+    with the expanded NFA, tabulate the letter counts of the intersection
+    grammar's words up to enum_len (`_parikh_table`, at the depth caps of
+    `deepen`: max_steps bounds the stack depth, not the derivation length),
+    keep the balanced ones, project away the counter letters."""
+    if radius < 0 or (enum_len is not None and enum_len < 0):
+        raise ValueError("radius and enum_len must be >= 0")
     if set(g.terminals) != set(m.alphabet):
         raise GrammarError("grammar terminals and machine alphabet must agree")
     m1 = to_one_reversal(m)
-    nfa = expand_to_nfa(m1)
     k = m1.num_counters
-    blet = counter_letters(k)
-    ext = g.terminals + blet
-    g1 = inverse_projection(g, ext)
-    d = determinize(nfa, alphabet=ext)
-    g2 = intersect_dfa(normalize_rhs(g1), d)
+    ext = g.terminals + counter_letters(k)
+    d = determinize(expand_to_nfa(m1), alphabet=ext)
+    g2 = intersect_dfa(normalize_rhs(inverse_projection(g, ext)), d)
     length = enum_len if enum_len is not None else radius * (1 + 2 * k)
     budget = budget or Budget(max_steps=600)
-    res = enumerate_language(g2, length, budget)
-    vectors = set()
-    inputs = set(g.terminals)
-    for w in res.words:
-        counts = {ltr: 0 for ltr in blet}
-        xs = []
-        for ltr in w:
-            if ltr in inputs:
-                xs.append(ltr)
-            else:
-                counts[ltr] += 1
-        if any(counts[f"p#{i + 1}"] != counts[f"q#{i + 1}"] for i in range(k)):
-            continue
-        if len(xs) > radius:
-            continue
-        vectors.add(parikh(xs, g.terminals))
-    return ParikhSample(
-        vectors=tuple(sorted(vectors)),
-        radius=radius,
-        enum_len=length,
-        exhausted=res.exhausted,
-        stop=res.stop,
-    )
+    c = CompiledGrammar(g2)
+    counts, stop = deepen(budget, lambda b: _parikh_table(c, length, b))
+    n = len(g.terminals)  # g2's terminals are ext, in order
+    vectors = {v[:n] for v in counts if sum(v[:n]) <= radius and v[n::2] == v[n + 1::2]}
+    return ParikhSample(tuple(sorted(vectors)), radius, length, stop == SWEPT, stop)
+
+
+def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
+    """A `deepen` table of the letter counts of the start variable's words of
+    length <= `length`: a `tabulate` whose items are (vector, width), the
+    counts of a tree's word and the least Sethi–Ullman width of a tree with
+    them (1 for a leaf; children of widths c1 >= c2 >= … give max(c1, c2 + 1,
+    …)). Width and total only grow up a tree, so an entry over the width cap
+    or `length` is dropped. The hard cap counts pairs and entries. A vector
+    is one int, count i in field i of `bits` bits and the total above: adding
+    vectors adds ints, and an int is below `over` exactly when its total is
+    at most `length` (its counts then fit their fields)."""
+    bits, n = length.bit_length(), len(c.term_names)
+    unit = [(1 << bits * i) + (1 << bits * n) for i in range(n)]
+    over = (length + 1) << bits * n
+    base = [sum(unit[-x - 1] for x in row[2] if x < 0) for row in c.prods]
+    cap = math.inf if budget.max_width is None else budget.max_width
+    table: dict = {}  # pair -> {vector: least width}
+    size = 0
+
+    def fire(rule, kid, item):
+        nonlocal size
+        pair, pid, kids = rule
+        got = table.setdefault(pair, {})
+        new = []
+        j = None if kid is None else kids.index(kid)  # entries ignore order: one place will do
+        for combo in itertools.product(*([item] if i == j else table.get(x, {}).items()
+                                         for i, x in enumerate(kids))):
+            vec = base[pid] + sum(v for v, _ in combo)
+            costs = sorted((w for _, w in combo), reverse=True)
+            w = max([1] + [x + i for i, x in enumerate(costs)])
+            if vec < over and w <= cap and w < got.get(vec, math.inf):
+                size += vec not in got
+                got[vec] = w
+                new.append((vec, w))
+        return new
+
+    start = c.start()[0]
+    s, cut = tabulate(c, start, replace(budget, max_width=None), fire,
+                      lambda: size > budget.hard_cap)
+    mask = (1 << bits) - 1
+    counts = [tuple(v >> bits * i & mask for i in range(n)) for v in table.get(start, ())]
+    return counts, HARD_CAP if size > budget.hard_cap else s.stop, cut
 
 
 # ---------------------------------------------------------------------------

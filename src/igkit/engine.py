@@ -1,7 +1,8 @@
 """Bounded exploration of the derivation relation.
 
-Search-based language enumeration, membership and index measurement, and a
-table of derivation-tree widths for uncontrolled-width checking. Index stacks
+Search-based language enumeration, membership and index measurement, and
+tables over (variable, stack) pairs (`tabulate`): derivation-tree widths for
+uncontrolled-width checking here, letter counts in igkit.counters. Index stacks
 are unbounded in general, so every operation takes a Budget; verdicts are
 relative to the budget caps and each result records whether the budgeted
 space was swept completely.
@@ -44,6 +45,7 @@ from .search import (
     MAX_STEPS,
     PROVEN,
     REFUTED,
+    SWEPT,
     UNKNOWN,
     Verdict,
     bfs,
@@ -229,6 +231,8 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
     """Words of L(g) of length <= max_len reachable within the budget, in
     length-lexicographic order. `exhausted` is True when the budgeted space
     was swept completely, making the list exact under the active caps."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     c = CompiledGrammar(g)
     words: list[tuple[int, ...]] = []
 
@@ -390,55 +394,54 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
 
     Each child of a rewrite gets its own copy of the stack, so the widest
     derivation tree below a (variable, stack) pair depends on that pair
-    alone, and `_widths` tabulates it. Without a stack cap, a stack of depth d
-    needs d pushes, so max_steps bounds the depth: the depth cap doubles from
-    1 up to max_steps, and the first table that refutes, or that left out no
-    push, gives the verdict. When the last one left out a push and refutes
-    nothing, the answer is unknown. The hard cap counts the pairs of a table.
-    The budget's width cap is ignored: it would hide the forms looked for.
+    alone, and `_widths` tabulates it at the depth caps of `deepen`. The
+    hard cap counts the pairs of a table. The budget's width cap is ignored:
+    it would hide the forms looked for.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     c = CompiledGrammar(g)
     start = c.start()[0]
+    (s, back), stop = deepen(replace(budget, max_width=None), lambda b: _widths(c, start, k, b))
+    info = {"exhausted": stop == SWEPT, "caps": budget.active_caps(), "stop": stop,
+            "forms": len(s.parents)}
+    if stop != FOUND:
+        return Verdict(PROVEN if stop == SWEPT else UNKNOWN, None, info)
+    witness = _widest_derivation(g, back, (start, k + 1))
+    return Verdict(REFUTED, witness, {**info, "width": witness.index()})
+
+
+def deepen(budget: Budget, table):
+    """`table(b)` -> (result, stop, whether it left out a push), built at the
+    budget's stack cap, or without one at depth caps 1, 2, 4, … up to
+    max_steps (a stack of depth d needs d pushes) until a table stops short
+    of SWEPT or leaves out no push. Returns the last result and its stop,
+    MAX_STEPS when it still left out a push."""
     if budget.max_stack is not None:
-        caps = [budget.max_stack]
-    else:
-        caps, d = [], 1
-        while d < budget.max_steps:
-            caps.append(d)
-            d *= 2
-        caps.append(budget.max_steps)
-    for cap in caps:
-        s, value, back, cut = _widths(c, start, k, replace(budget, max_width=None, max_stack=cap))
-        info = {"exhausted": False, "caps": budget.active_caps(), "stop": s.stop,
-                "forms": len(s.parents)}
-        if s.stop == HARD_CAP:
-            return Verdict(UNKNOWN, None, info)
-        if value.get(start, 0) > k:
-            witness = _widest_derivation(g, back, (start, k + 1))
-            return Verdict(REFUTED, witness, {**info, "stop": FOUND, "width": witness.index()})
-        if budget.max_stack is not None or not cut:
-            return Verdict(PROVEN, None, {**info, "exhausted": True})
-    return Verdict(UNKNOWN, None, {**info, "stop": MAX_STEPS})
+        return table(budget)[:2]
+    d = 1
+    while True:
+        cap = min(d, budget.max_steps)
+        result, stop, cut = table(replace(budget, max_stack=cap))
+        if stop != SWEPT or not cut:
+            return result, stop
+        if cap == budget.max_steps:
+            return result, MAX_STEPS
+        d *= 2
 
 
-def _widths(c: CompiledGrammar, start: int, k: int, budget: Budget):
-    """The widest productive derivation tree below each (variable, stack)
-    pair reachable from `start` within the stack cap, saturated at k + 1. A
-    pair is encoded like a variable occurrence, and its rules are the
-    one-step successors of the form that holds it alone.
-
-    A tree's widest form, over every rewrite order, is max(1, the sum over
-    its children), a terminal child counting 0. The values are a monotone
-    fixpoint over the productions (Knuth 1977), computed with a worklist over
-    reverse dependencies; it stops once the start pair reaches k + 1. For
-    each (pair, value) it keeps the first back-pointer that reached it: the
-    production and the children's (pair, value) entries, all of them earlier
-    ones, so the tree they build is finite on cyclic grammars too.
-
-    Returns the search that discovered the pairs (swept, or stopped by the
-    hard cap), the values, the back-pointers and whether a push was left out."""
+def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, done):
+    """A monotone fixpoint over the (variable, stack) pairs reachable from
+    `start` within the stack cap (Knuth 1977). A pair is encoded like a
+    variable occurrence; its rules are the one-step successors of the form
+    that holds it alone, as (pair, pid, the pairs of its variable children).
+    The caller owns the values: `fire(rule, kid, item)` returns the new items
+    of the rule's pair, combining the item of `kid` with the items of its
+    other children found so far. It is called once for each rule without
+    children (kid and item None), then for each item and each rule with its
+    pair among the children, until `done()`. Returns the search that found
+    the pairs (stopped by the hard cap, or swept) and whether a push was
+    left out."""
     leaves: list = []  # the rules without variable children
     users: dict = {}  # pair -> the rules with it among their children
     cut = False
@@ -448,36 +451,52 @@ def _widths(c: CompiledGrammar, start: int, k: int, budget: Budget):
         sid, vid = divmod(pair, c.nv)
         if c.pool_depth[sid] >= budget.max_stack:
             cut = cut or any(c.prods[pid][0] == 1 for pid in c.by_var[vid])
-        rules = [(pid, tuple(x for x in f if x >= 0)) for _, pid, f in c.expand((pair,), budget)]
-        for pid, kids in rules:
-            if not kids:
-                leaves.append((pair, pid, kids))
-            for kid in set(kids):
-                users.setdefault(kid, []).append((pair, pid, kids))
-        return [(pid, kid) for pid, kids in rules for kid in kids]
+        rules = [(pair, pid, tuple(x for x in f if x >= 0))
+                 for _, pid, f in c.expand((pair,), budget)]
+        for rule in rules:
+            if not rule[2]:
+                leaves.append(rule)
+            for kid in set(rule[2]):
+                users.setdefault(kid, []).append(rule)
+        return [(rule[1], kid) for rule in rules for kid in rule[2]]
 
     s = bfs(start, children, math.inf, budget.hard_cap)
+    items = [(rule[0], x) for rule in leaves for x in fire(rule, None, None)]
+    for kid, x in items:  # the loop also takes the items appended as it runs
+        if done():
+            break
+        for rule in users.get(kid, ()):
+            for y in fire(rule, kid, x):
+                items.append((rule[0], y))
+    return s, cut
+
+
+def _widths(c: CompiledGrammar, start: int, k: int, budget: Budget):
+    """A `deepen` table of the widest productive tree below each pair,
+    saturated at k + 1, as a `tabulate` whose items are the values a pair
+    rises to: a tree's widest form, over every rewrite order, is max(1, the
+    sum over its children), a terminal child counting 0. For each (pair,
+    value) it keeps the first back-pointer that reached it: the production
+    and the children's (pair, value) entries, all of them earlier ones, so
+    the tree they build is finite on cyclic grammars too. Stops FOUND when
+    the start pair reaches k + 1. The result is (the search, the pointers)."""
     value: dict = {}
     back: dict = {}
     top = k + 1
-    risen: list = []  # every pair whose value rose, in order
 
-    def offer(pair, pid, kids):
-        if all(kid in value for kid in kids):
-            v = min(top, max(1, sum(value[kid] for kid in kids)))
+    def fire(rule, kid, item):
+        pair, pid, kids = rule
+        if all(x in value for x in kids):
+            v = min(top, max(1, sum(value[x] for x in kids)))
             if v > value.get(pair, 0):
-                back[pair, v] = (pid, tuple((kid, value[kid]) for kid in kids))
+                back[pair, v] = (pid, tuple((x, value[x]) for x in kids))
                 value[pair] = v
-                risen.append(pair)
+                return (v,)
+        return ()
 
-    for rule in leaves:
-        offer(*rule)
-    for kid in risen:  # the loop also takes the pairs appended as it runs
-        if value.get(start, 0) == top:
-            break
-        for pair, pid, kids in users.get(kid, ()):
-            offer(pair, pid, kids)
-    return s, value, back, cut
+    s, cut = tabulate(c, start, budget, fire, lambda: value.get(start, 0) == top)
+    stop = FOUND if s.stop == SWEPT and value.get(start, 0) == top else s.stop
+    return (s, back), stop, cut
 
 
 def _widest_derivation(g: IndexedGrammar, back: dict, root: tuple) -> Derivation:

@@ -12,7 +12,6 @@ import test_closure as closure_cases
 from igkit import fixture_text
 from igkit.closure import intersect_dfa, normalize_rhs, union
 from igkit.counters import (
-    accepts_via_expansion,
     expand_to_nfa,
     ncm_run,
     parikh_of_intersection,
@@ -35,7 +34,7 @@ from igkit.semilinear import (
     slset_subset,
 )
 
-from util import enum_set, grid_members, load
+from util import accepts_via_expansion, enum_set, grid_members, load
 
 
 def ramp_word(n):

@@ -318,11 +318,19 @@ def test_ncm_commands(tmp_path, capsys):
     assert code == 0
     assert blocks[0]["vectors"] == "(0, 0); (1, 1); (2, 2)"
     assert blocks[0]["exhausted"] == "true" and "stopped_by" not in blocks[0]
+    # the step cap bounds the stack depth of the table: sigmastar_ab pushes
+    # nothing, so it does not bind there; anbncn.ig needs depth n + 1 for a^n b^n c^n
     code, blocks = run_clean(
         capsys, "ncm", "parikh-intersect", "fixture:anbn.ncm", "fixture:sigmastar_ab.ig",
         "--radius", "4", "--max-width", "6", "--max-steps", "5",
     )
-    assert code == 0 and blocks[0]["vectors"] == "(0, 0)"
+    assert code == 0 and blocks[0]["vectors"] == "(0, 0); (1, 1); (2, 2)"
+    assert blocks[0]["exhausted"] == "true" and "stopped_by" not in blocks[0]
+    code, blocks = run_clean(
+        capsys, "ncm", "parikh-intersect", "fixture:anbncn.ncm", "fixture:anbncn.ig",
+        "--radius", "4", "--max-width", "6", "--max-steps", "5",
+    )
+    assert code == 0 and blocks[0]["vectors"] == "(0, 0, 0); (1, 1, 1)"
     assert blocks[0]["exhausted"] == "false" and blocks[0]["stopped_by"] == "max_steps"
 
 
@@ -342,12 +350,29 @@ ERRORS = [
      "UsageError: igkit: unrecognized arguments: --max-st 2"),
     (["enumerate", "fixture:anbn.ig", "--max-len", "4", "--max-w", "3"],
      "UsageError: igkit: unrecognized arguments: --max-w 3"),
+    # lengths, radii and caps are counts: a negative one is not "no cap"
+    (["enumerate", "fixture:anbn.ig", "--max-len", "-1", "--max-steps", "12"],
+     "UsageError: igkit enumerate: argument --max-len: must be >= 0: -1"),
+    (["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "-1"],
+     "UsageError: igkit etol enumerate: argument --max-len: must be >= 0: -1"),
+    (["ncm", "parikh-intersect", "fixture:anbn.ncm", "fixture:sigmastar_ab.ig", "--radius", "-1"],
+     "UsageError: igkit ncm parikh-intersect: argument --radius: must be >= 0: -1"),
+    (["ncm", "parikh-intersect", "fixture:anbn.ncm", "fixture:sigmastar_ab.ig", "--radius", "2",
+      "--enum-len", "-1"],
+     "UsageError: igkit ncm parikh-intersect: argument --enum-len: must be >= 0: -1"),
+    (["bounded", "subset", "fixture:twin.sls", "fixture:twin.sls", "--check-len", "-1"],
+     "UsageError: igkit bounded subset: argument --check-len: must be >= 0: -1"),
+    (["ncm", "run", "fixture:anbn.ncm", "ab", "--counter-cap", "-1"],
+     "UsageError: igkit ncm run: argument --counter-cap: must be >= 0: -1"),
 ]
 
 
 @pytest.mark.parametrize("argv,error", ERRORS, ids=["missing-input", "dir-input", "dir-out",
                                                   "no-max-len", "bad-int", "removed-flag",
-                                                  "flag-prefix-etol", "flag-prefix-enumerate"])
+                                                  "flag-prefix-etol", "flag-prefix-enumerate",
+                                                  "negative-max-len", "negative-etol-max-len",
+                                                  "negative-radius", "negative-enum-len",
+                                                  "negative-check-len", "negative-counter-cap"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
@@ -487,7 +512,8 @@ CAPS = [
     (["etol", "enumerate", "fixture:abc.etol", "--max-len", "9"], "--max-width", None, "2",
      "count", "4", "0"),
     (ETOL, "--hard-cap", None, "3", "stopped_by", None, "hard_cap"),
-    (PARIKH + ["--max-width", "6"], "--max-steps", None, "5", "stopped_by", None, "max_steps"),
+    (["ncm", "parikh-intersect", "fixture:anbncn.ncm", "fixture:anbncn.ig", "--radius", "4"],
+     "--max-steps", "8", "1", "vectors", "(0, 0, 0); (1, 1, 1)", "(0, 0, 0)"),
     (PARIKH, "--max-width", None, "1", "vectors", "(0, 0); (1, 1); (2, 2)", "(0, 0)"),
     (["ncm", "parikh-intersect", "fixture:anbncn.ncm", "fixture:anbncn.ig", "--radius", "1"],
      "--max-stack", None, "1", "exhausted", "false", "true"),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import igkit
 from igkit.automata import Dfa, Nfa, empty_dfa, universal_dfa
@@ -16,7 +17,6 @@ from igkit.closure import (
     Morphism,
     NivatTransducer,
     NotNormalized,
-    clean,
     intersect_dfa,
     inverse_morphism,
     inverse_projection,
@@ -24,19 +24,23 @@ from igkit.closure import (
     morphism_image,
     nivat_transduce,
     normalize_rhs,
-    prune_nonproductive,
-    prune_unreachable,
     union,
 )
-from igkit.grammar import Production, make_grammar, parse_grammar, validate
+from igkit.grammar import Production, make_grammar, parse_grammar, serialize_grammar, validate
 
 from util import (
+    TERMS,
+    clean,
     enum_set,
     grammars,
     interleavings,
     load,
+    oracle_intersect_dfa,
     oracle_prune_nonproductive,
     oracle_prune_unreachable,
+    prune_nonproductive,
+    prune_unreachable,
+    total_dfas,
     words_upto,
 )
 
@@ -262,6 +266,23 @@ def test_intersect_requires_total_dfa():
         intersect_dfa(load("astar.ig"), partial)
 
 
+IG_FIXTURES = sorted(p.name for p in (Path(igkit.__file__).parent / "fixtures").glob("*.ig"))
+
+
+@pytest.mark.parametrize("name", IG_FIXTURES)
+@given(data=st.data())
+def test_intersection_is_the_cleaned_full_product(name, data):
+    g = normalize_rhs(load(name))
+    d = data.draw(total_dfas(g.terminals))
+    assert serialize_grammar(intersect_dfa(g, d)) == serialize_grammar(oracle_intersect_dfa(g, d))
+
+
+@given(grammars(), total_dfas(TERMS))
+def test_intersection_is_the_cleaned_full_product_on_random_grammars(g, d):
+    g = normalize_rhs(g)
+    assert serialize_grammar(intersect_dfa(g, d)) == serialize_grammar(oracle_intersect_dfa(g, d))
+
+
 def test_intersect_replaces_index_alphabet_with_copies():
     out = intersect_dfa(normalize_rhs(load("anbncn.ig")), universal_dfa(("a", "b", "c")))
     assert all(i.endswith("#i") for i in out.indices)
@@ -481,7 +502,6 @@ def test_prune_unreachable_drops_dead_variables():
     assert enum_set(out, 3) == enum_set(g, 3)
 
 
-IG_FIXTURES = sorted(p.name for p in (Path(igkit.__file__).parent / "fixtures").glob("*.ig"))
 PRUNES = [
     (prune_unreachable, oracle_prune_unreachable),
     (prune_nonproductive, oracle_prune_nonproductive),

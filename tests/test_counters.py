@@ -2,11 +2,12 @@
 counting pipeline, against brute-force word enumeration."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from igkit import fixture_text
 from igkit.counters import (
     NotOneReversal,
-    accepts_via_expansion,
     audit_run,
     counter_letters,
     expand_to_nfa,
@@ -22,7 +23,7 @@ from igkit.grammar import parse_grammar
 from igkit.search import PROVEN, REFUTED, UNKNOWN
 from igkit.semilinear import parikh
 
-from util import SILENT_SIX, load, words_upto
+from util import SILENT_SIX, accepts_via_expansion, grammars, load, oracle_parikh, words_upto
 
 
 def m_fix(name):
@@ -233,6 +234,70 @@ def test_parikh_intersection_empty_grammar():
     )
     sample = parikh_of_intersection(g, m_fix("anbn.ncm"), 6, budget=PIPE_BUDGET)
     assert sample.vectors == ()
+
+
+# the table against the enumeration route it replaced: (machine, grammar, radius)
+BUNDLED = [
+    ("anbn.ncm", "sigmastar_ab.ig", 4),
+    ("anbn.ncm", "abstar.ig", 4),
+    ("anbn.ncm", "anbn.ig", 3),
+    ("freeall.ncm", "anbn.ig", 4),
+    ("updown.ncm", "abstar.ig", 4),
+    ("none.ncm", "astar.ig", 4),
+    ("anbncn.ncm", "sigmastar_abc.ig", 2),
+]
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 3])
+@pytest.mark.parametrize("machine,grammar,radius", BUNDLED)
+def test_parikh_table_matches_the_enumeration_on_fixtures(machine, grammar, radius, width):
+    g, m = load(grammar), m_fix(machine)
+    budget = Budget(max_steps=600, max_width=width)
+    got = parikh_of_intersection(g, m, radius, budget=budget)
+    assert got.exhausted
+    assert got == oracle_parikh(g, m, radius, budget=budget)
+
+
+def test_parikh_rejects_a_negative_radius_or_length():
+    g, m = load("sigmastar_ab.ig"), m_fix("anbn.ncm")
+    for radius, enum_len in ((-1, None), (2, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            parikh_of_intersection(g, m, radius, enum_len=enum_len)
+
+
+# anbncn.ig pushes in a loop: without a stack cap neither route sweeps, and
+# width 1, then 2, cut off the vectors one by one
+@pytest.mark.parametrize("stack,width,vectors", [
+    (None, None, ((0, 0, 0), (1, 1, 1))),
+    (None, 2, ((0, 0, 0),)),
+    (3, None, ((0, 0, 0), (1, 1, 1))),
+    (3, 1, ()),
+    (3, 2, ((0, 0, 0),)),
+    (3, 3, ((0, 0, 0), (1, 1, 1))),
+])
+def test_parikh_table_on_a_grammar_that_pushes(stack, width, vectors):
+    g, m = load("anbncn.ig"), m_fix("anbncn.ncm")
+    budget = Budget(max_steps=40, max_width=width, max_stack=stack)
+    got = parikh_of_intersection(g, m, 3, budget=budget)
+    want = oracle_parikh(g, m, 3, budget=budget)
+    assert got.vectors == want.vectors == vectors
+    assert got.exhausted == (stack is not None)
+    if stack is None:
+        assert got.stop == want.stop == "max_steps"
+
+
+@given(grammars(), st.sampled_from(["anbn.ncm", "freeall.ncm", "updown.ncm"]),
+       st.integers(0, 3), st.sampled_from([None, 1, 2, 3]), st.sampled_from([None, 1, 2]))
+def test_parikh_table_matches_the_enumeration(g, machine, radius, width, stack):
+    # a route that swept lists every vector; the other lists no vector beyond it
+    m = m_fix(machine)
+    budget = Budget(max_steps=10, max_width=width, max_stack=stack, hard_cap=20_000)
+    got = parikh_of_intersection(g, m, radius, budget=budget)
+    want = oracle_parikh(g, m, radius, budget=budget)
+    if got.exhausted:
+        assert set(want.vectors) <= set(got.vectors)
+    if want.exhausted:
+        assert set(got.vectors) <= set(want.vectors)
 
 
 # -- text format ------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Derivation search: enumeration, membership, index measurement, width audit."""
 
+import pytest
+
 from igkit import fixture_text
 from igkit.engine import (
     Budget,
@@ -35,6 +37,13 @@ def test_twin_enumeration_to_14():
     res = enumerate_language(g_fix("twin.ig"), 14, TWIN_BUDGET)
     assert words(res) == {"$", "abc$abc", "aabbcc$aabbcc"}
     assert res.exhausted
+
+
+def test_negative_length_is_not_unbounded():
+    # the kernel reads max_terms = -1 as no cap, so -1 must not reach it
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        enumerate_language(g_fix("anbn.ig"), -1, Budget(max_steps=12))
+    assert words(enumerate_language(g_fix("anbn.ig"), 0, Budget(max_steps=12))) == {""}
 
 
 def test_ramp_grammar_enumeration_to_8():

@@ -2,15 +2,22 @@
 random grammars for Hypothesis, brute-force oracles for the closure
 constructions, the all-orders search that the leftmost and subtree orders of
 the engine are checked against, the form search that the width table of
-check_uncontrolled is checked against, the fixpoints that the pruning of
-closure.py is checked against, and the grid of a tuple automaton."""
+check_uncontrolled is checked against, the full product that
+closure.intersect_dfa is checked against with the prunings it cleans with
+(and the fixpoints they are checked against), the enumeration route that the
+Parikh table of counters.parikh_of_intersection is checked against, the
+acceptance test that counters.expand_to_nfa is checked with, and the grid of
+a tuple automaton."""
 
+import math
 from dataclasses import replace
 from itertools import product
 
 from hypothesis import strategies as st
 
-from igkit import fixture_text, kernel
+from igkit import automata, fixture_text, kernel
+from igkit.closure import _split_rhs, inverse_projection, normalize_rhs
+from igkit.counters import ParikhSample, counter_letters, expand_to_nfa, to_one_reversal
 from igkit.engine import (
     Budget,
     CompiledGrammar,
@@ -20,7 +27,15 @@ from igkit.engine import (
     _is_terminal_enc,
     enumerate_language,
 )
-from igkit.grammar import SPECIAL, Production, make_grammar, parse_grammar
+from igkit.grammar import (
+    PUSH,
+    SPECIAL,
+    IndexedGrammar,
+    Production,
+    fresh_name,
+    make_grammar,
+    parse_grammar,
+)
 from igkit.search import (
     EXPAND,
     FOUND,
@@ -33,7 +48,10 @@ from igkit.search import (
     Verdict,
     bfs,
     decide,
+    moves,
+    reach,
 )
+from igkit.semilinear import parikh
 from igkit.vector_automata import determinize, saturate
 
 
@@ -71,6 +89,16 @@ def grammars(draw):
         consumed = draw(st.sampled_from(idx)) if kind == "consume" else None
         prods.append(Production(lhs, rhs, lhs_index=consumed))
     return make_grammar("rnd", vs, TERMS, idx, prods, "S")
+
+
+@st.composite
+def total_dfas(draw, alphabet):
+    """A total DFA with 1 to 5 states over `alphabet`."""
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 5))))
+    moves = tuple((q, a, draw(st.sampled_from(states))) for q in states for a in alphabet)
+    accepting = frozenset(draw(st.sets(st.sampled_from(states))))
+    return automata.Dfa(states, tuple(alphabet), draw(st.sampled_from(states)), accepting,
+                        moves, name="rnd")
 
 
 def every_order(c, budget, max_terms=-1):
@@ -201,6 +229,179 @@ def oracle_check_uncontrolled(g, k, budget):
     if s.stop == FOUND:
         return Verdict(REFUTED, None, info)
     return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+
+
+def prune_unreachable(g):
+    """Drop variables unreachable from the start symbol, their productions,
+    and index symbols no production mentions. Language-preserving."""
+    below: dict = {}  # variable -> the variables on its right sides
+    for p in g.productions:
+        below.setdefault(p.lhs_var, []).extend(s for s in p.rhs if s in g.variable_set)
+    reached = set(reach([g.start], lambda v: [(s,) for s in below.get(v, ())]))
+    prods = tuple(p for p in g.productions if p.lhs_var in reached)
+    used_idx = set()
+    for p in prods:
+        if p.lhs_index is not None:
+            used_idx.add(p.lhs_index)
+        if p.push_index is not None:
+            used_idx.add(p.push_index)
+    return replace(
+        g,
+        variables=tuple(v for v in g.variables if v in reached),
+        indices=tuple(i for i in g.indices if i in used_idx),
+        productions=prods,
+    )
+
+
+def prune_nonproductive(g):
+    """Drop variables that can never rewrite to a terminal word even when
+    index availability is ignored (a sound over-approximation: consume
+    productions are treated as always applicable). Successful derivations are
+    untouched, so the language, minimal widths and special counts are all
+    preserved; dead search branches disappear."""
+    waiting = []  # per production: its right-side variables not yet known productive
+    uses: dict = {}  # variable -> the productions with it on the right side
+    for i, p in enumerate(g.productions):
+        rhs_vars = {s for s in p.rhs if s in g.variable_set}
+        waiting.append(len(rhs_vars))
+        for v in rhs_vars:
+            uses.setdefault(v, []).append(i)
+
+    def successors(v):
+        # reach expands each variable once, so each count drops once per variable
+        for i in uses.get(v, ()):
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                yield (g.productions[i].lhs_var,)
+
+    productive = set(reach([p.lhs_var for p, n in zip(g.productions, waiting) if n == 0],
+                           successors))
+    prods = tuple(
+        p for p in g.productions
+        if p.lhs_var in productive
+        and all(s not in g.variable_set or s in productive for s in p.rhs)
+    )
+    keep = productive | {g.start}
+    return replace(g, variables=tuple(v for v in g.variables if v in keep), productions=prods)
+
+
+def clean(g):
+    """Non-productive then unreachable pruning."""
+    return prune_unreachable(prune_nonproductive(g))
+
+
+def oracle_intersect_dfa(g, d):
+    """closure.intersect_dfa as the full product: every triple <p|A|q> and
+    every production over all states, then `clean`."""
+    imap = {f: f"{f}#i" for f in g.indices}
+    states = d.states
+
+    def tri(p, var, q):
+        return f"<{p}|{var}|{q}>"
+
+    variables = [tri(p, v, q) for v in g.variables for p in states for q in states]
+    start = fresh_name("S", variables)
+    prods = [Production(start, (tri(d.initial, g.start, acc),))
+             for acc in states if acc in d.accepting]
+    for prod in g.productions:
+        lhs_index = None if prod.lhs_index is None else imap[prod.lhs_index]
+        if prod.kind == PUSH:
+            for p, q in product(states, states):
+                prods.append(Production(tri(p, prod.lhs_var, q), (tri(p, prod.rhs[0], q),),
+                                        push_index=imap[prod.push_index]))
+            continue
+        words, xs = _split_rhs(g, prod.rhs)
+        if not xs:
+            for p in states:
+                prods.append(Production(tri(p, prod.lhs_var, d.run(words[0], p)), words[0],
+                                        lhs_index=lhs_index))
+        elif len(xs) == 1:
+            u, v = words
+            for p, s in product(states, states):
+                prods.append(Production(tri(p, prod.lhs_var, d.run(v, s)),
+                                        u + (tri(d.run(u, p), xs[0], s),) + v,
+                                        lhs_index=lhs_index))
+        else:
+            u = words[0]
+            for p, mid, q in product(states, states, states):
+                prods.append(Production(tri(p, prod.lhs_var, q),
+                                        u + (tri(d.run(u, p), xs[0], mid), tri(mid, xs[1], q)),
+                                        lhs_index=lhs_index))
+    return clean(IndexedGrammar(
+        variables=(start,) + tuple(variables),
+        terminals=g.terminals,
+        indices=tuple(imap[f] for f in g.indices),
+        productions=tuple(prods),
+        start=start,
+        name=f"cap({g.name},{d.name})",
+    ))
+
+
+def oracle_parikh(g, m, radius, enum_len=None, budget=None):
+    """counters.parikh_of_intersection through enumeration: every word of
+    the intersection grammar (the full product) up to enum_len within the
+    budget, the balanced ones projected onto g's terminals."""
+    m1 = to_one_reversal(m)
+    k = m1.num_counters
+    ext = g.terminals + counter_letters(k)
+    d = automata.determinize(expand_to_nfa(m1), alphabet=ext)
+    g2 = oracle_intersect_dfa(normalize_rhs(inverse_projection(g, ext)), d)
+    length = enum_len if enum_len is not None else radius * (1 + 2 * k)
+    res = enumerate_language(g2, length, budget or Budget(max_steps=600))
+    vectors = set()
+    for w in res.words:
+        xs = [ltr for ltr in w if ltr in g.terminal_set]
+        if len(xs) <= radius and all(w.count(f"p#{i}") == w.count(f"q#{i}")
+                                     for i in range(1, k + 1)):
+            vectors.add(parikh(xs, g.terminals))
+    return ParikhSample(tuple(sorted(vectors)), radius, length, res.exhausted, res.stop)
+
+
+def accepts_via_expansion(nfa, input_alphabet, k, x, cap=None):
+    """Whether the machine that counters.expand_to_nfa expanded to `nfa`
+    accepts x, read off the expansion: search for an NFA word with balanced
+    p#i/q#i counts that projects to x, over (state, input position, count
+    differences): proven with the run trace, one (label, state, position,
+    differences) per step. Each difference is capped at |x|+4 by default (a
+    budget): refuted only when the capped space was swept without the cap
+    ever biting."""
+    x = tuple(x)
+    cap = cap if cap is not None else len(x) + 4
+    inputs = set(input_alphabet)
+    pletters = {f"p#{i + 1}": i for i in range(k)}
+    qletters = {f"q#{i + 1}": i for i in range(k)}
+    capped = False
+
+    def successors(cfg):
+        nonlocal capped
+        state, pos, bal = cfg
+        for src, label, dst in nfa.transitions:
+            if src != state:
+                continue
+            if label is None:
+                yield label, (dst, pos, bal)
+            elif label in inputs:
+                if pos < len(x) and x[pos] == label:
+                    yield label, (dst, pos + 1, bal)
+            elif label in pletters:
+                i = pletters[label]
+                if bal[i] < cap:
+                    yield label, (dst, pos, bal[:i] + (bal[i] + 1,) + bal[i + 1:])
+                else:
+                    capped = True
+            else:
+                i = qletters[label]
+                if bal[i] > 0:
+                    yield label, (dst, pos, bal[:i] + (bal[i] - 1,) + bal[i + 1:])
+
+    def visit(cfg):
+        state, pos, bal = cfg
+        return GOAL if pos == len(x) and not any(bal) and state in nfa.accepting else EXPAND
+
+    s = bfs((nfa.initial, 0, (0,) * k), successors, math.inf, math.inf, visit)
+    return decide(s, not capped, lambda goal: tuple(
+        (label, *cfg) for label, cfg in moves(successors, s.parents, goal)),
+        configs=len(s.parents))
 
 
 def oracle_prune_unreachable(g):
