@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .automata import Nfa, determinize
 from .closure import intersect_dfa, inverse_projection, normalize_rhs
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
 # `enumerate_language` among this module's names: keep it while the tracer does
-from .engine import Budget, CompiledGrammar, deepen, enumerate_language, tabulate  # noqa: F401
+from .engine import Budget, CompiledGrammar, enumerate_language, tabulate, tree_width  # noqa: F401
 from .grammar import (
     GrammarError,
     IndexedGrammar,
@@ -394,8 +394,8 @@ def parikh_of_intersection(
     """Counting vectors of L(g) ∩ L(m) up to the radius, computed through the
     regular route: extend the grammar alphabet with counter letters, intersect
     with the expanded NFA, tabulate the letter counts of the intersection
-    grammar's words up to enum_len (`_parikh_table`, at the depth caps of
-    `deepen`: max_steps bounds the stack depth, not the derivation length),
+    grammar's words up to enum_len (`_parikh_table`, grown by `tabulate` at
+    depth caps: max_steps bounds the stack depth, not the derivation length),
     keep the balanced ones, project away the counter letters."""
     if radius < 0 or (enum_len is not None and enum_len < 0):
         raise ValueError("radius and enum_len must be >= 0")
@@ -409,22 +409,22 @@ def parikh_of_intersection(
     length = enum_len if enum_len is not None else radius * (1 + 2 * k)
     budget = budget or Budget(max_steps=600)
     c = CompiledGrammar(g2)
-    counts, stop = deepen(budget, lambda b: _parikh_table(c, length, b))
+    counts, stop = _parikh_table(c, length, budget)
     n = len(g.terminals)  # g2's terminals are ext, in order
     vectors = {v[:n] for v in counts if sum(v[:n]) <= radius and v[n::2] == v[n + 1::2]}
     return ParikhSample(tuple(sorted(vectors)), radius, length, stop == SWEPT, stop)
 
 
 def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
-    """A `deepen` table of the letter counts of the start variable's words of
-    length <= `length`: a `tabulate` whose items are (vector, width), the
-    counts of a tree's word and the least Sethi–Ullman width of a tree with
-    them (1 for a leaf; children of widths c1 >= c2 >= … give max(c1, c2 + 1,
-    …)). Width and total only grow up a tree, so an entry over the width cap
-    or `length` is dropped. The hard cap counts pairs and entries. A vector
-    is one int, count i in field i of `bits` bits and the total above: adding
-    vectors adds ints, and an int is below `over` exactly when its total is
-    at most `length` (its counts then fit their fields)."""
+    """The letter counts of the start variable's words of length <=
+    `length`: a `tabulate` whose items are (vector, width), the counts of a
+    tree's word and the least width of a tree with them (`tree_width`).
+    Width and total only grow up a tree, so an entry over the width cap or
+    `length` is dropped, and so is a rule with more variable children than
+    the cap. The hard cap counts pairs and entries. A vector is one int,
+    count i in field i of `bits` bits and the total above: adding vectors
+    adds ints, and an int is below `over` exactly when its total is at most
+    `length` (its counts then fit their fields)."""
     bits, n = length.bit_length(), len(c.term_names)
     unit = [(1 << bits * i) + (1 << bits * n) for i in range(n)]
     over = (length + 1) << bits * n
@@ -436,14 +436,16 @@ def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
     def fire(rule, kid, item):
         nonlocal size
         pair, pid, kids = rule
+        if len(kids) > max(1, cap):  # two children or more make a tree that wide
+            return ()
         got = table.setdefault(pair, {})
+        push = c.prods[pid][0] == 1
         new = []
         j = None if kid is None else kids.index(kid)  # entries ignore order: one place will do
         for combo in itertools.product(*([item] if i == j else table.get(x, {}).items()
                                          for i, x in enumerate(kids))):
             vec = base[pid] + sum(v for v, _ in combo)
-            costs = sorted((w for _, w in combo), reverse=True)
-            w = max([1] + [x + i for i, x in enumerate(costs)])
+            w = tree_width([w for _, w in combo], push)
             if vec < over and w <= cap and w < got.get(vec, math.inf):
                 size += vec not in got
                 got[vec] = w
@@ -451,11 +453,11 @@ def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
         return new
 
     start = c.start()[0]
-    s, cut = tabulate(c, start, replace(budget, max_width=None), fire,
-                      lambda: size > budget.hard_cap)
+    _, stop = tabulate(c, start, budget, fire,
+                       lambda: HARD_CAP if size > budget.hard_cap else None)
     mask = (1 << bits) - 1
     counts = [tuple(v >> bits * i & mask for i in range(n)) for v in table.get(start, ())]
-    return counts, HARD_CAP if size > budget.hard_cap else s.stop, cut
+    return counts, stop
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Bounded exploration of the derivation relation.
 
 Search-based language enumeration, membership and index measurement, and
-tables over (variable, stack) pairs (`tabulate`): derivation-tree widths for
-uncontrolled-width checking here, letter counts in igkit.counters. Index stacks
-are unbounded in general, so every operation takes a Budget; verdicts are
-relative to the budget caps and each result records whether the budgeted
-space was swept completely.
+tables over (variable, stack) pairs (`tabulate`): the words of a width-capped
+enumeration and the derivation-tree widths of uncontrolled-width checking
+here, letter counts in igkit.counters. Index stacks are unbounded in general,
+so every operation takes a Budget; verdicts are relative to the budget caps
+and each result records whether the budgeted space was swept completely.
 
 The hot path (one-step expansion of a sentential form) runs through
-igkit.kernel. Enumeration, membership (and so the per-k searches of
-min_index) and the special-production minimum follow one rewrite order per
+igkit.kernel. Membership (and so the per-k searches of min_index), the
+special-production minimum and enumeration follow one rewrite order per
 derivation tree: leftmost without a width cap, subtree at a time with one
-(CompiledGrammar.expand). check_uncontrolled searches no forms: it tabulates
-the widest tree below each (variable, stack) pair.
+(CompiledGrammar.expand). An enumeration under a width cap whose stack is
+bounded (a stack cap, or no push production) searches no forms: it tabulates
+the words below each pair with their least widths (`_word_table`), as
+check_uncontrolled tabulates the widest tree below each pair.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class Budget:
     """Search bounds. max_steps (derivation length) is always required so the
     explored space is finite; the width and stack caps default to unbounded.
     hard_cap bounds the forms a search stores (under a width cap, the (form,
-    depth) states of the subtree order): a search it stops is reported like
-    one the step cap stops, never as a refutation."""
+    depth) states of the subtree order), and the pairs and the entries of a
+    table: a search or table it stops is reported like one the step cap
+    stops, never as a refutation."""
 
     max_steps: int
     max_width: Optional[int] = None
@@ -187,8 +190,10 @@ class CompiledGrammar:
         of a tree keeps its words, proofs and minimums (like the leftmost
         search, it can need more levels to sweep). Forms then carry
         `_subtree_depths(budget)` depth values (decode them with that count),
-        and the hard cap counts (form, depth) states. kernel.expand with a
-        width cap and no depths gives the search over every order."""
+        and the hard cap counts (form, depth) states. The subtree order
+        serves membership, min_index, special_count_min and the width-capped
+        enumerations whose stack is unbounded; the others read `_word_table`.
+        kernel.expand with a width cap and no depths gives every order."""
         return kernel.expand(
             self, form,
             -1 if budget.max_width is None else budget.max_width,
@@ -230,31 +235,78 @@ def _derivation(c: CompiledGrammar, successors, parents: dict, goal, depths: int
 def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> EnumerationResult:
     """Words of L(g) of length <= max_len reachable within the budget, in
     length-lexicographic order. `exhausted` is True when the budgeted space
-    was swept completely, making the list exact under the active caps."""
+    was swept completely, making the list exact under the active caps. Under
+    a width cap with a bounded stack (a stack cap, or no push production)
+    the words come from `_word_table`, otherwise from the search."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     c = CompiledGrammar(g)
-    words: list[tuple[int, ...]] = []
+    if budget.max_width is not None and (
+            budget.max_stack is not None or all(p.kind != PUSH for p in g.productions)):
+        words, stop, forms = _word_table(c, max_len, budget)
+    else:
+        words = []
 
-    def visit(form):
-        if _is_terminal_enc(form):
-            words.append(form)
-            return LEAF
-        return EXPAND
+        def visit(form):
+            if _is_terminal_enc(form):
+                words.append(form)
+                return LEAF
+            return EXPAND
 
-    s = bfs(c.start(), lambda f: c.expand(f, budget, max_len), budget.max_steps,
-            budget.hard_cap, visit)
-    decoded = sorted(
-        (tuple(c.term_names[-x - 1] for x in w) for w in words),
-        key=lambda w: (len(w), w),
-    )
-    return EnumerationResult(
-        words=tuple(decoded),
-        exhausted=s.swept,
-        active_caps=budget.active_caps(),
-        forms_seen=len(s.parents),
-        stop=s.stop,
-    )
+        s = bfs(c.start(), lambda f: c.expand(f, budget, max_len), budget.max_steps,
+                budget.hard_cap, visit)
+        stop, forms = s.stop, len(s.parents)
+    decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
+                     key=lambda w: (len(w), w))
+    return EnumerationResult(tuple(decoded), stop == SWEPT, budget.active_caps(), forms, stop)
+
+
+def _word_table(c: CompiledGrammar, max_len: int, budget: Budget):
+    """The words of a width-capped enumeration: a `tabulate` whose items are
+    ((word, width), size), a tree's word, its width (`tree_width`) and the
+    least size (rewrites) of a tree with both. Length and width only grow up
+    a tree, so an entry over `max_len` or the width cap is dropped, and so is
+    a rule with more variable children than the cap. The start words of
+    least size at most max_steps are the words the search finds. Returns
+    them, the stop (MAX_STEPS when the step cap left a start word out) and
+    the pairs plus entries, which the hard cap counts too."""
+    blocks = [_yield_blocks((0,) if row[0] == 1 else row[2])[0] for row in c.prods]
+    cap = budget.max_width
+    table: dict = {}  # pair -> {(word, width): least size}
+    size = 0
+
+    def fire(rule, kid, item):
+        nonlocal size
+        pair, pid, kids = rule
+        if len(kids) > max(1, cap):  # two children or more make a tree that wide
+            return ()
+        got = table.setdefault(pair, {})
+        push = c.prods[pid][0] == 1
+        new = []
+        for j in [i for i, x in enumerate(kids) if x == kid] or [None]:
+            # the (word so far, children's widths, size) of each combination,
+            # a child at a time, dropping words that already outgrow max_len
+            part = [(blocks[pid][0], (), 1)]
+            for i, x in enumerate(kids):
+                run = blocks[pid][i + 1]
+                part = [(word + w + run, ws + (cw,), n + cn) for word, ws, n in part
+                        for (w, cw), cn in ([item] if i == j else table.get(x, {}).items())
+                        if len(word) + len(w) + len(run) <= max_len]
+            for word, ws, n in part:
+                key = (word, tree_width(ws, push))
+                if len(word) <= max_len and key[1] <= cap and n < got.get(key, math.inf):
+                    size += key not in got
+                    got[key] = n
+                    new.append((key, n))
+        return new
+
+    start = c.start()[0]
+    pairs, stop = tabulate(c, start, budget, fire,
+                           lambda: HARD_CAP if size > budget.hard_cap else None)
+    words = {w for (w, _), n in table.get(start, {}).items() if n <= budget.max_steps}
+    if stop == SWEPT and any(w not in words for w, _ in table.get(start, ())):
+        stop = MAX_STEPS
+    return words, stop, pairs + size
 
 
 # ---------------------------------------------------------------------------
@@ -394,92 +446,19 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
 
     Each child of a rewrite gets its own copy of the stack, so the widest
     derivation tree below a (variable, stack) pair depends on that pair
-    alone, and `_widths` tabulates it at the depth caps of `deepen`. The
-    hard cap counts the pairs of a table. The budget's width cap is ignored:
-    it would hide the forms looked for.
+    alone. A `tabulate` holds it, saturated at k + 1, as the values a pair
+    rises to: a tree's widest form, over every rewrite order, is max(1, the
+    sum over its children), a terminal child counting 0. For each (pair,
+    value) it keeps the first back-pointer that reached it: the production
+    and the children's (pair, value) entries, all of them earlier ones, so
+    the tree they build is finite on cyclic grammars too. The table stops
+    when the start pair reaches k + 1, and the hard cap counts its pairs.
+    The budget's width cap is ignored: it would hide the forms looked for.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     c = CompiledGrammar(g)
     start = c.start()[0]
-    (s, back), stop = deepen(replace(budget, max_width=None), lambda b: _widths(c, start, k, b))
-    info = {"exhausted": stop == SWEPT, "caps": budget.active_caps(), "stop": stop,
-            "forms": len(s.parents)}
-    if stop != FOUND:
-        return Verdict(PROVEN if stop == SWEPT else UNKNOWN, None, info)
-    witness = _widest_derivation(g, back, (start, k + 1))
-    return Verdict(REFUTED, witness, {**info, "width": witness.index()})
-
-
-def deepen(budget: Budget, table):
-    """`table(b)` -> (result, stop, whether it left out a push), built at the
-    budget's stack cap, or without one at depth caps 1, 2, 4, … up to
-    max_steps (a stack of depth d needs d pushes) until a table stops short
-    of SWEPT or leaves out no push. Returns the last result and its stop,
-    MAX_STEPS when it still left out a push."""
-    if budget.max_stack is not None:
-        return table(budget)[:2]
-    d = 1
-    while True:
-        cap = min(d, budget.max_steps)
-        result, stop, cut = table(replace(budget, max_stack=cap))
-        if stop != SWEPT or not cut:
-            return result, stop
-        if cap == budget.max_steps:
-            return result, MAX_STEPS
-        d *= 2
-
-
-def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, done):
-    """A monotone fixpoint over the (variable, stack) pairs reachable from
-    `start` within the stack cap (Knuth 1977). A pair is encoded like a
-    variable occurrence; its rules are the one-step successors of the form
-    that holds it alone, as (pair, pid, the pairs of its variable children).
-    The caller owns the values: `fire(rule, kid, item)` returns the new items
-    of the rule's pair, combining the item of `kid` with the items of its
-    other children found so far. It is called once for each rule without
-    children (kid and item None), then for each item and each rule with its
-    pair among the children, until `done()`. Returns the search that found
-    the pairs (stopped by the hard cap, or swept) and whether a push was
-    left out."""
-    leaves: list = []  # the rules without variable children
-    users: dict = {}  # pair -> the rules with it among their children
-    cut = False
-
-    def children(pair):
-        nonlocal cut
-        sid, vid = divmod(pair, c.nv)
-        if c.pool_depth[sid] >= budget.max_stack:
-            cut = cut or any(c.prods[pid][0] == 1 for pid in c.by_var[vid])
-        rules = [(pair, pid, tuple(x for x in f if x >= 0))
-                 for _, pid, f in c.expand((pair,), budget)]
-        for rule in rules:
-            if not rule[2]:
-                leaves.append(rule)
-            for kid in set(rule[2]):
-                users.setdefault(kid, []).append(rule)
-        return [(rule[1], kid) for rule in rules for kid in rule[2]]
-
-    s = bfs(start, children, math.inf, budget.hard_cap)
-    items = [(rule[0], x) for rule in leaves for x in fire(rule, None, None)]
-    for kid, x in items:  # the loop also takes the items appended as it runs
-        if done():
-            break
-        for rule in users.get(kid, ()):
-            for y in fire(rule, kid, x):
-                items.append((rule[0], y))
-    return s, cut
-
-
-def _widths(c: CompiledGrammar, start: int, k: int, budget: Budget):
-    """A `deepen` table of the widest productive tree below each pair,
-    saturated at k + 1, as a `tabulate` whose items are the values a pair
-    rises to: a tree's widest form, over every rewrite order, is max(1, the
-    sum over its children), a terminal child counting 0. For each (pair,
-    value) it keeps the first back-pointer that reached it: the production
-    and the children's (pair, value) entries, all of them earlier ones, so
-    the tree they build is finite on cyclic grammars too. Stops FOUND when
-    the start pair reaches k + 1. The result is (the search, the pointers)."""
     value: dict = {}
     back: dict = {}
     top = k + 1
@@ -494,9 +473,93 @@ def _widths(c: CompiledGrammar, start: int, k: int, budget: Budget):
                 return (v,)
         return ()
 
-    s, cut = tabulate(c, start, budget, fire, lambda: value.get(start, 0) == top)
-    stop = FOUND if s.stop == SWEPT and value.get(start, 0) == top else s.stop
-    return (s, back), stop, cut
+    pairs, stop = tabulate(c, start, budget, fire,
+                           lambda: FOUND if value.get(start, 0) == top else None)
+    info = {"exhausted": stop == SWEPT, "caps": budget.active_caps(), "stop": stop,
+            "forms": pairs}
+    if stop != FOUND:
+        return Verdict(PROVEN if stop == SWEPT else UNKNOWN, None, info)
+    witness = _widest_derivation(g, back, (start, top))
+    return Verdict(REFUTED, witness, {**info, "width": witness.index()})
+
+
+def tree_width(kids, push: bool) -> int:
+    """The least width of a derivation tree whose root's children have least
+    widths `kids` (Sethi & Ullman 1970): a leaf is 1, and children of widths
+    c1 >= c2 >= … give max(c1, c2 + 1, …). The search checks no form before
+    the first rewrite that is not a push (the start form, and the forms the
+    pushes after it make), so a root rewritten to terminals alone is 0 and a
+    push root passes its child's width on; as a child, 0 counts as 1."""
+    if push:
+        return kids[0]
+    return max((max(1, w) + i for i, w in enumerate(sorted(kids, reverse=True))), default=0)
+
+
+def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
+    """A monotone fixpoint over the (variable, stack) pairs reachable from
+    `start` within the stack cap (Knuth 1977). A pair is encoded like a
+    variable occurrence; its rules are the one-step successors of the form
+    that holds it alone, as (pair, pid, the pairs of its variable children).
+    The caller owns the values: `fire(rule, kid, item)` returns the new items
+    of the rule's pair, combining the item of `kid` with the items its other
+    children hold (all of them with kid and item None, as each rule is first
+    fired), until `stopped()` returns a stop instead of None.
+
+    Without a stack cap, d pushes make a stack of depth d, so the table
+    grows at depth caps 1, 2, 4, … up to max_steps until a round stops short
+    of SWEPT or leaves out no push. Each round keeps the pairs, rules and
+    items, and adds only the push rules the last cap left out and the pairs
+    they reach. Returns the number of pairs and the stop: `stopped()`'s,
+    HARD_CAP when the pairs outgrow the hard cap, MAX_STEPS when the last
+    round still left out a push."""
+    users: dict = {}  # pair -> the rules with it among their children
+    known: set = set()  # the pairs of the earlier rounds
+    items: list = []  # (pair, item), in the order found
+    new: list = []  # the rules found in this round
+    cut: list = []  # the push rules the depth cap leaves out
+    cap = min(1, budget.max_steps) if budget.max_stack is None else budget.max_stack
+    limit = budget.max_steps + 1 if budget.max_stack is None else cap  # no push goes past it
+
+    def add(rule):
+        new.append(rule)
+        for kid in set(rule[2]):
+            users.setdefault(kid, []).append(rule)
+        return [(kid,) for kid in rule[2] if kid not in known]
+
+    def children(pair):
+        if pair is None:  # the root of a round
+            return roots
+        out = []
+        deep = c.pool_depth[pair // c.nv] >= cap
+        for _, pid, f in kernel.expand(c, (pair,), -1, limit, -1, 0):
+            rule = (pair, pid, tuple(x for x in f if x >= 0))
+            if deep and c.prods[pid][0] == 1:
+                cut.append(rule)
+            else:
+                out += add(rule)
+        return out
+
+    roots, i = [(start,)], 0
+    while True:
+        s = bfs(None, children, math.inf, budget.hard_cap + 1 - len(known))
+        known.update(list(s.parents)[1:])
+        new.sort(key=lambda rule: not rule[2])  # leaves last: the others see only old items
+        for rule in new:
+            items.extend((rule[0], y) for y in fire(rule, None, None))
+        new.clear()
+        while (stop := stopped()) is None and i < len(items):  # items grows as it runs
+            pair, x = items[i]
+            i += 1
+            for rule in users.get(pair, ()):
+                items.extend((rule[0], y) for y in fire(rule, pair, x))
+        stop = s.stop if s.stop != SWEPT else stop or SWEPT
+        if stop != SWEPT or not cut:
+            return len(known), stop
+        if cap == budget.max_steps:
+            return len(known), MAX_STEPS
+        cap = min(2 * cap, budget.max_steps)
+        roots = [x for rule in cut for x in add(rule)]
+        cut.clear()
 
 
 def _widest_derivation(g: IndexedGrammar, back: dict, root: tuple) -> Derivation:

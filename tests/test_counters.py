@@ -287,7 +287,7 @@ def test_parikh_table_on_a_grammar_that_pushes(stack, width, vectors):
 
 
 @given(grammars(), st.sampled_from(["anbn.ncm", "freeall.ncm", "updown.ncm"]),
-       st.integers(0, 3), st.sampled_from([None, 1, 2, 3]), st.sampled_from([None, 1, 2]))
+       st.integers(0, 3), st.sampled_from([None, 0, 1, 2, 3]), st.sampled_from([None, 1, 2]))
 def test_parikh_table_matches_the_enumeration(g, machine, radius, width, stack):
     # a route that swept lists every vector; the other lists no vector beyond it
     m = m_fix(machine)

@@ -36,7 +36,7 @@ from igkit.engine import (
     min_index,
     special_count_min,
 )
-from igkit.grammar import Production, make_grammar, parse_grammar, replay
+from igkit.grammar import PUSH, Production, make_grammar, parse_grammar, replay
 from igkit.search import HARD_CAP, MAX_STEPS, REFUTED, UNKNOWN
 
 from util import (
@@ -47,6 +47,7 @@ from util import (
     oracle_membership,
     oracle_min_index,
     oracle_special_count_min,
+    search_enumerate,
 )
 
 def budget_strategy(widths, hard_cap=5000):
@@ -86,6 +87,11 @@ LATER_SIBLING_FIRST = make_grammar(
      Production("C", ("b",))], "S")
 
 
+def _bounded(g, budget):
+    """Whether the stack is bounded: a stack cap, or no push production."""
+    return budget.max_stack is not None or all(p.kind != PUSH for p in g.productions)
+
+
 @given(grammars(), capped)
 @example(LATER_SIBLING_FIRST, Budget(max_steps=10, max_width=2))
 def test_capped_enumeration_matches_all_orders(g, budget):
@@ -93,6 +99,39 @@ def test_capped_enumeration_matches_all_orders(g, budget):
     full = oracle_enumerate(g, 5, budget)
     if HARD_CAP not in (ours.stop, full.stop):
         assert ours.words == full.words
+        if full.exhausted and _bounded(g, budget):
+            assert ours.exhausted
+
+
+# S -> A [+e], A -> b: at width 0 the search takes the push from the start
+# form, whose width it never checks, so it lists b
+PUSH_FROM_THE_START = make_grammar(
+    "push", ("S", "A"), TERMS, ("e",),
+    [Production("S", ("A",), push_index="e"), Production("A", ("b",))], "S")
+
+
+# S -> A A, A -> a | B, B -> b: A has the word a before it has b, so b must
+# be tried at either place of the repeated child, or ab is lost
+REPEATED_CHILD = make_grammar(
+    "repeat", ("S", "A", "B"), TERMS, (),
+    [Production("S", ("A", "A")), Production("A", ("a",)), Production("A", ("B",)),
+     Production("B", ("b",))], "S")
+
+
+@given(grammars(), budget_strategy((0, 1, 2, 3, 4)))
+@example(REPEATED_CHILD, Budget(max_steps=6, max_width=2))
+@example(PUSH_FROM_THE_START, Budget(max_steps=3, max_width=0, max_stack=1))
+@example(LATER_SIBLING_FIRST, Budget(max_steps=4, max_width=2))
+def test_word_table_matches_the_search(g, budget):
+    # with a bounded stack, enumerate_language reads a width-capped
+    # enumeration from its word table; the table may sweep where the search
+    # runs out of levels, never the other way round
+    ours = enumerate_language(g, 5, budget)
+    search = search_enumerate(g, 5, budget)
+    if HARD_CAP not in (ours.stop, search.stop):
+        assert ours.words == search.words
+        if search.exhausted and _bounded(g, budget):
+            assert ours.exhausted
 
 
 def _replays_within(g, witness, w, budget):

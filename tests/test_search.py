@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from igkit import fixture_text
+from igkit import fixture_text, kernel
 from igkit import semilinear as sl
 from igkit import vector_automata as va
 from igkit.cli import OUTCOME, main, parse_report
@@ -37,7 +37,7 @@ from igkit.search import (
     reach,
 )
 
-from util import oracle_enumerate, oracle_membership
+from util import oracle_enumerate, oracle_membership, search_enumerate
 
 
 def g_fix(name):
@@ -168,7 +168,7 @@ ENUMERATIONS = [
      18703, 49),
     ("twin.ig", 10, Budget(max_steps=8, max_stack=3), [], False, 994, 22),
     ("ramp.ig", 13, Budget(max_steps=120, max_width=4, max_stack=5),
-     ["abaa", "abaabaaa", "abaabaaabaaaa"], True, 3532, 717),
+     ["abaa", "abaabaaa", "abaabaaabaaaa"], True, 3532, 71),
     ("anbncn.ig", 12, Budget(max_steps=400, max_stack=5),
      ["", "abc", "aabbcc", "aaabbbccc", "aaaabbbbcccc"], True, 446, 56),
     ("mix2.ig", 6, Budget(max_steps=60), ["", "abc", "aabcbc", "ababcc"], True, 22, 12),
@@ -184,6 +184,43 @@ def test_enumeration_pinned(name, n, budget, words, exhausted, forms, forms_defa
         assert list(res.rendered()) == words
         assert res.exhausted == exhausted
         assert res.forms_seen == count
+
+
+# the enumerations that stay on the search: no width cap (leftmost order), and
+# a width cap on a grammar that pushes, without a stack cap (subtree order),
+# where a table could not stop the push loop
+STAY_ON_THE_SEARCH = [
+    ("twin.ig", 10, Budget(max_steps=60, max_stack=3), ["$", "abc$abc"], 44),
+    ("ramp.ig", 13, Budget(max_steps=120, max_width=4),
+     ["abaa", "abaabaaa", "abaabaaabaaaa"], 759),
+]
+
+
+@pytest.mark.parametrize("name,n,budget,words,forms", STAY_ON_THE_SEARCH,
+                         ids=[r[0] for r in STAY_ON_THE_SEARCH])
+def test_enumerations_that_stay_on_the_search(name, n, budget, words, forms):
+    res = enumerate_language(g_fix(name), n, budget)
+    assert res == search_enumerate(g_fix(name), n, budget)
+    assert list(res.rendered()) == words and res.exhausted and res.forms_seen == forms
+
+
+def test_deepening_expands_each_pair_once(monkeypatch):
+    # without a stack cap the width table grows at depth caps 1, 2, 4 and 5,
+    # each round expanding only the pairs new to it: as many expansions as
+    # the table at stack cap 5 alone makes, one per pair
+    calls = []
+    real = kernel.expand
+    monkeypatch.setattr(kernel, "expand", lambda c, *a: calls.append(a) or real(c, *a))
+    counts = []
+    for stack in (None, 5):
+        calls.clear()
+        v = check_uncontrolled(g_fix("twin.ig"), 7, Budget(max_steps=5, max_stack=stack))
+        counts.append((v.info["forms"], len(calls)))
+    assert counts == [(41, 41), (41, 41)]
+    # the hard cap counts the pairs of every round together
+    for cap, stop in ((40, HARD_CAP), (41, MAX_STEPS)):
+        v = check_uncontrolled(g_fix("twin.ig"), 7, Budget(max_steps=5, hard_cap=cap))
+        assert v.info["stop"] == stop
 
 
 MEMBERSHIPS = [
@@ -226,6 +263,13 @@ def test_witnesses_pinned():
     v = special_count_min(g_fix("twin.ig"), tuple("abc$abc"), Budget(max_steps=60, max_stack=3))
     n, wit = v.info["k"], v.witness
     assert n == 1 and wit.steps == TWIN_STEPS
+    # the witness follows the first back-pointers of the width table: a round
+    # fires its rules with children before its leaves, so on the first round
+    # every item starts at a leaf
+    g = parse_grammar("grammar nest\nvariables: S, C\nterminals: a\nindices:\nstart: S\n"
+                      "prod: C -> a S\nprod: S -> S C\nprod: S -> _\n")
+    v = check_uncontrolled(g, 2, Budget(max_steps=0, max_stack=1))
+    assert v.witness.steps == ((1, 0), (1, 0), (2, 0), (0, 0), (2, 1), (0, 1), (2, 2))
 
 
 def test_minimums_pinned():

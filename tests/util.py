@@ -1,7 +1,8 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
 random grammars for Hypothesis, brute-force oracles for the closure
 constructions, the all-orders search that the leftmost and subtree orders of
-the engine are checked against, the form search that the width table of
+the engine are checked against, the search that the word table of
+enumerate_language is checked against, the form search that the width table of
 check_uncontrolled is checked against, the full product that
 closure.intersect_dfa is checked against with the prunings it cleans with
 (and the fixpoints they are checked against), the enumeration route that the
@@ -110,9 +111,7 @@ def every_order(c, budget, max_terms=-1):
     return lambda form: kernel.expand(c, form, width, stack, max_terms, 0)
 
 
-def oracle_enumerate(g, max_len, budget):
-    """enumerate_language over every rewrite order: search.bfs over
-    every_order, the oracle of the leftmost and subtree orders."""
+def _search_enumerate(g, budget, successors):
     c = CompiledGrammar(g)
     words = []
 
@@ -122,10 +121,24 @@ def oracle_enumerate(g, max_len, budget):
             return LEAF
         return EXPAND
 
-    s = bfs(c.start(), every_order(c, budget, max_len), budget.max_steps, budget.hard_cap, visit)
+    s = bfs(c.start(), successors(c), budget.max_steps, budget.hard_cap, visit)
     decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
                      key=lambda w: (len(w), w))
     return EnumerationResult(tuple(decoded), s.swept, budget.active_caps(), len(s.parents), s.stop)
+
+
+def oracle_enumerate(g, max_len, budget):
+    """enumerate_language over every rewrite order: search.bfs over
+    every_order, the oracle of the leftmost and subtree orders."""
+    return _search_enumerate(g, budget, lambda c: every_order(c, budget, max_len))
+
+
+def search_enumerate(g, max_len, budget):
+    """enumerate_language by search alone: search.bfs over
+    CompiledGrammar.expand, leftmost without a width cap and in subtree order
+    with one. Under a width cap with a bounded stack the engine reads its
+    words from a table instead; this is that table's oracle."""
+    return _search_enumerate(g, budget, lambda c: lambda f: c.expand(f, budget, max_len))
 
 
 def oracle_membership(g, w, budget, caps_exact=False):
@@ -347,7 +360,7 @@ def oracle_parikh(g, m, radius, enum_len=None, budget=None):
     d = automata.determinize(expand_to_nfa(m1), alphabet=ext)
     g2 = oracle_intersect_dfa(normalize_rhs(inverse_projection(g, ext)), d)
     length = enum_len if enum_len is not None else radius * (1 + 2 * k)
-    res = enumerate_language(g2, length, budget or Budget(max_steps=600))
+    res = search_enumerate(g2, length, budget or Budget(max_steps=600))
     vectors = set()
     for w in res.words:
         xs = [ltr for ltr in w if ltr in g.terminal_set]
