@@ -5,13 +5,15 @@ a word shape into a stack-indexed grammar for the corresponding language.
 
 Two independent routes decide linear-set membership: diophantine_member
 solves the defining equation by bounded search, linearset_automaton compiles
-it to a tuple automaton. They are cross-checked in the test suite and must
-never be merged.
+it to a tuple automaton in one pass over residual vectors. They are
+cross-checked in the test suite and must never be merged. Emptiness,
+inclusion and equality are one emptiness search each (va.is_empty), on one
+automaton per set; inclusion explores s1 ∩ complement(s2) only as far as the
+search goes. Every decision builds its automata anew.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,7 +28,7 @@ from .grammar import (
     require,
     set_once,
 )
-from .search import PROVEN, REFUTED, UNKNOWN, Verdict, reach
+from .search import PROVEN, REFUTED, UNKNOWN, Verdict, explore, reach
 
 
 @dataclass(frozen=True)
@@ -142,28 +144,62 @@ def diophantine_member(v, ls: LinearSet) -> bool:
     return rec(rest, 0)
 
 
-@functools.lru_cache(maxsize=None)
 def linearset_automaton(ls: LinearSet) -> va.TupleAutomaton:
-    """Tuple automaton for the members of the linear set: one equation per
-    coordinate over (v, x) tracks, intersected, with the coefficient tracks
-    projected away."""
+    """Tuple automaton for the members of the linear set, built in one
+    breadth-first pass over residual vectors from the base. State r accepts
+    the encodings of r + ℕ-combinations of the periods. Reading the low bits
+    of such a vector chooses the periods whose coefficient is odd (the mask
+    x, adding c(x)); parity then fixes the symbol v = (r + c(x)) mod 2 and
+    leaves r' = (r + c(x) - v) / 2 for the higher bits. So each state has one
+    edge per mask, labelled by v alone, and the zero vector alone accepts.
+    The automaton is saturated as built: a zero symbol leads from r to
+    (r + c(x)) / 2, which is zero only when r is. States, numbers and
+    transitions are those of the product of one equation automaton per
+    coordinate over (v, x) tracks, with the x tracks projected away and the
+    result saturated, but no x track is ever built."""
     k = ls.dim
     periods = [p for p in ls.periods if any(p)]
-    m = k + len(periods)
-    auto = None
-    for j in range(k):
-        coeffs = [0] * m
-        coeffs[j] = 1
-        for i, p in enumerate(periods):
-            coeffs[k + i] = -p[j]
-        eq = va.equation_automaton(coeffs, ls.base[j])
-        auto = eq if auto is None else va.product(auto, eq)
-    if periods:
-        auto = va.project_tracks(auto, range(k))
-    return va.saturate(auto)
+    # A residual vector is one int with a field of `width` bits per
+    # coordinate, wide enough for r + c(x) (each r_j stays within
+    # max(base_j, c_j of all periods)): adding vectors adds ints, and a vector
+    # whose fields are all even is halved by one shift.
+    width = (max(ls.base, default=0) + 2 * sum(max(p) for p in periods)).bit_length() + 1
+
+    def pack(v):
+        return sum(x << (j * width) for j, x in enumerate(v))
+
+    low = pack([1] * k)  # bit 0 of every field
+    adds = [0]  # c(x) for each mask x, bit i of x choosing period i
+    for p in periods:
+        adds += [c + pack(p) for c in adds]
+    labels: dict = {}  # the low bits of the fields -> the symbol they spell
+
+    def successors(r):
+        out = []
+        for c in adds:
+            t = r + c
+            bits = t & low
+            v = labels.get(bits)
+            if v is None:
+                v = labels[bits] = sum((bits >> (j * width) & 1) << j for j in range(k))
+            out.append((v, (t - bits) >> 1))
+        return out
+
+    keys, edges = explore([pack(ls.base)], successors)
+    number = {r: i for i, r in enumerate(keys)}
+    targets: dict = {}
+    for r, v, d in edges:
+        targets.setdefault((number[r], v), set()).add(number[d])
+    return va.TupleAutomaton(
+        tracks=k,
+        num_states=len(keys),
+        initial=0,
+        accepting=frozenset([number[0]]),
+        transitions={key: tuple(sorted(ds)) for key, ds in targets.items()},
+        deterministic=not periods,
+    )
 
 
-@functools.lru_cache(maxsize=None)
 def slset_automaton(s: SemilinearSet) -> va.TupleAutomaton:
     if not s.components:
         return va.never(s.dim)
@@ -173,6 +209,11 @@ def slset_automaton(s: SemilinearSet) -> va.TupleAutomaton:
     return auto
 
 
+def _verdict(witness) -> Verdict:
+    """Proven when the search found no vector; refuted with the one it found."""
+    return Verdict(PROVEN) if witness is None else Verdict(REFUTED, witness)
+
+
 def slset_member(v, s: SemilinearSet) -> bool:
     if len(v) != s.dim:
         raise ValueError("dimension mismatch")
@@ -180,23 +221,24 @@ def slset_member(v, s: SemilinearSet) -> bool:
 
 
 def slset_subset(s1: SemilinearSet, s2: SemilinearSet) -> Verdict:
-    """Inclusion decided exactly: emptiness of s1 ∩ complement(s2); a refuted
-    verdict carries a concrete vector in s1 but not s2."""
+    """Inclusion decided exactly: emptiness of s1 ∩ complement(s2), searched
+    on the fly; a refuted verdict carries a concrete vector in s1 but not s2."""
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
-    diff = va.product(slset_automaton(s1), va.complement(slset_automaton(s2)))
-    witness = va.is_empty(diff)
-    return Verdict(PROVEN) if witness is None else Verdict(REFUTED, witness)
+    return _verdict(va.is_empty(slset_automaton(s1), slset_automaton(s2)))
 
 
 def slset_equal(s1: SemilinearSet, s2: SemilinearSet) -> Verdict:
-    fwd = slset_subset(s1, s2)
-    return fwd if fwd.is_refuted else slset_subset(s2, s1)
+    """Inclusion both ways, on one automaton per set."""
+    if s1.dim != s2.dim:
+        raise ValueError("dimension mismatch")
+    a1, a2 = slset_automaton(s1), slset_automaton(s2)
+    witness = va.is_empty(a1, a2)
+    return _verdict(va.is_empty(a2, a1) if witness is None else witness)
 
 
 def slset_empty(s: SemilinearSet) -> Verdict:
-    witness = va.is_empty(slset_automaton(s))
-    return Verdict(PROVEN) if witness is None else Verdict(REFUTED, witness)
+    return _verdict(va.is_empty(slset_automaton(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +276,15 @@ def factorizations(w, shape: GinsburgShape):
 
 
 def bounded_word_member(w, shape: GinsburgShape, s: SemilinearSet) -> bool:
-    """Is w the shape-image of some vector in s?"""
+    """Is w the shape-image of some vector in s? The automaton of s is built
+    only when w factorizes over the shape."""
     if s.dim != shape.k:
         raise ValueError("set dimension does not match the shape")
-    return any(slset_member(v, s) for v in factorizations(w, shape))
+    vs = factorizations(w, shape)
+    if not vs:
+        return False
+    auto = slset_automaton(s)
+    return any(va.member(auto, v) for v in vs)
 
 
 def members_up_to(s: SemilinearSet, weights, max_weight: int) -> list[tuple[int, ...]]:
@@ -271,12 +318,15 @@ def bounded_lang_subset(
     an exact proof; otherwise every image word of s1 up to check_len is
     tested against (shape2, s2): a failure refutes exactly with that word,
     and full success is unknown, with `info["checked_len"]`."""
-    if shape1 == shape2 and slset_subset(s1, s2).is_proven:
+    if s1.dim != shape1.k or s2.dim != shape2.k:
+        raise ValueError("set dimension does not match the shape")
+    auto2 = slset_automaton(s2)
+    if shape1 == shape2 and va.is_empty(slset_automaton(s1), auto2) is None:
         return Verdict(PROVEN)
     weights = tuple(len(u) for u in shape1.words)
     for v in members_up_to(s1, weights, check_len):
         w = ginsburg_apply(shape1, v)
-        if not bounded_word_member(w, shape2, s2):
+        if not any(va.member(auto2, v2) for v2 in factorizations(w, shape2)):
             return Verdict(REFUTED, w)
     return Verdict(UNKNOWN, None, {"checked_len": check_len})
 

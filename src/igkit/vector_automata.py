@@ -8,6 +8,12 @@ both directions (acceptance of any encoding of v implies acceptance of the
 minimal one), which is what makes word-level complementation agree with
 vector-level complementation; projection breaks the property and is therefore
 followed by saturate().
+
+is_empty(a, b) searches a ∩ complement(b) without building either, and
+semilinear.linearset_automaton builds a linear set's automaton without
+coefficient tracks. The tests check both against the algebra here
+(equation_automaton, product, project_tracks, complement): the same
+witnesses, and the same automata state for state.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ class TupleAutomaton:
 
 
 def encode(v, length=None) -> list[int]:
-    """LSB-first symbol sequence for the vector v."""
+    """LSB-first symbol sequence for the vector v (of natural numbers)."""
+    if any(x < 0 for x in v):
+        raise ValueError(f"vector {tuple(v)} has a negative component")
     n = max((x.bit_length() for x in v), default=0) if length is None else length
     return [sum(((x >> t) & 1) << i for i, x in enumerate(v)) for t in range(n)]
 
@@ -206,15 +214,39 @@ def complement(a: TupleAutomaton) -> TupleAutomaton:
     )
 
 
-def is_empty(a: TupleAutomaton):
-    """None when no vector is accepted; otherwise a witness vector decoded
-    from a shortest accepted word."""
+def is_empty(a: TupleAutomaton, b: TupleAutomaton | None = None):
+    """None when no vector is accepted by a and not by b (by a alone when b
+    is missing); otherwise a witness vector decoded from a shortest such
+    word. The search runs over pairs of a state of a and the set of states b
+    can be in after the same word, from (initial, {initial}) in symbol order:
+    the product of a with complement(b) (b saturated), built only as far as
+    the search goes, with the same witness."""
+    if b is not None and a.tracks != b.tracks:
+        raise TrackMismatch(f"{a.tracks} vs {b.tracks} tracks")
+    syms = range(1 << a.tracks)
+    a_next = a.transitions.get
+    b_next = ({} if b is None else b.transitions).get
+    rejects = frozenset() if b is None else b.accepting
+    start = (a.initial, frozenset() if b is None else frozenset([b.initial]))
+    after: dict = {}  # (set of b's states, symbol) -> the set after reading it
 
-    def successors(state):
-        return [(sym, d) for sym in range(1 << a.tracks) for d in a.targets(state, sym)]
+    def successors(pair):
+        state, cur = pair
+        out = []
+        for sym in syms:
+            ds = a_next((state, sym))
+            if ds:
+                nxt = after.get((cur, sym))
+                if nxt is None:
+                    nxt = after[cur, sym] = frozenset(
+                        d for q in cur for d in b_next((q, sym), ()))
+                out.extend((sym, (d, nxt)) for d in ds)
+        return out
 
-    s = bfs(a.initial, successors, math.inf, math.inf,
-            lambda state: GOAL if state in a.accepting else EXPAND)
+    def visit(pair):
+        return GOAL if pair[0] in a.accepting and rejects.isdisjoint(pair[1]) else EXPAND
+
+    s = bfs(start, successors, math.inf, math.inf, visit)
     if s.stop != FOUND:
         return None
     return decode([sym for sym, _ in moves(successors, s.parents, s.goal)], a.tracks)

@@ -364,6 +364,11 @@ ERRORS = [
      "UsageError: igkit bounded subset: argument --check-len: must be >= 0: -1"),
     (["ncm", "run", "fixture:anbn.ncm", "ab", "--counter-cap", "-1"],
      "UsageError: igkit ncm run: argument --counter-cap: must be >= 0: -1"),
+    # a --vector outside ℕ^k, for the set's k: a negative component, or the wrong length
+    (["slset", "member", "fixture:diag.sls", "--vector", "(-1,-1)"],
+     "ValueError: vector (-1, -1) has a negative component"),
+    (["slset", "member", "fixture:diag.sls", "--vector", "(1,1,1)"],
+     "ValueError: dimension mismatch"),
 ]
 
 
@@ -372,7 +377,8 @@ ERRORS = [
                                                   "flag-prefix-etol", "flag-prefix-enumerate",
                                                   "negative-max-len", "negative-etol-max-len",
                                                   "negative-radius", "negative-enum-len",
-                                                  "negative-check-len", "negative-counter-cap"])
+                                                  "negative-check-len", "negative-counter-cap",
+                                                  "negative-vector", "wrong-dim-vector"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

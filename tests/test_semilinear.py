@@ -4,7 +4,7 @@ algebra, bounded-language decisions, and grammar synthesis."""
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import igkit.vector_automata as va
 from igkit import fixture_text
@@ -25,6 +25,7 @@ from igkit.semilinear import (
     parse_slset,
     semilinear_to_grammar,
     serialize_slset,
+    slset_automaton,
     slset_empty,
     slset_equal,
     slset_member,
@@ -32,7 +33,7 @@ from igkit.semilinear import (
 )
 from igkit.search import PROVEN, REFUTED, UNKNOWN
 
-from util import grid_members
+from util import grid_members, oracle_difference_witness, oracle_linearset_automaton
 
 TWIN_SHAPE = GinsburgShape((("a",), ("b",), ("c",), ("$",), ("a",), ("b",), ("c",)))
 TWIN_SET = LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 1)])
@@ -165,6 +166,30 @@ def test_random_sets_agree_with_diophantine(seed):
         assert (v in grid) == diophantine_member(v, ls), (ls, v)
 
 
+def linear_sets(dim, max_entry=3):
+    """Linear sets of the dimension with 0-3 periods, drawn as LinearSet
+    itself stores them: a zero period or a repeated one stays."""
+    vec = st.lists(st.integers(0, max_entry), min_size=dim, max_size=dim).map(tuple)
+    return st.builds(lambda b, ps, twin: LinearSet(dim, b, tuple(ps + ps[:twin])[:3]),
+                     vec, st.lists(vec, max_size=3), st.integers(0, 1))
+
+
+def automaton_bytes(a):
+    return (a.tracks, a.num_states, a.initial, a.accepting, list(a.transitions.items()),
+            a.deterministic)
+
+
+@given(st.integers(1, 4).flatmap(linear_sets))
+@example(LinearSet(3, (0, 0, 0)))
+@example(LinearSet(2, (0, 0), ((1, 1), (1, 1))))
+@example(LinearSet(2, (0, 0), ((0, 0), (2, 1), (2, 1))))
+@example(LinearSet(4, (3, 0, 2, 1), ((1, 2, 0, 3), (3, 3, 3, 3), (0, 0, 1, 0))))
+@example(TWIN_SET)
+def test_linearset_automaton_matches_the_products(ls):
+    assert automaton_bytes(linearset_automaton(ls)) == automaton_bytes(
+        oracle_linearset_automaton(ls))
+
+
 # -- semilinear decisions ----------------------------------------------------------
 
 
@@ -196,6 +221,72 @@ def test_union_with_self_is_equal():
     diag, _ = diag_quadrant()
     doubled = SemilinearSet(2, diag.components + diag.components)
     assert slset_equal(diag, doubled).is_proven
+
+
+@st.composite
+def set_pairs(draw):
+    """Two semilinear sets of one dimension, each of 0-2 components; the
+    second is often a superset of the first (one more component or period)."""
+    dim = draw(st.integers(1, 3))
+    comps = st.lists(linear_sets(dim, max_entry=2), max_size=2).map(tuple)
+    first = draw(comps)
+    grow = draw(st.sampled_from(["no", "component", "period"]))
+    if grow == "component":
+        second = first + (draw(linear_sets(dim, max_entry=2)),)
+    elif grow == "period" and first:
+        ls = first[0]
+        extra = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple))
+        second = (LinearSet(dim, ls.base, ls.periods + (extra,)),) + first[1:]
+    else:
+        second = draw(comps)
+    return SemilinearSet(dim, first), SemilinearSet(dim, second)
+
+
+@given(set_pairs())
+@example((SemilinearSet(2, ()), SemilinearSet(2, ())))
+@example((SemilinearSet.of(LinearSet.make((1, 0))), SemilinearSet(2, ())))
+@example(diag_quadrant())
+@example(diag_quadrant()[::-1])
+def test_inclusion_matches_the_complement_product(pair):
+    s1, s2 = pair
+    a1, a2 = slset_automaton(s1), slset_automaton(s2)
+    want = oracle_difference_witness(a1, a2)
+    assert va.is_empty(a1, a2) == want
+    got = slset_subset(s1, s2)
+    assert (got.kind, got.witness) == ((PROVEN, None) if want is None else (REFUTED, want))
+    back = oracle_difference_witness(a2, a1)
+    eq = slset_equal(s1, s2)
+    assert eq.witness == (back if want is None else want)
+    assert eq.is_proven == (want is None and back is None)
+
+
+def test_each_decision_builds_each_automaton_once(monkeypatch):
+    import igkit.semilinear as sl
+
+    built = []
+    monkeypatch.setattr(sl, "slset_automaton", lambda s: built.append(s) or slset_automaton(s))
+    diag, quad = diag_quadrant()
+    twin = SemilinearSet.of(TWIN_SET)
+    sl.slset_equal(diag, SemilinearSet(2, diag.components * 2))
+    assert len(built) == 2
+    built.clear()
+    shape = GinsburgShape((("a",), ("a",)))
+    assert sl.bounded_word_member(tuple("aaa"), shape, quad)
+    assert built == [quad]
+    built.clear()
+    assert not sl.bounded_word_member(tuple("ab"), shape, quad)
+    assert built == []  # no factorization, no automaton
+    changed = SemilinearSet.of(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 2)]))
+    assert sl.bounded_lang_subset(TWIN_SHAPE, twin, TWIN_SHAPE, changed, 20).is_refuted
+    assert built == [changed, twin]
+
+
+def test_dimension_zero():
+    point, empty = SemilinearSet.of(LinearSet.make(())), SemilinearSet(0, ())
+    assert slset_member((), point)
+    assert slset_empty(point).witness == ()
+    assert slset_subset(point, empty).witness == ()
+    assert slset_subset(empty, point).is_proven
 
 
 def test_empty_set_and_membership():

@@ -7,8 +7,10 @@ check_uncontrolled is checked against, the full product that
 closure.intersect_dfa is checked against with the prunings it cleans with
 (and the fixpoints they are checked against), the enumeration route that the
 Parikh table of counters.parikh_of_intersection is checked against, the
-acceptance test that counters.expand_to_nfa is checked with, and the grid of
-a tuple automaton."""
+acceptance test that counters.expand_to_nfa is checked with, the grid of a
+tuple automaton, and the chain of equation-automaton products and the full
+complement product that the linear-set automata and the inclusion search of
+igkit.semilinear are checked against."""
 
 import math
 from dataclasses import replace
@@ -17,6 +19,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from igkit import automata, fixture_text, kernel
+from igkit import vector_automata as va
 from igkit.closure import _split_rhs, inverse_projection, normalize_rhs
 from igkit.counters import ParikhSample, counter_letters, expand_to_nfa, to_one_reversal
 from igkit.engine import (
@@ -53,7 +56,6 @@ from igkit.search import (
     reach,
 )
 from igkit.semilinear import parikh
-from igkit.vector_automata import determinize, saturate
 
 
 # counts to 6 on silent moves, then back to 0: accepts exactly the empty word
@@ -470,7 +472,7 @@ def grid_members(a, radius):
     """All vectors the tuple automaton accepts with every component <= radius
     (walked on the determinized, saturated automaton: one dict lookup per
     symbol)."""
-    d = saturate(determinize(a))
+    d = va.saturate(va.determinize(a))
     length = radius.bit_length()
     out = []
 
@@ -492,6 +494,43 @@ def grid_members(a, radius):
 
     walk(d.initial, 0, [0] * a.tracks)
     return frozenset(out)
+
+
+def oracle_linearset_automaton(ls):
+    """The linear set's automaton as products: one equation automaton per
+    coordinate j over the tracks (v, x), for v_j - sum_i x_i * p_i[j] =
+    base[j], intersected, with the coefficient tracks x projected away and
+    the result saturated."""
+    k = ls.dim
+    periods = [p for p in ls.periods if any(p)]
+    m = k + len(periods)
+    auto = None
+    for j in range(k):
+        coeffs = [0] * m
+        coeffs[j] = 1
+        for i, p in enumerate(periods):
+            coeffs[k + i] = -p[j]
+        eq = va.equation_automaton(coeffs, ls.base[j])
+        auto = eq if auto is None else va.product(auto, eq)
+    if periods:
+        auto = va.project_tracks(auto, range(k))
+    return va.saturate(auto)
+
+
+def oracle_difference_witness(a, b):
+    """A shortest witness of a vector in a and not in b (None if there is
+    none): the first accepting state of a breadth-first search, in symbol
+    order, of the whole product of a with the complement of b."""
+    d = va.product(a, va.complement(b))
+
+    def successors(state):
+        return [(sym, t) for sym in range(1 << d.tracks) for t in d.targets(state, sym)]
+
+    s = bfs(d.initial, successors, math.inf, math.inf,
+            lambda state: GOAL if state in d.accepting else EXPAND)
+    if s.stop != FOUND:
+        return None
+    return va.decode([sym for sym, _ in moves(successors, s.parents, s.goal)], d.tracks)
 
 
 def load(name):
