@@ -12,16 +12,18 @@ with `fixture:` resolve to the bundled fixture files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from . import fixture_path
 from .automata import determinize, parse_fsa, serialize_fsa
 from .closure import (
-    Morphism,
     NivatTransducer,
     intersect_dfa,
     inverse_morphism,
@@ -53,6 +55,7 @@ from .grammar import (
     derivation_to_trace,
     parse_grammar,
     serialize_grammar,
+    symbol_name_error,
 )
 from .search import FOUND, PROVEN, REFUTED, SWEPT, UNKNOWN
 from .semilinear import (
@@ -60,6 +63,7 @@ from .semilinear import (
     bounded_word_member,
     linear_to_grammar,
     parse_slset,
+    parse_vector,
     semilinear_to_grammar,
     slset_empty,
     slset_equal,
@@ -143,6 +147,20 @@ def _render_word(w) -> str:
     if not w:
         return "_"
     return " ".join(w) if any(len(s) > 1 for s in w) else "".join(w)
+
+
+def _letter(text: str, flag: str) -> str:
+    """A letter given in a flag: one a grammar file can declare."""
+    letter = text.strip()
+    err = symbol_name_error(letter)
+    if err:
+        raise UsageError(f"argument {flag}: {err}")
+    return letter
+
+
+def _letters(text: str, flag: str) -> tuple[str, ...]:
+    """A comma list of letters given in a flag."""
+    return tuple(_letter(t, flag) for t in text.split(","))
 
 
 def _write_grammar(g, out: str) -> None:
@@ -267,20 +285,20 @@ def cmd_transform(args) -> str:
         nfa = parse_fsa(second(args.fsa))
         out = intersect_dfa(normalize_rhs(g), determinize(nfa))
     elif kind == "inv-proj":
-        ext = g.terminals + tuple(
-            t.strip() for t in args.letters.split(",") if t.strip()
-        )
-        out = inverse_projection(g, ext)
+        out = inverse_projection(g, g.terminals + _letters(args.letters, "--letters"))
     elif kind == "transduce":
         rel = parse_fsa(second(args.fsa))
         rename = None
         if args.rename:
-            rename = tuple(
-                tuple(pair.split("=", 1)) for pair in args.rename.split(",")
-            )
+            pairs = [pair.partition("=") for pair in args.rename.split(",")]
+            if not all(eq for _, eq, _ in pairs):
+                raise UsageError(f"argument --rename: expected tagged=final pairs, "
+                                 f"got {args.rename!r}")
+            rename = tuple((_letter(tagged, "--rename"), _letter(final, "--rename"))
+                           for tagged, _, final in pairs)
         tau = NivatTransducer(
-            source=tuple(args.source.split(",")),
-            target=tuple(args.target.split(",")),
+            source=_letters(args.source, "--source"),
+            target=_letters(args.target, "--target"),
             rel=rel,
             output_rename=rename,
         )
@@ -323,17 +341,17 @@ def cmd_synth(args, semi: bool) -> str:
     return PROVEN
 
 
-def _parse_vector_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.strip().strip("()").split(",") if t.strip())
-
-
 def cmd_slset(args) -> str:
     text, digest = _read(args.slset)
     _, _, s1 = parse_slset(text)
     op = args.slset_op
     fields = {"command": f"slset {op}", "input": digest}
     if op == "member":
-        got = slset_member(_parse_vector_arg(args.vector), s1)
+        try:
+            vector = parse_vector(args.vector)
+        except ValueError as exc:
+            raise UsageError(f"argument --vector: {exc}") from None
+        got = slset_member(vector, s1)
         fields.update({"vector": args.vector, "member": str(got).lower(), "status": "ok"})
         emit_report(fields)
         return PROVEN if got else REFUTED
@@ -454,128 +472,99 @@ def cmd_ncm(args) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fixture replication
+# paper replication
+
+# Each claim of the paper as igkit command lines, each with the values the
+# last block of its report must show; `{out}` is a temporary directory, and
+# `{out}/g.ig` the grammar the line before wrote.
+PAPER_CLAIMS = [
+    ("twin-enumeration", [
+        ("enumerate fixture:twin.ig --max-len 14 --max-steps 60 --max-stack 3",
+         {"words": "$, abc$abc, aabbcc$aabbcc"})]),
+    ("twin-synthesis", [
+        ("synth-linear fixture:twin.sls --out {out}/g.ig", {"status": "ok"}),
+        ("enumerate {out}/g.ig --max-len 14 --max-steps 60 --max-stack 3",
+         {"words": "$, abc$abc, aabbcc$aabbcc"})]),
+    ("ramp-enumeration", [
+        ("enumerate fixture:ramp.ig --max-len 13 --max-steps 120 --max-width 4 --max-stack 5",
+         {"words": "abaa, abaabaaa, abaabaaabaaaa"})]),
+    ("ramp-min-index", [
+        ("min-index fixture:ramp.ig abaa --max-steps 60 --max-stack 4", {"min_index": "3"})]),
+    ("ramp-not-uncontrolled", [
+        ("check-uncontrolled fixture:ramp.ig --k 3 --max-steps 60 --max-stack 5",
+         {"verdict": "refuted"})]),
+    ("union-closure", [
+        ("transform union fixture:astar.ig fixture:bstar.ig --out {out}/g.ig", {"status": "ok"}),
+        ("enumerate {out}/g.ig --max-len 5 --max-steps 30",
+         {"words": "_, a, b, aa, bb, aaa, bbb, aaaa, bbbb, aaaaa, bbbbb"})]),
+    ("morphism-closure", [
+        ("transform morph fixture:anbn.ig fixture:axy.map --out {out}/g.ig", {"status": "ok"}),
+        ("enumerate {out}/g.ig --max-len 10 --max-steps 40",
+         {"words": "_, xy, xyxy, xyxyxy, xyxyxyxy, xyxyxyxyxy"})]),
+    ("intersection-closure", [
+        ("transform intersect-dfa fixture:twin.ig fixture:dollar.fsa --out {out}/g.ig",
+         {"status": "ok"}),
+        ("enumerate {out}/g.ig --max-len 14 --max-steps 200 --max-stack 3",
+         {"words": "abc$abc, aabbcc$aabbcc"})]),
+    ("inverse-projection-closure", [
+        ("transform inv-proj fixture:abword.ig --letters x --out {out}/g.ig", {"status": "ok"}),
+        ("enumerate {out}/g.ig --max-len 4 --max-steps 60",
+         {"words": "ab, abx, axb, xab, abxx, axbx, axxb, xabx, xaxb, xxab"})]),
+    ("etol-conversion", [
+        ("etol enumerate fixture:anbn1.etol --max-len 8 --max-steps 20",
+         {"words": "_, ab, aabb, aaabbb, aaaabbbb"}),
+        ("etol convert fixture:anbn1.etol --out {out}/g.ig", {"status": "ok"}),
+        ("enumerate {out}/g.ig --max-len 8 --max-steps 120 --max-stack 8 --max-width 3",
+         {"words": "_, ab, aabb, aaabbb, aaaabbbb"})]),
+    ("ncm-acceptance", [
+        ("ncm run fixture:anbn.ncm aabb", {"outcome": "accepted"}),
+        ("ncm run fixture:anbn.ncm aab", {"outcome": "rejected"})]),
+    ("ncm-counting", [
+        ("ncm parikh-intersect fixture:anbn.ncm fixture:sigmastar_ab.ig --radius 4 "
+         "--max-steps 400 --max-width 6", {"vectors": "(0, 0); (1, 1); (2, 2)"})]),
+    ("slset-decisions", [
+        ("slset subset fixture:diag.sls fixture:quadrant.sls", {"verdict": "proven"}),
+        ("slset subset fixture:quadrant.sls fixture:diag.sls", {"verdict": "refuted"})]),
+    ("bounded-membership", [
+        ("bounded member fixture:twin.sls abc$abc", {"member": "true"}),
+        ("bounded member fixture:twin.sls abc$ac", {"member": "false"})]),
+]
 
 
-def _replicate_checks():
-    from .semilinear import ginsburg_apply, members_up_to
-
-    def twin_enumeration():
-        g = parse_grammar(_read("fixture:twin.ig")[0])
-        res = enumerate_language(g, 14, Budget(max_steps=60, max_stack=3))
-        return set(res.rendered()) == {"$", "abc$abc", "aabbcc$aabbcc"}
-
-    def twin_synthesis():
-        _, shape, s = parse_slset(_read("fixture:twin.sls")[0])
-        g = linear_to_grammar(shape, s.components[0])
-        res = enumerate_language(g, 14, Budget(max_steps=60, max_stack=3))
-        words = {"".join(ginsburg_apply(shape, v))
-                 for v in members_up_to(s, tuple(len(u) for u in shape.words), 14)}
-        return set(res.rendered()) == words == {"$", "abc$abc", "aabbcc$aabbcc"}
-
-    def ramp_enumeration():
-        g = parse_grammar(_read("fixture:ramp.ig")[0])
-        res = enumerate_language(g, 13, Budget(max_steps=120, max_width=4, max_stack=5))
-        return set(res.rendered()) == {"abaa", "abaabaaa", "abaabaaabaaaa"}
-
-    def ramp_min_index():
-        g = parse_grammar(_read("fixture:ramp.ig")[0])
-        v = min_index(g, tuple("abaa"), Budget(max_steps=60, max_stack=4))
-        return v.is_proven and v.info["k"] == 3
-
-    def ramp_not_uncontrolled():
-        g = parse_grammar(_read("fixture:ramp.ig")[0])
-        v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=5))
-        return v.is_refuted and v.witness.index() > 3
-
-    def union_closure():
-        g1 = parse_grammar(_read("fixture:astar.ig")[0])
-        g2 = parse_grammar(_read("fixture:bstar.ig")[0])
-        out = enumerate_language(union(g1, g2), 5, Budget(max_steps=30))
-        return set(out.rendered()) == {""} | {c * n for c in "ab" for n in range(1, 6)}
-
-    def morphism_closure():
-        g = parse_grammar(_read("fixture:anbn.ig")[0])
-        h = parse_morphism(_read("fixture:axy.map")[0])
-        out = enumerate_language(morphism_image(g, h), 10, Budget(max_steps=40))
-        return set(out.rendered()) == {"xy" * n for n in range(6)}
-
-    def intersection_closure():
-        g = normalize_rhs(parse_grammar(_read("fixture:twin.ig")[0]))
-        d = determinize(parse_fsa(_read("fixture:dollar.fsa")[0]))
-        out = enumerate_language(intersect_dfa(g, d), 14, Budget(max_steps=200, max_stack=3))
-        return set(out.rendered()) == {"abc$abc", "aabbcc$aabbcc"}
-
-    def inverse_projection_closure():
-        g = parse_grammar(_read("fixture:abword.ig")[0])
-        out = enumerate_language(inverse_projection(g, ("a", "b", "x")), 4,
-                                 Budget(max_steps=60))
-        want = {"ab", "xab", "axb", "abx", "xxab", "xaxb", "xabx", "axxb", "axbx", "abxx"}
-        return set(out.rendered()) == want
-
-    def etol_conversion():
-        sys_ = parse_etol(_read("fixture:anbn1.etol")[0])
-        direct = etol_enumerate(sys_, 8, Budget(max_steps=20))
-        g = etol_to_indexed(sys_)
-        conv = enumerate_language(g, 8, Budget(max_steps=120, max_stack=8, max_width=3))
-        return direct.words == conv.words
-
-    def ncm_acceptance():
-        m = parse_ncm(_read("fixture:anbn.ncm")[0])
-        return ncm_run(m, tuple("aabb")).is_proven and not ncm_run(m, tuple("aab")).is_proven
-
-    def ncm_counting():
-        m = parse_ncm(_read("fixture:anbn.ncm")[0])
-        g = parse_grammar(_read("fixture:sigmastar_ab.ig")[0])
-        sample = parikh_of_intersection(g, m, 4, budget=Budget(max_steps=400, max_width=6))
-        return sample.vectors == ((0, 0), (1, 1), (2, 2))
-
-    def slset_decisions():
-        _, _, diag = parse_slset(_read("fixture:diag.sls")[0])
-        _, _, quad = parse_slset(_read("fixture:quadrant.sls")[0])
-        return slset_subset(diag, quad).is_proven and not slset_subset(quad, diag).is_proven
-
-    def bounded_membership():
-        _, shape, s = parse_slset(_read("fixture:twin.sls")[0])
-        return bounded_word_member(tuple("abc$abc"), shape, s) and not bounded_word_member(
-            tuple("abc$ac"), shape, s
-        )
-
-    return [
-        ("twin-enumeration", twin_enumeration),
-        ("twin-synthesis", twin_synthesis),
-        ("ramp-enumeration", ramp_enumeration),
-        ("ramp-min-index", ramp_min_index),
-        ("ramp-not-uncontrolled", ramp_not_uncontrolled),
-        ("union-closure", union_closure),
-        ("morphism-closure", morphism_closure),
-        ("intersection-closure", intersection_closure),
-        ("inverse-projection-closure", inverse_projection_closure),
-        ("etol-conversion", etol_conversion),
-        ("ncm-acceptance", ncm_acceptance),
-        ("ncm-counting", ncm_counting),
-        ("slset-decisions", slset_decisions),
-        ("bounded-membership", bounded_membership),
-    ]
+def _claim_error(lines, out: str) -> str | None:
+    """Run a claim's lines through `main` in order. Returns why the first
+    failing line fails (its input error, or a value its report lacks), or
+    None when every line shows its values."""
+    for line, want in lines:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            main([arg.format(out=out) for arg in line.split()])
+        report = parse_report(text.getvalue())[-1]
+        if report.get("status") == "error":
+            return report["error"]
+        for key, value in want.items():
+            if report.get(key) != value:
+                return f"igkit {line}: {key}: {report.get(key)}, want {value}"
+    return None
 
 
 def cmd_replicate(args) -> str:
     failures = 0
     t0 = time.monotonic()
-    checks = _replicate_checks()
-    for name, check in checks:
-        try:
-            ok = check()
-        except Exception as exc:  # report, keep going
-            ok = False
-            emit_report({"check": name, "result": "fail", "error": f"{type(exc).__name__}: {exc}"})
-            failures += 1
-            continue
-        emit_report({"check": name, "result": "pass" if ok else "fail"})
-        failures += 0 if ok else 1
+    with tempfile.TemporaryDirectory() as out:
+        for name, lines in PAPER_CLAIMS:
+            try:
+                error = _claim_error(lines, out)
+            except Exception as exc:  # a defect that escaped `main`: report it, run the rest
+                error = f"{type(exc).__name__}: {exc}"
+            if error is None:
+                emit_report({"check": name, "result": "pass"})
+            else:
+                emit_report({"check": name, "result": "fail", "error": error})
+                failures += 1
     emit_report({
         "command": "replicate-paper",
-        "checks": len(checks),
+        "checks": len(PAPER_CLAIMS),
         "failures": failures,
         "elapsed_s": f"{time.monotonic() - t0:.3f}",
         "status": "ok" if failures == 0 else "fail",

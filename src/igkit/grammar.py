@@ -65,6 +65,8 @@ def symbol_name_error(name: str) -> Optional[str]:
     """Return a description of why `name` is not a legal user symbol name."""
     if not name:
         return "symbol name is empty"
+    if name == "_":  # the empty word on a right side, a silent move in a transition
+        return "`_` is the empty word, not a symbol name"
     for ch in name:
         if ch in FORBIDDEN_CHARS:
             return f"symbol name {name!r} contains forbidden character {ch!r}"

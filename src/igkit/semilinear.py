@@ -27,6 +27,7 @@ from .grammar import (
     read_sections,
     require,
     set_once,
+    symbol_name_error,
 )
 from .search import PROVEN, REFUTED, UNKNOWN, Verdict, explore, reach
 
@@ -407,17 +408,19 @@ def semilinear_to_grammar(shape: GinsburgShape, s: SemilinearSet, name: str = "s
 # text format
 
 
-def _parse_vector(text: str, line_no: int) -> tuple[int, ...]:
+def parse_vector(text: str) -> tuple[int, ...]:
+    """A `(a,b,…)` vector, as the `.sls` format and `slset member --vector`
+    write it; raises ValueError on anything else."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"expected a (…) vector, got {text!r}", line_no)
+        raise ValueError(f"expected a (…) vector, got {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return ()
     try:
         return tuple(int(t.strip()) for t in inner.split(","))
     except ValueError:
-        raise ParseError(f"bad vector {text!r}", line_no)
+        raise ValueError(f"bad vector {text!r}") from None
 
 
 def _split_vectors(text: str, line_no: int):
@@ -435,7 +438,7 @@ def _split_vectors(text: str, line_no: int):
             cur = ""
     if cur.strip():
         raise ParseError(f"trailing junk in vector list: {cur!r}", line_no)
-    return [_parse_vector(v.strip().lstrip(",").strip(), line_no) for v in out]
+    return [parse_vector(v.strip().lstrip(",")) for v in out]
 
 
 def _parse_shape_words(text: str, line_no: int) -> GinsburgShape:
@@ -444,7 +447,12 @@ def _parse_shape_words(text: str, line_no: int) -> GinsburgShape:
         tok = tok.strip()
         if not tok:
             raise ParseError("empty shape word", line_no)
-        words.append(tuple(tok.split()) if " " in tok else tuple(tok))
+        word = tuple(tok.split()) if " " in tok else tuple(tok)
+        for letter in word:
+            err = symbol_name_error(letter)
+            if err:
+                raise ParseError(err, line_no)
+        words.append(word)
     return GinsburgShape(tuple(words))
 
 
@@ -466,22 +474,22 @@ def parse_slset(text: str):
         elif key == "linear":
             base = None
             periods: list = []
-            for clause in value.split(";"):
-                ckey, csep, cval = clause.partition("=")
-                if not csep:
-                    raise ParseError(f"bad clause {clause.strip()!r}", line_no)
-                ckey = ckey.strip()
-                if ckey == "base":
-                    base = _parse_vector(cval.strip(), line_no)
-                elif ckey == "periods":
-                    periods = _split_vectors(cval.strip(), line_no)
-                else:
-                    raise ParseError(f"unknown clause {ckey!r}", line_no)
-            if base is None:
-                raise ParseError("linear block needs `base = (…)`", line_no)
             try:
+                for clause in value.split(";"):
+                    ckey, csep, cval = clause.partition("=")
+                    if not csep:
+                        raise ParseError(f"bad clause {clause.strip()!r}", line_no)
+                    ckey = ckey.strip()
+                    if ckey == "base":
+                        base = parse_vector(cval)
+                    elif ckey == "periods":
+                        periods = _split_vectors(cval.strip(), line_no)
+                    else:
+                        raise ParseError(f"unknown clause {ckey!r}", line_no)
+                if base is None:
+                    raise ParseError("linear block needs `base = (…)`", line_no)
                 comps.append((line_no, LinearSet.make(base, periods)))
-            except ValueError as exc:
+            except ValueError as exc:  # a bad vector, or one outside ℕ^dim
                 raise ParseError(str(exc), line_no) from None
         else:
             raise ParseError(f"unknown section {key!r}", line_no)

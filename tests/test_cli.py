@@ -1,5 +1,10 @@
 """Command-line surface: exit codes, report shape, file outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from igkit import cli
@@ -369,6 +374,27 @@ ERRORS = [
      "ValueError: vector (-1, -1) has a negative component"),
     (["slset", "member", "fixture:diag.sls", "--vector", "(1,1,1)"],
      "ValueError: dimension mismatch"),
+    # a --vector is read as the vectors of a `.sls` file are: `(a,b,…)` and nothing else
+    (["slset", "member", "fixture:diag.sls", "--vector", "(1,,1)"],
+     "UsageError: argument --vector: bad vector '(1,,1)'"),
+    (["slset", "member", "fixture:diag.sls", "--vector", "((1,1))"],
+     "UsageError: argument --vector: bad vector '((1,1))'"),
+    (["slset", "member", "fixture:diag.sls", "--vector", "1,1"],
+     "UsageError: argument --vector: expected a (…) vector, got '1,1'"),
+    # letters given in flags are ones a grammar file can declare
+    (["transform", "inv-proj", "fixture:abword.ig", "--letters", "_", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --letters: `_` is the empty word, not a symbol name"),
+    (["transform", "inv-proj", "fixture:abword.ig", "--letters", "x,,y", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --letters: symbol name is empty"),
+    (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
+      "--target", "$", "--rename", "$=x y", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --rename: symbol name 'x y' contains forbidden character ' '"),
+    (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
+      "--target", "$", "--rename", "$x", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --rename: expected tagged=final pairs, got '$x'"),
+    (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
+      "--target", "$|", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --target: symbol name '$|' contains forbidden character '|'"),
 ]
 
 
@@ -378,13 +404,18 @@ ERRORS = [
                                                   "negative-max-len", "negative-etol-max-len",
                                                   "negative-radius", "negative-enum-len",
                                                   "negative-check-len", "negative-counter-cap",
-                                                  "negative-vector", "wrong-dim-vector"])
+                                                  "negative-vector", "wrong-dim-vector",
+                                                  "doubled-comma-vector", "nested-vector",
+                                                  "bare-vector", "empty-word-letter",
+                                                  "empty-letter", "spaced-rename",
+                                                  "rename-without-equals", "reserved-target"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert len(blocks) == 1
     assert blocks[0]["command"] == argv[0] and blocks[0]["status"] == "error"
     assert blocks[0]["error"].startswith(error)
+    assert list(tmp_path.iterdir()) == []  # an input error writes no file
 
 
 
@@ -562,6 +593,67 @@ def test_replicate_paper(capsys):
     summary = blocks[-1]
     assert summary["failures"] == "0"
     assert all(b["result"] == "pass" for b in blocks[:-1])
+
+
+def test_replicate_paper_names_the_value_a_report_lacks(capsys, monkeypatch):
+    line = "min-index fixture:ramp.ig abaa --max-steps 60 --max-stack 4"
+    monkeypatch.setattr(cli, "PAPER_CLAIMS", [
+        (name, [(line, {"min_index": "4"})] if name == "ramp-min-index" else lines)
+        for name, lines in cli.PAPER_CLAIMS
+    ])
+    code, blocks = run_clean(capsys, "replicate-paper")
+    assert code == 1
+    checks = {b["check"]: b for b in blocks[:-1]}
+    assert checks.pop("ramp-min-index") == {
+        "check": "ramp-min-index", "result": "fail",
+        "error": f"igkit {line}: min_index: 3, want 4",
+    }
+    assert [b["result"] for b in checks.values()] == ["pass"] * 13
+    assert blocks[-1]["checks"] == "14" and blocks[-1]["failures"] == "1"
+    assert blocks[-1]["status"] == "fail"
+
+
+@pytest.mark.parametrize("line,error", [
+    ("validate fixture:missing.ig", "FileNotFoundError: [Errno 2] No such file or directory"),
+    ("enumerate fixture:anbn.ig --max-len 2", "RuntimeError: a defect"),
+], ids=["input-error", "escaped-exception"])
+def test_replicate_paper_reports_a_failing_line(capsys, monkeypatch, line, error):
+    def defect(*args):
+        raise RuntimeError("a defect")
+
+    monkeypatch.setattr(cli, "enumerate_language", defect)
+    monkeypatch.setattr(cli, "PAPER_CLAIMS", [("claim", [(line, {"status": "ok"})])])
+    code, blocks = run_clean(capsys, "replicate-paper")
+    assert code == 1
+    assert blocks[0]["result"] == "fail" and blocks[0]["error"].startswith(error)
+    assert blocks[1]["failures"] == "1"
+
+
+def test_replicate_paper_runs_every_line_through_main(capsys, monkeypatch):
+    # each call first prints a block of its own, so only a runner that reads
+    # the last block of a report sees the command's values
+    calls = []
+    real = cli.main
+
+    def counting(argv=None):
+        calls.append(argv)
+        cli.emit_report({"call": len(calls)})
+        return real(argv)
+
+    monkeypatch.setattr(cli, "main", counting)
+    code = cli.main(["replicate-paper"])
+    blocks = parse_report(capsys.readouterr().out)
+    assert code == 0
+    assert len(calls) == 1 + sum(len(lines) for _, lines in cli.PAPER_CLAIMS)
+    assert [b["result"] for b in blocks if "check" in b] == ["pass"] * 14
+
+
+def test_replicate_paper_as_a_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "igkit", "replicate-paper"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert [b.get("result") for b in parse_report(proc.stdout)] == ["pass"] * 14 + [None]
 
 
 def test_reports_parse_back(capsys):

@@ -98,6 +98,13 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("slset", "slset s\ndim: 2\nlinear: base = (1,0); periods = (1)\n", 3,
      "vector length does not match the dimension"),
     ("slset", "slset s\ndim: 1\nshape: a\nshape: b\n", 4, "duplicate `shape:` line"),
+    # a shape letter becomes a terminal of `synth-linear`'s grammar
+    ("slset", "slset s\ndim: 2\nshape: a, _\n", 3, "`_` is the empty word, not a symbol name"),
+    ("slset", "slset s\ndim: 1\nshape: a _ b\n", 3, "`_` is the empty word, not a symbol name"),
+    ("slset", "slset s\ndim: 1\nshape: a|\n", 3,
+     "symbol name '|' contains forbidden character '|'"),
+    ("slset", "slset s\ndim: 1\nshape: a b#\n", 3,
+     "symbol name 'b#' contains forbidden character '#'"),
     ("etol", f"etol e\n{ETOL}rule: S -> a\n", 4, "rule outside a table block"),
     ("etol", f"etol e\n{ETOL}table t:\nrule: S a\n", 5, "rule needs `->`"),
     ("etol", f"etol e\n{ETOL}table a b:\n", 4, "expected `table <name>:`"),
