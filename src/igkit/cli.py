@@ -288,6 +288,7 @@ def cmd_transform(args) -> str:
         out = inverse_projection(g, g.terminals + _letters(args.letters, "--letters"))
     elif kind == "transduce":
         rel = parse_fsa(second(args.fsa))
+        target = _letters(args.target, "--target")
         rename = None
         if args.rename:
             pairs = [pair.partition("=") for pair in args.rename.split(",")]
@@ -296,9 +297,13 @@ def cmd_transform(args) -> str:
                                  f"got {args.rename!r}")
             rename = tuple((_letter(tagged, "--rename"), _letter(final, "--rename"))
                            for tagged, _, final in pairs)
+            for tagged, _ in rename:
+                if tagged not in target:
+                    raise UsageError(f"argument --rename: tagged letter {tagged!r} "
+                                     "is not in --target")
         tau = NivatTransducer(
             source=_letters(args.source, "--source"),
-            target=_letters(args.target, "--target"),
+            target=target,
             rel=rel,
             output_rename=rename,
         )

@@ -8,13 +8,17 @@ so every operation takes a Budget; verdicts are relative to the budget caps
 and each result records whether the budgeted space was swept completely.
 
 The hot path (one-step expansion of a sentential form) runs through
-igkit.kernel. Membership (and so the per-k searches of min_index), the
-special-production minimum and enumeration follow one rewrite order per
-derivation tree: leftmost without a width cap, subtree at a time with one
-(CompiledGrammar.expand). An enumeration under a width cap whose stack is
-bounded (a stack cap, or no push production) searches no forms: it tabulates
-the words below each pair with their least widths (`_word_table`), as
-check_uncontrolled tabulates the widest tree below each pair.
+igkit.kernel. Membership (and so min_index), the special-production minimum
+and enumeration follow one rewrite order per derivation tree: leftmost
+without a width cap, subtree at a time with one (CompiledGrammar.expand).
+Under a width cap membership ranks its (form, index) states by index, so
+its first witness has the least index, and min_index reads k off it: one
+search with a width cap, and without one a leftmost search for an upper
+bound i and one search at width i - 1. An enumeration under a width cap
+whose stack is bounded (a stack cap, or no push production) searches no
+forms: it tabulates the words below each pair with their least widths
+(`_word_table`), as check_uncontrolled tabulates the widest tree below each
+pair.
 """
 
 from __future__ import annotations
@@ -64,9 +68,11 @@ class Budget:
     """Search bounds. max_steps (derivation length) is always required so the
     explored space is finite; the width and stack caps default to unbounded.
     hard_cap bounds the forms a search stores (under a width cap, the (form,
-    depth) states of the subtree order), and the pairs and the entries of a
+    depth) states of the subtree order, and in membership and min_index the
+    (form, index) states of those), and the pairs and the entries of a
     table: a search or table it stops is reported like one the step cap
-    stops, never as a refutation."""
+    stops, never as a refutation. min_index gives the cap to each of its one
+    or two searches."""
 
     max_steps: int
     max_width: Optional[int] = None
@@ -193,7 +199,10 @@ class CompiledGrammar:
         and the hard cap counts (form, depth) states. The subtree order
         serves membership, min_index, special_count_min and the width-capped
         enumerations whose stack is unbounded; the others read `_word_table`.
-        kernel.expand with a width cap and no depths gives every order."""
+        Membership labels each form with the index of its path and ranks the
+        (form, index) states by it, so a least-index derivation, found in
+        subtree order, is its first witness. kernel.expand with a width cap
+        and no depths gives every order."""
         return kernel.expand(
             self, form,
             -1 if budget.max_width is None else budget.max_width,
@@ -261,6 +270,21 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
     return EnumerationResult(tuple(decoded), stop == SWEPT, budget.active_caps(), forms, stop)
 
 
+def _yield_blocks(form: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
+    blocks = []
+    cur: list[int] = []
+    nvars = 0
+    for x in form:
+        if x < 0:
+            cur.append(x)
+        else:
+            blocks.append(tuple(cur))
+            cur = []
+            nvars += 1
+    blocks.append(tuple(cur))
+    return blocks, nvars
+
+
 def _word_table(c: CompiledGrammar, max_len: int, budget: Budget):
     """The words of a width-capped enumeration: a `tabulate` whose items are
     ((word, width), size), a tree's word, its width (`tree_width`) and the
@@ -313,57 +337,64 @@ def _word_table(c: CompiledGrammar, max_len: int, budget: Budget):
 # membership
 
 
-def _yield_blocks(form: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
-    blocks = []
-    cur: list[int] = []
-    nvars = 0
-    for x in form:
-        if x < 0:
-            cur.append(x)
-        else:
-            blocks.append(tuple(cur))
-            cur = []
-            nvars += 1
-    blocks.append(tuple(cur))
-    return blocks, nvars
-
-
 def _can_yield(form: tuple[int, ...], target: tuple[int, ...]) -> bool:
     """Necessary condition for `form` to derive exactly `target`: the fixed
-    terminal blocks embed into the target, in order, anchored at both ends."""
-    blocks, nvars = _yield_blocks(form)
-    if nvars == 0:
-        return blocks[0] == target
-    total = sum(len(b) for b in blocks)
-    if total > len(target):
-        return False
-    lead, trail = blocks[0], blocks[-1]
-    if target[: len(lead)] != lead:
-        return False
-    limit = len(target) - len(trail)
-    if limit < len(lead) or target[limit:] != trail:
-        return False
-    pos = len(lead)
-    for mid in blocks[1:-1]:
-        if not mid:
-            continue
-        n = len(mid)
-        while pos + n <= limit and target[pos: pos + n] != mid:
-            pos += 1
-        if pos + n > limit:
+    terminal blocks embed into the target, in order, anchored at both ends.
+    One pass: the leading terminals from the front, the trailing ones from
+    the back, then each block between two variables at its first place."""
+    n = len(target)
+    lo = 0
+    for x in form:
+        if x >= 0:
+            break
+        if lo == n or target[lo] != x:
             return False
-        pos += n
+        lo += 1
+    else:
+        return lo == n
+    hi = n
+    last = len(form) - 1
+    while form[last] < 0:
+        hi -= 1
+        if hi < lo or target[hi] != form[last]:
+            return False
+        last -= 1
+    pos = lo
+    i = lo + 1  # form[lo] is the first variable
+    while i < last:
+        if form[i] >= 0:
+            i += 1
+            continue
+        j = i + 1
+        while form[j] < 0:  # form[last] is a variable
+            j += 1
+        block = form[i:j]
+        first, m = form[i], j - i
+        while True:
+            if pos + m > hi:
+                return False
+            if target[pos] == first and target[pos:pos + m] == block:
+                break
+            pos += 1
+        pos += m
+        i = j
     return True
 
 
 def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = False) -> Verdict:
     """Search for a derivation of w. Refuted is only claimed when the budgeted
     space is exhausted and the caller asserts (caps_exact) that the budget's
-    width/stack caps cover every derivation of words up to |w|."""
+    width/stack caps cover every derivation of words up to |w|.
+
+    Under a width cap the search runs over (form, index) states, the index
+    being the widest form on the state's path, ranked by index (`search.bfs`
+    with `rank`): its witness is a derivation of least index, and the
+    shortest among those. A terminal form adds no width, so a goal's index
+    is its parent's, and taking the first goal stored is exact."""
     c = CompiledGrammar(g)
     target = c.encode_word(w)
 
-    def successors(form):
+    def expand(form):
         return c.expand(form, budget, len(target))
 
     def visit(form):
@@ -371,9 +402,31 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
             return GOAL if form == target else LEAF
         return EXPAND if _can_yield(form, target) else LEAF
 
-    s = bfs(c.start(), successors, budget.max_steps, budget.hard_cap, visit)
+    if budget.max_width is None:
+        successors, key = expand, None
+        s = bfs(c.start(), expand, budget.max_steps, budget.hard_cap, visit)
+    else:
+        grow = [0 if row[0] == 1 else row[5] - 1 for row in c.prods]  # the width a rewrite adds
+
+        def successors(state):
+            form, k = state
+            width = len(form)
+            for x in form:
+                if x < 0:
+                    width -= 1
+            out = []
+            for pos, pid, f2 in expand(form):
+                w2 = width + grow[pid]
+                out.append((pos, pid, (f2, w2 if w2 > k else k)))
+            return out
+
+        def key(state):
+            return state[0]
+
+        s = bfs((c.start(), 1), successors, budget.max_steps, budget.hard_cap,
+                lambda state: visit(state[0]), rank=True)
     return decide(s, caps_exact, lambda goal: _derivation(c, successors, s.parents, goal,
-                                                          _subtree_depths(budget)),
+                                                          _subtree_depths(budget), key),
                   forms=len(s.parents))
 
 
@@ -381,19 +434,24 @@ def min_index(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fal
     """Proven with the smallest k (`info["k"]`) such that some derivation of
     w within the budget has index k, and that derivation; refuted when the
     (caps_exact) membership search refutes w; unknown when that search ends
-    without a proof, or when the hard cap cut short the search for some
-    smaller k. `info` has no `forms`: each membership search reports its
-    own."""
-    full = membership(g, w, budget, caps_exact)
-    if not full.is_proven:
-        return Verdict(full.kind, None, {"stop": full.info["stop"]})
-    for k in range(1, full.witness.index()):
-        v = membership(g, w, replace(budget, max_width=k))
-        if v.is_proven:
-            return Verdict(PROVEN, v.witness, {"k": k, "stop": FOUND})
-        if v.info["stop"] == HARD_CAP:
+    without a proof, or when the hard cap cut short the search below its
+    witness's index.
+
+    Under a width cap, membership's first witness has the least index, so
+    one search answers. Without one, the leftmost search gives an upper
+    bound i, and one search at width cap i - 1 the least index below it.
+    `info` has no `forms`: each membership search reports its own."""
+    v = membership(g, w, budget, caps_exact)
+    if not v.is_proven:
+        return Verdict(v.kind, None, {"stop": v.info["stop"]})
+    k = v.witness.index()
+    if budget.max_width is None and k > 1:
+        narrow = membership(g, w, replace(budget, max_width=k - 1))
+        if narrow.info["stop"] == HARD_CAP:
             return Verdict(UNKNOWN, None, {"stop": HARD_CAP})
-    return Verdict(PROVEN, full.witness, {"k": full.witness.index(), "stop": FOUND})
+        if narrow.is_proven:
+            v, k = narrow, narrow.witness.index()
+    return Verdict(PROVEN, v.witness, {"k": k, "stop": FOUND})
 
 
 def special_count_min(g: IndexedGrammar, w: Word, budget: Budget,

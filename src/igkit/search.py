@@ -4,10 +4,12 @@ Enumeration, membership, index measurement, width refutation, parallel
 rewriting, counter-machine runs and automaton emptiness all explore a graph
 level by level from one start node under two caps: `max_steps` levels, and
 `hard_cap` stored nodes. `bfs` runs that search and reports why it stopped;
-`path` and `moves` rebuild the witness for any node it stored. The automata,
-machines and pruned grammars are built from the same search without caps:
-`reach` returns every node reachable from a set of starts, and `explore`
-also every edge.
+`path` and `moves` rebuild the witness for any node it stored. With `rank`
+it orders the same search by a rank that never falls along a path (the
+index of a derivation), then by level, so its first goal has the least rank
+(Knuth 1977). The automata, machines and pruned grammars are built from the
+same search without caps: `reach` returns every node reachable from a set of
+starts, and `explore` also every edge.
 
 Every decision procedure answers with one `Verdict` of three kinds, and
 `decide` turns a finished search into one. A verdict that needs the whole
@@ -17,6 +19,7 @@ SWEPT.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Optional
@@ -98,6 +101,7 @@ def bfs(
     max_steps: float,
     hard_cap: float,
     visit: Optional[Callable[[Hashable], int]] = None,
+    rank: bool = False,
 ) -> Search:
     """Breadth-first search from `start`.
 
@@ -106,7 +110,20 @@ def bfs(
     stored node, the start included, and returns EXPAND, LEAF (keep the node
     but do not expand it) or GOAL (stop here); without `visit` every node is
     expanded. Either cap may be `math.inf`.
+
+    With `rank`, every node is a pair (key, rank) whose rank never falls
+    along an edge, and the successors of a node depend on its key alone
+    (the rank only labels them). Nodes are expanded by rank, then by level,
+    each once, at its least level: a stored node that waits for expansion
+    moves to a lower level when a shorter path reaches it. A goal is still
+    taken when it is stored, which is exact when a goal's rank is its
+    parent's: the first goal then has the least rank, and the least level
+    among those. The search has swept when every key stored for expansion
+    was expanded, under some rank; max_steps levels count as in the
+    unranked search, and hard_cap counts the stored nodes.
     """
+    if rank:
+        return _ranked(start, successors, max_steps, hard_cap, visit)
     parents: dict = {start: None}
     act = EXPAND if visit is None else visit(start)
     if act == GOAL:
@@ -136,6 +153,58 @@ def bfs(
         frontier = nxt
         depth += 1
     return Search(parents, SWEPT)
+
+
+def _ranked(start, successors, max_steps, hard_cap, visit) -> Search:
+    """`bfs` with `rank`. What a node's expansion stores or moves waits at
+    a (rank, level) slot no lower than the node's own, so the slots are
+    taken in order from a heap, each holding its nodes in the order they
+    came."""
+    parents: dict = {start: None}
+    level: dict = {}  # stored node waiting for expansion -> its level
+    slots: dict = {}  # (rank, level) -> the nodes waiting there
+    order: list = []  # a heap of the slots
+
+    def wait(node, depth):
+        level[node] = depth
+        if depth < max_steps:
+            nodes = slots.get(slot := (node[1], depth))
+            if nodes is None:
+                slots[slot] = [node]
+                heapq.heappush(order, slot)
+            else:
+                nodes.append(node)
+
+    act = EXPAND if visit is None else visit(start)
+    if act == GOAL:
+        return Search(parents, FOUND, start)
+    if act == EXPAND:
+        wait(start, 0)
+    done = set()  # the keys of the expanded nodes
+    while order:
+        slot = heapq.heappop(order)
+        depth = slot[1] + 1
+        for node in slots.pop(slot):
+            if level.get(node) != slot[1]:
+                continue  # expanded, or moved to a lower level since
+            del level[node]
+            done.add(node[0])
+            for step in successors(node):
+                child = step[-1]
+                if child not in parents:
+                    if len(parents) >= hard_cap:
+                        return Search(parents, HARD_CAP)
+                    parents[child] = node
+                    act = EXPAND if visit is None else visit(child)
+                    if act == GOAL:
+                        return Search(parents, FOUND, child)
+                    if act == EXPAND:
+                        wait(child, depth)
+                elif level.get(child, -1) > depth:
+                    parents[child] = node
+                    wait(child, depth)
+    # what still waits was stored at the last level
+    return Search(parents, MAX_STEPS if any(key not in done for key, _ in level) else SWEPT)
 
 
 _ROOT = object()  # the private start node behind reach's starts

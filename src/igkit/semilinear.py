@@ -423,22 +423,22 @@ def parse_vector(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad vector {text!r}") from None
 
 
-def _split_vectors(text: str, line_no: int):
-    depth = 0
-    cur = ""
+def _split_vectors(text: str) -> list[tuple[int, ...]]:
+    """The vectors of a `(…),(…)` list, one comma between each two (none
+    for an empty list); raises ValueError on anything else."""
     out = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        cur += ch
-        if depth == 0 and ch == ")":
-            out.append(cur.strip().lstrip(","))
-            cur = ""
-    if cur.strip():
-        raise ParseError(f"trailing junk in vector list: {cur!r}", line_no)
-    return [parse_vector(v.strip().lstrip(",")) for v in out]
+    rest = text.strip()
+    while rest:
+        end = rest.find(")") + 1
+        out.append(parse_vector(rest[:end] if end else rest))
+        rest = rest[end:].strip()
+        if rest:
+            if rest[0] != ",":
+                raise ValueError(f"expected a comma between vectors, got {rest!r}")
+            rest = rest[1:].strip()
+            if not rest:
+                raise ValueError("expected a vector after the last comma")
+    return out
 
 
 def _parse_shape_words(text: str, line_no: int) -> GinsburgShape:
@@ -472,23 +472,24 @@ def parse_slset(text: str):
         elif key == "shape":
             set_once(fields, key, (_parse_shape_words(value, line_no), line_no), line_no)
         elif key == "linear":
-            base = None
-            periods: list = []
+            clauses: dict = {}
             try:
                 for clause in value.split(";"):
                     ckey, csep, cval = clause.partition("=")
                     if not csep:
                         raise ParseError(f"bad clause {clause.strip()!r}", line_no)
                     ckey = ckey.strip()
+                    if ckey in clauses:
+                        raise ParseError(f"repeated clause {ckey!r}", line_no)
                     if ckey == "base":
-                        base = parse_vector(cval)
+                        clauses[ckey] = parse_vector(cval)
                     elif ckey == "periods":
-                        periods = _split_vectors(cval.strip(), line_no)
+                        clauses[ckey] = _split_vectors(cval)
                     else:
                         raise ParseError(f"unknown clause {ckey!r}", line_no)
-                if base is None:
+                if "base" not in clauses:
                     raise ParseError("linear block needs `base = (…)`", line_no)
-                comps.append((line_no, LinearSet.make(base, periods)))
+                comps.append((line_no, LinearSet.make(clauses["base"], clauses.get("periods", []))))
             except ValueError as exc:  # a bad vector, or one outside ℕ^dim
                 raise ParseError(str(exc), line_no) from None
         else:

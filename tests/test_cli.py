@@ -393,6 +393,9 @@ ERRORS = [
       "--target", "$", "--rename", "$x", "--out", "{tmp}/o.ig"],
      "UsageError: argument --rename: expected tagged=final pairs, got '$x'"),
     (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
+      "--target", "$", "--rename", "q=x", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --rename: tagged letter 'q' is not in --target"),
+    (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
       "--target", "$|", "--out", "{tmp}/o.ig"],
      "UsageError: argument --target: symbol name '$|' contains forbidden character '|'"),
 ]
@@ -408,7 +411,8 @@ ERRORS = [
                                                   "doubled-comma-vector", "nested-vector",
                                                   "bare-vector", "empty-word-letter",
                                                   "empty-letter", "spaced-rename",
-                                                  "rename-without-equals", "reserved-target"])
+                                                  "rename-without-equals", "rename-off-target",
+                                                  "reserved-target"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

@@ -1,10 +1,12 @@
 """Derivation search: enumeration, membership, index measurement, width audit."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from igkit import fixture_text
 from igkit.engine import (
     Budget,
+    _can_yield,
     check_uncontrolled,
     enumerate_language,
     membership,
@@ -12,6 +14,8 @@ from igkit.engine import (
     special_count_min,
 )
 from igkit.grammar import parse_grammar, replay
+
+from util import oracle_can_yield
 
 
 def g_fix(name):
@@ -113,6 +117,19 @@ def test_membership_agrees_with_enumeration():
     for w in ["", "ab", "aabb", "ba", "aab", "abab", "aaabbb"]:
         v = membership(g, tuple(w), b, caps_exact=True)
         assert v.is_proven == (w in enum), w
+
+
+# encoded items: a terminal is -1 or -2, a variable occurrence 0 or more
+encoded_terms = st.lists(st.sampled_from((-1, -2)), max_size=7).map(tuple)
+encoded_forms = st.lists(st.sampled_from((-1, -2, 0, 5)), max_size=8).map(tuple)
+
+
+@given(encoded_forms, encoded_terms)
+@example((-1, 0, -2, 0, -2, 0, -1), (-1, -2, -1))  # the middle blocks would overlap
+@example((-1, -2, 0, -2, -1), (-1, -2, -1))  # the ends would overlap
+@example((0,), ())
+def test_can_yield_matches_the_two_pass_check(form, target):
+    assert _can_yield(form, target) == oracle_can_yield(form, target)
 
 
 # -- min_index -------------------------------------------------------------------

@@ -98,6 +98,18 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("slset", "slset s\ndim: 2\nlinear: base = (1,0); periods = (1)\n", 3,
      "vector length does not match the dimension"),
     ("slset", "slset s\ndim: 1\nshape: a\nshape: b\n", 4, "duplicate `shape:` line"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (0,0); periods = (1,0),,,(0,1)\n", 3,
+     "expected a (…) vector, got ',,(0,1)'"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (0,0); periods = (1,0) (0,1)\n", 3,
+     "expected a comma between vectors, got '(0,1)'"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (0,0); periods = (1,0),\n", 3,
+     "expected a vector after the last comma"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (0,0); periods = (1,0)x\n", 3,
+     "expected a comma between vectors, got 'x'"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (0,0); base = (1,1)\n", 3,
+     "repeated clause 'base'"),
+    ("slset", "slset s\ndim: 2\nlinear: base = (0,0); periods = (1,0); periods = (0,1)\n", 3,
+     "repeated clause 'periods'"),
     # a shape letter becomes a terminal of `synth-linear`'s grammar
     ("slset", "slset s\ndim: 2\nshape: a, _\n", 3, "`_` is the empty word, not a symbol name"),
     ("slset", "slset s\ndim: 1\nshape: a _ b\n", 3, "`_` is the empty word, not a symbol name"),

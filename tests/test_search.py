@@ -6,8 +6,9 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from igkit import fixture_text, kernel
+from igkit import engine, fixture_text, kernel
 from igkit import semilinear as sl
 from igkit import vector_automata as va
 from igkit.cli import OUTCOME, main, parse_report
@@ -37,7 +38,15 @@ from igkit.search import (
     reach,
 )
 
-from util import oracle_enumerate, oracle_membership, search_enumerate
+from util import (
+    TERMS,
+    grammars,
+    oracle_enumerate,
+    oracle_membership,
+    per_k_min_index,
+    search_enumerate,
+    search_membership,
+)
 
 
 def g_fix(name):
@@ -101,6 +110,127 @@ def test_explore_stores_in_bfs_order_and_lists_every_edge():
     expanded = []
     assert reach([5, 1, 5], lambda n: expanded.append(n) or doubling(n)) == nodes == expanded
     assert reach([], doubling) == []
+
+
+# -- the ranked search ------------------------------------------------------------------
+
+# (n, rank) states: n -> n+1 keeps the rank at least 1, n -> 2n raises it
+# to 2, and 12 -> 0, the goal, keeps it
+def ranked_doubling(state):
+    n, r = state
+    out = [(op, (m, max(r, w))) for op, m, w in (("inc", n + 1, 1), ("dbl", 2 * n, 2))
+           if 0 < m < 20]
+    return out + [("end", (0, r))] if n == 12 else out
+
+
+def test_ranked_bfs_takes_the_least_rank_then_the_shortest_path():
+    def visit(state):
+        return GOAL if state[0] == 0 else EXPAND
+
+    s = bfs((1, 1), ranked_doubling, 100, 1000, visit, rank=True)
+    assert s.goal == (0, 1) and [n for n, _ in path(s.parents, s.goal)] == [*range(1, 13), 0]
+    # eleven increments and the end are too many for ten levels: the
+    # shortest path of rank 2
+    s = bfs((1, 1), ranked_doubling, 10, 1000, visit, rank=True)
+    assert s.goal == (0, 2)
+    assert moves(ranked_doubling, s.parents, s.goal) == [
+        ("inc", (2, 1)), ("inc", (3, 1)), ("dbl", (6, 2)), ("dbl", (12, 2)), ("end", (0, 2))]
+
+
+def test_ranked_bfs_sweeps_by_key():
+    # f waits at the last level under rank 1 (s, x, f), and is expanded one
+    # level earlier under rank 2 (s, f), into the leaf g: nothing is left to
+    # expand
+    edges = {"s": [("x", 1), ("f", 2)], "x": [("f", 1)], "f": [("g", 1)]}
+
+    def successors(state):
+        key, r = state
+        return [((k, max(r, w)),) for k, w in edges[key]]
+
+    def visit(state):
+        return LEAF if state[0] == "g" else EXPAND
+
+    s = bfs(("s", 1), successors, 2, 100, visit, rank=True)
+    assert s.stop == SWEPT and ("f", 1) in s.parents
+    assert bfs(("s", 1), successors, 1, 100, visit, rank=True).stop == MAX_STEPS
+    assert bfs(("s", 1), successors, 0, 100, visit, rank=True).stop == MAX_STEPS
+    # the hard cap counts stored states
+    s = bfs(("s", 1), successors, 2, 4, visit, rank=True)
+    assert s.stop == HARD_CAP and len(s.parents) == 4
+
+
+# S -> S1 | Y Z, S1 -> S2, S2 -> S3, S3 -> X, Y -> _, Z -> X, X -> P Q,
+# P -> a, Q -> b: X is reached in four steps at index 1 (through S1, S2, S3)
+# and in three at index 2 (through Y Z), and only the second path derives ab
+# within six steps. A search that keeps one index per form expands X at index
+# 1 and runs out of levels (at width 3 it takes S -> Y Z -> Y X -> Y P Q and
+# reports 3); one that never moves a stored state to a lower level keeps P Q
+# at the level the index-1 path gave it, and runs out of levels too.
+EXACTNESS = (
+    "grammar exact\nvariables: S, S1, S2, S3, X, Y, Z, P, Q\nterminals: a, b\nindices:\n"
+    "start: S\nprod: S -> S1\nprod: S -> Y Z\nprod: S1 -> S2\nprod: S2 -> S3\n"
+    "prod: S3 -> X\nprod: Y -> _\nprod: Z -> X\nprod: X -> P Q\nprod: P -> a\nprod: Q -> b\n"
+)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_ranked_search_keeps_every_index_of_a_form(tmp_path, capsys, width):
+    p = tmp_path / "exact.ig"
+    p.write_text(EXACTNESS)
+    caps = ["--max-steps", "6", "--max-width", str(width)]
+    assert main(["member", str(p), "ab", *caps]) == 0
+    assert main(["min-index", str(p), "ab", *caps]) == 0
+    member, least = parse_report(capsys.readouterr().out)
+    assert member["status"] == "proven" and least["min_index"] == "2"
+    v = membership(parse_grammar(EXACTNESS), ("a", "b"), Budget(max_steps=6, max_width=width))
+    assert v.witness.index() == 2 and len(v.witness.steps) == 6
+
+
+def test_min_index_is_one_search_under_a_width_cap(monkeypatch):
+    # the search at width 5 and a search at each k below its witness's index
+    # stored 1,145 forms; the ranked search stores 130 states
+    forms = []
+    real = engine.membership
+    monkeypatch.setattr(engine, "membership",
+                        lambda *a, **kw: forms.append((v := real(*a, **kw)).info["forms"]) or v)
+    v = min_index(g_fix("ramp.ig"), tuple("abaabaaabaaaa"),
+                  Budget(max_steps=60, max_width=5, max_stack=5))
+    assert v.info == {"k": 3, "stop": FOUND} and forms == [130]
+
+
+def _same_answer(ours, theirs, keys):
+    assert (ours.kind, *(ours.info.get(k) for k in keys)) == (
+        theirs.kind, *(theirs.info.get(k) for k in keys))
+
+
+RANKED_BUDGETS = st.builds(Budget, max_steps=st.integers(0, 12),
+                           max_width=st.sampled_from((None, 0, 1, 2, 3, 4)),
+                           max_stack=st.sampled_from((None, 1, 2, 3)), hard_cap=st.just(5000))
+
+
+@given(grammars(), RANKED_BUDGETS, st.lists(st.sampled_from(TERMS), max_size=4).map(tuple))
+def test_ranked_search_answers_as_the_unranked_one(g, budget, w):
+    # the kind, stop and exhaustion of membership, and the kind, minimum and
+    # stop of min_index, are those of the unranked search and of the search at
+    # each k; the witnesses replay within max_steps, min_index's with index k
+    # and as short as the search at width k finds it
+    ours, theirs = membership(g, w, budget, True), search_membership(g, w, budget, True)
+    if HARD_CAP in (ours.info["stop"], theirs.info["stop"]):
+        return
+    _same_answer(ours, theirs, ("stop", "exhausted"))
+    least, per_k = min_index(g, w, budget, True), per_k_min_index(g, w, budget, True)
+    if HARD_CAP not in (least.info["stop"], per_k.info["stop"]):
+        _same_answer(least, per_k, ("k", "stop"))
+    for v in (ours, least):
+        if v.is_proven:
+            assert replay(g, v.witness).yield_word() == w
+            assert len(v.witness.steps) <= budget.max_steps
+    if least.is_proven:
+        assert least.witness.index() == least.info["k"]
+        if per_k.is_proven:
+            assert len(least.witness.steps) == len(per_k.witness.steps)
+        if budget.max_width is not None:
+            assert ours.witness.index() == least.info["k"]
 
 
 # -- minimums stay sound under the hard cap -----------------------------------------------

@@ -1,7 +1,10 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
 random grammars for Hypothesis, brute-force oracles for the closure
 constructions, the all-orders search that the leftmost and subtree orders of
-the engine are checked against, the search that the word table of
+the engine are checked against, the unranked form search and the search at
+each width k that membership's and min_index's ranked search is checked
+against, the two-pass yield check that the one-pass one is checked against,
+the search that the word table of
 enumerate_language is checked against, the form search that the width table of
 check_uncontrolled is checked against, the full product that
 closure.intersect_dfa is checked against with the prunings it cleans with
@@ -26,9 +29,10 @@ from igkit.engine import (
     Budget,
     CompiledGrammar,
     EnumerationResult,
-    _can_yield,
     _derivation,
     _is_terminal_enc,
+    _subtree_depths,
+    _yield_blocks,
     enumerate_language,
 )
 from igkit.grammar import (
@@ -143,35 +147,87 @@ def search_enumerate(g, max_len, budget):
     return _search_enumerate(g, budget, lambda c: lambda f: c.expand(f, budget, max_len))
 
 
-def oracle_membership(g, w, budget, caps_exact=False):
-    """membership over every rewrite order (see oracle_enumerate)."""
+def oracle_can_yield(form, target):
+    """engine._can_yield as it was first written: the form split into its
+    terminal blocks, then the blocks placed in the target."""
+    blocks, nvars = _yield_blocks(form)
+    if nvars == 0:
+        return blocks[0] == target
+    total = sum(len(b) for b in blocks)
+    if total > len(target):
+        return False
+    lead, trail = blocks[0], blocks[-1]
+    if target[: len(lead)] != lead:
+        return False
+    limit = len(target) - len(trail)
+    if limit < len(lead) or target[limit:] != trail:
+        return False
+    pos = len(lead)
+    for mid in blocks[1:-1]:
+        if not mid:
+            continue
+        n = len(mid)
+        while pos + n <= limit and target[pos: pos + n] != mid:
+            pos += 1
+        if pos + n > limit:
+            return False
+        pos += n
+    return True
+
+
+def _search_membership(g, w, budget, caps_exact, successors, depths):
     c = CompiledGrammar(g)
     target = c.encode_word(w)
-    successors = every_order(c, budget, len(target))
+    expand = successors(c)
 
     def visit(form):
         if _is_terminal_enc(form):
             return GOAL if form == target else LEAF
-        return EXPAND if _can_yield(form, target) else LEAF
+        return EXPAND if oracle_can_yield(form, target) else LEAF
 
-    s = bfs(c.start(), successors, budget.max_steps, budget.hard_cap, visit)
-    return decide(s, caps_exact, lambda goal: _derivation(c, successors, s.parents, goal, 0),
+    s = bfs(c.start(), expand, budget.max_steps, budget.hard_cap, visit)
+    return decide(s, caps_exact, lambda goal: _derivation(c, expand, s.parents, goal, depths),
                   forms=len(s.parents))
 
 
-def oracle_min_index(g, w, budget, caps_exact=False):
-    """The smallest k whose all-orders search proves w, as min_index answers
-    it: unknown, or refuted when the full search refutes w."""
-    full = oracle_membership(g, w, budget, caps_exact)
+def oracle_membership(g, w, budget, caps_exact=False):
+    """membership over every rewrite order (see oracle_enumerate)."""
+    return _search_membership(g, w, budget, caps_exact,
+                              lambda c: every_order(c, budget, len(w)), 0)
+
+
+def search_membership(g, w, budget, caps_exact=False):
+    """membership as one breadth-first search over forms in the engine's
+    order (CompiledGrammar.expand), not ranked by index: the oracle of the
+    verdicts of the ranked search that membership runs under a width cap."""
+    return _search_membership(g, w, budget, caps_exact,
+                              lambda c: lambda f: c.expand(f, budget, len(w)),
+                              _subtree_depths(budget))
+
+
+def _per_k_min_index(search, g, w, budget, caps_exact):
+    full = search(g, w, budget, caps_exact)
     if not full.is_proven:
         return Verdict(full.kind, None, {"stop": full.info["stop"]})
     for k in range(1, full.witness.index()):
-        v = oracle_membership(g, w, replace(budget, max_width=k))
+        v = search(g, w, replace(budget, max_width=k))
         if v.is_proven:
             return Verdict(PROVEN, v.witness, {"k": k, "stop": FOUND})
         if v.info["stop"] == HARD_CAP:
             return Verdict(UNKNOWN, None, {"stop": HARD_CAP})
     return Verdict(PROVEN, full.witness, {"k": full.witness.index(), "stop": FOUND})
+
+
+def oracle_min_index(g, w, budget, caps_exact=False):
+    """The smallest k whose all-orders search proves w, as min_index answers
+    it: unknown, or refuted when the full search refutes w."""
+    return _per_k_min_index(oracle_membership, g, w, budget, caps_exact)
+
+
+def per_k_min_index(g, w, budget, caps_exact=False):
+    """min_index as one search_membership at each width k below the first
+    witness's index: the oracle of min_index's single ranked search."""
+    return _per_k_min_index(search_membership, g, w, budget, caps_exact)
 
 
 def oracle_special_count_min(g, w, budget, caps_exact=False):
@@ -195,7 +251,7 @@ def oracle_special_count_min(g, w, budget, caps_exact=False):
             if form == target:
                 best = nspec
             return LEAF
-        return EXPAND if _can_yield(form, target) else LEAF
+        return EXPAND if oracle_can_yield(form, target) else LEAF
 
     s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
     if best is None or s.stop == HARD_CAP:
