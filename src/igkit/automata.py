@@ -91,28 +91,6 @@ class Dfa:
         return self.run(word) in self.accepting
 
 
-def universal_dfa(alphabet, name="universal") -> Dfa:
-    return Dfa(
-        states=("u",),
-        alphabet=tuple(alphabet),
-        initial="u",
-        accepting=frozenset({"u"}),
-        transitions=tuple(("u", a, "u") for a in alphabet),
-        name=name,
-    )
-
-
-def empty_dfa(alphabet, name="empty") -> Dfa:
-    return Dfa(
-        states=("u",),
-        alphabet=tuple(alphabet),
-        initial="u",
-        accepting=frozenset(),
-        transitions=tuple(("u", a, "u") for a in alphabet),
-        name=name,
-    )
-
-
 def determinize(nfa: Nfa, alphabet=None) -> Dfa:
     """Total deterministic automaton for L(nfa) via the subset construction;
     the empty subset acts as the sink."""

@@ -276,13 +276,17 @@ def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
     derives that drive d from p to q; the index alphabet is replaced by a
     disjoint copy.
 
-    Only useful triples are built: `_spans` gives the state pairs each
-    variable can drive d between, and a search from the start triples emits
-    the productions whose child triples all lie in them. The result is the
-    full product with its non-productive, then its unreachable triples
-    pruned (indices ignored), in the full product's order: variables by
-    (variable, p, q), productions by (production, states), and the indices
-    that the productions use."""
+    Only useful triples are built. With d's states numbered, A's row p is an
+    int whose bit q says that A derives a word driving d from p to q, indices
+    ignored (a consume production counts as always applicable), and A's
+    column q holds the same bits by p. A semi-naive worklist fills them from
+    the terminal productions: the bits new to a row are joined once with each
+    production that uses the variable (Bancilhon & Ramakrishnan 1986). A
+    search from the start triples then emits the productions whose child
+    triples all lie in the rows. The result is the full product with its
+    non-productive, then its unreachable triples pruned (indices ignored), in
+    the full product's order: variables by (variable, p, q), productions by
+    (production, states), and the indices that the productions use."""
     if not is_normalized(g):
         raise NotNormalized(f"{g.name} has productions outside the u/uXv/uXZ shapes")
     problems = d.validate()
@@ -292,27 +296,89 @@ def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
         raise InvalidAutomaton(f"{d.name} alphabet does not cover the grammar terminals")
 
     imap = {f: f"{f}#i" for f in g.indices}
-    rank = {q: i for i, q in enumerate(d.states)}
-    spans = _spans(g, d)
-    by_lhs: dict = {}  # variable -> its productions, numbered, with their split rhs
+    n, rank = len(d.states), {q: i for i, q in enumerate(d.states)}
+    rows = {v: [0] * n for v in g.variables}  # A -> p -> the bits q
+    cols = {v: [0] * n for v in g.variables}  # A -> q -> the bits p
+    todo: dict = {}  # (A, p) -> the bits of A's row p not joined yet
+
+    def add(a, p, bits):
+        new = bits & ~rows[a][p]
+        if new:
+            rows[a][p] |= new
+            for q in _members(new):
+                cols[a][q] |= 1 << p
+            todo[a, p] = todo.get((a, p), 0) | new
+
+    step = {a: [rank[d.run((a,), q)] for q in d.states] for a in g.terminals}
+    maps: dict = {}  # word -> (the state it drives d to from each p, the p's it drives to each)
+
+    def smap(w):
+        if w not in maps:
+            to = list(range(n))
+            for a in w:
+                to = [step[a][r] for r in to]
+            pre: list = [[] for _ in range(n)]
+            for p, r in enumerate(to):
+                pre[r].append(p)
+            maps[w] = to, pre
+        return maps[w]
+
+    by_lhs: dict = {}  # A -> (number, production, its words and variables, the maps of u and v)
+    # X -> (lhs, the p's u drives to each state, and either the ends of each bit
+    # of X's row through v or Z, or, X being Z, the columns of the left child)
+    uses: dict = {}
     for i, prod in enumerate(g.productions):
-        by_lhs.setdefault(prod.lhs_var, []).append((i, prod, _split_rhs(g, prod.rhs)))
+        words, xs = _split_rhs(g, prod.rhs)
+        (umap, pre), (vmap, _) = smap(words[0]), smap(words[-1])
+        by_lhs.setdefault(prod.lhs_var, []).append((i, prod, words, xs, umap, vmap))
+        if not xs:
+            for p, r in enumerate(umap):
+                add(prod.lhs_var, p, 1 << r)
+        elif len(xs) == 1:
+            uses.setdefault(xs[0], []).append((prod.lhs_var, pre, [1 << q for q in vmap], None))
+        else:
+            uses.setdefault(xs[0], []).append((prod.lhs_var, pre, rows[xs[1]], None))
+            uses.setdefault(xs[1], []).append((prod.lhs_var, pre, None, cols[xs[0]]))
+    while todo:
+        (x, r), new = todo.popitem()
+        for lhs, pre, ends, col in uses.get(x, ()):
+            if col is None:  # u x v or u x Z: the ends of the new bits, through v or Z
+                bits, ps = 0, pre[r]
+                for s in _members(new):
+                    bits |= ends[s]
+            else:  # u X x: the lhs rows whose u-image X drives to r
+                bits, ps = new, [p for r0 in _members(col[r]) for p in pre[r0]]
+            for p in ps:
+                add(lhs, p, bits)
     made = []  # (place in the full product, lhs triple, child triples, production, its words)
 
     def successors(node):
         p, var, q = node
-        for i, prod, (words, xs) in by_lhs.get(var, ()):
-            for kids, end in _through(d, spans, p, words, xs):
-                if end == q:
-                    place = (i, rank[p]) + tuple(rank[k[2]] for k in kids)
-                    made.append((place, node, kids, prod, words))
-                    yield from ((kid,) for kid in kids)
+        out = []
+        for i, prod, words, xs, umap, vmap in by_lhs.get(var, ()):
+            r = umap[p]
+            if not xs:
+                if r == q:
+                    made.append(((i, p), node, (), prod, words))
+            elif len(xs) == 1:
+                for s in _members(rows[xs[0]][r]):
+                    if vmap[s] == q:
+                        kid = (r, xs[0], s)
+                        made.append(((i, p, s), node, (kid,), prod, words))
+                        out.append((kid,))
+            else:
+                for m in _members(rows[xs[0]][r] & cols[xs[1]][q]):
+                    kids = ((r, xs[0], m), (m, xs[1], q))
+                    made.append(((i, p, m, q), node, kids, prod, words))
+                    out += ((kids[0],), (kids[1],))
+        return out
 
-    tops = [(d.initial, g.start, acc) for acc in d.states
-            if acc in d.accepting and acc in spans[g.start].get(d.initial, ())]
+    init = rank[d.initial]
+    tops = [(init, g.start, q) for q, acc in enumerate(d.states)
+            if acc in d.accepting and rows[g.start][init] >> q & 1]
     var_rank = {v: i for i, v in enumerate(g.variables)}
-    nodes = sorted(reach(tops, successors), key=lambda t: (var_rank[t[1]], rank[t[0]], rank[t[2]]))
-    names = {t: f"<{t[0]}|{t[1]}|{t[2]}>" for t in nodes}
+    nodes = sorted(reach(tops, successors), key=lambda t: (var_rank[t[1]], t[0], t[2]))
+    names = {t: f"<{d.states[t[0]]}|{t[1]}|{d.states[t[2]]}>" for t in nodes}
     start = fresh_name("S", names.values())
     prods = [Production(start, (names[t],)) for t in tops]
     for _, node, kids, prod, words in sorted(made, key=lambda m: m[0]):
@@ -332,49 +398,13 @@ def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
     )
 
 
-def _spans(g: IndexedGrammar, d: Dfa) -> dict:
-    """For each variable A, p -> the states q such that A derives a word
-    driving d from p to q, indices ignored (a consume production counts as
-    always applicable). A search over (p, A, q) items from the terminal
-    productions, for a normalized g: each item, when expanded, is combined
-    with the items expanded before it."""
-    spans: dict = {v: {} for v in g.variables}
-    uses: dict = {}  # variable -> (lhs, pre, the last word, the rhs variables, place) per place
-    leaves = []
-    for prod in g.productions:
-        words, xs = _split_rhs(g, prod.rhs)
-        pre: dict = {}  # r -> the states p that words[0] drives d from to r
-        for p in d.states:
-            pre.setdefault(d.run(words[0], p), []).append(p)
-        if not xs:
-            leaves += [(p, prod.lhs_var, r) for r, ps in pre.items() for p in ps]
-        for j, x in enumerate(xs):
-            uses.setdefault(x, []).append((prod.lhs_var, pre, words[-1], xs, j))
-
-    def successors(item):
-        r, x, s = item
-        spans[x].setdefault(r, set()).add(s)
-        for lhs, pre, tail, xs, j in uses.get(x, ()):
-            if len(xs) == 1:  # u x v
-                ends = [(r, d.run(tail, s))]
-            elif j == 0:  # u x Z
-                ends = [(r, q) for q in spans[xs[1]].get(s, ())]
-            else:  # u X x
-                ends = [(r0, s) for r0, mids in spans[xs[0]].items() if r in mids]
-            for r0, q in ends:
-                yield from (((p, lhs, q),) for p in pre.get(r0, ()))
-
-    reach(leaves, successors)
-    return spans
-
-
-def _through(d: Dfa, spans: dict, p: str, words, xs) -> list:
-    """Each way to drive d from p through words[0] xs[0] words[1] … with
-    each variable between a pair of its spans: (the child triples, the end
-    state)."""
-    out = [((), d.run(words[0], p))]
-    for x, w in zip(xs, words[1:]):
-        out = [(kids + ((r, x, s),), d.run(w, s)) for kids, r in out for s in spans[x].get(r, ())]
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits of `bits`, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

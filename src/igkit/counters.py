@@ -27,7 +27,7 @@ from .automata import Nfa, determinize
 from .closure import intersect_dfa, inverse_projection, normalize_rhs
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
 # `enumerate_language` among this module's names: keep it while the tracer does
-from .engine import Budget, CompiledGrammar, enumerate_language, tabulate, tree_width  # noqa: F401
+from .engine import Budget, CompiledGrammar, enumerate_language, tabulate  # noqa: F401
 from .grammar import (
     GrammarError,
     IndexedGrammar,
@@ -424,7 +424,12 @@ def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
     the cap. The hard cap counts pairs and entries. A vector is one int,
     count i in field i of `bits` bits and the total above: adding vectors
     adds ints, and an int is below `over` exactly when its total is at most
-    `length` (its counts then fit their fields)."""
+    `length` (its counts then fit their fields).
+
+    The grammar is `intersect_dfa`'s over a `normalize_rhs` grammar, so a
+    rule has at most two variable children, and the fire joins each shape
+    directly, with the widths of `tree_width` inline. It lists every join
+    before it writes the rule's row, which may be a row it reads."""
     bits, n = length.bit_length(), len(c.term_names)
     unit = [(1 << bits * i) + (1 << bits * n) for i in range(n)]
     over = (length + 1) << bits * n
@@ -439,13 +444,28 @@ def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
         if len(kids) > max(1, cap):  # two children or more make a tree that wide
             return ()
         got = table.setdefault(pair, {})
-        push = c.prods[pid][0] == 1
+        b = base[pid]
+        if not kids:
+            found = [(b, 0)]
+        elif len(kids) == 1:
+            push = c.prods[pid][0] == 1
+            found = [(b + v, w if push else w or 1)
+                     for v, w in (table.get(kids[0], {}).items() if kid is None else [item])]
+        else:
+            x, z = kids
+            if kid is None:
+                first = table.get(x, {}).items()
+            else:  # entries ignore order: the item goes first
+                first, z = [item], z if kid == x else x
+            second = table.get(z, {}).items()
+            found = []
+            for v1, w1 in first:
+                w1 = w1 or 1
+                for v2, w2 in second:
+                    w2 = w2 or 1
+                    found.append((b + v1 + v2, max(w1, w2) + (w1 == w2)))
         new = []
-        j = None if kid is None else kids.index(kid)  # entries ignore order: one place will do
-        for combo in itertools.product(*([item] if i == j else table.get(x, {}).items()
-                                         for i, x in enumerate(kids))):
-            vec = base[pid] + sum(v for v, _ in combo)
-            w = tree_width([w for _, w in combo], push)
+        for vec, w in found:
             if vec < over and w <= cap and w < got.get(vec, math.inf):
                 size += vec not in got
                 got[vec] = w

@@ -547,9 +547,15 @@ def tree_width(kids, push: bool) -> int:
     c1 >= c2 >= … give max(c1, c2 + 1, …). The search checks no form before
     the first rewrite that is not a push (the start form, and the forms the
     pushes after it make), so a root rewritten to terminals alone is 0 and a
-    push root passes its child's width on; as a child, 0 counts as 1."""
+    push root passes its child's width on; as a child, 0 counts as 1. One
+    or two children need no sort: two of equal width make one more."""
     if push:
         return kids[0]
+    if len(kids) == 1:
+        return kids[0] or 1
+    if len(kids) == 2:
+        a, b = kids[0] or 1, kids[1] or 1
+        return max(a, b) + (a == b)
     return max((max(1, w) + i for i, w in enumerate(sorted(kids, reverse=True))), default=0)
 
 

@@ -357,12 +357,10 @@ def successors(g: IndexedGrammar, form: SententialForm) -> list[tuple[int, Produ
 def strip_comment(line: str) -> str:
     # `#` starts a comment only at the start of a line or after whitespace;
     # inside a token it is part of a generated symbol name.
-    if line.startswith("#"):
-        return ""
-    for i, ch in enumerate(line):
-        if ch == "#" and line[i - 1] in " \t":
-            return line[:i]
-    return line
+    i = line.find("#")
+    while i > 0 and line[i - 1] not in " \t":
+        i = line.find("#", i + 1)
+    return line if i < 0 else line[:i]
 
 
 def read_sections(text: str, kind: str) -> tuple[str, list[tuple[int, str, str]]]:

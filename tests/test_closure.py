@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import igkit
-from igkit.automata import Dfa, Nfa, empty_dfa, universal_dfa
+from igkit import fixture_text
+from igkit.automata import Dfa, Nfa
 from igkit.closure import (
     Morphism,
     NivatTransducer,
@@ -26,11 +27,13 @@ from igkit.closure import (
     normalize_rhs,
     union,
 )
+from igkit.counters import parse_ncm
 from igkit.grammar import Production, make_grammar, parse_grammar, serialize_grammar, validate
 
 from util import (
     TERMS,
     clean,
+    empty_dfa,
     enum_set,
     grammars,
     interleavings,
@@ -38,9 +41,11 @@ from util import (
     oracle_intersect_dfa,
     oracle_prune_nonproductive,
     oracle_prune_unreachable,
+    parikh_route,
     prune_nonproductive,
     prune_unreachable,
     total_dfas,
+    universal_dfa,
     words_upto,
 )
 
@@ -280,6 +285,18 @@ def test_intersection_is_the_cleaned_full_product(name, data):
 @given(grammars(), total_dfas(TERMS))
 def test_intersection_is_the_cleaned_full_product_on_random_grammars(g, d):
     g = normalize_rhs(g)
+    assert serialize_grammar(intersect_dfa(g, d)) == serialize_grammar(oracle_intersect_dfa(g, d))
+
+
+# the automata of parikh_of_intersection, far larger than the drawn ones
+@pytest.mark.parametrize("machine,grammar,states", [
+    ("anbncn.ncm", "sigmastar_abc.ig", 13),
+    ("updown.ncm", "abstar.ig", 14),
+    ("anbn.ncm", "sigmastar_ab.ig", 8),
+])
+def test_intersection_is_the_cleaned_full_product_on_parikh_routes(machine, grammar, states):
+    g, d, _ = parikh_route(load(grammar), parse_ncm(fixture_text(machine)))
+    assert len(d.states) == states
     assert serialize_grammar(intersect_dfa(g, d)) == serialize_grammar(oracle_intersect_dfa(g, d))
 
 

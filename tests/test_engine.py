@@ -1,7 +1,7 @@
 """Derivation search: enumeration, membership, index measurement, width audit."""
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from igkit import fixture_text
 from igkit.engine import (
@@ -12,10 +12,11 @@ from igkit.engine import (
     membership,
     min_index,
     special_count_min,
+    tree_width,
 )
 from igkit.grammar import parse_grammar, replay
 
-from util import oracle_can_yield
+from util import oracle_can_yield, oracle_tree_width
 
 
 def g_fix(name):
@@ -130,6 +131,12 @@ encoded_forms = st.lists(st.sampled_from((-1, -2, 0, 5)), max_size=8).map(tuple)
 @example((0,), ())
 def test_can_yield_matches_the_two_pass_check(form, target):
     assert _can_yield(form, target) == oracle_can_yield(form, target)
+
+
+@given(st.lists(st.integers(0, 6), max_size=4), st.booleans())
+def test_tree_width_matches_the_sorted_formula(kids, push):
+    assume(kids or not push)  # a push has a child
+    assert tree_width(kids, push) == oracle_tree_width(kids, push)
 
 
 # -- min_index -------------------------------------------------------------------

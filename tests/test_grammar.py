@@ -1,7 +1,7 @@
 """Grammar model: validation, one-step semantics, text format round-trips."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from igkit import fixture_text
 from igkit.grammar import (
@@ -22,9 +22,12 @@ from igkit.grammar import (
     replay,
     serialize_grammar,
     start_form,
+    strip_comment,
     successors,
     validate,
 )
+
+from util import oracle_strip_comment
 
 
 def twin_grammar():
@@ -249,6 +252,15 @@ def test_comment_rules_keep_generated_names():
     assert "Z#0" in g.variable_set
     assert g.terminals == ("a",)
     assert parse_grammar(serialize_grammar(g)) == g
+
+
+@given(st.text(alphabet="# \tY0a", max_size=12))
+@example("# a comment")
+@example("prod: Y#0#1#0 -> a\t# a comment # more")
+@example("terminals: a #b")
+@example("a#b #")
+def test_strip_comment_matches_the_character_loop(line):
+    assert strip_comment(line) == oracle_strip_comment(line)
 
 
 def test_classification_special_vs_linear():

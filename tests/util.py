@@ -11,9 +11,12 @@ closure.intersect_dfa is checked against with the prunings it cleans with
 (and the fixpoints they are checked against), the enumeration route that the
 Parikh table of counters.parikh_of_intersection is checked against, the
 acceptance test that counters.expand_to_nfa is checked with, the grid of a
-tuple automaton, and the chain of equation-automaton products and the full
+tuple automaton, the chain of equation-automaton products and the full
 complement product that the linear-set automata and the inclusion search of
-igkit.semilinear are checked against."""
+igkit.semilinear are checked against, the character loop that
+grammar.strip_comment is checked against, the sorted formula that
+engine.tree_width is checked against, and the one-state automata that accept
+everything and nothing."""
 
 import math
 from dataclasses import replace
@@ -356,6 +359,16 @@ def prune_nonproductive(g):
     return replace(g, variables=tuple(v for v in g.variables if v in keep), productions=prods)
 
 
+def universal_dfa(alphabet, name="universal"):
+    return automata.Dfa(("u",), tuple(alphabet), "u", frozenset({"u"}),
+                        tuple(("u", a, "u") for a in alphabet), name=name)
+
+
+def empty_dfa(alphabet, name="empty"):
+    return automata.Dfa(("u",), tuple(alphabet), "u", frozenset(),
+                        tuple(("u", a, "u") for a in alphabet), name=name)
+
+
 def clean(g):
     """Non-productive then unreachable pruning."""
     return prune_unreachable(prune_nonproductive(g))
@@ -408,15 +421,22 @@ def oracle_intersect_dfa(g, d):
     ))
 
 
+def parikh_route(g, m):
+    """The normalized grammar and the DFA that
+    counters.parikh_of_intersection intersects, and the number of counters
+    of the one-reversal machine."""
+    m1 = to_one_reversal(m)
+    ext = g.terminals + counter_letters(m1.num_counters)
+    d = automata.determinize(expand_to_nfa(m1), alphabet=ext)
+    return normalize_rhs(inverse_projection(g, ext)), d, m1.num_counters
+
+
 def oracle_parikh(g, m, radius, enum_len=None, budget=None):
     """counters.parikh_of_intersection through enumeration: every word of
     the intersection grammar (the full product) up to enum_len within the
     budget, the balanced ones projected onto g's terminals."""
-    m1 = to_one_reversal(m)
-    k = m1.num_counters
-    ext = g.terminals + counter_letters(k)
-    d = automata.determinize(expand_to_nfa(m1), alphabet=ext)
-    g2 = oracle_intersect_dfa(normalize_rhs(inverse_projection(g, ext)), d)
+    gn, d, k = parikh_route(g, m)
+    g2 = oracle_intersect_dfa(gn, d)
     length = enum_len if enum_len is not None else radius * (1 + 2 * k)
     res = search_enumerate(g2, length, budget or Budget(max_steps=600))
     vectors = set()
@@ -587,6 +607,23 @@ def oracle_difference_witness(a, b):
     if s.stop != FOUND:
         return None
     return va.decode([sym for sym, _ in moves(successors, s.parents, s.goal)], d.tracks)
+
+
+def oracle_strip_comment(line):
+    """grammar.strip_comment as a loop over the characters."""
+    if line.startswith("#"):
+        return ""
+    for i, ch in enumerate(line):
+        if ch == "#" and line[i - 1] in " \t":
+            return line[:i]
+    return line
+
+
+def oracle_tree_width(kids, push):
+    """engine.tree_width by the sorted formula at every number of children."""
+    if push:
+        return kids[0]
+    return max((max(1, w) + i for i, w in enumerate(sorted(kids, reverse=True))), default=0)
 
 
 def load(name):
