@@ -12,7 +12,16 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .grammar import ParseError, declared, read_sections, require, set_once, split_names
+from .grammar import (
+    ParseError,
+    declared,
+    distinct_names,
+    fresh_name,
+    read_sections,
+    require,
+    set_once,
+    split_names,
+)
 from .search import explore, reach
 
 
@@ -93,7 +102,9 @@ class Dfa:
 
 def determinize(nfa: Nfa, alphabet=None) -> Dfa:
     """Total deterministic automaton for L(nfa) via the subset construction;
-    the empty subset acts as the sink."""
+    the empty subset acts as the sink. A subset is named by its states,
+    `{a|b}`; a name that an earlier subset took (a state may be called `a|b`)
+    gets a fresh `#n` suffix."""
     letters = tuple(alphabet) if alphabet is not None else nfa.alphabet
     start = nfa.eps_closure({nfa.initial})
 
@@ -102,7 +113,14 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
                 for sym in letters]
 
     order, edges = explore([start], successors)
-    names = {s: "{" + "|".join(sorted(s)) + "}" for s in order}
+    names: dict = {}
+    taken: set = set()
+    for s in order:
+        name = "{" + "|".join(sorted(s)) + "}"
+        if name in taken:
+            name = fresh_name(name, taken)
+        names[s] = name
+        taken.add(name)
     return Dfa(
         states=tuple(names.values()),
         alphabet=letters,
@@ -124,7 +142,9 @@ def parse_fsa(text: str) -> Nfa:
     transitions = []
     lines = []  # the line of each transition
     for line_no, key, value in sections:
-        if key in ("states", "accepting"):
+        if key == "states":
+            set_once(fields, key, distinct_names(value, line_no, key), line_no)
+        elif key == "accepting":
             set_once(fields, key, split_names(value, line_no, key), line_no)
         elif key == "alphabet":
             set_once(fields, key, declared(value, line_no, key), line_no)

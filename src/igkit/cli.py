@@ -159,8 +159,12 @@ def _letter(text: str, flag: str) -> str:
 
 
 def _letters(text: str, flag: str) -> tuple[str, ...]:
-    """A comma list of letters given in a flag."""
-    return tuple(_letter(t, flag) for t in text.split(","))
+    """A comma list of distinct letters given in a flag."""
+    letters = tuple(_letter(t, flag) for t in text.split(","))
+    for i, letter in enumerate(letters):
+        if letter in letters[:i]:
+            raise UsageError(f"argument {flag}: letter {letter!r} is given twice")
+    return letters
 
 
 def _write_grammar(g, out: str) -> None:
@@ -285,7 +289,11 @@ def cmd_transform(args) -> str:
         nfa = parse_fsa(second(args.fsa))
         out = intersect_dfa(normalize_rhs(g), determinize(nfa))
     elif kind == "inv-proj":
-        out = inverse_projection(g, g.terminals + _letters(args.letters, "--letters"))
+        letters = _letters(args.letters, "--letters")
+        for letter in letters:
+            if letter in g.terminal_set:
+                raise UsageError(f"argument --letters: {letter!r} is already a terminal")
+        out = inverse_projection(g, g.terminals + letters)
     elif kind == "transduce":
         rel = parse_fsa(second(args.fsa))
         target = _letters(args.target, "--target")

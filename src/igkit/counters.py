@@ -33,6 +33,7 @@ from .grammar import (
     IndexedGrammar,
     ParseError,
     declared,
+    distinct_names,
     raise_located,
     read_int,
     read_sections,
@@ -162,47 +163,6 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
     if s.swept and capped:
         v.info["stop"] = COUNTER_CAP
     return v
-
-
-def audit_run(m: CounterMachine, w, trace) -> list[str]:
-    """Replay a trace and report any discipline violation: decrement at zero,
-    reversal budget overrun, test mismatch, or a non-accepting endpoint."""
-    w = tuple(w)
-    problems = []
-    state, pos = m.initial, 0
-    counters = [0] * m.num_counters
-    dirs = [0] * m.num_counters
-    revs = [0] * m.num_counters
-    for n, (ti, exp_state, exp_pos, exp_counters) in enumerate(trace):
-        t = m.transitions[ti]
-        if t.src != state:
-            problems.append(f"step {n}: transition source {t.src!r} != state {state!r}")
-            break
-        for i, (ts, c) in enumerate(zip(t.tests, counters)):
-            if (ts == ZERO) != (c == 0):
-                problems.append(f"step {n}: test {ts!r} fails on counter {i} = {c}")
-        if t.letter is not None:
-            if pos >= len(w) or w[pos] != t.letter:
-                problems.append(f"step {n}: input letter mismatch")
-            pos += 1
-        for i, d in enumerate(t.deltas):
-            if d == -1 and counters[i] == 0:
-                problems.append(f"step {n}: decrements counter {i} at zero")
-            if d == 1 and dirs[i] == 1:
-                revs[i] += 1
-                dirs[i] = 0
-            elif d == -1 and dirs[i] == 0:
-                revs[i] += 1
-                dirs[i] = 1
-            if revs[i] > m.reversal_bounds[i]:
-                problems.append(f"step {n}: counter {i} exceeds {m.reversal_bounds[i]} reversals")
-            counters[i] = max(0, counters[i] + d)
-        state = t.dst
-        if (state, pos, tuple(counters)) != (exp_state, exp_pos, tuple(exp_counters)):
-            problems.append(f"step {n}: recorded configuration does not replay")
-    if not problems and not (state == m.halt and pos == len(w) and not any(counters)):
-        problems.append("trace does not end accepting")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +451,7 @@ def parse_ncm(text: str) -> CounterMachine:
     lines = []  # the line of each transition
     for line_no, key, value in sections:
         if key == "states":
-            set_once(fields, key, split_names(value, line_no, key), line_no)
+            set_once(fields, key, distinct_names(value, line_no, key), line_no)
         elif key == "alphabet":
             set_once(fields, key, declared(value, line_no, key), line_no)
         elif key == "counters":

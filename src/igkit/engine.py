@@ -8,9 +8,9 @@ so every operation takes a Budget; verdicts are relative to the budget caps
 and each result records whether the budgeted space was swept completely.
 
 The hot path (one-step expansion of a sentential form) runs through
-igkit.kernel. Membership (and so min_index), the special-production minimum
-and enumeration follow one rewrite order per derivation tree: leftmost
-without a width cap, subtree at a time with one (CompiledGrammar.expand).
+igkit.kernel. Membership (and so min_index) and enumeration follow one
+rewrite order per derivation tree: leftmost without a width cap, subtree at
+a time with one (CompiledGrammar.expand).
 Under a width cap membership ranks its (form, index) states by index, so
 its first witness has the least index, and min_index reads k off it: one
 search with a width cap, and without one a leftmost search for an upper
@@ -32,7 +32,6 @@ from .grammar import (
     CONSUME,
     PLAIN,
     PUSH,
-    SPECIAL,
     Derivation,
     GrammarError,
     IndexedGrammar,
@@ -197,8 +196,8 @@ class CompiledGrammar:
         search, it can need more levels to sweep). Forms then carry
         `_subtree_depths(budget)` depth values (decode them with that count),
         and the hard cap counts (form, depth) states. The subtree order
-        serves membership, min_index, special_count_min and the width-capped
-        enumerations whose stack is unbounded; the others read `_word_table`.
+        serves membership, min_index and the width-capped enumerations whose
+        stack is unbounded; the others read `_word_table`.
         Membership labels each form with the index of its path and ranks the
         (form, index) states by it, so a least-index derivation, found in
         subtree order, is its first witness. kernel.expand with a width cap
@@ -452,46 +451,6 @@ def min_index(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fal
         if narrow.is_proven:
             v, k = narrow, narrow.witness.index()
     return Verdict(PROVEN, v.witness, {"k": k, "stop": FOUND})
-
-
-def special_count_min(g: IndexedGrammar, w: Word, budget: Budget,
-                      caps_exact: bool = False) -> Verdict:
-    """Proven with the minimum number (`info["k"]`) of special-production
-    applications over all derivations of w found within the budget, and a
-    derivation that reaches it; refuted when the search swept without one
-    and the caller asserts (caps_exact) that the caps cover every derivation
-    of w; unknown otherwise, and whenever the hard cap cut the search short."""
-    c = CompiledGrammar(g)
-    target = c.encode_word(w)
-    specials = frozenset(
-        pid for pid, p in enumerate(g.productions) if g.classify(p) == SPECIAL
-    )
-    best: Optional[int] = None
-    best_state = None
-
-    def step(state):
-        form, nspec = state
-        return [(pos, pid, (f2, nspec + (pid in specials)))
-                for pos, pid, f2 in c.expand(form, budget, len(target))]
-
-    def successors(state):
-        return (t for t in step(state) if best is None or t[2][1] < best)
-
-    def visit(state):
-        nonlocal best, best_state
-        form, nspec = state
-        if _is_terminal_enc(form):
-            if form == target:
-                best, best_state = nspec, state
-            return LEAF
-        return EXPAND if _can_yield(form, target) else LEAF
-
-    s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
-    if best is None or s.stop == HARD_CAP:
-        return decide(s, caps_exact)
-    return Verdict(PROVEN, _derivation(c, step, s.parents, best_state, _subtree_depths(budget),
-                                       key=lambda st: st[0]),
-                   {"k": best, "stop": s.stop})
 
 
 # ---------------------------------------------------------------------------

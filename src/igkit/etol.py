@@ -26,7 +26,7 @@ from .grammar import (
     read_symbols,
     set_once,
 )
-from .search import EXPAND, FOUND, GOAL, HARD_CAP, PROVEN, UNKNOWN, Verdict, bfs, path
+from .search import bfs
 
 
 class NotInANF(GrammarError):
@@ -100,26 +100,6 @@ def check_anf(sys: EtolSystem) -> list[str]:
 # semantics
 
 
-def etol_step(sys: EtolSystem, word, table: int | str, choices) -> tuple[str, ...]:
-    """One parallel step: choices[i] is the option index (within the table's
-    productions for that symbol) applied to occurrence i."""
-    t = sys.tables[table] if isinstance(table, int) else next(
-        tb for tb in sys.tables if tb.name == table
-    )
-    word = tuple(word)
-    if len(choices) != len(word):
-        raise GrammarError("need exactly one choice per occurrence")
-    out: list[str] = []
-    for sym, choice in zip(word, choices):
-        opts = t.options(sym)
-        if not opts:
-            raise GrammarError(f"table {t.name} has no production for {sym!r}")
-        if not 0 <= choice < len(opts):
-            raise GrammarError(f"choice {choice} out of range for {sym!r} in {t.name}")
-        out.extend(opts[choice])
-    return tuple(out)
-
-
 def _successor_words(sys: EtolSystem, word, inactive: frozenset[str]):
     """(table index, successor word) for every parallel step from word."""
     for ti, t in enumerate(sys.tables):
@@ -181,26 +161,6 @@ def etol_enumerate(sys: EtolSystem, max_len: int, budget: Budget) -> EtolEnumera
         words_seen=len(s.parents),
         stop=s.stop,
     )
-
-
-def etol_min_index(sys: EtolSystem, w, budget: Budget) -> Verdict:
-    """Proven with the smallest cap (`info["k"]`) on simultaneous active
-    occurrences under which some parallel derivation of w exists within the
-    budget, and the words of that derivation. Unknown when none is found,
-    since the caps need not cover every derivation, or when the hard cap cut
-    short the search under a smaller cap."""
-    w = tuple(w)
-    top = budget.max_width if budget.max_width is not None else max(len(w), 1) + 2
-    info: dict = {}
-    for cap in range(1, top + 1):
-        s = bfs((sys.axiom,), _bounded_successors(sys, len(w), cap), budget.max_steps,
-                budget.hard_cap, lambda word: GOAL if word == w else EXPAND)
-        if s.stop == FOUND:
-            return Verdict(PROVEN, tuple(path(s.parents, s.goal)), {"k": cap, "stop": FOUND})
-        info = {"stop": s.stop}
-        if s.stop == HARD_CAP:
-            break
-    return Verdict(UNKNOWN, None, info)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +272,3 @@ def parse_etol(text: str) -> EtolSystem:
         tables=tuple(filled),
         name=name,
     )
-
-
-def serialize_etol(sys: EtolSystem) -> str:
-    lines = [f"etol {sys.name}", f"axiom: {sys.axiom}", "terminals: " + ", ".join(sys.terminals), "strict:"]
-    for t in sys.tables:
-        lines.append(f"table {t.name}:")
-        for sym, rhs in t.rules:
-            lines.append(f"rule: {sym} -> {' '.join(rhs) if rhs else '_'}")
-    return "\n".join(lines) + "\n"

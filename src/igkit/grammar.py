@@ -24,9 +24,6 @@ PLAIN = "plain"
 PUSH = "push"
 CONSUME = "consume"
 
-SPECIAL = "special"
-LINEAR = "linear"
-
 #: Characters that never occur in user-supplied symbol names. `#` and `|`
 #: are reserved so generated names (Z#1, <p|A|q>, Y#0#1#2 ...) cannot collide
 #: with user names; the rest would break the line-oriented file formats.
@@ -129,29 +126,6 @@ class IndexedGrammar:
     def index_set(self) -> frozenset[str]:
         return frozenset(self.indices)
 
-    def classify(self, p: Production) -> str:
-        """A production is special when its rhs contains >= 2 variable occurrences."""
-        n = sum(1 for s in p.rhs if s in self.variable_set)
-        return SPECIAL if p.kind != PUSH and n >= 2 else LINEAR
-
-    def special_productions(self) -> tuple[Production, ...]:
-        return tuple(p for p in self.productions if self.classify(p) == SPECIAL)
-
-
-def make_grammar(name, variables, terminals, indices, productions, start) -> IndexedGrammar:
-    g = IndexedGrammar(
-        variables=tuple(variables),
-        terminals=tuple(terminals),
-        indices=tuple(indices),
-        productions=tuple(productions),
-        start=start,
-        name=name,
-    )
-    problems = validate(g)
-    if problems:
-        raise GrammarError("invalid grammar: " + "; ".join(problems))
-    return g
-
 
 # ---------------------------------------------------------------------------
 # sentential forms
@@ -186,9 +160,6 @@ class SententialForm:
             raise GrammarError("form still contains variables")
         return tuple(it.symbol for it in self.items)
 
-    def var_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, it in enumerate(self.items) if isinstance(it, Var))
-
 
 def start_form(g: IndexedGrammar) -> SententialForm:
     return SententialForm((Var(g.start, ()),))
@@ -222,9 +193,6 @@ class Derivation:
     def index(self) -> int:
         return max(f.width() for f in self.forms)
 
-    def special_count(self, g: IndexedGrammar) -> int:
-        return sum(1 for pid, _ in self.steps if g.classify(g.productions[pid]) == SPECIAL)
-
     def final(self) -> SententialForm:
         return self.forms[-1]
 
@@ -251,14 +219,10 @@ def replay(g: IndexedGrammar, d: Derivation) -> SententialForm:
 # validation
 
 
-def validate(g: IndexedGrammar) -> list[str]:
-    """Return every structural violation (empty list means the grammar is valid)."""
-    return [message for _, message in located_problems(g)]
-
-
 def located_problems(g: IndexedGrammar) -> list[tuple[Optional[int], str]]:
-    """validate's problems, each with the number of its production, or None
-    when it is a problem of the whole grammar."""
+    """Every structural violation of `g` (none when it is valid), each with
+    the number of its production, or None when it is a problem of the whole
+    grammar."""
     problems = []
     for group, names in (("variable", g.variables), ("terminal", g.terminals), ("index", g.indices)):
         seen = set()
@@ -335,21 +299,6 @@ def apply_production(g: IndexedGrammar, form: SententialForm, pos: int, p: Produ
     return SententialForm(form.items[:pos] + new_items + form.items[pos + 1:])
 
 
-def successors(g: IndexedGrammar, form: SententialForm) -> list[tuple[int, Production, SententialForm]]:
-    """All one-step derivatives of `form`, ordered by position then by
-    production list order."""
-    out = []
-    for pos in form.var_positions():
-        occ = form.items[pos]
-        for p in g.productions:
-            if p.lhs_var != occ.symbol:
-                continue
-            if p.kind == CONSUME and (not occ.stack or occ.stack[0] != p.lhs_index):
-                continue
-            out.append((pos, p, apply_production(g, form, pos, p)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -423,10 +372,19 @@ def split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def declared(text: str, line_no: int, what: str) -> tuple[str, ...]:
-    """A comma list of declared symbols (see split_names). `_` is not one: on
-    a right side it is the empty word, and in a transition a silent move."""
+def distinct_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
+    """split_names, refusing a name listed twice."""
     names = split_names(text, line_no, what)
+    if len(set(names)) < len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ParseError(f"name {twice!r} listed twice in {what} list", line_no)
+    return names
+
+
+def declared(text: str, line_no: int, what: str) -> tuple[str, ...]:
+    """A comma list of declared symbols (see distinct_names). `_` is not one:
+    on a right side it is the empty word, and in a transition a silent move."""
+    names = distinct_names(text, line_no, what)
     if "_" in names:
         raise ParseError(f"`_` cannot be declared in `{what}:`", line_no)
     return names

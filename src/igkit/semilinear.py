@@ -15,11 +15,10 @@ search goes. Every decision builds its automata anew.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import vector_automata as va
 from .grammar import (
-    GrammarError,
     IndexedGrammar,
     ParseError,
     Production,
@@ -96,17 +95,6 @@ class GinsburgShape:
 
 # ---------------------------------------------------------------------------
 # counting maps
-
-
-def parikh(word, alphabet) -> tuple[int, ...]:
-    """Letter-count vector of `word` in the order given by `alphabet`."""
-    pos = {a: i for i, a in enumerate(alphabet)}
-    out = [0] * len(pos)
-    for ltr in word:
-        if ltr not in pos:
-            raise GrammarError(f"letter {ltr!r} outside the alphabet")
-        out[pos[ltr]] += 1
-    return tuple(out)
 
 
 def ginsburg_apply(shape: GinsburgShape, v) -> tuple[str, ...]:
@@ -502,22 +490,3 @@ def parse_slset(text: str):
     if shape is not None and shape.k != dim:
         raise ParseError(f"shape has {shape.k} words but dim is {dim}", shape_line)
     return name, shape, SemilinearSet(dim, tuple(c for _, c in comps))
-
-
-def serialize_slset(name: str, shape: Optional[GinsburgShape], s: SemilinearSet) -> str:
-    lines = [f"slset {name}", f"dim: {s.dim}"]
-    if shape is not None:
-        rendered = []
-        for w in shape.words:
-            if len(w) == 1 and len(w[0]) > 1:
-                raise GrammarError(f"shape word {w[0]!r} would read back as {len(w[0])} letters")
-            rendered.append(" ".join(w) if any(len(sym) > 1 for sym in w) else "".join(w))
-        lines.append("shape: " + ", ".join(rendered))
-    for c in s.components:
-        base = "(" + ",".join(map(str, c.base)) + ")"
-        if c.periods:
-            ps = ",".join("(" + ",".join(map(str, p)) + ")" for p in c.periods)
-            lines.append(f"linear: base = {base}; periods = {ps}")
-        else:
-            lines.append(f"linear: base = {base}")
-    return "\n".join(lines) + "\n"

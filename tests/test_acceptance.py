@@ -17,8 +17,8 @@ from igkit.counters import (
     parikh_of_intersection,
     parse_ncm,
 )
-from igkit.engine import Budget, check_uncontrolled, enumerate_language, min_index, special_count_min
-from igkit.etol import etol_enumerate, etol_min_index, etol_to_indexed, parse_etol
+from igkit.engine import Budget, check_uncontrolled, enumerate_language, min_index
+from igkit.etol import etol_enumerate, etol_to_indexed, parse_etol
 from igkit.grammar import parse_grammar, replay
 from igkit.semilinear import (
     GinsburgShape,
@@ -28,13 +28,21 @@ from igkit.semilinear import (
     ginsburg_apply,
     linear_to_grammar,
     members_up_to,
-    parikh,
     slset_automaton,
     slset_member,
     slset_subset,
 )
 
-from util import accepts_via_expansion, enum_set, grid_members, load
+from util import (
+    accepts_via_expansion,
+    enum_set,
+    etol_min_index,
+    grid_members,
+    load,
+    parikh,
+    special_count_min,
+    special_productions,
+)
 
 
 def ramp_word(n):
@@ -161,7 +169,7 @@ def test_criterion_4_index_claims():
     set2 = LinearSet.make((1, 0), [(1, 1)])
     for shape, ls, stack in [(shape5, set5, 3), (shape2, set2, 8)]:
         g = linear_to_grammar(shape, ls)
-        assert len(g.special_productions()) == 1
+        assert len(special_productions(g)) == 1
         for w in enum_set(g, 14, stack=stack):
             v = special_count_min(g, tuple(w), Budget(max_steps=120, max_stack=stack))
             assert v.info["k"] == 1, (w,)

@@ -10,6 +10,7 @@ import pytest
 from igkit import cli
 from igkit.automata import parse_fsa
 from igkit.cli import build_parser, main, parse_report
+from igkit.counters import parse_ncm
 
 from util import SILENT_SIX
 
@@ -243,6 +244,21 @@ def test_transform_transduce(tmp_path, capsys):
     assert blocks2[0]["words"] == "_, c, cc, ccc"
 
 
+def test_subset_names_do_not_collide_with_state_names(tmp_path, capsys):
+    """A state called `a|b` and the subset {a, b} get different DFA names."""
+    fsa = tmp_path / "pipe.fsa"
+    fsa.write_text("fsa pipe\nstates: s, a, b, a|b\nalphabet: x\ninitial: s\naccepting: a|b\n"
+                   "trans: s x -> a, b\ntrans: a x -> a|b\ntrans: b x -> a|b\n", encoding="utf-8")
+    xs = tmp_path / "xs.ig"
+    xs.write_text("grammar xs\nvariables: S\nterminals: x\nindices:\nstart: S\n"
+                  "prod: S -> x S\nprod: S -> _\n", encoding="utf-8")
+    out = tmp_path / "o.ig"
+    code, _ = run_clean(capsys, "transform", "intersect-dfa", str(xs), str(fsa), "--out", str(out))
+    assert code == 0
+    code, blocks = run_clean(capsys, "enumerate", str(out), "--max-len", "6")
+    assert blocks[0]["words"] == "xx" and blocks[0]["exhausted"] == "true"
+
+
 @pytest.mark.parametrize("argv,name,text,line", [
     (["transform", "morph", "fixture:anbn.ig"], "bad.map",
      "morphism bad\nmap: a -> x _\nmap: b -> x\n", 2),
@@ -250,11 +266,19 @@ def test_transform_transduce(tmp_path, capsys):
      "morphism bad\ntarget: x\nmap: a -> y\nmap: b -> x\n", 3),
     (["etol", "check-anf"], "bad.etol",
      "etol bad\naxiom: S\nterminals: a\ntable t:\nrule: S -> a _\n", 5),
-], ids=["map-mixed-empty", "map-outside-target", "etol-mixed-empty"])
+    (["transform", "morph", "fixture:anbn.ig"], "dup.map",
+     "morphism dup\ntarget: x, x\nmap: a -> x\nmap: b -> x\n", 2),
+    (["transform", "intersect-dfa", "fixture:anbn.ig"], "dup.fsa",
+     "fsa dup\nstates: q, q\nalphabet: a, b\ninitial: q\naccepting: q\n", 2),
+    (["etol", "check-anf"], "dup.etol",
+     "etol dup\naxiom: S\nterminals: a, a\ntable t:\nrule: S -> a\n", 3),
+], ids=["map-mixed-empty", "map-outside-target", "etol-mixed-empty", "map-repeated-target",
+        "fsa-repeated-state", "etol-repeated-terminal"])
 def test_unreadable_right_sides_are_input_errors(tmp_path, capsys, argv, name, text, line):
-    """A morphism image or an ETOL rule that mixes `_` with letters, or a
-    morphism image outside its `target:`, is rejected at its line; before,
-    `transform morph` wrote a grammar that `validate` could not read."""
+    """A morphism image or an ETOL rule that mixes `_` with letters, a
+    morphism image outside its `target:`, or a name listed twice where it is
+    declared, is rejected at its line; before, `transform morph` wrote a
+    grammar that `validate` could not read."""
     src = tmp_path / name
     src.write_text(text, encoding="utf-8")
     out = tmp_path / "o.ig"
@@ -398,6 +422,14 @@ ERRORS = [
     (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
       "--target", "$|", "--out", "{tmp}/o.ig"],
      "UsageError: argument --target: symbol name '$|' contains forbidden character '|'"),
+    # a letter is given once, and the letters inv-proj adds are new to the grammar
+    (["transform", "inv-proj", "fixture:anbn.ig", "--letters", "x,x", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --letters: letter 'x' is given twice"),
+    (["transform", "inv-proj", "fixture:anbn.ig", "--letters", "a", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --letters: 'a' is already a terminal"),
+    (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
+      "--target", "$,$", "--out", "{tmp}/o.ig"],
+     "UsageError: argument --target: letter '$' is given twice"),
 ]
 
 
@@ -412,7 +444,8 @@ ERRORS = [
                                                   "bare-vector", "empty-word-letter",
                                                   "empty-letter", "spaced-rename",
                                                   "rename-without-equals", "rename-off-target",
-                                                  "reserved-target"])
+                                                  "reserved-target", "repeated-letter",
+                                                  "letter-of-the-grammar", "repeated-target"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
@@ -477,8 +510,20 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
 
 # commands that write a file: (argv, the file, enumerate flags for the output
 # grammar, its words); a grammar must pass `validate`, an automaton `parse_fsa`
+# and a machine `parse_ncm`
 WRITERS = [
     (["ncm", "expand", "fixture:anbn.ncm"], "out.fsa", None, None),
+    (["ncm", "one-reversal", "fixture:updown.ncm"], "out.ncm", None, None),
+    (["transform", "union", "fixture:astar.ig", "fixture:bstar.ig"], "out.ig",
+     ["--max-len", "2", "--max-steps", "10"], "_, a, b, aa, bb"),
+    (["transform", "morph", "fixture:anbn.ig", "fixture:axy.map"], "out.ig",
+     ["--max-len", "4"], "_, xy, xyxy"),
+    (["transform", "intersect-dfa", "fixture:twin.ig", "fixture:dollar.fsa"], "out.ig",
+     ["--max-len", "7", "--max-stack", "3"], "abc$abc"),
+    (["synth-linear", "fixture:twin.sls"], "out.ig",
+     ["--max-len", "7", "--max-stack", "3"], "$, abc$abc"),
+    (["etol", "convert", "fixture:anbn1.etol"], "out.ig",
+     ["--max-len", "4", "--max-stack", "3"], "_, ab, aabb"),
     (["synth-semilinear", "fixture:twin.sls"], "out.ig",
      ["--max-len", "7", "--max-stack", "3"], "$, abc$abc"),
     (["transform", "inv-morph", "fixture:anbn.ig", "fixture:idab.map"], "out.ig",
@@ -494,15 +539,16 @@ WRITERS = [
 
 
 @pytest.mark.parametrize("argv,name,flags,words", WRITERS,
-                         ids=["ncm-expand", "synth-semilinear", "inv-morph", "normalize",
-                              "inv-proj", "transduce-rename"])
+                         ids=["ncm-expand", "ncm-one-reversal", "union", "morph", "intersect-dfa",
+                              "synth-linear", "etol-convert", "synth-semilinear", "inv-morph",
+                              "normalize", "inv-proj", "transduce-rename"])
 def test_written_files_read_back(tmp_path, capsys, argv, name, flags, words):
     out = tmp_path / name
     code, blocks = run_clean(capsys, *argv, "--out", str(out))
     assert code == 0 and blocks[0]["status"] == "ok"
     if flags is None:
-        nfa = parse_fsa(out.read_text(encoding="utf-8"))
-        assert len(nfa.states) == int(blocks[0]["states"])
+        read = parse_fsa if name.endswith(".fsa") else parse_ncm
+        assert len(read(out.read_text(encoding="utf-8")).states) == int(blocks[0]["states"])
         return
     code, blocks = run_clean(capsys, "validate", str(out))
     assert code == 0 and blocks[0]["violations"] == "0"

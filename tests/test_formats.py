@@ -18,7 +18,9 @@ from igkit.closure import parse_morphism
 from igkit.counters import parse_ncm
 from igkit.etol import parse_etol
 from igkit.grammar import GrammarError, ParseError, parse_grammar
-from igkit.semilinear import GinsburgShape, LinearSet, SemilinearSet, parse_slset, serialize_slset
+from igkit.semilinear import GinsburgShape, LinearSet, SemilinearSet, parse_slset
+
+from util import serialize_slset
 
 PARSERS = {
     "grammar": parse_grammar,
@@ -154,6 +156,18 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("etol", "etol e\naxiom: _\n", 2, "`_` cannot be declared in `axiom:`"),
     ("etol", f"etol e\n{ETOL}table t:\nrule: _ -> a\n", 5, "`_` cannot be declared in `rule:`"),
     ("ncm", "ncm m\nstates: s\nalphabet: _\n", 3, "`_` cannot be declared in `alphabet:`"),
+    # a declared name or a state is listed once; for a grammar the error is
+    # at the declaring line, not at line 1 with the problems of the whole file
+    ("grammar", "grammar g\nvariables: S, T, S\n", 2, "name 'S' listed twice in variables list"),
+    ("grammar", "grammar g\nvariables: S\nterminals: a, b, a\n", 3,
+     "name 'a' listed twice in terminals list"),
+    ("grammar", "grammar g\nindices: f, f\n", 2, "name 'f' listed twice in indices list"),
+    ("fsa", "fsa d\nstates: q, p, q\n", 2, "name 'q' listed twice in states list"),
+    ("fsa", "fsa d\nstates: q\nalphabet: a, a\n", 3, "name 'a' listed twice in alphabet list"),
+    ("morphism", "morphism h\ntarget: x, x\n", 2, "name 'x' listed twice in target list"),
+    ("etol", "etol e\naxiom: S\nterminals: a, a\n", 3, "name 'a' listed twice in terminals list"),
+    ("ncm", "ncm m\nstates: s, s\n", 2, "name 's' listed twice in states list"),
+    ("ncm", "ncm m\nstates: s\nalphabet: a, a\n", 3, "name 'a' listed twice in alphabet list"),
 ]
 
 

@@ -17,17 +17,14 @@ from igkit.grammar import (
     TopIndexMismatch,
     Var,
     apply_production,
-    make_grammar,
     parse_grammar,
     replay,
     serialize_grammar,
     start_form,
     strip_comment,
-    successors,
-    validate,
 )
 
-from util import oracle_strip_comment
+from util import make_grammar, oracle_strip_comment, special_productions, successors, validate
 
 
 def twin_grammar():
@@ -265,7 +262,7 @@ def test_strip_comment_matches_the_character_loop(line):
 
 def test_classification_special_vs_linear():
     g = twin_grammar()
-    specials = g.special_productions()
+    specials = special_productions(g)
     assert len(specials) == 1
     assert specials[0].rhs == ("X1", "X2", "X3", "X4", "X5", "X6", "X7")
 

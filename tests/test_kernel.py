@@ -4,9 +4,9 @@ import random
 
 from igkit import fixture_text, kernel
 from igkit.engine import Budget, CompiledGrammar
-from igkit.grammar import parse_grammar, successors
+from igkit.grammar import parse_grammar
 
-from util import ALL_ORDERS
+from util import ALL_ORDERS, successors, var_positions
 
 
 def build(name="twin.ig"):
@@ -52,7 +52,7 @@ def test_kernel_matches_reference_semantics():
             (pos, g.productions.index(p), out) for pos, p, out in successors(g, decoded)
         ]
         assert got == want
-        first = decoded.var_positions()[:1]
+        first = var_positions(decoded)[:1]
         got = [
             (pos, pid, c.decode_form(f2))
             for pos, pid, f2 in call(c, form, max_width=-1)

@@ -1,12 +1,14 @@
 """The engine's rewrite orders against the all-orders search.
 
 Without a width cap every search rewrites only the leftmost variable of a
-form; with one, enumeration, membership, min_index and special_count_min
-rewrite only the deepest sibling group (subtree order), so each child subtree
-is finished before the next starts. The all-orders search is the oracle in
-util.py. On random small grammars both orders must give the oracle's words,
-its proofs and its minimums, and every witness must replay within the width
-cap. The words are equal by the reordering argument.
+form; with one, enumeration, membership and min_index rewrite only the
+deepest sibling group (subtree order), so each child subtree is finished
+before the next starts. The all-orders search is the oracle in util.py. On
+random small grammars both orders must give the oracle's words, its proofs
+and its minimums, and every witness must replay within the width cap. The
+words are equal by the reordering argument. The least number of special
+productions, searched in the engine's orders by util.special_count_min, is
+held to the same oracle, as a second minimum over those orders.
 
 A refutation needs a sweep, and either order can need more levels to sweep
 than the oracle when the shortest derivation of some form is not in that
@@ -34,20 +36,21 @@ from igkit.engine import (
     enumerate_language,
     membership,
     min_index,
-    special_count_min,
 )
-from igkit.grammar import PUSH, Production, make_grammar, parse_grammar, replay
+from igkit.grammar import PUSH, Production, parse_grammar, replay
 from igkit.search import HARD_CAP, MAX_STEPS, REFUTED, UNKNOWN
 
 from util import (
     TERMS,
     grammars,
+    make_grammar,
     oracle_check_uncontrolled,
     oracle_enumerate,
     oracle_membership,
     oracle_min_index,
     oracle_special_count_min,
     search_enumerate,
+    special_count_min,
 )
 
 def budget_strategy(widths, hard_cap=5000):

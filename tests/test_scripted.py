@@ -6,6 +6,8 @@ from igkit import fixture_text
 from igkit.grammar import Derivation, SententialForm, Var, parse_grammar, replay
 from igkit.semilinear import GinsburgShape, LinearSet, ginsburg_apply, linear_to_grammar
 
+from util import special_count, var_positions
+
 
 def drive(g, script):
     """Apply (production index, item position) moves from the start form."""
@@ -30,7 +32,7 @@ def test_twin_scripted_run_for_n_2():
     assert replay(g, d).is_terminal()
     assert "".join(d.final().yield_word()) == "aabbcc$aabbcc"
     assert d.index() == 7
-    assert d.special_count(g) == 1
+    assert special_count(g, d) == 1
 
 
 def rewire(g, script):
@@ -43,7 +45,7 @@ def rewire(g, script):
     for pid, _ in script:
         p = g.productions[pid]
         pos = next(
-            i for i in form.var_positions()
+            i for i in var_positions(form)
             if form.items[i].symbol == p.lhs_var
             and (p.lhs_index is None
                  or (form.items[i].stack and form.items[i].stack[0] == p.lhs_index))
@@ -75,7 +77,7 @@ def test_synthesizer_scripted_run_matches_shape_image():
         steps.append((pid, pos))
     # drain both blocks greedily until every variable is gone
     while not form.is_terminal():
-        pos = form.var_positions()[0]
+        pos = var_positions(form)[0]
         occ = form.items[pos]
         pid = next(
             i for i, p in enumerate(g.productions)
@@ -89,7 +91,7 @@ def test_synthesizer_scripted_run_matches_shape_image():
     v = (1 + 0 * 1 + 1 * 2, 0 + 2 * 1 + 1 * 2)  # base + x1*b1 + x2*b2, coordinatewise
     assert d.final().yield_word() == ginsburg_apply(shape, v)
     assert d.index() == 2
-    assert d.special_count(g) == 1
+    assert special_count(g, d) == 1
 
 
 def test_ramp_scripted_wide_and_narrow_runs():

@@ -19,9 +19,8 @@ from igkit.engine import (
     enumerate_language,
     membership,
     min_index,
-    special_count_min,
 )
-from igkit.etol import etol_min_index, parse_etol
+from igkit.etol import parse_etol
 from igkit.grammar import parse_grammar, replay
 from igkit.search import (
     EXPAND,
@@ -40,12 +39,15 @@ from igkit.search import (
 
 from util import (
     TERMS,
+    etol_min_index,
     grammars,
     oracle_enumerate,
     oracle_membership,
     per_k_min_index,
     search_enumerate,
     search_membership,
+    special_count,
+    special_count_min,
 )
 
 
@@ -279,7 +281,7 @@ def test_etol_min_index_is_unknown_when_the_hard_cap_cuts_a_smaller_cap():
 def test_special_count_min_is_unknown_when_the_hard_cap_cuts_the_search():
     g = parse_grammar(CHAIN)
     v = special_count_min(g, AA, CHAIN_BUDGET)
-    assert v.info["k"] == 0 == v.witness.special_count(g)
+    assert v.info["k"] == 0 == special_count(g, v.witness)
     # the derivation through S -> A A (one special) is found before the cap bites
     assert special_count_min(g, AA, replace(CHAIN_BUDGET, hard_cap=10)).is_unknown
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import igkit.vector_automata as va
 from igkit import fixture_text
-from igkit.engine import Budget, check_uncontrolled, enumerate_language, special_count_min
+from igkit.engine import Budget, check_uncontrolled, enumerate_language
 from igkit.semilinear import (
     GinsburgShape,
     LinearSet,
@@ -21,10 +21,8 @@ from igkit.semilinear import (
     linear_to_grammar,
     linearset_automaton,
     members_up_to,
-    parikh,
     parse_slset,
     semilinear_to_grammar,
-    serialize_slset,
     slset_automaton,
     slset_empty,
     slset_equal,
@@ -33,7 +31,15 @@ from igkit.semilinear import (
 )
 from igkit.search import PROVEN, REFUTED, UNKNOWN
 
-from util import grid_members, oracle_difference_witness, oracle_linearset_automaton
+from util import (
+    grid_members,
+    oracle_difference_witness,
+    oracle_linearset_automaton,
+    parikh,
+    serialize_slset,
+    special_count_min,
+    special_productions,
+)
 
 TWIN_SHAPE = GinsburgShape((("a",), ("b",), ("c",), ("$",), ("a",), ("b",), ("c",)))
 TWIN_SET = LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 1)])
@@ -375,7 +381,7 @@ def test_synthesis_single_word():
 
 def test_synthesis_has_one_special_production():
     g = linear_to_grammar(TWIN_SHAPE, TWIN_SET)
-    assert len(g.special_productions()) == 1
+    assert len(special_productions(g)) == 1
     v = special_count_min(g, tuple("abc$abc"), Budget(max_steps=60, max_stack=3))
     assert v.info["k"] == 1
 
@@ -487,7 +493,7 @@ def test_two_period_synthesis_is_uncontrolled_at_its_width():
     shape = GinsburgShape((("a",), ("b",), ("c",)))
     ls = LinearSet.make((0, 1, 0), [(1, 1, 0), (0, 1, 2)])
     g = linear_to_grammar(shape, ls)
-    assert len(g.special_productions()) == 1
+    assert len(special_productions(g)) == 1
     v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=4))
     assert v.is_proven
     grid = {tuple(v_) for v_ in members_up_to(SemilinearSet.of(ls), (1, 1, 1), 8)}

@@ -1,0 +1,112 @@
+"""src/igkit keeps only what a command runs.
+
+An AST pass over src/igkit/*.py starts from every top-level definition of
+cli.py and follows names to top-level definitions (functions, classes and
+assigned names) in any module: a bare name to the definition of that name in
+its own module or to the one it imports under that name, and `module.name`
+to a definition of an igkit module imported as `module`. Reaching a class
+reaches every name its body uses, so methods are not checked one by one.
+
+The definitions it leaves unreached must be exactly ALLOWED: names that code
+outside the package uses. The test fails when src/igkit gains a definition
+no command reaches, and when an allowed name is reached or disappears, so
+the list cannot go stale.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "igkit"
+
+# the benchmark's tracer (perfbench/tracing.py) wraps these among the
+# module's names; they leave when the tracer stops counting from outside
+TRACER = "wrapped by perfbench/tracing.py"
+
+ALLOWED = {
+    "__init__.__all__": "package metadata",
+    "__init__.__version__": "package metadata",
+    "__init__.fixture_text": "perfbench/oracles.py imports it",
+    "grammar.replay": "perfbench/oracles.py imports it",
+    "semilinear.diophantine_member": "perfbench/oracles.py imports it",
+    "kernel.IMPLEMENTATION": "perfbench/worker.py reads it",
+    "vector_automata.equation_automaton": TRACER,
+    "vector_automata.product": TRACER,
+    "vector_automata.project_tracks": TRACER,
+    "vector_automata.saturate": TRACER,
+    "vector_automata.determinize": TRACER,
+    "vector_automata.complement": TRACER,
+    "vector_automata._renumber": "builds the automata of the tracer-wrapped names above",
+}
+
+
+def _definitions(trees):
+    defs = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs[mod, t.id] = node
+    return defs
+
+
+def _scope(mod, tree, defs, modules):
+    """What a bare name and a module alias mean in `mod`."""
+    names = {name: (m, name) for m, name in defs if m == mod}
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                local = a.asname or a.name
+                if node.module is None and a.name in modules:
+                    aliases[local] = a.name
+                else:
+                    names[local] = (node.module or "__init__", a.name)
+    return names, aliases
+
+
+def unreached(src=SRC):
+    """The "module.name" of every top-level definition under `src` that no
+    definition of cli.py reaches."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    defs = _definitions(trees)
+    scopes = {mod: _scope(mod, tree, defs, trees) for mod, tree in trees.items()}
+
+    def uses(key):
+        names, aliases = scopes[key[0]]
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name) and node.id in names:
+                yield names[node.id]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                yield aliases[node.value.id], node.attr
+
+    todo = [key for key in defs if key[0] == "cli"]
+    seen = set(todo)
+    while todo:
+        for key in uses(todo.pop()):
+            if key in defs and key not in seen:
+                seen.add(key)
+                todo.append(key)
+    return {f"{mod}.{name}" for mod, name in defs.keys() - seen}
+
+
+def test_every_definition_is_reached_from_the_cli_or_allowed():
+    left = unreached()
+    assert sorted(left - ALLOWED.keys()) == [], "reached by no command: move it to the tests"
+    assert sorted(ALLOWED.keys() - left) == [], "reached by a command, or gone: drop it from ALLOWED"
+
+
+def test_the_pass_follows_imports_and_module_aliases(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import lib as L\nfrom .util import helper as h\n"
+        "def main():\n    return L.used() + h()\n", encoding="utf-8")
+    (tmp_path / "lib.py").write_text(
+        "def used():\n    return inner()\n\ndef inner():\n    return 1\n\n"
+        "def dead():\n    return used()\n", encoding="utf-8")
+    (tmp_path / "util.py").write_text(
+        "def helper():\n    return 2\n\ndef used():\n    return 3\n", encoding="utf-8")
+    assert unreached(tmp_path) == {"lib.dead", "util.used"}

@@ -1,9 +1,13 @@
 """Shared helpers: fixture loading, enumeration as sets of rendered words,
-random grammars for Hypothesis, brute-force oracles for the closure
+the grammar helpers that no command needs (checked construction,
+validation, one-step successors, special productions), random grammars for
+Hypothesis, brute-force oracles for the closure
 constructions, the all-orders search that the leftmost and subtree orders of
 the engine are checked against, the unranked form search and the search at
 each width k that membership's and min_index's ranked search is checked
-against, the two-pass yield check that the one-pass one is checked against,
+against, the least number of special productions in a derivation, found in
+subtree order and in every order, the least ET0L width, found one cap at a
+time, the two-pass yield check that the one-pass one is checked against,
 the search that the word table of
 enumerate_language is checked against, the form search that the width table of
 check_uncontrolled is checked against, the full product that
@@ -13,7 +17,8 @@ Parikh table of counters.parikh_of_intersection is checked against, the
 acceptance test that counters.expand_to_nfa is checked with, the grid of a
 tuple automaton, the chain of equation-automaton products and the full
 complement product that the linear-set automata and the inclusion search of
-igkit.semilinear are checked against, the character loop that
+igkit.semilinear are checked against, Parikh vectors and the `.sls` writer
+the round-trip tests read back, the character loop that
 grammar.strip_comment is checked against, the sorted formula that
 engine.tree_width is checked against, and the one-state automata that accept
 everything and nothing."""
@@ -32,19 +37,24 @@ from igkit.engine import (
     Budget,
     CompiledGrammar,
     EnumerationResult,
+    _can_yield,
     _derivation,
     _is_terminal_enc,
     _subtree_depths,
     _yield_blocks,
     enumerate_language,
 )
+from igkit.etol import _bounded_successors
 from igkit.grammar import (
+    CONSUME,
     PUSH,
-    SPECIAL,
+    GrammarError,
     IndexedGrammar,
     Production,
+    Var,
+    apply_production,
     fresh_name,
-    make_grammar,
+    located_problems,
     parse_grammar,
 )
 from igkit.search import (
@@ -60,9 +70,9 @@ from igkit.search import (
     bfs,
     decide,
     moves,
+    path,
     reach,
 )
-from igkit.semilinear import parikh
 
 
 # counts to 6 on silent moves, then back to 0: accepts exactly the empty word
@@ -77,6 +87,55 @@ SILENT_SIX = (
 
 # A width cap that cannot bind: with it and no depths, kernel.expand tries every order.
 ALL_ORDERS = 10**9
+
+
+def make_grammar(name, variables, terminals, indices, productions, start) -> IndexedGrammar:
+    """The grammar of these parts; GrammarError when it is not valid."""
+    g = IndexedGrammar(tuple(variables), tuple(terminals), tuple(indices), tuple(productions),
+                       start, name)
+    problems = validate(g)
+    if problems:
+        raise GrammarError("invalid grammar: " + "; ".join(problems))
+    return g
+
+
+def validate(g):
+    """Every structural violation of g (an empty list when it is valid)."""
+    return [message for _, message in located_problems(g)]
+
+
+def var_positions(form):
+    return tuple(i for i, it in enumerate(form.items) if isinstance(it, Var))
+
+
+def successors(g, form):
+    """All (position, production, form) one-step derivatives of `form`,
+    ordered by position then by production list order: the object-level
+    oracle of kernel.expand."""
+    out = []
+    for pos in var_positions(form):
+        occ = form.items[pos]
+        for p in g.productions:
+            if p.lhs_var != occ.symbol:
+                continue
+            if p.kind == CONSUME and (not occ.stack or occ.stack[0] != p.lhs_index):
+                continue
+            out.append((pos, p, apply_production(g, form, pos, p)))
+    return out
+
+
+def is_special(g, p):
+    """A production is special when its rhs holds >= 2 variable occurrences."""
+    return p.kind != PUSH and sum(1 for s in p.rhs if s in g.variable_set) >= 2
+
+
+def special_productions(g):
+    return tuple(p for p in g.productions if is_special(g, p))
+
+
+def special_count(g, d):
+    """The number of special-production applications in derivation d."""
+    return sum(1 for pid, _ in d.steps if is_special(g, g.productions[pid]))
 
 
 TERMS = ("a", "b")  # the terminals of the random grammars
@@ -233,12 +292,51 @@ def per_k_min_index(g, w, budget, caps_exact=False):
     return _per_k_min_index(search_membership, g, w, budget, caps_exact)
 
 
+def special_count_min(g, w, budget, caps_exact=False):
+    """Proven with the minimum number (`info["k"]`) of special-production
+    applications over all derivations of w found within the budget, and a
+    derivation that reaches it; refuted when the search swept without one
+    and the caller asserts (caps_exact) that the caps cover every derivation
+    of w; unknown otherwise, and whenever the hard cap cut the search short.
+    The engine's subtree-order search (CompiledGrammar.expand), with the
+    count of special productions carried in each state."""
+    c = CompiledGrammar(g)
+    target = c.encode_word(w)
+    specials = frozenset(pid for pid, p in enumerate(g.productions) if is_special(g, p))
+    best = None
+    best_state = None
+
+    def step(state):
+        form, nspec = state
+        return [(pos, pid, (f2, nspec + (pid in specials)))
+                for pos, pid, f2 in c.expand(form, budget, len(target))]
+
+    def successors(state):
+        return (t for t in step(state) if best is None or t[2][1] < best)
+
+    def visit(state):
+        nonlocal best, best_state
+        form, nspec = state
+        if _is_terminal_enc(form):
+            if form == target:
+                best, best_state = nspec, state
+            return LEAF
+        return EXPAND if _can_yield(form, target) else LEAF
+
+    s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
+    if best is None or s.stop == HARD_CAP:
+        return decide(s, caps_exact)
+    return Verdict(PROVEN, _derivation(c, step, s.parents, best_state, _subtree_depths(budget),
+                                       key=lambda st: st[0]),
+                   {"k": best, "stop": s.stop})
+
+
 def oracle_special_count_min(g, w, budget, caps_exact=False):
     """special_count_min over every rewrite order (see oracle_enumerate)."""
     c = CompiledGrammar(g)
     target = c.encode_word(w)
     expand = every_order(c, budget, len(target))
-    specials = {pid for pid, p in enumerate(g.productions) if g.classify(p) == SPECIAL}
+    specials = {pid for pid, p in enumerate(g.productions) if is_special(g, p)}
     best = None
 
     def successors(state):
@@ -303,6 +401,26 @@ def oracle_check_uncontrolled(g, k, budget):
     if s.stop == FOUND:
         return Verdict(REFUTED, None, info)
     return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+
+
+def etol_min_index(sys, w, budget):
+    """Proven with the smallest cap (`info["k"]`) on simultaneous active
+    occurrences under which some parallel derivation of w exists within the
+    budget, and the words of that derivation. Unknown when none is found,
+    since the caps need not cover every derivation, or when the hard cap cut
+    short the search under a smaller cap."""
+    w = tuple(w)
+    top = budget.max_width if budget.max_width is not None else max(len(w), 1) + 2
+    info: dict = {}
+    for cap in range(1, top + 1):
+        s = bfs((sys.axiom,), _bounded_successors(sys, len(w), cap), budget.max_steps,
+                budget.hard_cap, lambda word: GOAL if word == w else EXPAND)
+        if s.stop == FOUND:
+            return Verdict(PROVEN, tuple(path(s.parents, s.goal)), {"k": cap, "stop": FOUND})
+        info = {"stop": s.stop}
+        if s.stop == HARD_CAP:
+            break
+    return Verdict(UNKNOWN, None, info)
 
 
 def prune_unreachable(g):
@@ -542,6 +660,37 @@ def oracle_prune_nonproductive(g):
     )
     keep = productive | {g.start}
     return replace(g, variables=tuple(v for v in g.variables if v in keep), productions=prods)
+
+
+def parikh(word, alphabet):
+    """Letter-count vector of `word` in the order given by `alphabet`."""
+    pos = {a: i for i, a in enumerate(alphabet)}
+    out = [0] * len(pos)
+    for ltr in word:
+        if ltr not in pos:
+            raise GrammarError(f"letter {ltr!r} outside the alphabet")
+        out[pos[ltr]] += 1
+    return tuple(out)
+
+
+def serialize_slset(name, shape, s):
+    """The `.sls` text that parse_slset reads back as (name, shape, s)."""
+    lines = [f"slset {name}", f"dim: {s.dim}"]
+    if shape is not None:
+        rendered = []
+        for w in shape.words:
+            if len(w) == 1 and len(w[0]) > 1:
+                raise GrammarError(f"shape word {w[0]!r} would read back as {len(w[0])} letters")
+            rendered.append(" ".join(w) if any(len(sym) > 1 for sym in w) else "".join(w))
+        lines.append("shape: " + ", ".join(rendered))
+    for c in s.components:
+        base = "(" + ",".join(map(str, c.base)) + ")"
+        if c.periods:
+            ps = ",".join("(" + ",".join(map(str, p)) + ")" for p in c.periods)
+            lines.append(f"linear: base = {base}; periods = {ps}")
+        else:
+            lines.append(f"linear: base = {base}")
+    return "\n".join(lines) + "\n"
 
 
 def grid_members(a, radius):
