@@ -96,9 +96,6 @@ class Dfa:
             cur = self._map[(cur, sym)]
         return cur
 
-    def accepts(self, word) -> bool:
-        return self.run(word) in self.accepting
-
 
 def determinize(nfa: Nfa, alphabet=None) -> Dfa:
     """Total deterministic automaton for L(nfa) via the subset construction;

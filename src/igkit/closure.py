@@ -69,16 +69,6 @@ class Morphism:
             target = tuple(seen)
         return cls(tuple(mapping), tuple(target), rules, name=name)
 
-    @classmethod
-    def identity(cls, alphabet, name="id") -> "Morphism":
-        return cls.make({a: (a,) for a in alphabet}, target=tuple(alphabet), name=name)
-
-    def apply(self, word) -> tuple[str, ...]:
-        out: list[str] = []
-        for a in word:
-            out.extend(self.images[a])
-        return tuple(out)
-
 
 def parse_morphism(text: str) -> Morphism:
     name, sections = read_sections(text, "morphism")

@@ -158,7 +158,7 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
 
     s = bfs(start, successors, max_steps, math.inf, visit)
     v = decide(s, not capped, lambda goal: tuple(
-        (ti, cfg[0], cfg[1], cfg[2]) for ti, cfg in moves(successors, s.parents, goal)),
+        (ti, cfg[0], cfg[1], cfg[2]) for ti, cfg in moves(s.parents, goal)),
         configs=len(s.parents))
     if s.swept and capped:
         v.info["stop"] = COUNTER_CAP

@@ -56,7 +56,6 @@ from .search import (
     bfs,
     decide,
     moves,
-    path,
 )
 
 Word = tuple[str, ...]
@@ -99,9 +98,6 @@ class EnumerationResult:
     active_caps: tuple[str, ...]
     forms_seen: int
     stop: str  # why the search stopped: swept, max_steps or hard_cap
-
-    def rendered(self) -> tuple[str, ...]:
-        return tuple("".join(w) for w in self.words)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +222,14 @@ def _is_terminal_enc(form: tuple[int, ...]) -> bool:
     return True
 
 
-def _derivation(c: CompiledGrammar, successors, parents: dict, goal, depths: int,
-                key=None) -> Derivation:
-    """Decode the derivation of `goal` that a search stored; `key` maps a
-    search node to its encoded form."""
-    nodes = path(parents, goal)
-    steps = tuple((pid, pos) for pos, pid, _ in moves(successors, parents, goal))
+def _derivation(c: CompiledGrammar, parents: dict, goal, depths: int, key=None) -> Derivation:
+    """Decode the derivation of `goal` from the moves a search stored; `key`
+    maps a search node to its encoded form."""
+    taken = moves(parents, goal)
+    nodes = [next(iter(parents)), *(child for _, _, child in taken)]
     return Derivation(
-        tuple(c.decode_form(n if key is None else key(n), depths) for n in nodes), steps)
+        tuple(c.decode_form(n if key is None else key(n), depths) for n in nodes),
+        tuple((pid, pos) for pos, pid, _ in taken))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +398,7 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
         return EXPAND if _can_yield(form, target) else LEAF
 
     if budget.max_width is None:
-        successors, key = expand, None
+        key = None
         s = bfs(c.start(), expand, budget.max_steps, budget.hard_cap, visit)
     else:
         grow = [0 if row[0] == 1 else row[5] - 1 for row in c.prods]  # the width a rewrite adds
@@ -424,7 +420,7 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
 
         s = bfs((c.start(), 1), successors, budget.max_steps, budget.hard_cap,
                 lambda state: visit(state[0]), rank=True)
-    return decide(s, caps_exact, lambda goal: _derivation(c, successors, s.parents, goal,
+    return decide(s, caps_exact, lambda goal: _derivation(c, s.parents, goal,
                                                           _subtree_depths(budget), key),
                   forms=len(s.parents))
 

@@ -127,9 +127,6 @@ class EtolEnumeration:
     words_seen: int
     stop: str  # why the search stopped: swept, max_steps or hard_cap
 
-    def rendered(self) -> tuple[str, ...]:
-        return tuple("".join(w) for w in self.words)
-
 
 def _bounded_successors(sys: EtolSystem, max_inactive: int, max_active: Optional[int]):
     """Successor function for the search: the parallel steps to words with at

@@ -193,9 +193,6 @@ class Derivation:
     def index(self) -> int:
         return max(f.width() for f in self.forms)
 
-    def final(self) -> SententialForm:
-        return self.forms[-1]
-
 
 def derivation_to_trace(g: IndexedGrammar, d: Derivation) -> str:
     """Serialize a derivation witness; one line per step."""

@@ -3,8 +3,9 @@
 Enumeration, membership, index measurement, width refutation, parallel
 rewriting, counter-machine runs and automaton emptiness all explore a graph
 level by level from one start node under two caps: `max_steps` levels, and
-`hard_cap` stored nodes. `bfs` runs that search and reports why it stopped;
-`path` and `moves` rebuild the witness for any node it stored. With `rank`
+`hard_cap` stored nodes. `bfs` runs that search and reports why it stopped,
+and keeps beside each stored node the move it was reached by, so `moves`
+reads the witness of any node back without expanding again. With `rank`
 it orders the same search by a rank that never falls along a path (the
 index of a derivation), then by level, so its first goal has the least rank
 (Knuth 1977). The automata, machines and pruned grammars are built from the
@@ -43,7 +44,9 @@ Successors = Callable[[Hashable], Iterable[tuple]]
 
 @dataclass(frozen=True)
 class Search:
-    parents: dict  # stored node -> the node it was first reached from (None for the start)
+    # stored node -> (its parent, the successor tuple that stored it);
+    # None for the start
+    parents: dict
     stop: str
     goal: Optional[Hashable] = None
 
@@ -66,14 +69,6 @@ class Verdict:
     @property
     def is_proven(self) -> bool:
         return self.kind == PROVEN
-
-    @property
-    def is_refuted(self) -> bool:
-        return self.kind == REFUTED
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == UNKNOWN
 
     @property
     def configs_seen(self) -> int:
@@ -141,7 +136,7 @@ def bfs(
                     continue
                 if len(parents) >= hard_cap:
                     return Search(parents, HARD_CAP)
-                parents[child] = node
+                parents[child] = node, step
                 if visit is None:
                     nxt.append(child)
                     continue
@@ -194,14 +189,14 @@ def _ranked(start, successors, max_steps, hard_cap, visit) -> Search:
                 if child not in parents:
                     if len(parents) >= hard_cap:
                         return Search(parents, HARD_CAP)
-                    parents[child] = node
+                    parents[child] = node, step
                     act = EXPAND if visit is None else visit(child)
                     if act == GOAL:
                         return Search(parents, FOUND, child)
                     if act == EXPAND:
                         wait(child, depth)
                 elif level.get(child, -1) > depth:
-                    parents[child] = node
+                    parents[child] = node, step
                     wait(child, depth)
     # what still waits was stored at the last level
     return Search(parents, MAX_STEPS if any(key not in done for key, _ in level) else SWEPT)
@@ -232,18 +227,11 @@ def explore(starts: Iterable[Hashable], successors: Successors) -> tuple[list, l
     return reach(starts, step), edges
 
 
-def path(parents: dict, node: Hashable) -> list:
-    """The stored nodes from the start to `node`."""
-    out = [node]
-    while (node := parents[node]) is not None:
-        out.append(node)
+def moves(parents: dict, node: Hashable) -> list[tuple]:
+    """The successor tuples the search stored, from the start to `node`."""
+    out = []
+    while (link := parents[node]) is not None:
+        node, step = link
+        out.append(step)
     out.reverse()
     return out
-
-
-def moves(successors: Successors, parents: dict, node: Hashable) -> list[tuple]:
-    """The successor tuple taken into each node after the start on the path to
-    `node`. Each parent is expanded again and its first successor that is the
-    child is taken: the step through which the search stored that child."""
-    nodes = path(parents, node)
-    return [next(s for s in successors(a) if s[-1] == b) for a, b in zip(nodes, nodes[1:])]

@@ -62,12 +62,6 @@ class SemilinearSet:
         if any(c.dim != self.dim for c in self.components):
             raise ValueError("component dimensions differ")
 
-    @classmethod
-    def of(cls, *components: LinearSet) -> "SemilinearSet":
-        if not components:
-            raise ValueError("use SemilinearSet(dim, ()) for the empty set")
-        return cls(components[0].dim, tuple(components))
-
 
 @dataclass(frozen=True)
 class GinsburgShape:
@@ -175,18 +169,7 @@ def linearset_automaton(ls: LinearSet) -> va.TupleAutomaton:
         return out
 
     keys, edges = explore([pack(ls.base)], successors)
-    number = {r: i for i, r in enumerate(keys)}
-    targets: dict = {}
-    for r, v, d in edges:
-        targets.setdefault((number[r], v), set()).add(number[d])
-    return va.TupleAutomaton(
-        tracks=k,
-        num_states=len(keys),
-        initial=0,
-        accepting=frozenset([number[0]]),
-        transitions={key: tuple(sorted(ds)) for key, ds in targets.items()},
-        deterministic=not periods,
-    )
+    return va.renumber(k, keys, [0], edges, deterministic=not periods)
 
 
 def slset_automaton(s: SemilinearSet) -> va.TupleAutomaton:

@@ -58,19 +58,20 @@ def decode(word, tracks: int) -> tuple[int, ...]:
     )
 
 
-def _renumber(tracks, keys, accepting_keys, edges, deterministic):
+def renumber(tracks, keys, accepting_keys, edges, deterministic):
     """The automaton whose state i is `keys[i]` (the initial state first);
-    `edges` are (src, symbol, dst) triples of keys."""
+    `edges` are (src, symbol, dst) triples of keys. The targets of each
+    (state, symbol) are sorted, each once."""
     number = {k: i for i, k in enumerate(keys)}
     targets: dict = {}
     for src, sym, dst in edges:
-        targets.setdefault((number[src], sym), []).append(number[dst])
+        targets.setdefault((number[src], sym), set()).add(number[dst])
     return TupleAutomaton(
         tracks=tracks,
         num_states=len(keys),
         initial=0,
         accepting=frozenset(number[k] for k in accepting_keys),
-        transitions={k: tuple(v) for k, v in targets.items()},
+        transitions={k: tuple(sorted(v)) for k, v in targets.items()},
         deterministic=deterministic,
     )
 
@@ -92,7 +93,7 @@ def equation_automaton(coefficients, constant: int) -> TupleAutomaton:
         return [(sym, (s - dot) // 2) for sym, dot in enumerate(dots) if (s - dot) % 2 == 0]
 
     keys, edges = explore([constant], successors)
-    return _renumber(m, keys, [0] if 0 in keys else [], edges, deterministic=True)
+    return renumber(m, keys, [0] if 0 in keys else [], edges, deterministic=True)
 
 
 def never(tracks: int) -> TupleAutomaton:
@@ -115,7 +116,7 @@ def product(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
 
     keys, edges = explore([(a.initial, b.initial)], successors)
     acc = [s for s in keys if s[0] in a.accepting and s[1] in b.accepting]
-    return _renumber(a.tracks, keys, acc, edges, a.deterministic and b.deterministic)
+    return renumber(a.tracks, keys, acc, edges, a.deterministic and b.deterministic)
 
 
 def union(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
@@ -196,8 +197,8 @@ def determinize(a: TupleAutomaton) -> TupleAutomaton:
                 for sym in range(1 << a.tracks)]
 
     keys, edges = explore([frozenset({a.initial})], successors)
-    return _renumber(a.tracks, keys, [s for s in keys if s & a.accepting], edges,
-                     deterministic=True)
+    return renumber(a.tracks, keys, [s for s in keys if s & a.accepting], edges,
+                    deterministic=True)
 
 
 def complement(a: TupleAutomaton) -> TupleAutomaton:
@@ -249,7 +250,7 @@ def is_empty(a: TupleAutomaton, b: TupleAutomaton | None = None):
     s = bfs(start, successors, math.inf, math.inf, visit)
     if s.stop != FOUND:
         return None
-    return decode([sym for sym, _ in moves(successors, s.parents, s.goal)], a.tracks)
+    return decode([sym for sym, _ in moves(s.parents, s.goal)], a.tracks)
 
 
 def member(a: TupleAutomaton, v) -> bool:

@@ -20,6 +20,7 @@ from igkit.counters import (
 from igkit.engine import Budget, check_uncontrolled, enumerate_language, min_index
 from igkit.etol import etol_enumerate, etol_to_indexed, parse_etol
 from igkit.grammar import parse_grammar, replay
+from igkit.search import REFUTED
 from igkit.semilinear import (
     GinsburgShape,
     LinearSet,
@@ -40,6 +41,8 @@ from util import (
     grid_members,
     load,
     parikh,
+    rendered,
+    slset,
     special_count_min,
     special_productions,
 )
@@ -62,10 +65,10 @@ def test_criterion_1_twin_replication():
     res = enumerate_language(g, 14, Budget(max_steps=60, max_stack=3))
     assert res.exhausted
     expected = {"$", "abc$abc", "aabbcc$aabbcc"}
-    assert set(res.rendered()) == expected
+    assert set(rendered(res)) == expected
 
     shape = GinsburgShape((("a",), ("b",), ("c",), ("$",), ("a",), ("b",), ("c",)))
-    b = SemilinearSet.of(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 1)]))
+    b = slset(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 1)]))
     independent = {
         "".join(ginsburg_apply(shape, v))
         for v in members_up_to(b, tuple(len(u) for u in shape.words), 14)
@@ -83,13 +86,13 @@ def test_criterion_2_ramp_grammar():
     res = enumerate_language(g, 20, budget)
     assert res.exhausted
     # the n = 4 word has length 19, so the closed form gives n = 1..4 here
-    assert set(res.rendered()) == {ramp_word(n) for n in (1, 2, 3, 4)}
+    assert set(rendered(res)) == {ramp_word(n) for n in (1, 2, 3, 4)}
 
     got = min_index(g, tuple("abaa"), Budget(max_steps=60, max_stack=4))
     assert got.is_proven and got.info["k"] == 3
 
     v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=5))
-    assert v.is_refuted
+    assert v.kind == REFUTED
     final = replay(g, v.witness)  # witness replays step by step
     assert final.is_terminal() and v.witness.index() > 3
     elapsed = time.monotonic() - t0
@@ -305,7 +308,7 @@ def test_criterion_8_nonlinear_growth_control():
     res = enumerate_language(
         g, 26, Budget(max_steps=400, max_width=3, max_stack=8, hard_cap=4_000_000)
     )
-    words = res.rendered()[:5]
+    words = rendered(res)[:5]
     assert list(words) == [ramp_word(n) for n in range(1, 6)]
     vectors = [parikh(tuple(w), ("a", "b")) for w in words]
     assert vectors[0] == (3, 1) and vectors[1] == (6, 2)
@@ -321,7 +324,7 @@ def test_criterion_8_nonlinear_growth_control():
         assert d1[0] * d2[1] != d1[1] * d2[0], (d1, d2)
 
     # a single linear set fitted on the first two vectors misses the rest
-    fitted = SemilinearSet.of(
+    fitted = slset(
         LinearSet.make(vectors[0], [tuple(x - y for x, y in zip(vectors[1], vectors[0]))])
     )
     assert slset_member(vectors[0], fitted) and slset_member(vectors[1], fitted)

@@ -36,6 +36,7 @@ from util import (
     empty_dfa,
     enum_set,
     grammars,
+    image,
     interleavings,
     load,
     make_grammar,
@@ -135,13 +136,13 @@ def test_morphism_image_matches_oracle(name, mapping, n, m):
     h = Morphism.make(mapping)
     out = morphism_image(g, h)
     assert validate(out) == []
-    oracle = {"".join(h.apply(tuple(w))) for w in enum_set(g, m)}
+    oracle = {"".join(image(h, w)) for w in enum_set(g, m)}
     assert enum_set(out, n) == {w for w in oracle if len(w) <= n}
 
 
 def test_identity_morphism_keeps_productions():
     g = load("anbn.ig")
-    out = morphism_image(g, Morphism.identity(g.terminals))
+    out = morphism_image(g, Morphism.make({a: (a,) for a in g.terminals}))
     assert out.productions == g.productions
 
 
@@ -251,7 +252,7 @@ def test_intersection_matches_filtered_enumeration(name, mk, n, kw):
     d = mk()
     out = intersect_dfa(g, d)
     assert validate(out) == []
-    oracle = {w for w in enum_set(g, n, **kw) if d.accepts(w)}
+    oracle = {w for w in enum_set(g, n, **kw) if d.run(w) in d.accepting}
     assert enum_set(out, n, **kw) == oracle
 
 
@@ -491,14 +492,14 @@ def test_inverse_morphism_matches_oracle(name, mapping, n, m, width):
     lang = enum_set(g, m)
     oracle = {
         x for x in words_upto(tuple(mapping), n)
-        if "".join(h.apply(tuple(x))) in lang and len(h.apply(tuple(x))) <= m
+        if "".join(image(h, x)) in lang and len(image(h, x)) <= m
     }
     assert enum_set(out, n, steps=800, width=width) == oracle
 
 
 def test_inverse_identity_morphism_preserves_language():
     g = load("anbn.ig")
-    out = inverse_morphism(g, Morphism.identity(("a", "b")))
+    out = inverse_morphism(g, Morphism.make({"a": ("a",), "b": ("b",)}))
     assert enum_set(out, 6, steps=800, width=6) == enum_set(g, 6)
 
 
@@ -568,8 +569,7 @@ def test_morphism_preserves_min_widths_when_injective():
     out = morphism_image(g, h)
     budget = Budget(max_steps=200, max_stack=3)
     for w in sorted(enum_set(g, 6, stack=3)):
-        image = tuple(h.apply(tuple(w)))
-        got = min_index(out, image, budget)
+        got = min_index(out, image(h, w), budget)
         want = min_index(g, tuple(w), budget)
         assert got.is_proven and want.is_proven
         assert got.info["k"] == want.info["k"], w

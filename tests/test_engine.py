@@ -15,7 +15,15 @@ from igkit.engine import (
 )
 from igkit.grammar import parse_grammar, replay
 
-from util import oracle_can_yield, oracle_tree_width, special_count, special_count_min
+from igkit.search import REFUTED, UNKNOWN
+
+from util import (
+    oracle_can_yield,
+    oracle_tree_width,
+    rendered,
+    special_count,
+    special_count_min,
+)
 
 
 def g_fix(name):
@@ -27,7 +35,7 @@ EX1_BUDGET = Budget(max_steps=150, max_width=4, max_stack=7)
 
 
 def words(res):
-    return set(res.rendered())
+    return set(rendered(res))
 
 
 def ramp_word(n):
@@ -70,7 +78,7 @@ def test_empty_grammar_enumeration():
 
 def test_length_lex_order():
     res = enumerate_language(g_fix("sigmastar_ab.ig"), 2, Budget(max_steps=10))
-    assert res.rendered() == ("", "a", "b", "aa", "ab", "ba", "bb")
+    assert rendered(res) == ("", "a", "b", "aa", "ab", "ba", "bb")
 
 
 def test_enumeration_monotone_in_budget():
@@ -100,14 +108,14 @@ def test_membership_proven_with_replayable_witness():
 def test_membership_refuted_needs_exactness_flag():
     g = g_fix("ramp.ig")
     b = Budget(max_steps=40, max_width=4, max_stack=4)
-    assert membership(g, tuple("abab"), b).is_unknown
-    assert membership(g, tuple("abab"), b, caps_exact=True).is_refuted
+    assert membership(g, tuple("abab"), b).kind == UNKNOWN
+    assert membership(g, tuple("abab"), b, caps_exact=True).kind == REFUTED
 
 
 def test_membership_eps_cases():
     assert membership(g_fix("eps.ig"), (), Budget(max_steps=4), caps_exact=True).is_proven
     v = membership(g_fix("abword.ig"), (), Budget(max_steps=4), caps_exact=True)
-    assert v.is_refuted
+    assert v.kind == REFUTED
 
 
 def test_membership_agrees_with_enumeration():
@@ -165,7 +173,7 @@ def test_min_index_abaa_is_3():
 
 def test_min_index_not_a_member():
     assert min_index(g_fix("anbn.ig"), tuple("ba"), Budget(max_steps=20),
-                     caps_exact=True).is_refuted
+                     caps_exact=True).kind == REFUTED
 
 
 # -- check_uncontrolled ------------------------------------------------------------
@@ -174,7 +182,7 @@ def test_min_index_not_a_member():
 def test_ramp_grammar_not_uncontrolled_at_3():
     g = g_fix("ramp.ig")
     v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=5))
-    assert v.is_refuted
+    assert v.kind == REFUTED
     wit = v.witness
     assert wit.index() > 3
     final = replay(g, wit)
@@ -219,7 +227,7 @@ def test_special_count_one_for_twin_word():
 
 def test_special_count_not_a_member():
     assert special_count_min(g_fix("anbn.ig"), tuple("ba"), Budget(max_steps=10),
-                             caps_exact=True).is_refuted
+                             caps_exact=True).kind == REFUTED
 
 
 # -- witness serialization --------------------------------------------------------
@@ -253,7 +261,7 @@ def test_ramp_grammar_refuted_at_every_small_k():
     g = g_fix("ramp.ig")
     for k, stack in [(1, 4), (2, 4), (4, 6), (6, 8)]:
         v = check_uncontrolled(g, k, Budget(max_steps=120, max_stack=stack))
-        assert v.is_refuted, k
+        assert v.kind == REFUTED, k
         assert v.witness.index() > k
         assert replay(g, v.witness).is_terminal()
 
@@ -262,4 +270,4 @@ def test_check_uncontrolled_ignores_caller_width_cap():
     # a narrow width budget must not hide the wide refutation witness
     g = g_fix("ramp.ig")
     v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=5, max_width=1))
-    assert v.is_refuted
+    assert v.kind == REFUTED

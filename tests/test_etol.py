@@ -17,7 +17,7 @@ from igkit.etol import (
 )
 from igkit.grammar import GrammarError
 
-from util import etol_min_index, validate
+from util import etol_min_index, rendered, validate
 
 
 def sys_fix(name):
@@ -89,7 +89,7 @@ def test_step_missing_production():
 def test_enumerate_anbn():
     got = etol_enumerate(sys_fix("anbn1.etol"), 8, B)
     assert got.exhausted
-    assert set(got.rendered()) == {"a" * n + "b" * n for n in range(5)}
+    assert set(rendered(got)) == {"a" * n + "b" * n for n in range(5)}
 
 
 def test_enumerate_terminal_axiom():
@@ -98,7 +98,7 @@ def test_enumerate_terminal_axiom():
         tables=(Table("t", (("a", ("a",)),)),),
     )
     got = etol_enumerate(sys, 4, B)
-    assert got.rendered() == ("a",)
+    assert rendered(got) == ("a",)
 
 
 def test_enumerate_empty_language():
@@ -153,10 +153,10 @@ def test_conversion_preserves_language(name):
     sys = sys_fix(name)
     g = etol_to_indexed(sys)
     assert validate(g) == []
-    direct = set(etol_enumerate(sys, 10, Budget(max_steps=30)).rendered())
+    direct = set(rendered(etol_enumerate(sys, 10, Budget(max_steps=30))))
     res = enumerate_language(g, 10, Budget(max_steps=200, max_stack=stack, max_width=width))
     assert res.exhausted
-    assert set(res.rendered()) == direct
+    assert set(rendered(res)) == direct
 
 
 def test_conversion_requires_anf():

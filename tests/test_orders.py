@@ -146,7 +146,7 @@ def _replays_within(g, witness, w, budget):
 def test_membership_matches_all_orders(g, budget, w):
     left = membership(g, w, budget, caps_exact=True)
     full = oracle_membership(g, w, budget, caps_exact=True)
-    if not full.is_unknown:
+    if full.kind != UNKNOWN:
         assert left.kind == full.kind
     if left.is_proven:
         _replays_within(g, left.witness, w, budget)
@@ -165,10 +165,10 @@ SUBTREE_ORDER_GAP = make_grammar(
 def test_capped_membership_matches_all_orders(g, budget, w):
     ours = membership(g, w, budget, caps_exact=True)
     full = oracle_membership(g, w, budget, caps_exact=True)
-    if not full.is_unknown:
+    if full.kind != UNKNOWN:
         # a refutation needs a sweep, which can take more levels here
         assert ours.kind == full.kind or (
-            full.is_refuted and ours.is_unknown and ours.info["stop"] == MAX_STEPS)
+            full.kind == REFUTED and ours.kind == UNKNOWN and ours.info["stop"] == MAX_STEPS)
     if ours.is_proven:
         _replays_within(g, ours.witness, w, budget)
 
@@ -212,9 +212,9 @@ def test_check_uncontrolled_matches_all_orders(g, budget, k):
     # decide where that search ran out of levels or hit the hard cap
     ours = check_uncontrolled(g, k, budget)
     full = oracle_check_uncontrolled(g, k, budget)
-    if not full.is_unknown:
+    if full.kind != UNKNOWN:
         assert ours.kind == full.kind
-    if ours.is_refuted:
+    if ours.kind == REFUTED:
         assert ours.witness.index() > k and replay(g, ours.witness).is_terminal()
 
 
@@ -223,5 +223,5 @@ def test_ramp_wide_derivation_is_refuted_quickly():
     # 48 pairs
     g = parse_grammar(fixture_text("ramp.ig"))
     v = check_uncontrolled(g, 6, Budget(max_steps=120, max_stack=8))
-    assert v.is_refuted
+    assert v.kind == REFUTED
     assert v.witness.index() > 6 and replay(g, v.witness).is_terminal()

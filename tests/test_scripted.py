@@ -30,7 +30,7 @@ def test_twin_scripted_run_for_n_2():
         script += [(3 + block, block), (3 + block, block), (10 + block, block)]
     d = drive(g, rewire(g, script))
     assert replay(g, d).is_terminal()
-    assert "".join(d.final().yield_word()) == "aabbcc$aabbcc"
+    assert "".join(d.forms[-1].yield_word()) == "aabbcc$aabbcc"
     assert d.index() == 7
     assert special_count(g, d) == 1
 
@@ -87,9 +87,9 @@ def test_synthesizer_scripted_run_matches_shape_image():
         forms.append(form)
         steps.append((pid, pos))
     d = Derivation(tuple(forms), tuple(steps))
-    assert replay(g, d) == d.final()
+    assert replay(g, d) == d.forms[-1]
     v = (1 + 0 * 1 + 1 * 2, 0 + 2 * 1 + 1 * 2)  # base + x1*b1 + x2*b2, coordinatewise
-    assert d.final().yield_word() == ginsburg_apply(shape, v)
+    assert d.forms[-1].yield_word() == ginsburg_apply(shape, v)
     assert d.index() == 2
     assert special_count(g, d) == 1
 

@@ -29,11 +29,12 @@ from igkit.search import (
     HARD_CAP,
     LEAF,
     MAX_STEPS,
+    REFUTED,
     SWEPT,
+    UNKNOWN,
     bfs,
     explore,
     moves,
-    path,
     reach,
 )
 
@@ -43,7 +44,9 @@ from util import (
     grammars,
     oracle_enumerate,
     oracle_membership,
+    path,
     per_k_min_index,
+    rendered,
     search_enumerate,
     search_membership,
     special_count,
@@ -72,12 +75,12 @@ def test_bfs_finds_a_goal_and_rebuilds_the_shortest_path():
     s = bfs(1, doubling, 100, 100, lambda n: GOAL if n == 12 else EXPAND)
     assert s.stop == FOUND and s.goal == 12
     assert path(s.parents, 12) == [1, 2, 3, 6, 12]
-    assert moves(doubling, s.parents, 12) == [("inc", 2), ("inc", 3), ("dbl", 6), ("dbl", 12)]
+    assert moves(s.parents, 12) == [("inc", 2), ("inc", 3), ("dbl", 6), ("dbl", 12)]
 
 
 def test_bfs_visits_the_start():
     s = bfs(1, doubling, 100, 100, lambda n: GOAL)
-    assert s.stop == FOUND and s.goal == 1 and moves(doubling, s.parents, 1) == []
+    assert s.stop == FOUND and s.goal == 1 and moves(s.parents, 1) == []
 
 
 def test_bfs_leaves_are_stored_but_not_expanded():
@@ -135,8 +138,30 @@ def test_ranked_bfs_takes_the_least_rank_then_the_shortest_path():
     # shortest path of rank 2
     s = bfs((1, 1), ranked_doubling, 10, 1000, visit, rank=True)
     assert s.goal == (0, 2)
-    assert moves(ranked_doubling, s.parents, s.goal) == [
+    assert moves(s.parents, s.goal) == [
         ("inc", (2, 1)), ("inc", (3, 1)), ("dbl", (6, 2)), ("dbl", (12, 2)), ("end", (0, 2))]
+
+
+def test_moves_are_the_ones_the_search_took():
+    # each call labels its moves with the call's number, so a second
+    # expansion of a node would give other labels
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return [((len(calls), op), child) for op, child in ranked_doubling(state)]
+
+    def visit(state):
+        return GOAL if state[0] == 0 else EXPAND
+
+    for rank in (False, True):
+        calls.clear()
+        s = bfs((1, 1), counting, 10, 1000, visit, rank=rank)
+        taken = moves(s.parents, s.goal)
+        assert len(calls) == len(set(calls))  # each stored state expanded once
+        expanded = path(s.parents, s.goal)[:-1]
+        assert [label[0] for label, _ in taken] == [calls.index(a) + 1 for a in expanded]
+        assert [op for (_, op), _ in taken] == ["inc", "inc", "dbl", "dbl", "end"]
 
 
 def test_ranked_bfs_sweeps_by_key():
@@ -260,7 +285,7 @@ def test_min_index_is_unknown_when_the_hard_cap_cuts_a_smaller_k():
     full = membership(g, AA, capped)
     assert full.is_proven and full.witness.index() == 2  # the uncapped search fits
     assert membership(g, AA, replace(capped, max_width=1)).info["stop"] == HARD_CAP
-    assert min_index(g, AA, capped).is_unknown
+    assert min_index(g, AA, capped).kind == UNKNOWN
 
 
 def test_min_index_cli_reports_unknown_under_the_hard_cap(tmp_path, capsys):
@@ -275,7 +300,7 @@ def test_min_index_cli_reports_unknown_under_the_hard_cap(tmp_path, capsys):
 def test_etol_min_index_is_unknown_when_the_hard_cap_cuts_a_smaller_cap():
     s = parse_etol(CHAIN_ETOL)
     assert etol_min_index(s, AA, CHAIN_BUDGET).info["k"] == 1
-    assert etol_min_index(s, AA, replace(CHAIN_BUDGET, hard_cap=8)).is_unknown
+    assert etol_min_index(s, AA, replace(CHAIN_BUDGET, hard_cap=8)).kind == UNKNOWN
 
 
 def test_special_count_min_is_unknown_when_the_hard_cap_cuts_the_search():
@@ -283,7 +308,7 @@ def test_special_count_min_is_unknown_when_the_hard_cap_cuts_the_search():
     v = special_count_min(g, AA, CHAIN_BUDGET)
     assert v.info["k"] == 0 == special_count(g, v.witness)
     # the derivation through S -> A A (one special) is found before the cap bites
-    assert special_count_min(g, AA, replace(CHAIN_BUDGET, hard_cap=10)).is_unknown
+    assert special_count_min(g, AA, replace(CHAIN_BUDGET, hard_cap=10)).kind == UNKNOWN
 
 
 # -- pinned fixture values ------------------------------------------------------------------
@@ -313,7 +338,7 @@ ENUMERATIONS = [
 def test_enumeration_pinned(name, n, budget, words, exhausted, forms, forms_default):
     for search, count in ((oracle_enumerate, forms), (enumerate_language, forms_default)):
         res = search(g_fix(name), n, budget)
-        assert list(res.rendered()) == words
+        assert list(rendered(res)) == words
         assert res.exhausted == exhausted
         assert res.forms_seen == count
 
@@ -333,7 +358,7 @@ STAY_ON_THE_SEARCH = [
 def test_enumerations_that_stay_on_the_search(name, n, budget, words, forms):
     res = enumerate_language(g_fix(name), n, budget)
     assert res == search_enumerate(g_fix(name), n, budget)
-    assert list(res.rendered()) == words and res.exhausted and res.forms_seen == forms
+    assert list(rendered(res)) == words and res.exhausted and res.forms_seen == forms
 
 
 def test_deepening_expands_each_pair_once(monkeypatch):
@@ -431,7 +456,7 @@ def test_check_uncontrolled_pinned(name, k, budget, kind):
     g = g_fix(name)
     v = check_uncontrolled(g, k, budget)
     assert v.kind == kind
-    if v.is_refuted:
+    if v.kind == REFUTED:
         assert v.witness.index() > k
         assert replay(g, v.witness).is_terminal()
 

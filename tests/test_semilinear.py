@@ -1,6 +1,7 @@
 """Semilinear sets: counting maps, the two membership routes, the automaton
 algebra, bounded-language decisions, and grammar synthesis."""
 
+import itertools
 import random
 
 import pytest
@@ -36,7 +37,9 @@ from util import (
     oracle_difference_witness,
     oracle_linearset_automaton,
     parikh,
+    rendered,
     serialize_slset,
+    slset,
     special_count_min,
     special_productions,
 )
@@ -200,8 +203,8 @@ def test_linearset_automaton_matches_the_products(ls):
 
 
 def diag_quadrant():
-    diag = SemilinearSet.of(LinearSet.make((0, 0), [(1, 1)]))
-    quad = SemilinearSet.of(LinearSet.make((0, 0), [(1, 0), (0, 1)]))
+    diag = slset(LinearSet.make((0, 0), [(1, 1)]))
+    quad = slset(LinearSet.make((0, 0), [(1, 0), (0, 1)]))
     return diag, quad
 
 
@@ -219,7 +222,7 @@ def test_subset_refuted_with_witness():
 
 
 def test_subset_reflexive():
-    s = SemilinearSet.of(TWIN_SET)
+    s = slset(TWIN_SET)
     assert slset_subset(s, s).is_proven
 
 
@@ -250,7 +253,7 @@ def set_pairs(draw):
 
 @given(set_pairs())
 @example((SemilinearSet(2, ()), SemilinearSet(2, ())))
-@example((SemilinearSet.of(LinearSet.make((1, 0))), SemilinearSet(2, ())))
+@example((slset(LinearSet.make((1, 0))), SemilinearSet(2, ())))
 @example(diag_quadrant())
 @example(diag_quadrant()[::-1])
 def test_inclusion_matches_the_complement_product(pair):
@@ -272,7 +275,7 @@ def test_each_decision_builds_each_automaton_once(monkeypatch):
     built = []
     monkeypatch.setattr(sl, "slset_automaton", lambda s: built.append(s) or slset_automaton(s))
     diag, quad = diag_quadrant()
-    twin = SemilinearSet.of(TWIN_SET)
+    twin = slset(TWIN_SET)
     sl.slset_equal(diag, SemilinearSet(2, diag.components * 2))
     assert len(built) == 2
     built.clear()
@@ -282,13 +285,13 @@ def test_each_decision_builds_each_automaton_once(monkeypatch):
     built.clear()
     assert not sl.bounded_word_member(tuple("ab"), shape, quad)
     assert built == []  # no factorization, no automaton
-    changed = SemilinearSet.of(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 2)]))
-    assert sl.bounded_lang_subset(TWIN_SHAPE, twin, TWIN_SHAPE, changed, 20).is_refuted
+    changed = slset(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 2)]))
+    assert sl.bounded_lang_subset(TWIN_SHAPE, twin, TWIN_SHAPE, changed, 20).kind == REFUTED
     assert built == [changed, twin]
 
 
 def test_dimension_zero():
-    point, empty = SemilinearSet.of(LinearSet.make(())), SemilinearSet(0, ())
+    point, empty = slset(LinearSet.make(())), SemilinearSet(0, ())
     assert slset_member((), point)
     assert slset_empty(point).witness == ()
     assert slset_subset(point, empty).witness == ()
@@ -297,7 +300,7 @@ def test_dimension_zero():
 
 def test_empty_set_and_membership():
     assert slset_empty(SemilinearSet(3, ())).is_proven
-    s = SemilinearSet.of(TWIN_SET)
+    s = slset(TWIN_SET)
     assert not slset_empty(s).is_proven
     assert slset_member((4, 4, 4, 1, 4, 4, 4), s)
     assert not slset_member((4, 4, 4, 0, 4, 4, 4), s)
@@ -307,10 +310,10 @@ def test_empty_set_and_membership():
 
 
 def test_bounded_word_member_twin_grammar():
-    s = SemilinearSet.of(TWIN_SET)
+    s = slset(TWIN_SET)
     assert bounded_word_member(tuple("abc$abc"), TWIN_SHAPE, s)
     assert not bounded_word_member(tuple("abc$ac"), TWIN_SHAPE, s)
-    assert bounded_word_member((), TWIN_SHAPE, SemilinearSet.of(LinearSet.make((0,) * 7)))
+    assert bounded_word_member((), TWIN_SHAPE, slset(LinearSet.make((0,) * 7)))
 
 
 def test_factorizations_are_complete():
@@ -319,8 +322,8 @@ def test_factorizations_are_complete():
 
 
 def test_bounded_subset_proven_for_equal_shapes():
-    s = SemilinearSet.of(TWIN_SET)
-    full = SemilinearSet.of(
+    s = slset(TWIN_SET)
+    full = slset(
         LinearSet.make((0,) * 7, [tuple(1 if i == j else 0 for i in range(7)) for j in range(7)])
     )
     res = bounded_lang_subset(TWIN_SHAPE, s, TWIN_SHAPE, full, 20)
@@ -329,9 +332,9 @@ def test_bounded_subset_proven_for_equal_shapes():
 
 def test_bounded_subset_verified_up_to_for_distinct_shapes():
     # a^2n written over one-letter blocks vs the two-letter block shape
-    s1 = SemilinearSet.of(LinearSet.make((0,), [(1,)]))
+    s1 = slset(LinearSet.make((0,), [(1,)]))
     shape1 = GinsburgShape((("a", "a"),))
-    s2 = SemilinearSet.of(LinearSet.make((0,), [(2,)]))
+    s2 = slset(LinearSet.make((0,), [(2,)]))
     shape2 = GinsburgShape((("a",),))
     res = bounded_lang_subset(shape1, s1, shape2, s2, 12)
     assert res.kind == UNKNOWN
@@ -339,17 +342,17 @@ def test_bounded_subset_verified_up_to_for_distinct_shapes():
 
 
 def test_bounded_subset_refuted():
-    changed = SemilinearSet.of(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 2)]))
-    res = bounded_lang_subset(TWIN_SHAPE, changed, TWIN_SHAPE, SemilinearSet.of(TWIN_SET), 20)
+    changed = slset(LinearSet.make((0, 0, 0, 1, 0, 0, 0), [(1, 1, 1, 0, 1, 1, 2)]))
+    res = bounded_lang_subset(TWIN_SHAPE, changed, TWIN_SHAPE, slset(TWIN_SET), 20)
     assert res.kind == REFUTED
     assert "".join(res.witness) == "abc$abcc"
-    back = bounded_lang_subset(TWIN_SHAPE, SemilinearSet.of(TWIN_SET), TWIN_SHAPE, changed, 20)
+    back = bounded_lang_subset(TWIN_SHAPE, slset(TWIN_SET), TWIN_SHAPE, changed, 20)
     assert back.kind == REFUTED
     assert "".join(back.witness) == "abc$abc"
 
 
 def test_members_up_to_order():
-    s = SemilinearSet.of(LinearSet.make((0, 0), [(1, 0), (0, 1)]))
+    s = slset(LinearSet.make((0, 0), [(1, 0), (0, 1)]))
     got = members_up_to(s, (1, 1), 2)
     assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
@@ -360,7 +363,7 @@ def test_members_up_to_order():
 def enum(g, n, **kw):
     res = enumerate_language(g, n, Budget(max_steps=kw.pop("steps", 300), **kw))
     assert res.exhausted
-    return set(res.rendered())
+    return set(rendered(res))
 
 
 def test_twin_synthesis_matches_language():
@@ -402,7 +405,7 @@ def test_synthesis_name_collisions_are_avoided():
 
 def test_semilinear_synthesis_union():
     shape = GinsburgShape((("a",), ("b",)))
-    s = SemilinearSet.of(LinearSet.make((1, 0)), LinearSet.make((0, 2)))
+    s = slset(LinearSet.make((1, 0)), LinearSet.make((0, 2)))
     g = semilinear_to_grammar(shape, s)
     assert enum(g, 4) == {"a", "bb"}
 
@@ -414,8 +417,33 @@ def test_semilinear_synthesis_empty():
 
 def test_semilinear_singleton_matches_linear():
     g1 = linear_to_grammar(TWIN_SHAPE, TWIN_SET)
-    g2 = semilinear_to_grammar(TWIN_SHAPE, SemilinearSet.of(TWIN_SET))
+    g2 = semilinear_to_grammar(TWIN_SHAPE, slset(TWIN_SET))
     assert enum(g1, 13, max_stack=3) == enum(g2, 13, max_stack=3)
+
+
+@st.composite
+def shaped_sets(draw):
+    """A Ginsburg shape of 1-3 words of length 1-2 over a and b, and a
+    semilinear set of its dimension: 1-2 components of 0-2 periods."""
+    dim = draw(st.integers(1, 3))
+    word = st.lists(st.sampled_from("ab"), min_size=1, max_size=2).map(tuple)
+    vec = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    comp = st.builds(lambda b, ps: LinearSet(dim, b, tuple(ps)), vec, st.lists(vec, max_size=2))
+    shape = GinsburgShape(tuple(draw(st.lists(word, min_size=dim, max_size=dim))))
+    return shape, SemilinearSet(dim, tuple(draw(st.lists(comp, min_size=1, max_size=2))))
+
+
+@given(shaped_sets())
+def test_synthesis_round_trips_through_the_set(case):
+    shape, s = case
+    want = {"".join(ginsburg_apply(shape, v))
+            for v in members_up_to(s, [len(u) for u in shape.words], 7)}
+    # a word of length <= 7 takes at most 7 nonzero periods, so at most 8
+    # indices with the bottom; zero periods add no word
+    assert enum(semilinear_to_grammar(shape, s), 7, max_stack=8) == want
+    for n in range(6):
+        for w in itertools.product("ab", repeat=n):
+            assert bounded_word_member(w, shape, s) == ("".join(w) in want), w
 
 
 # -- file format -----------------------------------------------------------------------
@@ -431,7 +459,7 @@ def test_parse_fixture_files():
 
 
 def test_slset_round_trip():
-    s = SemilinearSet.of(TWIN_SET, LinearSet.make((1, 0, 0, 0, 0, 0, 0)))
+    s = slset(TWIN_SET, LinearSet.make((1, 0, 0, 0, 0, 0, 0)))
     text = serialize_slset("rt", TWIN_SHAPE, s)
     name, shape, back = parse_slset(text)
     assert (name, shape, back) == ("rt", TWIN_SHAPE, s)
@@ -496,5 +524,5 @@ def test_two_period_synthesis_is_uncontrolled_at_its_width():
     assert len(special_productions(g)) == 1
     v = check_uncontrolled(g, 3, Budget(max_steps=60, max_stack=4))
     assert v.is_proven
-    grid = {tuple(v_) for v_ in members_up_to(SemilinearSet.of(ls), (1, 1, 1), 8)}
+    grid = {tuple(v_) for v_ in members_up_to(slset(ls), (1, 1, 1), 8)}
     assert enum(g, 8, max_stack=6) == {"".join(ginsburg_apply(shape, v_)) for v_ in grid}

@@ -4,8 +4,11 @@ An AST pass over src/igkit/*.py starts from every top-level definition of
 cli.py and follows names to top-level definitions (functions, classes and
 assigned names) in any module: a bare name to the definition of that name in
 its own module or to the one it imports under that name, and `module.name`
-to a definition of an igkit module imported as `module`. Reaching a class
-reaches every name its body uses, so methods are not checked one by one.
+to a definition of an igkit module imported as `module`. A method or
+property of a class is a definition of its own: it is reached when its
+class is, and reached code uses an attribute of that name (`x.name`, any x).
+Dunders count as used, and so do the argparse overrides in OVERRIDES, which
+argparse calls.
 
 The definitions it leaves unreached must be exactly ALLOWED: names that code
 outside the package uses. The test fails when src/igkit gains a definition
@@ -35,22 +38,43 @@ ALLOWED = {
     "vector_automata.saturate": TRACER,
     "vector_automata.determinize": TRACER,
     "vector_automata.complement": TRACER,
-    "vector_automata._renumber": "builds the automata of the tracer-wrapped names above",
+    "grammar.SententialForm.yield_word": "perfbench/oracles.py calls it",
+    "grammar.SententialForm.is_terminal": "perfbench/oracles.py calls it",
+    "search.Verdict.configs_seen": "perfbench/tracing.py reads it",
 }
+
+# methods that argparse calls on its parser
+OVERRIDES = {"cli._Parser.error", "cli._Parser.exit"}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(trees):
     defs = {}
     for mod, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 defs[mod, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    defs.update(((mod, f"{node.name}.{m.name}"), m)
+                                for m in node.body if isinstance(m, FUNCTIONS))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for t in targets:
                     if isinstance(t, ast.Name):
                         defs[mod, t.id] = node
     return defs
+
+
+def _walk(node):
+    """`ast.walk`, leaving out the methods of a class: each is a definition
+    of its own."""
+    if not isinstance(node, ast.ClassDef):
+        yield from ast.walk(node)
+        return
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, FUNCTIONS):
+            yield from ast.walk(child)
 
 
 def _scope(mod, tree, defs, modules):
@@ -69,28 +93,41 @@ def _scope(mod, tree, defs, modules):
 
 
 def unreached(src=SRC):
-    """The "module.name" of every top-level definition under `src` that no
-    definition of cli.py reaches."""
+    """The "module.name" of every top-level definition under `src`, and the
+    "module.Class.name" of every method, that no definition of cli.py
+    reaches."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
     defs = _definitions(trees)
     scopes = {mod: _scope(mod, tree, defs, trees) for mod, tree in trees.items()}
 
+    attrs = set()  # the attribute names that reached code uses
+
     def uses(key):
         names, aliases = scopes[key[0]]
-        for node in ast.walk(defs[key]):
+        for node in _walk(defs[key]):
             if isinstance(node, ast.Name) and node.id in names:
                 yield names[node.id]
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in aliases):
-                yield aliases[node.value.id], node.attr
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    yield aliases[node.value.id], node.attr
 
-    todo = [key for key in defs if key[0] == "cli"]
+    def used(mod, name):
+        cls, _, method = name.partition(".")
+        return ((mod, cls) in seen and (method in attrs or f"{mod}.{name}" in OVERRIDES
+                                        or method.startswith("__") and method.endswith("__")))
+
+    methods = [key for key in defs if "." in key[1]]
+    todo = [key for key in defs if key[0] == "cli" and "." not in key[1]]
     seen = set(todo)
     while todo:
         for key in uses(todo.pop()):
             if key in defs and key not in seen:
                 seen.add(key)
                 todo.append(key)
+        if not todo:
+            todo = [key for key in methods if key not in seen and used(*key)]
+            seen.update(todo)
     return {f"{mod}.{name}" for mod, name in defs.keys() - seen}
 
 
@@ -110,3 +147,17 @@ def test_the_pass_follows_imports_and_module_aliases(tmp_path):
     (tmp_path / "util.py").write_text(
         "def helper():\n    return 2\n\ndef used():\n    return 3\n", encoding="utf-8")
     assert unreached(tmp_path) == {"lib.dead", "util.used"}
+
+
+def test_a_method_is_reached_through_an_attribute_of_its_name(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .lib import Box\n"
+        "def main():\n    return Box().size\n", encoding="utf-8")
+    (tmp_path / "lib.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = 1\n\n"
+        "    @property\n    def size(self):\n        return self.grow()\n\n"
+        "    def grow(self):\n        return self.n\n\n"
+        "    def shrink(self):\n        return 0\n\n"
+        "class Unused:\n    def size(self):\n        return 0\n", encoding="utf-8")
+    assert unreached(tmp_path) == {"lib.Box.shrink", "lib.Unused", "lib.Unused.size"}

@@ -20,8 +20,10 @@ complement product that the linear-set automata and the inclusion search of
 igkit.semilinear are checked against, Parikh vectors and the `.sls` writer
 the round-trip tests read back, the character loop that
 grammar.strip_comment is checked against, the sorted formula that
-engine.tree_width is checked against, and the one-state automata that accept
-everything and nothing."""
+engine.tree_width is checked against, the one-state automata that accept
+everything and nothing, the nodes on a stored search path, and short forms
+for the words of a result as strings, the image of a word under a morphism
+and a semilinear set of given components."""
 
 import math
 from dataclasses import replace
@@ -57,6 +59,7 @@ from igkit.grammar import (
     located_problems,
     parse_grammar,
 )
+from igkit.semilinear import SemilinearSet
 from igkit.search import (
     EXPAND,
     FOUND,
@@ -70,7 +73,6 @@ from igkit.search import (
     bfs,
     decide,
     moves,
-    path,
     reach,
 )
 
@@ -248,7 +250,7 @@ def _search_membership(g, w, budget, caps_exact, successors, depths):
         return EXPAND if oracle_can_yield(form, target) else LEAF
 
     s = bfs(c.start(), expand, budget.max_steps, budget.hard_cap, visit)
-    return decide(s, caps_exact, lambda goal: _derivation(c, expand, s.parents, goal, depths),
+    return decide(s, caps_exact, lambda goal: _derivation(c, s.parents, goal, depths),
                   forms=len(s.parents))
 
 
@@ -326,7 +328,7 @@ def special_count_min(g, w, budget, caps_exact=False):
     s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
     if best is None or s.stop == HARD_CAP:
         return decide(s, caps_exact)
-    return Verdict(PROVEN, _derivation(c, step, s.parents, best_state, _subtree_depths(budget),
+    return Verdict(PROVEN, _derivation(c, s.parents, best_state, _subtree_depths(budget),
                                        key=lambda st: st[0]),
                    {"k": best, "stop": s.stop})
 
@@ -401,6 +403,11 @@ def oracle_check_uncontrolled(g, k, budget):
     if s.stop == FOUND:
         return Verdict(REFUTED, None, info)
     return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+
+
+def path(parents, node):
+    """The stored nodes from the start to `node`."""
+    return [next(iter(parents)), *(step[-1] for step in moves(parents, node))]
 
 
 def etol_min_index(sys, w, budget):
@@ -609,7 +616,7 @@ def accepts_via_expansion(nfa, input_alphabet, k, x, cap=None):
 
     s = bfs((nfa.initial, 0, (0,) * k), successors, math.inf, math.inf, visit)
     return decide(s, not capped, lambda goal: tuple(
-        (label, *cfg) for label, cfg in moves(successors, s.parents, goal)),
+        (label, *cfg) for label, cfg in moves(s.parents, goal)),
         configs=len(s.parents))
 
 
@@ -755,7 +762,7 @@ def oracle_difference_witness(a, b):
             lambda state: GOAL if state in d.accepting else EXPAND)
     if s.stop != FOUND:
         return None
-    return va.decode([sym for sym, _ in moves(successors, s.parents, s.goal)], d.tracks)
+    return va.decode([sym for sym, _ in moves(s.parents, s.goal)], d.tracks)
 
 
 def oracle_strip_comment(line):
@@ -775,6 +782,21 @@ def oracle_tree_width(kids, push):
     return max((max(1, w) + i for i, w in enumerate(sorted(kids, reverse=True))), default=0)
 
 
+def rendered(res):
+    """The words of an enumeration result, as strings."""
+    return tuple("".join(w) for w in res.words)
+
+
+def image(h, word):
+    """The image of `word` under the morphism h."""
+    return tuple(x for a in word for x in h.images[a])
+
+
+def slset(*components):
+    """The semilinear set whose components are the (one or more) linear sets given."""
+    return SemilinearSet(components[0].dim, components)
+
+
 def load(name):
     return parse_grammar(fixture_text(name))
 
@@ -784,7 +806,7 @@ def enum_set(g, max_len, steps=400, stack=None, width=None):
         g, max_len, Budget(max_steps=steps, max_stack=stack, max_width=width)
     )
     assert res.exhausted, f"enumeration of {g.name} not exhausted; raise the budget"
-    return set(res.rendered())
+    return set(rendered(res))
 
 
 def words_upto(alphabet, n):
