@@ -17,10 +17,10 @@ from .grammar import (
     declared,
     distinct_names,
     fresh_name,
-    read_sections,
-    require,
-    set_once,
+    read_file,
+    split_arrow,
     split_names,
+    verbatim,
 )
 from .search import explore, reach
 
@@ -134,51 +134,39 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
 
 
 def parse_fsa(text: str) -> Nfa:
-    name, sections = read_sections(text, "fsa")
-    fields: dict = {}
-    transitions = []
-    lines = []  # the line of each transition
-    for line_no, key, value in sections:
-        if key == "states":
-            set_once(fields, key, distinct_names(value, line_no, key), line_no)
-        elif key == "accepting":
-            set_once(fields, key, split_names(value, line_no, key), line_no)
-        elif key == "alphabet":
-            set_once(fields, key, declared(value, line_no, key), line_no)
-        elif key == "initial":
-            set_once(fields, key, value, line_no)
-        elif key == "trans":
-            lhs, arrow, dsts = value.partition("->")
-            if not arrow:
-                raise ParseError("transition needs `->`", line_no)
-            toks = lhs.split()
-            if len(toks) != 2:
-                raise ParseError("transition lhs must be `state symbol`", line_no)
-            src, sym = toks
-            label = None if sym == "_" else sym
-            for dst in split_names(dsts, line_no, "transition target"):
-                transitions.append((src, label, dst))
-                lines.append(line_no)
-        else:
-            raise ParseError(f"unknown section {key!r}", line_no)
-    require(fields, ("states", "alphabet", "initial", "accepting"))
+    fields = {"states": distinct_names, "alphabet": declared, "initial": verbatim,
+              "accepting": split_names}
+    name, values, rows = read_file(text, "fsa", fields, {"trans": _parse_transitions},
+                                   required=fields)
     nfa = Nfa(
-        states=fields["states"],
-        alphabet=fields["alphabet"],
-        initial=fields["initial"],
-        accepting=frozenset(fields["accepting"]),
-        transitions=tuple(transitions),
+        states=values["states"],
+        alphabet=values["alphabet"],
+        initial=values["initial"],
+        accepting=frozenset(values["accepting"]),
+        transitions=tuple(t for _, _, ts in rows for t in ts),
         name=name,
     )
     known = set(nfa.states)
-    for line_no, (src, label, dst) in zip(lines, transitions):
-        if src not in known or dst not in known:
-            raise ParseError(f"transition uses unknown state {src!r} or {dst!r}", line_no)
-        if label is not None and label not in set(nfa.alphabet):
-            raise ParseError(f"transition symbol {label!r} not in alphabet", line_no)
+    for line_no, _, ts in rows:
+        for src, label, dst in ts:
+            if src not in known or dst not in known:
+                raise ParseError(f"transition uses unknown state {src!r} or {dst!r}", line_no)
+            if label is not None and label not in set(nfa.alphabet):
+                raise ParseError(f"transition symbol {label!r} not in alphabet", line_no)
     if nfa.initial not in known:
         raise ParseError(f"initial state {nfa.initial!r} unknown", 1)
     return nfa
+
+
+def _parse_transitions(text: str, line_no: int, what: str) -> list[tuple[str, Optional[str], str]]:
+    """The transitions of one `trans: p a -> q, r` line, one per target."""
+    lhs, dsts = split_arrow(text, line_no, "transition")
+    toks = lhs.split()
+    if len(toks) != 2:
+        raise ParseError("transition lhs must be `state symbol`", line_no)
+    src, sym = toks
+    label = None if sym == "_" else sym
+    return [(src, label, dst) for dst in split_names(dsts, line_no, "transition target")]
 
 
 def serialize_fsa(nfa: Nfa) -> str:

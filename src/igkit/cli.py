@@ -331,11 +331,18 @@ def cmd_transform(args) -> str:
     return PROVEN
 
 
-def cmd_synth(args, semi: bool) -> str:
-    text, digest = _read(args.slset)
+def _read_shaped(path: str):
+    """Read a `.sls` file that must have a `shape:` line; returns the input's
+    digest, the name, the shape and the set."""
+    text, digest = _read(path)
     name, shape, s = parse_slset(text)
     if shape is None:
-        raise GrammarError(f"{args.slset} has no `shape:` line")
+        raise GrammarError(f"{path} has no `shape:` line")
+    return digest, name, shape, s
+
+
+def cmd_synth(args, semi: bool) -> str:
+    digest, name, shape, s = _read_shaped(args.slset)
     if semi:
         g = semilinear_to_grammar(shape, s, name=name)
     else:
@@ -381,10 +388,7 @@ def cmd_slset(args) -> str:
 
 
 def cmd_bounded(args) -> str:
-    text, digest = _read(args.slset)
-    _, shape1, s1 = parse_slset(text)
-    if shape1 is None:
-        raise GrammarError(f"{args.slset} has no `shape:` line")
+    digest, _, shape1, s1 = _read_shaped(args.slset)
     op = args.bounded_op
     if op == "member":
         w = _word(args.word, [c for u in shape1.words for c in u])
@@ -394,10 +398,7 @@ def cmd_bounded(args) -> str:
             "member": str(got).lower(), "status": "ok",
         })
         return PROVEN if got else REFUTED
-    text2, digest2 = _read(args.other)
-    _, shape2, s2 = parse_slset(text2)
-    if shape2 is None:
-        raise GrammarError(f"{args.other} has no `shape:` line")
+    digest2, _, shape2, s2 = _read_shaped(args.other)
     v = bounded_lang_subset(shape1, s1, shape2, s2, args.check_len)
     witness = {} if v.witness is None else {"witness": _render_word(v.witness)}
     emit_report({"command": "bounded subset", "input": digest, "input.2": digest2,

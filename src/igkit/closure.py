@@ -25,9 +25,9 @@ from .grammar import (
     declared,
     fresh_name,
     fresh_names,
-    read_sections,
+    read_file,
     read_symbols,
-    set_once,
+    split_arrow,
 )
 from .search import reach
 
@@ -71,29 +71,22 @@ class Morphism:
 
 
 def parse_morphism(text: str) -> Morphism:
-    name, sections = read_sections(text, "morphism")
-    fields: dict = {}
     mapping: dict[str, tuple[str, ...]] = {}
-    map_lines: dict[str, int] = {}
-    for line_no, key, value in sections:
-        if key == "target":
-            set_once(fields, key, declared(value, line_no, key), line_no)
-        elif key == "map":
-            lhs, arrow, rhs = value.partition("->")
-            if not arrow:
-                raise ParseError("map line needs `->`", line_no)
-            letter = lhs.strip()
-            if letter in mapping:
-                raise ParseError(f"duplicate map for {letter!r}", line_no)
-            mapping[letter] = read_symbols(rhs.split(), line_no)
-            map_lines[letter] = line_no
-        else:
-            raise ParseError(f"unknown section {key!r}", line_no)
-    target = fields.get("target")
-    for letter, image in mapping.items():
-        for s in image:
+
+    def read_map(value: str, line_no: int, what: str) -> str:
+        lhs, rhs = split_arrow(value, line_no, "map line")
+        letter = lhs.strip()
+        if letter in mapping:
+            raise ParseError(f"duplicate map for {letter!r}", line_no)
+        mapping[letter] = read_symbols(rhs.split(), line_no)
+        return letter
+
+    name, values, maps = read_file(text, "morphism", {"target": declared}, {"map": read_map})
+    target = values.get("target")
+    for line_no, _, letter in maps:
+        for s in mapping[letter]:
             if target is not None and s not in target:
-                raise ParseError(f"image letter {s!r} is not in `target:`", map_lines[letter])
+                raise ParseError(f"image letter {s!r} is not in `target:`", line_no)
     return Morphism.make(mapping, target=target, name=name)
 
 

@@ -35,11 +35,11 @@ from .grammar import (
     declared,
     distinct_names,
     raise_located,
-    read_int,
-    read_sections,
-    require,
-    set_once,
+    read_count,
+    read_file,
+    split_arrow,
     split_names,
+    verbatim,
 )
 from .search import EXPAND, GOAL, HARD_CAP, SWEPT, Verdict, bfs, decide, explore, moves
 
@@ -445,46 +445,31 @@ def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
 
 
 def parse_ncm(text: str) -> CounterMachine:
-    name, sections = read_sections(text, "ncm")
-    fields: dict = {}
-    transitions: list[CmTransition] = []
-    lines = []  # the line of each transition
-    for line_no, key, value in sections:
-        if key == "states":
-            set_once(fields, key, distinct_names(value, line_no, key), line_no)
-        elif key == "alphabet":
-            set_once(fields, key, declared(value, line_no, key), line_no)
-        elif key == "counters":
-            set_once(fields, key, read_int(value, line_no, key), line_no)
-        elif key == "reversals":
-            bounds = tuple(read_int(t, line_no, key) for t in split_names(value, line_no, key))
-            set_once(fields, key, bounds, line_no)
-        elif key in ("initial", "halt"):
-            set_once(fields, key, value, line_no)
-        elif key == "trans":
-            transitions.append(_parse_cm_transition(value, line_no))
-            lines.append(line_no)
-        else:
-            raise ParseError(f"unknown section {key!r}", line_no)
-    require(fields, ("states", "alphabet", "counters", "reversals", "initial", "halt"))
+    fields = {"states": distinct_names, "alphabet": declared, "counters": read_count,
+              "reversals": _parse_bounds, "initial": verbatim, "halt": verbatim}
+    name, values, rows = read_file(text, "ncm", fields, {"trans": _parse_cm_transition},
+                                   required=fields)
     m = CounterMachine(
-        states=fields["states"],
-        alphabet=fields["alphabet"],
-        num_counters=fields["counters"],
-        reversal_bounds=fields["reversals"],
-        transitions=tuple(transitions),
-        initial=fields["initial"],
-        halt=fields["halt"],
+        states=values["states"],
+        alphabet=values["alphabet"],
+        num_counters=values["counters"],
+        reversal_bounds=values["reversals"],
+        transitions=tuple(t for _, _, t in rows),
+        initial=values["initial"],
+        halt=values["halt"],
         name=name,
     )
-    raise_located(validate_ncm(m), lines)
+    raise_located(validate_ncm(m), [line_no for line_no, _, _ in rows])
     return m
 
 
-def _parse_cm_transition(text: str, line_no: int) -> CmTransition:
-    lhs, arrow, rhs = text.partition("->")
-    if not arrow:
-        raise ParseError("transition needs `->`", line_no)
+def _parse_bounds(text: str, line_no: int, what: str) -> tuple[int, ...]:
+    """The `reversals:` list: one count per counter."""
+    return tuple(read_count(t, line_no, what) for t in split_names(text, line_no, what))
+
+
+def _parse_cm_transition(text: str, line_no: int, what: str) -> CmTransition:
+    lhs, rhs = split_arrow(text, line_no, "transition")
 
     def split_head(part, what):
         part = part.strip()
@@ -507,17 +492,11 @@ def _parse_cm_transition(text: str, line_no: int) -> CmTransition:
     if len(rtoks) != 2 or rtoks[1] != "deltas":
         raise ParseError("transition rhs must be `state, deltas(…)`", line_no)
     dst = rtoks[0]
-    deltas = []
+    signs = {"+": 1, "-": -1, "0": 0}
     for tok in delta_toks:
-        if tok == "+":
-            deltas.append(1)
-        elif tok == "-":
-            deltas.append(-1)
-        elif tok == "0":
-            deltas.append(0)
-        else:
+        if tok not in signs:
             raise ParseError(f"bad delta {tok!r}", line_no)
-    return CmTransition(src, letter, tests, dst, tuple(deltas))
+    return CmTransition(src, letter, tests, dst, tuple(signs[tok] for tok in delta_toks))
 
 
 def serialize_ncm(m: CounterMachine) -> str:

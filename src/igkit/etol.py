@@ -22,9 +22,9 @@ from .grammar import (
     Production,
     declared,
     fresh_name,
-    read_sections,
+    read_file,
     read_symbols,
-    set_once,
+    split_arrow,
 )
 from .search import bfs
 
@@ -209,63 +209,59 @@ def etol_to_indexed(sys: EtolSystem) -> IndexedGrammar:
 
 
 def parse_etol(text: str) -> EtolSystem:
-    """Line format: `etol <name>`, `axiom:`, `terminals:`, optional `strict:`,
-    then `table <name>:` blocks of `rule: B -> ν` lines. Without `strict:`,
-    symbols a table does not mention default to the identity rule."""
-    name, sections = read_sections(text, "etol")
-    fields: dict = {}
+    """Line format: `etol <name>`, `axiom:`, `terminals:`, optional `strict:`
+    (with no value), then `table <name>:` blocks of `rule: B -> ν` lines.
+    Without `strict:`, symbols a table does not mention default to the
+    identity rule. The alphabet is every symbol in the order the file first
+    names it."""
     tables: list[tuple[str, list]] = []
-    order: list[str] = []
+    order: dict[str, None] = {}  # the alphabet, as an ordered set
 
-    def note(sym):
-        if sym not in order:
-            order.append(sym)
+    def axiom(value, line_no, what):
+        declared(value, line_no, what)
+        order.setdefault(value)
+        return value
 
-    for line_no, key, value in sections:
-        if key == "axiom":
-            declared(value, line_no, key)
-            set_once(fields, key, value, line_no)
-            note(value)
-        elif key == "terminals":
-            set_once(fields, key, declared(value, line_no, key), line_no)
-            for t in fields[key]:
-                note(t)
-        elif key == "strict":
-            set_once(fields, key, True, line_no)
-        elif key.startswith("table"):
-            parts = key.split()
-            if len(parts) != 2 or parts[0] != "table":
-                raise ParseError("expected `table <name>:`", line_no)
-            tables.append((parts[1], []))
-        elif key == "rule":
-            if not tables:
-                raise ParseError("rule outside a table block", line_no)
-            lhs, arrow, rhs = value.partition("->")
-            if not arrow:
-                raise ParseError("rule needs `->`", line_no)
-            sym = lhs.strip()
-            declared(sym, line_no, key)
-            toks = read_symbols(rhs.split(), line_no)
-            note(sym)
-            for s in toks:
-                note(s)
-            tables[-1][1].append((sym, toks))
-        else:
-            raise ParseError(f"unknown section {key!r}", line_no)
-    if "axiom" not in fields or "terminals" not in fields:
+    def terminals(value, line_no, what):
+        names = declared(value, line_no, what)
+        order.update(dict.fromkeys(names))
+        return names
+
+    def strict(value, line_no, what):
+        if value:
+            raise ParseError(f"`strict:` takes no value, got {value!r}", line_no)
+        return True
+
+    def table(value, line_no, what):
+        tables.append((value, []))
+
+    def rule(value, line_no, what):
+        if not tables:
+            raise ParseError("rule outside a table block", line_no)
+        lhs, rhs = split_arrow(value, line_no, what)
+        sym = lhs.strip()
+        declared(sym, line_no, what)
+        toks = read_symbols(rhs.split(), line_no)
+        order.update(dict.fromkeys((sym, *toks)))
+        tables[-1][1].append((sym, toks))
+
+    name, values, _ = read_file(text, "etol",
+                                {"axiom": axiom, "terminals": terminals, "strict": strict},
+                                {"table": table, "rule": rule}, block="table")
+    if "axiom" not in values or "terminals" not in values:
         raise ParseError("missing `axiom:` or `terminals:`", 1)
     if not tables:
         raise ParseError("missing `table <name>:` block", 1)
     filled = []
     for tname, rules in tables:
         covered = {sym for sym, _ in rules}
-        if "strict" not in fields:
-            rules = list(rules) + [(s, (s,)) for s in order if s not in covered]
+        if "strict" not in values:
+            rules = rules + [(s, (s,)) for s in order if s not in covered]
         filled.append(Table(tname, tuple(rules)))
     return EtolSystem(
         alphabet=tuple(order),
-        terminals=fields["terminals"],
-        axiom=fields["axiom"],
+        terminals=values["terminals"],
+        axiom=values["axiom"],
         tables=tuple(filled),
         name=name,
     )

@@ -309,13 +309,20 @@ def strip_comment(line: str) -> str:
     return line if i < 0 else line[:i]
 
 
-def read_sections(text: str, kind: str) -> tuple[str, list[tuple[int, str, str]]]:
+def read_file(text: str, kind: str, fields: dict, rows: dict, required: Iterable[str] = (),
+              block: Optional[str] = None) -> tuple[str, dict, list[tuple[int, str, object]]]:
     """Read the layout that every igkit file format shares: a `<kind> <name>`
     header, then one `key: value` line per section, with comments and blank
-    lines skipped. Returns the name and the (line number, key, value) triples
-    in file order, keys and values stripped."""
+    lines skipped. Each value goes to the reader its key has in `fields` (a
+    key that may appear once) or `rows` (a key that may repeat), called as
+    `reader(value, line, key)` when the line is read, so the first bad line
+    is the one reported. When `block` is given, a `<block> <name>:` line opens
+    a block and is read as the row `block` with the value `<name>`. Returns
+    the name, the field values by key, and the (line, key, value) rows in
+    file order."""
     name = None
-    sections = []
+    values: dict = {}
+    found = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw).strip()
         if not line:
@@ -329,44 +336,57 @@ def read_sections(text: str, kind: str) -> tuple[str, list[tuple[int, str, str]]
         key, sep, value = line.partition(":")
         if not sep:
             raise ParseError(f"expected `key: value`, got {line!r}", line_no)
-        sections.append((line_no, key.strip(), value.strip()))
+        key, value = key.strip(), value.strip()
+        if block is not None and key.startswith(block):
+            parts = key.split()
+            if len(parts) != 2 or parts[0] != block:
+                raise ParseError(f"expected `{block} <name>:`", line_no)
+            key, value = block, parts[1]
+        if key in fields:
+            value = fields[key](value, line_no, key)
+            if key in values:
+                raise ParseError(f"duplicate `{key}:` line", line_no)
+            values[key] = value
+        elif key in rows:
+            found.append((line_no, key, rows[key](value, line_no, key)))
+        else:
+            raise ParseError(f"unknown section {key!r}", line_no)
     if name is None:
         raise ParseError(f"empty {kind} file", 1)
-    return name, sections
-
-
-def set_once(fields: dict, key: str, value, line_no: int) -> None:
-    """Record the value of a single-valued section; a second line is an error."""
-    if key in fields:
-        raise ParseError(f"duplicate `{key}:` line", line_no)
-    fields[key] = value
-
-
-def require(fields: dict, keys: Iterable[str]) -> None:
-    for key in keys:
-        if key not in fields:
+    for key in required:
+        if key not in values:
             raise ParseError(f"missing `{key}:` line", 1)
+    return name, values, found
 
 
-def read_int(text: str, line_no: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer in `{what}:`, got {text!r}", line_no) from None
+def verbatim(text: str, line_no: int, what: str) -> str:
+    """A value kept as written, such as the one name of `start:`."""
+    return text
+
+
+def read_count(text: str, line_no: int, what: str) -> int:
+    """A non-negative decimal number: ASCII digits only, so no sign and no `_`."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"expected a non-negative integer in `{what}:`, got {text!r}", line_no)
+    return int(text)
+
+
+def split_arrow(text: str, line_no: int, what: str) -> tuple[str, str]:
+    """The two sides of a `lhs -> rhs` value."""
+    lhs, arrow, rhs = text.partition("->")
+    if not arrow:
+        raise ParseError(f"{what} needs `->`", line_no)
+    return lhs, rhs
 
 
 def split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
     """A comma list; empty text is the empty list, an empty item is an error."""
-    names = []
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            raise ParseError(f"empty name in {what} list", line_no)
-        names.append(tok)
-    return tuple(names)
+    names = tuple(tok.strip() for tok in text.split(","))
+    if "" in names:
+        raise ParseError(f"empty name in {what} list", line_no)
+    return names
 
 
 def distinct_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
@@ -398,35 +418,23 @@ def read_symbols(toks: list[str], line_no: int) -> tuple[str, ...]:
 
 def parse_grammar(text: str) -> IndexedGrammar:
     """Parse the line-oriented grammar format (see serialize_grammar)."""
-    name, sections = read_sections(text, "grammar")
-    fields: dict = {}
-    prod_lines: list[tuple[int, str]] = []
-    for line_no, key, value in sections:
-        if key in ("variables", "terminals", "indices"):
-            set_once(fields, key, declared(value, line_no, key), line_no)
-        elif key == "start":
-            set_once(fields, key, value, line_no)
-        elif key == "prod":
-            prod_lines.append((line_no, value))
-        else:
-            raise ParseError(f"unknown section {key!r}", line_no)
-    require(fields, ("variables", "terminals", "indices", "start"))
+    fields = {"variables": declared, "terminals": declared, "indices": declared, "start": verbatim}
+    name, values, prods = read_file(text, "grammar", fields, {"prod": _parse_production},
+                                   required=fields)
     g = IndexedGrammar(
-        variables=fields["variables"],
-        terminals=fields["terminals"],
-        indices=fields["indices"],
-        productions=tuple(_parse_production(body, line_no) for line_no, body in prod_lines),
-        start=fields["start"],
+        variables=values["variables"],
+        terminals=values["terminals"],
+        indices=values["indices"],
+        productions=tuple(p for _, _, p in prods),
+        start=values["start"],
         name=name,
     )
-    raise_located(located_problems(g), [line_no for line_no, _ in prod_lines])
+    raise_located(located_problems(g), [line_no for line_no, _, _ in prods])
     return g
 
 
-def _parse_production(body: str, line_no: int) -> Production:
-    lhs_text, arrow, rhs_text = body.partition("->")
-    if not arrow:
-        raise ParseError("production needs `->`", line_no)
+def _parse_production(body: str, line_no: int, what: str) -> Production:
+    lhs_text, rhs_text = split_arrow(body, line_no, "production")
     lhs_toks = lhs_text.split()
     lhs_index = None
     if len(lhs_toks) == 2 and lhs_toks[1].startswith("[") and lhs_toks[1].endswith("]"):

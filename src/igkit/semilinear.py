@@ -22,10 +22,8 @@ from .grammar import (
     IndexedGrammar,
     ParseError,
     Production,
-    read_int,
-    read_sections,
-    require,
-    set_once,
+    read_count,
+    read_file,
     symbol_name_error,
 )
 from .search import PROVEN, REFUTED, UNKNOWN, Verdict, explore, reach
@@ -412,7 +410,8 @@ def _split_vectors(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _parse_shape_words(text: str, line_no: int) -> GinsburgShape:
+def _parse_shape(text: str, line_no: int, what: str) -> tuple[GinsburgShape, int]:
+    """The shape's words, and the line they are on."""
     words = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -424,7 +423,31 @@ def _parse_shape_words(text: str, line_no: int) -> GinsburgShape:
             if err:
                 raise ParseError(err, line_no)
         words.append(word)
-    return GinsburgShape(tuple(words))
+    return GinsburgShape(tuple(words)), line_no
+
+
+def _parse_linear(text: str, line_no: int, what: str) -> LinearSet:
+    """One `base = (…); periods = (…),(…)` component."""
+    clauses: dict = {}
+    try:
+        for clause in text.split(";"):
+            ckey, csep, cval = clause.partition("=")
+            if not csep:
+                raise ParseError(f"bad clause {clause.strip()!r}", line_no)
+            ckey = ckey.strip()
+            if ckey in clauses:
+                raise ParseError(f"repeated clause {ckey!r}", line_no)
+            if ckey == "base":
+                clauses[ckey] = parse_vector(cval)
+            elif ckey == "periods":
+                clauses[ckey] = _split_vectors(cval)
+            else:
+                raise ParseError(f"unknown clause {ckey!r}", line_no)
+        if "base" not in clauses:
+            raise ParseError("linear block needs `base = (…)`", line_no)
+        return LinearSet.make(clauses["base"], clauses.get("periods", []))
+    except ValueError as exc:  # a bad vector, or one outside ℕ^dim
+        raise ParseError(str(exc), line_no) from None
 
 
 def parse_slset(text: str):
@@ -434,42 +457,12 @@ def parse_slset(text: str):
     space-separated, a plain token is split per character); one `linear:`
     block per component: `linear: base = (…); periods = (…),(…)` (the periods
     clause may be omitted)."""
-    name, sections = read_sections(text, "slset")
-    fields: dict = {}
-    comps: list[tuple[int, LinearSet]] = []  # (line, component)
-    for line_no, key, value in sections:
-        if key == "dim":
-            set_once(fields, key, read_int(value, line_no, key), line_no)
-        elif key == "shape":
-            set_once(fields, key, (_parse_shape_words(value, line_no), line_no), line_no)
-        elif key == "linear":
-            clauses: dict = {}
-            try:
-                for clause in value.split(";"):
-                    ckey, csep, cval = clause.partition("=")
-                    if not csep:
-                        raise ParseError(f"bad clause {clause.strip()!r}", line_no)
-                    ckey = ckey.strip()
-                    if ckey in clauses:
-                        raise ParseError(f"repeated clause {ckey!r}", line_no)
-                    if ckey == "base":
-                        clauses[ckey] = parse_vector(cval)
-                    elif ckey == "periods":
-                        clauses[ckey] = _split_vectors(cval)
-                    else:
-                        raise ParseError(f"unknown clause {ckey!r}", line_no)
-                if "base" not in clauses:
-                    raise ParseError("linear block needs `base = (…)`", line_no)
-                comps.append((line_no, LinearSet.make(clauses["base"], clauses.get("periods", []))))
-            except ValueError as exc:  # a bad vector, or one outside ℕ^dim
-                raise ParseError(str(exc), line_no) from None
-        else:
-            raise ParseError(f"unknown section {key!r}", line_no)
-    require(fields, ("dim",))
-    dim, (shape, shape_line) = fields["dim"], fields.get("shape", (None, 1))
-    for line_no, c in comps:
+    name, values, comps = read_file(text, "slset", {"dim": read_count, "shape": _parse_shape},
+                                    {"linear": _parse_linear}, required=("dim",))
+    dim, (shape, shape_line) = values["dim"], values.get("shape", (None, 1))
+    for line_no, _, c in comps:
         if c.dim != dim:
             raise ParseError(f"component dimension {c.dim} != dim {dim}", line_no)
     if shape is not None and shape.k != dim:
         raise ParseError(f"shape has {shape.k} words but dim is {dim}", shape_line)
-    return name, shape, SemilinearSet(dim, tuple(c for _, c in comps))
+    return name, shape, SemilinearSet(dim, tuple(c for _, _, c in comps))

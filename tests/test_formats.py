@@ -94,7 +94,7 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("slset", "slset s\ndim: 2\nlinear: base = (1)\n", 3, "component dimension 1 != dim 2"),
     ("slset", "slset s\nshape: a, b\ndim: 1\n", 2, "shape has 2 words but dim is 1"),
     ("slset", "slset s\ndim: 1\nshape: a, , b\n", 3, "empty shape word"),
-    ("slset", "slset s\ndim: x\n", 2, "expected an integer in `dim:`, got 'x'"),
+    ("slset", "slset s\ndim: x\n", 2, "expected a non-negative integer in `dim:`, got 'x'"),
     ("slset", "slset s\ndim: 1\ndim: 1\n", 3, "duplicate `dim:` line"),
     ("slset", "slset s\ndim: 1\nlinear: base = (-1)\n", 3, "vectors must be non-negative"),
     ("slset", "slset s\ndim: 2\nlinear: base = (1,0); periods = (1)\n", 3,
@@ -134,8 +134,9 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("ncm", f"ncm m\n{NCM}trans: s, a -> f, deltas(+)\n", 8, "missing tests(…)"),
     ("ncm", "ncm m\nstates: s\n", 1, "missing `alphabet:` line"),
     ("ncm", "ncm m\nstates: s\nalphabet: a\ncounters: two\n", 4,
-     "expected an integer in `counters:`, got 'two'"),
-    ("ncm", "ncm m\nreversals: 1, x\n", 2, "expected an integer in `reversals:`, got 'x'"),
+     "expected a non-negative integer in `counters:`, got 'two'"),
+    ("ncm", "ncm m\nreversals: 1, x\n", 2,
+     "expected a non-negative integer in `reversals:`, got 'x'"),
     ("ncm", f"ncm m\n{NCM}states: q\n", 8, "duplicate `states:` line"),
     ("ncm", "ncm m\nstates: s,,f\n", 2, "empty name in states list"),
     ("ncm", f"ncm m\n{NCM}trans: s, , a, tests(z) -> f, deltas(+)\n", 8,
@@ -168,6 +169,32 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("etol", "etol e\naxiom: S\nterminals: a, a\n", 3, "name 'a' listed twice in terminals list"),
     ("ncm", "ncm m\nstates: s, s\n", 2, "name 's' listed twice in states list"),
     ("ncm", "ncm m\nstates: s\nalphabet: a, a\n", 3, "name 'a' listed twice in alphabet list"),
+    # `strict:` is a flag: a value is an error, not a way to switch it off
+    ("etol", f"etol e\n{ETOL}strict: no\ntable t:\nrule: S -> a\n", 4,
+     "`strict:` takes no value, got 'no'"),
+    # each line is read where it stands, so of two bad lines the earlier one
+    # is reported, and a bad line comes before a missing key
+    ("grammar", f"grammar g\n{G}prod: S -> a _\nstart: S\n", 6,
+     "`_` (empty rhs) cannot be mixed with symbols"),
+    ("grammar", "grammar g\nprod: S => a\n", 2, "production needs `->`"),
+    ("fsa", "fsa d\nstates: q\ntrans: q a p\nstates: p\n", 3, "transition needs `->`"),
+    ("fsa", "fsa d\ntrans: q a p\n", 2, "transition needs `->`"),
+    ("morphism", "morphism h\nmap: a -> x\nmap: a -> y\nmap: b\n", 3, "duplicate map for 'a'"),
+    ("slset", "slset s\nlinear: base (1)\ndim: x\n", 2, "bad clause 'base (1)'"),
+    ("etol", "etol e\naxiom: S\nrule: S -> a\nterminals: a, a\n", 3,
+     "rule outside a table block"),
+    ("ncm", "ncm m\ntrans: s, a -> f, deltas(+)\ncounters: two\n", 2, "missing tests(…)"),
+    # checks across lines run after the last line, so a bad line later in the
+    # file is reported before an unknown name earlier in it
+    ("grammar", f"grammar g\n{G}prod: S -> T\nprod: S a\n", 7, "production needs `->`"),
+    ("fsa", f"fsa d\n{FSA}trans: q a -> r\ntrans: q b\n", 7, "transition needs `->`"),
+] + [
+    # a count is ASCII digits: no sign, no `_` between digits
+    (kind, text.format(n), 2, f"expected a non-negative integer in `{key}:`, got {n!r}")
+    for kind, text, key in [("slset", "slset s\ndim: {}\n", "dim"),
+                            ("ncm", "ncm m\ncounters: {}\n", "counters"),
+                            ("ncm", "ncm m\nreversals: 1, {}\n", "reversals")]
+    for n in ("-1", "+1", "1_0")
 ]
 
 
