@@ -7,6 +7,12 @@ success), 1 for refuted (or violations), 3 for unknown, limited by the
 budget; 2 is an input error: an unreadable file or argument, or a file that
 does not parse (`validate` reports every problem this way). Paths starting
 with `fixture:` resolve to the bundled fixture files.
+
+`import igkit.cli` loads the derivation core only: `grammar`, `search`,
+`engine` and `kernel`. Every name taken from the other layers (`automata`,
+`closure`, `counters`, `etol`, `semilinear` and, through it,
+`vector_automata`) is a stand-in made by `_lazy`, so each of those layers
+loads on the first command that runs it.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import importlib
 import io
 import sys
 import tempfile
@@ -22,34 +29,7 @@ import time
 from pathlib import Path
 
 from . import fixture_path
-from .automata import determinize, parse_fsa, serialize_fsa
-from .closure import (
-    NivatTransducer,
-    intersect_dfa,
-    inverse_morphism,
-    inverse_projection,
-    morphism_image,
-    nivat_transduce,
-    normalize_rhs,
-    parse_morphism,
-    union,
-)
-from .counters import (
-    expand_to_nfa,
-    ncm_run,
-    parikh_of_intersection,
-    parse_ncm,
-    serialize_ncm,
-    to_one_reversal,
-)
-from .engine import (
-    Budget,
-    check_uncontrolled,
-    enumerate_language,
-    membership,
-    min_index,
-)
-from .etol import check_anf, etol_enumerate, etol_to_indexed, parse_etol
+from .engine import Budget, check_uncontrolled, enumerate_language, membership, min_index
 from .grammar import (
     GrammarError,
     derivation_to_trace,
@@ -58,18 +38,43 @@ from .grammar import (
     symbol_name_error,
 )
 from .search import FOUND, PROVEN, REFUTED, SWEPT, UNKNOWN
-from .semilinear import (
-    bounded_lang_subset,
-    bounded_word_member,
-    linear_to_grammar,
-    parse_slset,
-    parse_vector,
-    semilinear_to_grammar,
-    slset_empty,
-    slset_equal,
-    slset_member,
-    slset_subset,
-)
+
+
+def _lazy(module: str, *names: str) -> tuple:
+    """Stand-ins for the functions `names` of igkit's `module`: the first call
+    of one imports the module and keeps what it then holds under that name,
+    and every call forwards to that. Handlers call a stand-in as a global of
+    this module, so a wrapper set on that global stays in place."""
+    def stand_in(name):
+        fn = None
+
+        def call(*args, **kwargs):
+            nonlocal fn
+            if fn is None:
+                fn = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    return tuple(stand_in(name) for name in names)
+
+
+determinize, parse_fsa, serialize_fsa = _lazy("automata", "determinize", "parse_fsa",
+                                              "serialize_fsa")
+(NivatTransducer, intersect_dfa, inverse_morphism, inverse_projection, morphism_image,
+ nivat_transduce, normalize_rhs, parse_morphism, union) = _lazy(
+    "closure", "NivatTransducer", "intersect_dfa", "inverse_morphism", "inverse_projection",
+    "morphism_image", "nivat_transduce", "normalize_rhs", "parse_morphism", "union")
+expand_to_nfa, ncm_run, parikh_of_intersection, parse_ncm, serialize_ncm, to_one_reversal = _lazy(
+    "counters", "expand_to_nfa", "ncm_run", "parikh_of_intersection", "parse_ncm",
+    "serialize_ncm", "to_one_reversal")
+check_anf, etol_enumerate, etol_to_indexed, parse_etol = _lazy(
+    "etol", "check_anf", "etol_enumerate", "etol_to_indexed", "parse_etol")
+(bounded_lang_subset, bounded_word_member, linear_to_grammar, parse_slset, parse_vector,
+ semilinear_to_grammar, slset_empty, slset_equal, slset_member, slset_subset) = _lazy(
+    "semilinear", "bounded_lang_subset", "bounded_word_member", "linear_to_grammar",
+    "parse_slset", "parse_vector", "semilinear_to_grammar", "slset_empty", "slset_equal",
+    "slset_member", "slset_subset")
 
 EXIT = {PROVEN: 0, REFUTED: 1, UNKNOWN: 3}
 ERROR = 2

@@ -218,7 +218,8 @@ def parse_etol(text: str) -> EtolSystem:
     order: dict[str, None] = {}  # the alphabet, as an ordered set
 
     def axiom(value, line_no, what):
-        declared(value, line_no, what)
+        if len(declared(value, line_no, what)) != 1:
+            raise ParseError(f"`axiom:` takes one symbol, got {value!r}", line_no)
         order.setdefault(value)
         return value
 

@@ -341,6 +341,8 @@ def read_file(text: str, kind: str, fields: dict, rows: dict, required: Iterable
             parts = key.split()
             if len(parts) != 2 or parts[0] != block:
                 raise ParseError(f"expected `{block} <name>:`", line_no)
+            if value:
+                raise ParseError(f"`{block} <name>:` takes no value, got {value!r}", line_no)
             key, value = block, parts[1]
         if key in fields:
             value = fields[key](value, line_no, key)

@@ -379,17 +379,19 @@ def semilinear_to_grammar(shape: GinsburgShape, s: SemilinearSet, name: str = "s
 
 def parse_vector(text: str) -> tuple[int, ...]:
     """A `(a,b,…)` vector, as the `.sls` format and `slset member --vector`
-    write it; raises ValueError on anything else."""
+    write it, each entry ASCII digits after an optional `-` (its caller
+    refuses a negative one); raises ValueError on anything else."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"expected a (…) vector, got {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return ()
-    try:
-        return tuple(int(t.strip()) for t in inner.split(","))
-    except ValueError:
-        raise ValueError(f"bad vector {text!r}") from None
+    entries = [t.strip() for t in inner.split(",")]
+    digits = [t.removeprefix("-") for t in entries]
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise ValueError(f"bad vector {text!r}")
+    return tuple(int(t) for t in entries)
 
 
 def _split_vectors(text: str) -> list[tuple[int, ...]]:

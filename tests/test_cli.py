@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shape, file outputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -405,6 +406,10 @@ ERRORS = [
      "UsageError: argument --vector: bad vector '((1,1))'"),
     (["slset", "member", "fixture:diag.sls", "--vector", "1,1"],
      "UsageError: argument --vector: expected a (…) vector, got '1,1'"),
+    (["slset", "member", "fixture:diag.sls", "--vector", "(1_0,10)"],
+     "UsageError: argument --vector: bad vector '(1_0,10)'"),
+    (["slset", "member", "fixture:diag.sls", "--vector", "(+1,1)"],
+     "UsageError: argument --vector: bad vector '(+1,1)'"),
     # letters given in flags are ones a grammar file can declare
     (["transform", "inv-proj", "fixture:abword.ig", "--letters", "_", "--out", "{tmp}/o.ig"],
      "UsageError: argument --letters: `_` is the empty word, not a symbol name"),
@@ -441,7 +446,8 @@ ERRORS = [
                                                   "negative-check-len", "negative-counter-cap",
                                                   "negative-vector", "wrong-dim-vector",
                                                   "doubled-comma-vector", "nested-vector",
-                                                  "bare-vector", "empty-word-letter",
+                                                  "bare-vector", "underscore-vector",
+                                                  "plus-vector", "empty-word-letter",
                                                   "empty-letter", "spaced-rename",
                                                   "rename-without-equals", "rename-off-target",
                                                   "reserved-target", "repeated-letter",
@@ -698,12 +704,67 @@ def test_replicate_paper_runs_every_line_through_main(capsys, monkeypatch):
     assert [b["result"] for b in blocks if "check" in b] == ["pass"] * 14
 
 
-def test_replicate_paper_as_a_process():
+def fresh(*argv):
+    """Run Python with `argv` in a new process that imports igkit from src/;
+    it must exit 0 and write nothing to stderr. Returns what it prints."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-m", "igkit", "replicate-paper"], env=env,
+    proc = subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
-    assert [b.get("result") for b in parse_report(proc.stdout)] == ["pass"] * 14 + [None]
+    return proc.stdout
+
+
+def test_replicate_paper_as_a_process():
+    out = fresh("-m", "igkit", "replicate-paper")
+    assert [b.get("result") for b in parse_report(out)] == ["pass"] * 14 + [None]
+
+
+# the igkit modules loaded after `import igkit.cli`, then after each command
+LOADS = """
+import contextlib, io, json, sys
+import igkit.cli
+loaded = [sorted(m for m in sys.modules if m.startswith("igkit"))]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        igkit.cli.main(argv)
+    loaded.append(sorted(m for m in sys.modules if m.startswith("igkit")))
+print(json.dumps(loaded))
+"""
+
+
+def test_import_loads_the_derivation_core_and_a_command_its_layers(tmp_path):
+    core = ["igkit", "igkit.cli", "igkit.engine", "igkit.grammar", "igkit.kernel",
+            "igkit.search"]
+    loaded = json.loads(fresh("-c", LOADS, json.dumps([
+        ["validate", "fixture:twin.ig"],
+        ["enumerate", "fixture:twin.ig", "--max-len", "6"],
+        ["member", "fixture:anbn.ig", "aabb"],
+        ["min-index", "fixture:ramp.ig", "abaa", "--max-steps", "60"],
+        ["check-uncontrolled", "fixture:ramp.ig", "--k", "3", "--max-steps", "60"],
+        ["transform", "union", "fixture:astar.ig", "fixture:bstar.ig",
+         "--out", str(tmp_path / "g.ig")],
+    ])))
+    assert loaded[:6] == [core] * 6
+    assert loaded[6] == sorted(core + ["igkit.automata", "igkit.closure"])
+
+
+# a wrapper set on a stand-in before its first call, as perfbench/tracing.py
+# sets its spans; the stand-in must not rebind the global when it resolves
+WRAPPED = """
+import contextlib, io, json, sys
+from igkit import cli
+calls, union = [], cli.union
+cli.union = lambda *args: calls.append(1) or union(*args)
+wrapper = cli.union
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["transform", "union", "fixture:astar.ig", "fixture:bstar.ig", "--out", sys.argv[1]])
+print(json.dumps([len(calls), cli.union is wrapper]))
+"""
+
+
+def test_a_wrapper_on_a_stand_in_sees_every_call(tmp_path):
+    assert json.loads(fresh("-c", WRAPPED, str(tmp_path / "g.ig"))) == [2, True]
 
 
 def test_reports_parse_back(capsys):

@@ -97,6 +97,9 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("slset", "slset s\ndim: x\n", 2, "expected a non-negative integer in `dim:`, got 'x'"),
     ("slset", "slset s\ndim: 1\ndim: 1\n", 3, "duplicate `dim:` line"),
     ("slset", "slset s\ndim: 1\nlinear: base = (-1)\n", 3, "vectors must be non-negative"),
+    # a vector entry is decimal: no `_` between digits, no leading `+`
+    ("slset", "slset s\ndim: 1\nlinear: base = (1_0)\n", 3, "bad vector '(1_0)'"),
+    ("slset", "slset s\ndim: 1\nlinear: base = (0); periods = (+1)\n", 3, "bad vector '(+1)'"),
     ("slset", "slset s\ndim: 2\nlinear: base = (1,0); periods = (1)\n", 3,
      "vector length does not match the dimension"),
     ("slset", "slset s\ndim: 1\nshape: a\nshape: b\n", 4, "duplicate `shape:` line"),
@@ -130,6 +133,9 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     ("etol", f"etol e\n{ETOL}table t:\nrule: S -> a _\n", 5,
      "`_` (empty rhs) cannot be mixed with symbols"),
     ("etol", f"etol e\n{ETOL}tables t:\n", 4, "expected `table <name>:`"),
+    ("etol", f"etol e\n{ETOL}table t: junk\nrule: S -> a\n", 4,
+     "`table <name>:` takes no value, got 'junk'"),
+    ("etol", "etol e\naxiom: S, T\nterminals: a\n", 2, "`axiom:` takes one symbol, got 'S, T'"),
     ("ncm", f"ncm m\n{NCM}trans: s, a, tests(z) -> f, deltas(x)\n", 8, "bad delta 'x'"),
     ("ncm", f"ncm m\n{NCM}trans: s, a -> f, deltas(+)\n", 8, "missing tests(…)"),
     ("ncm", "ncm m\nstates: s\n", 1, "missing `alphabet:` line"),

@@ -4,7 +4,9 @@ An AST pass over src/igkit/*.py starts from every top-level definition of
 cli.py and follows names to top-level definitions (functions, classes and
 assigned names) in any module: a bare name to the definition of that name in
 its own module or to the one it imports under that name, and `module.name`
-to a definition of an igkit module imported as `module`. A method or
+to a definition of an igkit module imported as `module`. A stand-in that
+cli.py makes with `_lazy("module", "name", …)` is read as an import of
+`module.name` under the name it is assigned to. A method or
 property of a class is a definition of its own: it is reached when its
 class is, and reached code uses an attribute of that name (`x.name`, any x).
 Dunders count as used, and so do the argparse overrides in OVERRIDES, which
@@ -17,6 +19,7 @@ the list cannot go stale.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "igkit"
@@ -77,9 +80,23 @@ def _walk(node):
             yield from ast.walk(child)
 
 
+def stand_ins(tree):
+    """{local name: (module, name)} for every `a, b = _lazy("module", "a", "b")`
+    at the top level of a module."""
+    found = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "_lazy"):
+            module, *names = (arg.value for arg in node.value.args)
+            local = (t.id for t in node.targets[0].elts)
+            found.update(zip(local, ((module, name) for name in names)))
+    return found
+
+
 def _scope(mod, tree, defs, modules):
     """What a bare name and a module alias mean in `mod`."""
     names = {name: (m, name) for m, name in defs if m == mod}
+    names.update(stand_ins(tree))
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -161,3 +178,31 @@ def test_a_method_is_reached_through_an_attribute_of_its_name(tmp_path):
         "    def shrink(self):\n        return 0\n\n"
         "class Unused:\n    def size(self):\n        return 0\n", encoding="utf-8")
     assert unreached(tmp_path) == {"lib.Box.shrink", "lib.Unused", "lib.Unused.size"}
+
+
+def test_the_pass_follows_stand_ins(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _lazy(module, *names):\n    return names\n\n"
+        "used, = _lazy(\"lib\", \"used\")\n"
+        "other, = _lazy(\"util\", \"helper\")\n\n"
+        "def main():\n    return used() + other()\n", encoding="utf-8")
+    (tmp_path / "lib.py").write_text(
+        "def used():\n    return inner()\n\ndef inner():\n    return 1\n\n"
+        "def dead():\n    return used()\n", encoding="utf-8")
+    (tmp_path / "util.py").write_text(
+        "def helper():\n    return 2\n\ndef used():\n    return 3\n", encoding="utf-8")
+    assert unreached(tmp_path) == {"lib.dead", "util.used"}
+
+
+def test_every_stand_in_is_a_callable_of_its_module():
+    from igkit import cli
+
+    found = stand_ins(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+    made = {local for local, value in vars(cli).items()
+            if getattr(value, "__qualname__", "").startswith("_lazy.")}
+    assert sorted(found) == sorted(made)
+    assert {module for module, _ in found.values()} == {
+        "automata", "closure", "counters", "etol", "semilinear"}
+    for local, (module, name) in found.items():
+        assert local == name  # no renames, so a stand-in cannot sit under another's name
+        assert callable(getattr(importlib.import_module(f"igkit.{module}"), name))
