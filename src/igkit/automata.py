@@ -9,9 +9,9 @@ igkit.vector_automata.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional
 
+from . import field, record
 from .grammar import (
     ParseError,
     declared,
@@ -25,7 +25,7 @@ from .grammar import (
 from .search import explore, reach
 
 
-@dataclass(frozen=True)
+@record
 class Nfa:
     """Transitions are (src, label, dst); label None is an epsilon move."""
 
@@ -50,7 +50,7 @@ class Nfa:
         return frozenset(reach(states, lambda s: [(t,) for t in self.moves(s, None)]))
 
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     """Deterministic automaton; total over its alphabet after validate() is clean."""
 

@@ -8,11 +8,11 @@ budget; 2 is an input error: an unreadable file or argument, or a file that
 does not parse (`validate` reports every problem this way). Paths starting
 with `fixture:` resolve to the bundled fixture files.
 
-`import igkit.cli` loads the derivation core only: `grammar`, `search`,
-`engine` and `kernel`. Every name taken from the other layers (`automata`,
-`closure`, `counters`, `etol`, `semilinear` and, through it,
-`vector_automata`) is a stand-in made by `_lazy`, so each of those layers
-loads on the first command that runs it.
+`import igkit.cli` loads the derivation core only (`grammar`, `search`,
+`engine`, `kernel`), and no `dataclasses`. Every name taken from the other
+layers (`automata`, `closure`, `counters`, `etol`, `semilinear` and, through
+it, `vector_automata`) is a stand-in made by `_lazy`, so each layer loads on
+the first command that runs it; `main` builds only that command's parser.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ MIN_INDEX_STATUS = {PROVEN: "ok", REFUTED: "not-a-member", UNKNOWN: "unknown"}
 
 def _resolve(path: str) -> Path:
     if path.startswith("fixture:"):
-        return Path(str(fixture_path(path[len("fixture:"):])))
+        return fixture_path(path[len("fixture:"):])
     return Path(path)
 
 
@@ -636,152 +636,160 @@ def _add_budget_flags(p, *caps, steps=400):
     p.add_argument("--hard-cap", type=int, default=1_000_000)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of one of COMMANDS alone (the same for it)."""
     ap = _Parser(
         prog="igkit",
         description="workbench for grammars whose variables carry index stacks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a grammar file")
-    p.add_argument("grammar")
-    p.set_defaults(func=cmd_validate)
+    def add(name, text):
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
-    p = sub.add_parser("enumerate", help="list generated words up to a length")
-    p.add_argument("grammar")
-    p.add_argument("--max-len", type=_count, required=True)
-    _add_budget_flags(p, "width", "stack")
-    p.set_defaults(func=cmd_enumerate)
+    if p := add("validate", "check a grammar file"):
+        p.add_argument("grammar")
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("member", help="search for a derivation of a word")
-    p.add_argument("grammar")
-    p.add_argument("word")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="caller asserts the width/stack caps cover every derivation")
-    _add_budget_flags(p, "width", "stack")
-    p.set_defaults(func=cmd_member)
+    if p := add("enumerate", "list generated words up to a length"):
+        p.add_argument("grammar")
+        p.add_argument("--max-len", type=_count, required=True)
+        _add_budget_flags(p, "width", "stack")
+        p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("min-index", help="smallest derivation width for a word")
-    p.add_argument("grammar")
-    p.add_argument("word")
-    p.add_argument("--exhaustive", action="store_true")
-    _add_budget_flags(p, "width", "stack")
-    p.set_defaults(func=cmd_min_index)
+    if p := add("member", "search for a derivation of a word"):
+        p.add_argument("grammar")
+        p.add_argument("word")
+        p.add_argument("--exhaustive", action="store_true",
+                       help="caller asserts the width/stack caps cover every derivation")
+        _add_budget_flags(p, "width", "stack")
+        p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("check-uncontrolled", help="look for wide successful derivations")
-    p.add_argument("grammar")
-    p.add_argument("--k", type=int, required=True)
-    _add_budget_flags(p, "stack")
-    p.set_defaults(func=cmd_check_uncontrolled)
+    if p := add("min-index", "smallest derivation width for a word"):
+        p.add_argument("grammar")
+        p.add_argument("word")
+        p.add_argument("--exhaustive", action="store_true")
+        _add_budget_flags(p, "width", "stack")
+        p.set_defaults(func=cmd_min_index)
 
-    p = sub.add_parser("transform", help="grammar-to-grammar constructions")
-    tsub = p.add_subparsers(dest="transform_kind", required=True)
-    for kind in ("union", "morph", "inv-morph", "normalize", "intersect-dfa",
-                 "inv-proj", "transduce"):
-        tp = tsub.add_parser(kind)
-        tp.add_argument("grammar")
-        if kind == "union":
-            tp.add_argument("other")
-        elif kind in ("morph", "inv-morph"):
-            tp.add_argument("morphism")
-        elif kind in ("intersect-dfa", "transduce"):
-            tp.add_argument("fsa")
-        if kind == "inv-proj":
-            tp.add_argument("--letters", required=True,
-                            help="comma-separated new letters")
-        if kind == "transduce":
-            tp.add_argument("--source", required=True)
-            tp.add_argument("--target", required=True)
-            tp.add_argument("--rename", default=None,
-                            help="comma-separated tagged=final pairs")
-        tp.add_argument("--out", required=True)
-        tp.set_defaults(func=cmd_transform)
+    if p := add("check-uncontrolled", "look for wide successful derivations"):
+        p.add_argument("grammar")
+        p.add_argument("--k", type=int, required=True)
+        _add_budget_flags(p, "stack")
+        p.set_defaults(func=cmd_check_uncontrolled)
 
-    p = sub.add_parser("synth-linear", help="grammar for one linear component")
-    p.add_argument("slset")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=lambda a: cmd_synth(a, semi=False))
+    if p := add("transform", "grammar-to-grammar constructions"):
+        tsub = p.add_subparsers(dest="transform_kind", required=True)
+        for kind in ("union", "morph", "inv-morph", "normalize", "intersect-dfa",
+                     "inv-proj", "transduce"):
+            tp = tsub.add_parser(kind)
+            tp.add_argument("grammar")
+            if kind == "union":
+                tp.add_argument("other")
+            elif kind in ("morph", "inv-morph"):
+                tp.add_argument("morphism")
+            elif kind in ("intersect-dfa", "transduce"):
+                tp.add_argument("fsa")
+            if kind == "inv-proj":
+                tp.add_argument("--letters", required=True,
+                                help="comma-separated new letters")
+            if kind == "transduce":
+                tp.add_argument("--source", required=True)
+                tp.add_argument("--target", required=True)
+                tp.add_argument("--rename", default=None,
+                                help="comma-separated tagged=final pairs")
+            tp.add_argument("--out", required=True)
+            tp.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("synth-semilinear", help="grammar for a semilinear set")
-    p.add_argument("slset")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=lambda a: cmd_synth(a, semi=True))
+    if p := add("synth-linear", "grammar for one linear component"):
+        p.add_argument("slset")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=lambda a: cmd_synth(a, semi=False))
 
-    p = sub.add_parser("slset", help="semilinear set decisions")
-    ssub = p.add_subparsers(dest="slset_op", required=True)
-    for op in ("member", "subset", "equal", "empty"):
-        sp = ssub.add_parser(op)
-        sp.add_argument("slset")
-        if op in ("subset", "equal"):
-            sp.add_argument("other")
-        if op == "member":
-            sp.add_argument("--vector", required=True)
-        sp.set_defaults(func=cmd_slset)
+    if p := add("synth-semilinear", "grammar for a semilinear set"):
+        p.add_argument("slset")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=lambda a: cmd_synth(a, semi=True))
 
-    p = sub.add_parser("bounded", help="bounded-language decisions")
-    bsub = p.add_subparsers(dest="bounded_op", required=True)
-    bp = bsub.add_parser("member")
-    bp.add_argument("slset")
-    bp.add_argument("word")
-    bp.set_defaults(func=cmd_bounded)
-    bp = bsub.add_parser("subset")
-    bp.add_argument("slset")
-    bp.add_argument("other")
-    bp.add_argument("--check-len", type=_count, default=20)
-    bp.set_defaults(func=cmd_bounded)
+    if p := add("slset", "semilinear set decisions"):
+        ssub = p.add_subparsers(dest="slset_op", required=True)
+        for op in ("member", "subset", "equal", "empty"):
+            sp = ssub.add_parser(op)
+            sp.add_argument("slset")
+            if op in ("subset", "equal"):
+                sp.add_argument("other")
+            if op == "member":
+                sp.add_argument("--vector", required=True)
+            sp.set_defaults(func=cmd_slset)
 
-    p = sub.add_parser("etol", help="parallel rewriting systems")
-    esub = p.add_subparsers(dest="etol_op", required=True)
-    ep = esub.add_parser("enumerate")
-    ep.add_argument("system")
-    ep.add_argument("--max-len", type=_count, required=True)
-    _add_budget_flags(ep, "width", steps=30)
-    ep.set_defaults(func=cmd_etol)
-    ep = esub.add_parser("check-anf")
-    ep.add_argument("system")
-    ep.set_defaults(func=cmd_etol)
-    ep = esub.add_parser("convert")
-    ep.add_argument("system")
-    ep.add_argument("--out", required=True)
-    ep.set_defaults(func=cmd_etol)
+    if p := add("bounded", "bounded-language decisions"):
+        bsub = p.add_subparsers(dest="bounded_op", required=True)
+        bp = bsub.add_parser("member")
+        bp.add_argument("slset")
+        bp.add_argument("word")
+        bp.set_defaults(func=cmd_bounded)
+        bp = bsub.add_parser("subset")
+        bp.add_argument("slset")
+        bp.add_argument("other")
+        bp.add_argument("--check-len", type=_count, default=20)
+        bp.set_defaults(func=cmd_bounded)
 
-    p = sub.add_parser("ncm", help="reversal-bounded counter machines")
-    nsub = p.add_subparsers(dest="ncm_op", required=True)
-    np_ = nsub.add_parser("run")
-    np_.add_argument("machine")
-    np_.add_argument("word")
-    np_.add_argument("--counter-cap", type=_count, help="largest counter value (default 2|w|+4)")
-    np_.set_defaults(func=cmd_ncm)
-    np_ = nsub.add_parser("one-reversal")
-    np_.add_argument("machine")
-    np_.add_argument("--out", required=True)
-    np_.set_defaults(func=cmd_ncm)
-    np_ = nsub.add_parser("expand")
-    np_.add_argument("machine")
-    np_.add_argument("--out", required=True)
-    np_.set_defaults(func=cmd_ncm)
-    np_ = nsub.add_parser("parikh-intersect")
-    np_.add_argument("machine")
-    np_.add_argument("grammar")
-    np_.add_argument("--radius", type=_count, required=True)
-    np_.add_argument("--enum-len", type=_count, default=None)
-    _add_budget_flags(np_, "width", "stack", steps=600)
-    np_.set_defaults(func=cmd_ncm)
+    if p := add("etol", "parallel rewriting systems"):
+        esub = p.add_subparsers(dest="etol_op", required=True)
+        ep = esub.add_parser("enumerate")
+        ep.add_argument("system")
+        ep.add_argument("--max-len", type=_count, required=True)
+        _add_budget_flags(ep, "width", steps=30)
+        ep.set_defaults(func=cmd_etol)
+        ep = esub.add_parser("check-anf")
+        ep.add_argument("system")
+        ep.set_defaults(func=cmd_etol)
+        ep = esub.add_parser("convert")
+        ep.add_argument("system")
+        ep.add_argument("--out", required=True)
+        ep.set_defaults(func=cmd_etol)
 
-    p = sub.add_parser("replicate-paper", help="run the bundled fixture suite")
-    p.set_defaults(func=cmd_replicate)
+    if p := add("ncm", "reversal-bounded counter machines"):
+        nsub = p.add_subparsers(dest="ncm_op", required=True)
+        np_ = nsub.add_parser("run")
+        np_.add_argument("machine")
+        np_.add_argument("word")
+        np_.add_argument("--counter-cap", type=_count, help="largest counter value (default 2|w|+4)")
+        np_.set_defaults(func=cmd_ncm)
+        np_ = nsub.add_parser("one-reversal")
+        np_.add_argument("machine")
+        np_.add_argument("--out", required=True)
+        np_.set_defaults(func=cmd_ncm)
+        np_ = nsub.add_parser("expand")
+        np_.add_argument("machine")
+        np_.add_argument("--out", required=True)
+        np_.set_defaults(func=cmd_ncm)
+        np_ = nsub.add_parser("parikh-intersect")
+        np_.add_argument("machine")
+        np_.add_argument("grammar")
+        np_.add_argument("--radius", type=_count, required=True)
+        np_.add_argument("--enum-len", type=_count, default=None)
+        _add_budget_flags(np_, "width", "stack", steps=600)
+        np_.set_defaults(func=cmd_ncm)
+
+    if p := add("replicate-paper", "run the bundled fixture suite"):
+        p.set_defaults(func=cmd_replicate)
     return ap
 
 
-@functools.cache  # built on the first call of `main`, reused by later ones
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+COMMANDS = ("validate", "enumerate", "member", "min-index", "check-uncontrolled", "transform",
+            "synth-linear", "synth-semilinear", "slset", "bounded", "etol", "ncm", "replicate-paper")
+
+
+@functools.cache  # built on the first call of `main` for a command, reused by later ones
+def _parser(command=None) -> argparse.ArgumentParser:
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         return EXIT[args.func(args)]
     except _Help:
         return 0

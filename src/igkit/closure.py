@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from . import field, record, replace
 from .automata import Dfa, Nfa, determinize
 from .grammar import (
     PUSH,
@@ -44,7 +44,7 @@ class InvalidAutomaton(GrammarError):
 # morphisms
 
 
-@dataclass(frozen=True)
+@record
 class Morphism:
     """A letter-to-word substitution, total on `source`."""
 
@@ -473,7 +473,7 @@ def inverse_projection(g: IndexedGrammar, ext_alphabet) -> IndexedGrammar:
 # rational transductions
 
 
-@dataclass(frozen=True)
+@record
 class NivatTransducer:
     """A rational transduction presented as a regular set over the disjoint
     union of the source and target alphabets: the transduction relates the

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
+from . import field, record
 from .automata import Nfa, determinize
 from .closure import intersect_dfa, inverse_projection, normalize_rhs
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
@@ -52,7 +52,7 @@ class NotOneReversal(GrammarError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CmTransition:
     src: str
     letter: Optional[str]  # None is a silent move
@@ -61,7 +61,7 @@ class CmTransition:
     deltas: tuple[int, ...]  # -1, 0, +1 per counter
 
 
-@dataclass(frozen=True)
+@record
 class CounterMachine:
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
@@ -332,7 +332,7 @@ def expand_to_nfa(m: CounterMachine) -> Nfa:
 # the counting pipeline
 
 
-@dataclass(frozen=True)
+@record
 class ParikhSample:
     """Letter-count vectors (over the grammar's terminal order) of the words
     of length <= radius lying in both languages."""

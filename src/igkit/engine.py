@@ -24,10 +24,9 @@ pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import kernel
+from . import kernel, record, replace
 from .grammar import (
     CONSUME,
     PLAIN,
@@ -61,7 +60,7 @@ from .search import (
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Budget:
     """Search bounds. max_steps (derivation length) is always required so the
     explored space is finite; the width and stack caps default to unbounded.
@@ -91,7 +90,7 @@ class Budget:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationResult:
     words: tuple[Word, ...]
     exhausted: bool
@@ -174,6 +173,16 @@ class CompiledGrammar:
 
     def start(self) -> tuple[int, ...]:
         return (self.var_id[self.g.start],)
+
+    def push(self, idx: int, sid: int) -> int:
+        """The pool id of the stack `sid` with the index `idx` pushed on top."""
+        s2 = self.intern.get((idx, sid))
+        if s2 is None:
+            s2 = self.intern[idx, sid] = len(self.pool_top)
+            self.pool_top.append(idx)
+            self.pool_rest.append(sid)
+            self.pool_depth.append(self.pool_depth[sid] + 1)
+        return s2
 
     def expand(self, form, budget: Budget, max_terms: int = -1):
         """Successors of `form` under the budget's caps: without a width cap,
@@ -517,8 +526,8 @@ def tree_width(kids, push: bool) -> int:
 def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
     """A monotone fixpoint over the (variable, stack) pairs reachable from
     `start` within the stack cap (Knuth 1977). A pair is encoded like a
-    variable occurrence; its rules are the one-step successors of the form
-    that holds it alone, as (pair, pid, the pairs of its variable children).
+    variable occurrence; its rules, read from its variable's rows in
+    `c.prods`, are (pair, pid, the pairs of its variable children).
     The caller owns the values: `fire(rule, kid, item)` returns the new items
     of the rule's pair, combining the item of `kid` with the items its other
     children hold (all of them with kid and item None, as each rule is first
@@ -549,13 +558,19 @@ def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
         if pair is None:  # the root of a round
             return roots
         out = []
-        deep = c.pool_depth[pair // c.nv] >= cap
-        for _, pid, f in kernel.expand(c, (pair,), -1, limit, -1, 0):
-            rule = (pair, pid, tuple(x for x in f if x >= 0))
-            if deep and c.prods[pid][0] == 1:
-                cut.append(rule)
+        sid, vid = divmod(pair, c.nv)
+        for pid in c.by_var[vid]:
+            kind, lhs_idx, rhs, push_var, push_idx = c.prods[pid][:5]
+            if kind == 1 and c.pool_depth[sid] < limit:
+                kids = (c.push(push_idx, sid) * c.nv + push_var,)
+            elif kind == 0 or kind == 2 and sid and c.pool_top[sid] == lhs_idx:
+                kids = tuple((c.pool_rest[sid] if kind else sid) * c.nv + x for x in rhs if x >= 0)
             else:
-                out += add(rule)
+                continue
+            if kind == 1 and c.pool_depth[sid] >= cap:
+                cut.append((pair, pid, kids))
+            else:
+                out += add((pair, pid, kids))
         return out
 
     roots, i = [(start,)], 0

@@ -11,9 +11,9 @@ in reverse onto an index stack, then replayed one occurrence at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
+from . import field, record
 from .engine import Budget
 from .grammar import (
     GrammarError,
@@ -33,7 +33,7 @@ class NotInANF(GrammarError):
     """Raised when a conversion requires active normal form."""
 
 
-@dataclass(frozen=True)
+@record
 class Table:
     name: str
     rules: tuple[tuple[str, tuple[str, ...]], ...]
@@ -42,7 +42,7 @@ class Table:
         return tuple(rhs for sym, rhs in self.rules if sym == symbol)
 
 
-@dataclass(frozen=True)
+@record
 class EtolSystem:
     alphabet: tuple[str, ...]  # the full working alphabet
     terminals: tuple[str, ...]
@@ -120,7 +120,7 @@ def _successor_words(sys: EtolSystem, word, inactive: frozenset[str]):
             yield ti, tuple(itertools.chain.from_iterable(combo))
 
 
-@dataclass(frozen=True)
+@record
 class EtolEnumeration:
     words: tuple[tuple[str, ...], ...]
     exhausted: bool

@@ -17,8 +17,9 @@ All types are immutable values; none of the operations mutate their inputs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
+
+from . import field, record
 
 PLAIN = "plain"
 PUSH = "push"
@@ -74,7 +75,7 @@ def is_generated_name(name: str) -> bool:
     return any(ch in RESERVED_CHARS for ch in name)
 
 
-@dataclass(frozen=True)
+@record
 class Production:
     """One production. The kind is determined by which fields are set.
 
@@ -105,7 +106,7 @@ class Production:
         return PLAIN
 
 
-@dataclass(frozen=True)
+@record
 class IndexedGrammar:
     variables: tuple[str, ...]
     terminals: tuple[str, ...]
@@ -131,12 +132,12 @@ class IndexedGrammar:
 # sentential forms
 
 
-@dataclass(frozen=True)
+@record
 class Terminal:
     symbol: str
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     symbol: str
     stack: tuple[str, ...] = ()  # top first
@@ -145,7 +146,7 @@ class Var:
 Item = Terminal | Var
 
 
-@dataclass(frozen=True)
+@record
 class SententialForm:
     items: tuple[Item, ...]
 
@@ -177,7 +178,7 @@ def render_form(form: SententialForm) -> str:
     return " ".join(parts) if parts else "_"
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     """A replayable derivation: forms[0] is the start form and applying
     production g.productions[steps[i][0]] at item position steps[i][1] to
@@ -460,12 +461,7 @@ def _parse_production(body: str, line_no: int, what: str) -> Production:
     for tok in rhs_toks:
         if "[" in tok or "]" in tok:
             raise ParseError(f"unexpected bracket in rhs token {tok!r}", line_no)
-    return Production(
-        lhs_var=lhs_var,
-        rhs=read_symbols(rhs_toks, line_no),
-        lhs_index=lhs_index,
-        push_index=push_index,
-    )
+    return Production(lhs_var, read_symbols(rhs_toks, line_no), lhs_index, push_index)
 
 
 def serialize_grammar(g: IndexedGrammar) -> str:

@@ -26,7 +26,7 @@ def expand(c, form, max_width, max_stack, max_terms, depths):
     the last of its group. Depths stay below `depths`.
     """
     by_var, prods, nv = c.by_var, c.prods, c.nv
-    pool_top, pool_rest, pool_depth, intern = c.pool_top, c.pool_rest, c.pool_depth, c.intern
+    pool_top, pool_rest, pool_depth = c.pool_top, c.pool_rest, c.pool_depth
     nd = depths or 1
     width = 0
     top = ntop = 0  # the deepest group's depth and size
@@ -58,14 +58,7 @@ def expand(c, form, max_width, max_stack, max_terms, depths):
             if kind == 1:
                 if max_stack >= 0 and pool_depth[sid] + 1 > max_stack:
                     continue
-                key = (push_idx, sid)
-                s2 = intern.get(key)
-                if s2 is None:
-                    s2 = len(pool_top)
-                    pool_top.append(push_idx)
-                    pool_rest.append(sid)
-                    pool_depth.append(pool_depth[sid] + 1)
-                    intern[key] = s2
+                s2 = c.push(push_idx, sid)
                 out.append((i, pid, head + ((s2 * nd + child) * nv + push_var,) + tail))
                 continue
             if kind == 2:

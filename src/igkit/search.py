@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Optional
+
+from . import field, record
 
 # why a search stopped
 SWEPT = "swept"  # no stored node is left to expand
@@ -42,7 +43,7 @@ UNKNOWN = "unknown"  # a cap cut the answer short, or the space may miss a witne
 Successors = Callable[[Hashable], Iterable[tuple]]
 
 
-@dataclass(frozen=True)
+@record
 class Search:
     # stored node -> (its parent, the successor tuple that stored it);
     # None for the start
@@ -55,7 +56,7 @@ class Search:
         return self.stop == SWEPT
 
 
-@dataclass
+@record(frozen=False)
 class Verdict:
     """The answer of a decision procedure: its kind, the witness that backs
     it where there is one (a derivation, a run trace, a vector or a word),

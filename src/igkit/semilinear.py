@@ -14,9 +14,9 @@ search goes. Every decision builds its automata anew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
+from . import record, replace
 from . import vector_automata as va
 from .grammar import (
     IndexedGrammar,
@@ -29,7 +29,7 @@ from .grammar import (
 from .search import PROVEN, REFUTED, UNKNOWN, Verdict, explore, reach
 
 
-@dataclass(frozen=True)
+@record
 class LinearSet:
     """base + ℕ-combinations of the period vectors."""
 
@@ -51,7 +51,7 @@ class LinearSet:
         return cls(len(base), base, kept)
 
 
-@dataclass(frozen=True)
+@record
 class SemilinearSet:
     dim: int
     components: tuple[LinearSet, ...]
@@ -61,7 +61,7 @@ class SemilinearSet:
             raise ValueError("component dimensions differ")
 
 
-@dataclass(frozen=True)
+@record
 class GinsburgShape:
     """Non-empty words u_1..u_k; maps an exponent tuple to u_1^l1 ... u_k^lk."""
 

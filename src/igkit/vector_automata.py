@@ -19,8 +19,8 @@ witnesses, and the same automata state for state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from . import field, record
 from .search import EXPAND, FOUND, GOAL, bfs, explore, moves, reach
 
 
@@ -28,7 +28,7 @@ class TrackMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TupleAutomaton:
     """States are 0..num_states-1; transitions[(state, symbol)] is a tuple of
     successor states (at most one when deterministic)."""

@@ -470,6 +470,17 @@ def test_help_prints_and_returns_zero(capsys, argv, usage):
     assert code == 0 and blocks[0]["usage"].startswith(usage)
 
 
+def test_a_command_alone_helps_as_in_the_full_parser(capsys):
+    def help_text(ap, *argv):
+        with pytest.raises(cli._Help):
+            ap.parse_args([*argv, "-h"])
+        return capsys.readouterr().out
+
+    assert "{" + ",".join(cli.COMMANDS) + "}" in help_text(build_parser())
+    for name in cli.COMMANDS:
+        assert help_text(build_parser(name), name) == help_text(build_parser(), name)
+
+
 # a sequence of calls in one process: a flag given then left out, a usage error
 # then a valid call, and each top-level command once
 SEQUENCE = [
@@ -504,14 +515,18 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
                                for b in blocks]))
         return got
 
+    # main builds the parser of each command alone, once
     builds = []
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: builds.append(command) or build_parser(command))
     cli._parser.cache_clear()
     reused = outcomes()
-    assert len(builds) == 1
+    assert sorted(builds) == sorted(cli.COMMANDS)
     assert [code for code, _ in reused[:7]] == [1, 3, 0, 0, 2, 2, 0]
     cli._parser.cache_clear()
     monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser for every call
+    assert outcomes() == reused
+    monkeypatch.setattr(cli, "_parser", lambda command=None: build_parser())  # the full one
     assert outcomes() == reused
 
 # commands that write a file: (argv, the file, enumerate flags for the output
@@ -746,6 +761,35 @@ def test_import_loads_the_derivation_core_and_a_command_its_layers(tmp_path):
     ])))
     assert loaded[:6] == [core] * 6
     assert loaded[6] == sorted(core + ["igkit.automata", "igkit.closure"])
+
+
+# without `site`, nothing but igkit's own imports loads a module; after a
+# command of every layer, neither `dataclasses` nor `importlib.resources` is
+# among them
+HEAVY = """
+import contextlib, io, json, sys
+import igkit.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        igkit.cli.main(argv)
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("igkit")),
+                  [m for m in ("dataclasses", "importlib.resources") if m in sys.modules]]))
+"""
+
+
+def test_no_layer_loads_dataclasses_or_importlib_resources(tmp_path):
+    loaded, heavy = json.loads(fresh("-S", "-c", HEAVY, json.dumps([
+        ["enumerate", "fixture:twin.ig", "--max-len", "6"],
+        ["transform", "intersect-dfa", "fixture:twin.ig", "fixture:dollar.fsa",
+         "--out", str(tmp_path / "g.ig")],
+        ["slset", "subset", "fixture:diag.sls", "fixture:quadrant.sls"],
+        ["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6"],
+        ["ncm", "run", "fixture:anbn.ncm", "aabb"],
+    ])))
+    assert loaded == ["igkit"] + [f"igkit.{m}" for m in (
+        "automata", "cli", "closure", "counters", "engine", "etol", "grammar", "kernel", "search",
+        "semilinear", "vector_automata")]
+    assert heavy == []
 
 
 # a wrapper set on a stand-in before its first call, as perfbench/tracing.py

@@ -3,12 +3,11 @@ and the words, verdicts, counts and witnesses every search gives on the
 fixtures (pinned values)."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from igkit import engine, fixture_text, kernel
+from igkit import engine, fixture_text, replace
 from igkit import semilinear as sl
 from igkit import vector_automata as va
 from igkit.cli import OUTCOME, main, parse_report
@@ -364,10 +363,21 @@ def test_enumerations_that_stay_on_the_search(name, n, budget, words, forms):
 def test_deepening_expands_each_pair_once(monkeypatch):
     # without a stack cap the width table grows at depth caps 1, 2, 4 and 5,
     # each round expanding only the pairs new to it: as many expansions as
-    # the table at stack cap 5 alone makes, one per pair
+    # the table at stack cap 5 alone makes, one per pair. An expansion is a
+    # call of the successor function `tabulate` hands to `bfs` on a pair (the
+    # root of a round is None).
     calls = []
-    real = kernel.expand
-    monkeypatch.setattr(kernel, "expand", lambda c, *a: calls.append(a) or real(c, *a))
+    real = engine.bfs
+
+    def bfs(start, successors, *args):
+        def counted(node):
+            if node is not None:
+                calls.append(node)
+            return successors(node)
+
+        return real(start, counted, *args)
+
+    monkeypatch.setattr(engine, "bfs", bfs)
     counts = []
     for stack in (None, 5):
         calls.clear()

@@ -26,12 +26,11 @@ for the words of a result as strings, the image of a word under a morphism
 and a semilinear set of given components."""
 
 import math
-from dataclasses import replace
 from itertools import product
 
 from hypothesis import strategies as st
 
-from igkit import automata, fixture_text, kernel
+from igkit import automata, fixture_text, kernel, replace
 from igkit import vector_automata as va
 from igkit.closure import _split_rhs, inverse_projection, normalize_rhs
 from igkit.counters import ParikhSample, counter_letters, expand_to_nfa, to_one_reversal
