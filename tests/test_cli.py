@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -817,6 +818,291 @@ def test_reports_parse_back(capsys):
     blocks = parse_report(text)
     assert len(blocks) == 1
     assert set(blocks[0]) >= {"command", "input", "words", "exhausted", "status"}
+
+# the report of every command and subcommand, and of an input error: (argv,
+# exit status, the number of blocks, the lines of the last one); `elapsed_s`
+# stands for that line with any value, and {tmp} for a temporary directory
+SHAPES = [
+    ('validate fixture:twin.ig', 0, 1, [
+        'command: validate',
+        'input: fixture:twin.ig sha256:7cffbe76b783',
+        'violations: 0',
+        'status: ok',
+    ]),
+    ('enumerate fixture:twin.ig --max-len 14 --max-steps 60 --max-stack 3', 0, 1, [
+        'command: enumerate',
+        'input: fixture:twin.ig sha256:7cffbe76b783',
+        'max_len: 14',
+        'count: 3',
+        'words: $, abc$abc, aabbcc$aabbcc',
+        'exhausted: true',
+        'caps: max_steps max_stack',
+        'forms: 49',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('member fixture:anbn.ig aabb --exhaustive', 0, 1, [
+        'command: member',
+        'input: fixture:anbn.ig sha256:8e6779c798c2',
+        'word: aabb',
+        'verdict: proven',
+        'exhausted: false',
+        'elapsed_s',
+        'status: proven',
+        'witness: init | S ; p0 @ 0 | a S b ; p0 @ 1 | a a S b b ; p1 @ 2 | a a b b ; ',
+    ]),
+    ('min-index fixture:ramp.ig abaa --max-steps 60 --max-stack 4', 0, 1, [
+        'command: min-index',
+        'input: fixture:ramp.ig sha256:41a93325eb99',
+        'word: abaa',
+        'min_index: 3',
+        'witness: init | S ; p0 @ 0 | X[e] ; p1 @ 0 | A[e] B[e] H[e] ; p8 @ 0 | a B[e] H[e] ; '
+        "p10 @ 1 | a b H[e] ; p2 @ 2 | a b X'[f,e] ; p4 @ 2 | a b X''[f,e] ; "
+        "p5 @ 2 | a b a X''[e] ; p6 @ 3 | a b a a ; ",
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('min-index fixture:anbn.ig ba --exhaustive', 1, 1, [
+        'command: min-index',
+        'input: fixture:anbn.ig sha256:8e6779c798c2',
+        'word: ba',
+        'status: not-a-member',
+    ]),
+    ('min-index fixture:twin.ig aabbcc$aabbcc --max-stack 3 --hard-cap 10', 3, 1, [
+        'command: min-index',
+        'input: fixture:twin.ig sha256:7cffbe76b783',
+        'word: aabbcc$aabbcc',
+        'stopped_by: hard_cap',
+        'status: unknown',
+    ]),
+    ('check-uncontrolled fixture:ramp.ig --k 3 --max-stack 5 --max-steps 60', 1, 1, [
+        'command: check-uncontrolled',
+        'input: fixture:ramp.ig sha256:41a93325eb99',
+        'k: 3',
+        'verdict: refuted',
+        'exhausted: false',
+        'forms: 30',
+        'elapsed_s',
+        'status: refuted',
+        'witness_width: 5',
+        'witness: init | S ; p0 @ 0 | X[e] ; p1 @ 0 | A[e] B[e] H[e] ; '
+        "p2 @ 2 | A[e] B[e] X'[f,e] ; p3 @ 2 | A[e] B[e] X[f,e] ; "
+        'p1 @ 2 | A[e] B[e] A[f,e] B[f,e] H[f,e] ; p8 @ 0 | a B[e] A[f,e] B[f,e] H[f,e] ; '
+        'p10 @ 1 | a b A[f,e] B[f,e] H[f,e] ; p7 @ 2 | a b a A[e] B[f,e] H[f,e] ; '
+        'p8 @ 3 | a b a a B[f,e] H[f,e] ; p9 @ 4 | a b a a B[e] H[f,e] ; '
+        "p10 @ 4 | a b a a b H[f,e] ; p2 @ 5 | a b a a b X'[f,f,e] ; "
+        "p4 @ 5 | a b a a b X''[f,f,e] ; p5 @ 5 | a b a a b a X''[f,e] ; "
+        "p5 @ 6 | a b a a b a a X''[e] ; p6 @ 7 | a b a a b a a a ; ",
+    ]),
+    ('transform union fixture:astar.ig fixture:bstar.ig --out {tmp}/o.ig', 0, 1, [
+        'command: transform union',
+        'input: fixture:astar.ig sha256:b285014dbdf0',
+        'input.2: fixture:bstar.ig sha256:101bf55620b3',
+        'out: {tmp}/o.ig',
+        'variables: 3',
+        'productions: 6',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('transform morph fixture:anbn.ig fixture:axy.map --out {tmp}/o.ig', 0, 1, [
+        'command: transform morph',
+        'input: fixture:anbn.ig sha256:8e6779c798c2',
+        'input.2: fixture:axy.map sha256:05d6094a15bb',
+        'out: {tmp}/o.ig',
+        'variables: 1',
+        'productions: 2',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('transform inv-morph fixture:anbn.ig fixture:idab.map --out {tmp}/o.ig', 0, 1, [
+        'command: transform inv-morph',
+        'input: fixture:anbn.ig sha256:8e6779c798c2',
+        'input.2: fixture:idab.map sha256:42f1323d5929',
+        'out: {tmp}/o.ig',
+        'variables: 25',
+        'productions: 35',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('transform normalize fixture:twin.ig --out {tmp}/o.ig', 0, 1, [
+        'command: transform normalize',
+        'input: fixture:twin.ig sha256:7cffbe76b783',
+        'out: {tmp}/o.ig',
+        'variables: 15',
+        'productions: 23',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('transform intersect-dfa fixture:twin.ig fixture:dollar.fsa --out {tmp}/o.ig', 0, 1, [
+        'command: transform intersect-dfa',
+        'input: fixture:twin.ig sha256:7cffbe76b783',
+        'input.2: fixture:dollar.fsa sha256:551cddcadc6c',
+        'out: {tmp}/o.ig',
+        'variables: 17',
+        'productions: 25',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('transform inv-proj fixture:abword.ig --letters x --out {tmp}/o.ig', 0, 1, [
+        'command: transform inv-proj',
+        'input: fixture:abword.ig sha256:40cd6576f5c7',
+        'out: {tmp}/o.ig',
+        'variables: 4',
+        'productions: 8',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('transform transduce fixture:anbncn.ig fixture:dollar.fsa '
+     '--source a,b,c --target $ --rename $=x --out {tmp}/o.ig', 0, 1, [
+        'command: transform transduce',
+        'input: fixture:anbncn.ig sha256:f8f656d1fb6b',
+        'input.2: fixture:dollar.fsa sha256:551cddcadc6c',
+        'out: {tmp}/o.ig',
+        'variables: 69',
+        'productions: 96',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('synth-linear fixture:twin.sls --out {tmp}/o.ig', 0, 1, [
+        'command: synth-linear',
+        'input: fixture:twin.sls sha256:b087e2ac6139',
+        'out: {tmp}/o.ig',
+        'variables: 9',
+        'productions: 17',
+        'status: ok',
+    ]),
+    ('synth-semilinear fixture:twin.sls --out {tmp}/o.ig', 0, 1, [
+        'command: synth-semilinear',
+        'input: fixture:twin.sls sha256:b087e2ac6139',
+        'out: {tmp}/o.ig',
+        'variables: 9',
+        'productions: 17',
+        'status: ok',
+    ]),
+    ('slset member fixture:diag.sls --vector (2,2)', 0, 1, [
+        'command: slset member',
+        'input: fixture:diag.sls sha256:8eb3f2b46b2d',
+        'vector: (2,2)',
+        'member: true',
+        'status: ok',
+    ]),
+    ('slset subset fixture:quadrant.sls fixture:diag.sls', 1, 1, [
+        'command: slset subset',
+        'input: fixture:quadrant.sls sha256:7644b0d96743',
+        'input.2: fixture:diag.sls sha256:8eb3f2b46b2d',
+        'verdict: refuted',
+        'witness: (1, 0)',
+        'status: refuted',
+    ]),
+    ('slset equal fixture:diag.sls fixture:diag.sls', 0, 1, [
+        'command: slset equal',
+        'input: fixture:diag.sls sha256:8eb3f2b46b2d',
+        'input.2: fixture:diag.sls sha256:8eb3f2b46b2d',
+        'verdict: proven',
+        'status: proven',
+    ]),
+    ('slset empty fixture:diag.sls', 1, 1, [
+        'command: slset empty',
+        'input: fixture:diag.sls sha256:8eb3f2b46b2d',
+        'verdict: refuted',
+        'witness: (0, 0)',
+        'status: refuted',
+    ]),
+    ('bounded member fixture:twin.sls abc$ac', 1, 1, [
+        'command: bounded member',
+        'input: fixture:twin.sls sha256:b087e2ac6139',
+        'word: abc$ac',
+        'member: false',
+        'status: ok',
+    ]),
+    ('bounded subset fixture:twin.sls fixture:twin.sls --check-len 14', 0, 1, [
+        'command: bounded subset',
+        'input: fixture:twin.sls sha256:b087e2ac6139',
+        'input.2: fixture:twin.sls sha256:b087e2ac6139',
+        'verdict: proven',
+        'status: proven',
+    ]),
+    ('etol enumerate fixture:anbn1.etol --max-len 6 --max-steps 2', 0, 1, [
+        'command: etol enumerate',
+        'input: fixture:anbn1.etol sha256:020f924ad654',
+        'count: 2',
+        'words: _, ab',
+        'exhausted: false',
+        'stopped_by: max_steps',
+        'status: ok',
+    ]),
+    ('etol check-anf fixture:anbn1.etol', 0, 1, [
+        'command: etol check-anf',
+        'input: fixture:anbn1.etol sha256:020f924ad654',
+        'violations: 0',
+        'status: ok',
+    ]),
+    ('etol convert fixture:anbn1.etol --out {tmp}/o.ig', 0, 1, [
+        'command: etol convert',
+        'input: fixture:anbn1.etol sha256:020f924ad654',
+        'out: {tmp}/o.ig',
+        'variables: 2',
+        'productions: 5',
+        'status: ok',
+    ]),
+    ('ncm run fixture:anbn.ncm aabb', 0, 1, [
+        'command: ncm run',
+        'input: fixture:anbn.ncm sha256:7f56ec4a71d2',
+        'word: aabb',
+        'outcome: accepted',
+        'configs: 7',
+        'status: accepted',
+    ]),
+    ('ncm one-reversal fixture:updown.ncm --out {tmp}/o.ncm', 0, 1, [
+        'command: ncm one-reversal',
+        'input: fixture:updown.ncm sha256:a1433a7850a3',
+        'out: {tmp}/o.ncm',
+        'counters: 2',
+        'states: 8',
+        'status: ok',
+    ]),
+    ('ncm expand fixture:anbn.ncm --out {tmp}/o.fsa', 0, 1, [
+        'command: ncm expand',
+        'input: fixture:anbn.ncm sha256:7f56ec4a71d2',
+        'out: {tmp}/o.fsa',
+        'states: 12',
+        'status: ok',
+    ]),
+    ('ncm parikh-intersect fixture:anbn.ncm fixture:sigmastar_ab.ig '
+     '--radius 4 --max-width 6', 0, 1, [
+        'command: ncm parikh-intersect',
+        'input: fixture:anbn.ncm sha256:7f56ec4a71d2',
+        'input.2: fixture:sigmastar_ab.ig sha256:806cb1b874e1',
+        'radius: 4',
+        'enum_len: 12',
+        'exhausted: true',
+        'vectors: (0, 0); (1, 1); (2, 2)',
+        'status: ok',
+    ]),
+    ('replicate-paper', 0, 15, [
+        'command: replicate-paper',
+        'checks: 14',
+        'failures: 0',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    ('validate {tmp}/missing.ig', 2, 1, [
+        'command: validate',
+        "error: FileNotFoundError: [Errno 2] No such file or directory: '{tmp}/missing.ig'",
+        'status: error',
+    ]),
+]
+
+
+@pytest.mark.parametrize("line,code,count,want", SHAPES,
+                         ids=[r[0].split(" --")[0].replace("{tmp}/", "") for r in SHAPES])
+def test_report_shape(tmp_path, capsys, line, code, count, want):
+    got = main([a.format(tmp=tmp_path) for a in line.split()])
+    blocks = capsys.readouterr().out.replace(str(tmp_path), "{tmp}").split("---\n")
+    assert blocks.pop() == "" and len(blocks) == count
+    lines = ["elapsed_s" if re.fullmatch(r"elapsed_s: \d+\.\d{3}", x) else x
+             for x in blocks[-1].splitlines()]
+    assert (got, lines) == (code, want)
 
 
 def test_multichar_terminal_words_use_spaces(tmp_path, capsys):
