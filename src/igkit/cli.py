@@ -1,18 +1,29 @@
 """Batch command-line front end.
 
 Every command prints a machine-readable report: `key: value` lines, blocks
-separated by `---`. Every command handler returns the kind of its answer,
-and `main` turns it into the exit status through EXIT: 0 for proven (or
-success), 1 for refuted (or violations), 3 for unknown, limited by the
-budget; 2 is an input error: an unreadable file or argument, or a file that
-does not parse (`validate` reports every problem this way). Paths starting
-with `fixture:` resolve to the bundled fixture files.
+separated by `---`. A report names the `command` and the digest of each input
+(`input`, `input.2`), then the command's own fields, and ends with
+`elapsed_s`, the seconds the answer took (reading and parsing the inputs not
+counted), and then `status`. Paths starting with `fixture:` resolve to the
+bundled fixture files.
+
+Each command and subcommand is one row of TABLE: its help, its inputs with
+the reader of each, its other arguments and budget caps, and a handler that
+takes the parsed inputs and the arguments and returns the kind of its answer
+and its fields (a command that only computes something answers PROVEN).
+`main` reads the inputs, times the handler, emits the report and turns the
+kind into the exit status through EXIT: 0 for proven (or success), 1 for
+refuted (or violations), 3 for unknown, limited by the budget; 2 is an input
+error: an unreadable file or argument, or a file that does not parse
+(`validate` reports every problem this way), reported with no `elapsed_s`.
 
 `import igkit.cli` loads the derivation core only (`grammar`, `search`,
 `engine`, `kernel`), and no `dataclasses`. Every name taken from the other
 layers (`automata`, `closure`, `counters`, `etol`, `semilinear` and, through
 it, `vector_automata`) is a stand-in made by `_lazy`, so each layer loads on
 the first command that runs it; `main` builds only that command's parser.
+Handlers call readers and layer functions as globals of this module, found
+when the command runs, so a wrapper set on one of them sees every call.
 """
 
 from __future__ import annotations
@@ -23,10 +34,10 @@ import functools
 import hashlib
 import importlib
 import io
+import os
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 from . import fixture_path
 from .engine import Budget, check_uncontrolled, enumerate_language, membership, min_index
@@ -79,20 +90,25 @@ check_anf, etol_enumerate, etol_to_indexed, parse_etol = _lazy(
 EXIT = {PROVEN: 0, REFUTED: 1, UNKNOWN: 3}
 ERROR = 2
 
-# how `ncm run` and `min-index` word the kind of their answer
+# the `status:` each kind of answer reports: the kind itself for a decision,
+# `ok` for a computation or an exact membership test, or the command's own word
+VERDICT = {kind: kind for kind in EXIT}
+OK = {PROVEN: "ok", REFUTED: "ok"}
 OUTCOME = {PROVEN: "accepted", REFUTED: "rejected", UNKNOWN: "unknown"}
 MIN_INDEX_STATUS = {PROVEN: "ok", REFUTED: "not-a-member", UNKNOWN: "unknown"}
 
+_FIXTURES = str(fixture_path(""))
 
-def _resolve(path: str) -> Path:
+
+def _resolve(path: str) -> str:
     if path.startswith("fixture:"):
-        return fixture_path(path[len("fixture:"):])
-    return Path(path)
+        return os.path.join(_FIXTURES, path[len("fixture:"):])
+    return path
 
 
 def _read(path: str) -> tuple[str, str]:
-    p = _resolve(path)
-    text = p.read_text(encoding="utf-8")
+    with open(_resolve(path), encoding="utf-8") as f:
+        text = f.read()
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return text, f"{path} sha256:{digest}"
 
@@ -136,6 +152,11 @@ def _stopped_by(stop: str) -> dict:
     return {"stopped_by": stop} if stop not in (SWEPT, FOUND) else {}
 
 
+def _swept(exhausted: bool, stop: str) -> dict:
+    """The `exhausted:` line of a search, then its `stopped_by:` line."""
+    return {"exhausted": str(exhausted).lower(), **_stopped_by(stop)}
+
+
 def _word(text: str, alphabet) -> tuple[str, ...]:
     """A word argument: `_` is the empty word, spaces separate letters, and
     otherwise each character is a letter unless some letter is longer."""
@@ -152,6 +173,20 @@ def _render_word(w) -> str:
     if not w:
         return "_"
     return " ".join(w) if any(len(s) > 1 for s in w) else "".join(w)
+
+
+def _words(words) -> dict:
+    return {"count": len(words), "words": ", ".join(_render_word(w) for w in words)}
+
+
+def _witness(g, d) -> dict:
+    return {} if d is None else {"witness": derivation_to_trace(g, d).replace("\n", " ; ")}
+
+
+def _decided(v, render=str) -> tuple:
+    """The answer of a decision: its verdict, and its witness if it has one."""
+    witness = {} if v.witness is None else {"witness": render(v.witness)}
+    return v.kind, {"verdict": v.kind, **witness}
 
 
 def _letter(text: str, flag: str) -> str:
@@ -172,322 +207,158 @@ def _letters(text: str, flag: str) -> tuple[str, ...]:
     return letters
 
 
-def _write_grammar(g, out: str) -> None:
-    Path(out).write_text(serialize_grammar(g), encoding="utf-8")
+def _shaped(sls, path: str):
+    """The name, shape and set of a `.sls` file that must have a `shape:` line."""
+    name, shape, s = sls
+    if shape is None:
+        raise GrammarError(f"{path} has no `shape:` line")
+    return name, shape, s
+
+
+def _written(args, text: str, **fields) -> tuple:
+    """Write `text` to --out; the answer of a command that writes a file."""
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write(text)
+    return PROVEN, {"out": args.out, **fields}
+
+
+def _grammar_out(g, args) -> tuple:
+    return _written(args, serialize_grammar(g), variables=len(g.variables),
+                    productions=len(g.productions))
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns the kind of its answer; a command that only
-# computes something answers PROVEN)
+# handlers: each takes the parsed inputs and the arguments, and returns the
+# kind of its answer and its report fields
 
 
-def cmd_validate(args) -> str:
-    text, digest = _read(args.grammar)
-    parse_grammar(text)  # raises a ParseError listing every problem `validate` finds
-    emit_report({"command": "validate", "input": digest, "violations": 0, "status": "ok"})
-    return PROVEN
-
-
-def cmd_enumerate(args) -> str:
-    text, digest = _read(args.grammar)
-    g = parse_grammar(text)
-    t0 = time.monotonic()
+def _enumerate(g, args) -> tuple:
     res = enumerate_language(g, args.max_len, _budget(args))
-    emit_report({
-        "command": "enumerate",
-        "input": digest,
-        "max_len": args.max_len,
-        "count": len(res.words),
-        "words": ", ".join(_render_word(w) for w in res.words),
-        "exhausted": str(res.exhausted).lower(),
-        **_stopped_by(res.stop),
-        "caps": " ".join(res.active_caps),
-        "forms": res.forms_seen,
-        "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        "status": "ok",
-    })
-    return PROVEN
+    return PROVEN, {"max_len": args.max_len, **_words(res.words),
+                    **_swept(res.exhausted, res.stop), "caps": " ".join(res.active_caps),
+                    "forms": res.forms_seen}
 
 
-def cmd_member(args) -> str:
-    text, digest = _read(args.grammar)
-    g = parse_grammar(text)
+def _member(g, args) -> tuple:
     w = _word(args.word, g.terminals)
-    t0 = time.monotonic()
     v = membership(g, w, _budget(args), caps_exact=args.exhaustive)
-    fields = {
-        "command": "member",
-        "input": digest,
-        "word": _render_word(w),
-        "verdict": v.kind,
-        "exhausted": str(v.info["exhausted"]).lower(),
-        **_stopped_by(v.info["stop"]),
-        "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        "status": v.kind,
-    }
-    if v.witness is not None:
-        fields["witness"] = derivation_to_trace(g, v.witness).replace("\n", " ; ")
-    emit_report(fields)
-    return v.kind
+    return v.kind, {"word": _render_word(w), "verdict": v.kind,
+                    **_swept(v.info["exhausted"], v.info["stop"]), **_witness(g, v.witness)}
 
 
-def cmd_min_index(args) -> str:
-    text, digest = _read(args.grammar)
-    g = parse_grammar(text)
+def _min_index(g, args) -> tuple:
     w = _word(args.word, g.terminals)
-    t0 = time.monotonic()
     v = min_index(g, w, _budget(args), caps_exact=args.exhaustive)
-    fields = {"command": "min-index", "input": digest, "word": _render_word(w)}
+    fields = {"word": _render_word(w)}
     if v.is_proven:
-        fields.update({
-            "min_index": v.info["k"],
-            "witness": derivation_to_trace(g, v.witness).replace("\n", " ; "),
-            "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        })
-    emit_report({**fields, **_stopped_by(v.info["stop"]), "status": MIN_INDEX_STATUS[v.kind]})
-    return v.kind
+        fields.update({"min_index": v.info["k"], **_witness(g, v.witness)})
+    return v.kind, {**fields, **_stopped_by(v.info["stop"])}
 
 
-def cmd_check_uncontrolled(args) -> str:
-    text, digest = _read(args.grammar)
-    g = parse_grammar(text)
-    t0 = time.monotonic()
+def _check_uncontrolled(g, args) -> tuple:
     v = check_uncontrolled(g, args.k, _budget(args))
-    fields = {
-        "command": "check-uncontrolled",
-        "input": digest,
-        "k": args.k,
-        "verdict": v.kind,
-        "exhausted": str(v.info["exhausted"]).lower(),
-        **_stopped_by(v.info["stop"]),
-        "forms": v.info["forms"],
-        "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        "status": v.kind,
-    }
+    fields = {"k": args.k, "verdict": v.kind, **_swept(v.info["exhausted"], v.info["stop"]),
+              "forms": v.info["forms"]}
     if v.witness is not None:
-        fields["witness_width"] = v.witness.index()
-        fields["witness"] = derivation_to_trace(g, v.witness).replace("\n", " ; ")
-    emit_report(fields)
-    return v.kind
+        fields.update({"witness_width": v.witness.index(), **_witness(g, v.witness)})
+    return v.kind, fields
 
 
-def cmd_transform(args) -> str:
-    t0 = time.monotonic()
-    text, digest = _read(args.grammar)
-    g = parse_grammar(text)
-    inputs = {"input": digest}
-    kind = args.transform_kind
-
-    def second(path: str) -> str:  # the text of the second input
-        text2, inputs["input.2"] = _read(path)
-        return text2
-
-    if kind == "union":
-        out = union(g, parse_grammar(second(args.other)))
-    elif kind == "morph":
-        out = morphism_image(g, parse_morphism(second(args.morphism)))
-    elif kind == "inv-morph":
-        out = inverse_morphism(g, parse_morphism(second(args.morphism)))
-    elif kind == "normalize":
-        out = normalize_rhs(g)
-    elif kind == "intersect-dfa":
-        nfa = parse_fsa(second(args.fsa))
-        out = intersect_dfa(normalize_rhs(g), determinize(nfa))
-    elif kind == "inv-proj":
-        letters = _letters(args.letters, "--letters")
-        for letter in letters:
-            if letter in g.terminal_set:
-                raise UsageError(f"argument --letters: {letter!r} is already a terminal")
-        out = inverse_projection(g, g.terminals + letters)
-    elif kind == "transduce":
-        rel = parse_fsa(second(args.fsa))
-        target = _letters(args.target, "--target")
-        rename = None
-        if args.rename:
-            pairs = [pair.partition("=") for pair in args.rename.split(",")]
-            if not all(eq for _, eq, _ in pairs):
-                raise UsageError(f"argument --rename: expected tagged=final pairs, "
-                                 f"got {args.rename!r}")
-            rename = tuple((_letter(tagged, "--rename"), _letter(final, "--rename"))
-                           for tagged, _, final in pairs)
-            for tagged, _ in rename:
-                if tagged not in target:
-                    raise UsageError(f"argument --rename: tagged letter {tagged!r} "
-                                     "is not in --target")
-        tau = NivatTransducer(
-            source=_letters(args.source, "--source"),
-            target=target,
-            rel=rel,
-            output_rename=rename,
-        )
-        out = nivat_transduce(g, tau)
-    else:  # pragma: no cover
-        raise GrammarError(f"unknown transform {kind!r}")
-    _write_grammar(out, args.out)
-    emit_report({
-        "command": f"transform {kind}",
-        **inputs,
-        "out": args.out,
-        "variables": len(out.variables),
-        "productions": len(out.productions),
-        "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        "status": "ok",
-    })
-    return PROVEN
+def _inverse_projection(g, args) -> tuple:
+    letters = _letters(args.letters, "--letters")
+    for letter in letters:
+        if letter in g.terminal_set:
+            raise UsageError(f"argument --letters: {letter!r} is already a terminal")
+    return _grammar_out(inverse_projection(g, g.terminals + letters), args)
 
 
-def _read_shaped(path: str):
-    """Read a `.sls` file that must have a `shape:` line; returns the input's
-    digest, the name, the shape and the set."""
-    text, digest = _read(path)
-    name, shape, s = parse_slset(text)
-    if shape is None:
-        raise GrammarError(f"{path} has no `shape:` line")
-    return digest, name, shape, s
+def _transduce(g, rel, args) -> tuple:
+    target = _letters(args.target, "--target")
+    rename = None
+    if args.rename:
+        pairs = [pair.partition("=") for pair in args.rename.split(",")]
+        if not all(eq for _, eq, _ in pairs):
+            raise UsageError(f"argument --rename: expected tagged=final pairs, "
+                             f"got {args.rename!r}")
+        rename = tuple((_letter(tagged, "--rename"), _letter(final, "--rename"))
+                       for tagged, _, final in pairs)
+        for tagged, _ in rename:
+            if tagged not in target:
+                raise UsageError(f"argument --rename: tagged letter {tagged!r} "
+                                 "is not in --target")
+    tau = NivatTransducer(source=_letters(args.source, "--source"), target=target, rel=rel,
+                          output_rename=rename)
+    return _grammar_out(nivat_transduce(g, tau), args)
 
 
-def cmd_synth(args, semi: bool) -> str:
-    digest, name, shape, s = _read_shaped(args.slset)
-    if semi:
-        g = semilinear_to_grammar(shape, s, name=name)
-    else:
-        if len(s.components) != 1:
-            raise GrammarError("synth-linear needs exactly one linear component")
-        g = linear_to_grammar(shape, s.components[0], name=name)
-    _write_grammar(g, args.out)
-    emit_report({
-        "command": "synth-semilinear" if semi else "synth-linear",
-        "input": digest,
-        "out": args.out,
-        "variables": len(g.variables),
-        "productions": len(g.productions),
-        "status": "ok",
-    })
-    return PROVEN
+def _synth_linear(sls, args) -> tuple:
+    name, shape, s = _shaped(sls, args.slset)
+    if len(s.components) != 1:
+        raise GrammarError("synth-linear needs exactly one linear component")
+    return _grammar_out(linear_to_grammar(shape, s.components[0], name=name), args)
 
 
-def cmd_slset(args) -> str:
-    text, digest = _read(args.slset)
-    _, _, s1 = parse_slset(text)
-    op = args.slset_op
-    fields = {"command": f"slset {op}", "input": digest}
-    if op == "member":
-        try:
-            vector = parse_vector(args.vector)
-        except ValueError as exc:
-            raise UsageError(f"argument --vector: {exc}") from None
-        got = slset_member(vector, s1)
-        fields.update({"vector": args.vector, "member": str(got).lower(), "status": "ok"})
-        emit_report(fields)
-        return PROVEN if got else REFUTED
-    if op == "empty":
-        v = slset_empty(s1)
-    else:
-        text2, digest2 = _read(args.other)
-        _, _, s2 = parse_slset(text2)
-        fields["input.2"] = digest2
-        v = slset_subset(s1, s2) if op == "subset" else slset_equal(s1, s2)
-    witness = {} if v.witness is None else {"witness": str(v.witness)}
-    emit_report({**fields, "verdict": v.kind, **witness, "status": v.kind})
-    return v.kind
+def _synth_semilinear(sls, args) -> tuple:
+    name, shape, s = _shaped(sls, args.slset)
+    return _grammar_out(semilinear_to_grammar(shape, s, name=name), args)
 
 
-def cmd_bounded(args) -> str:
-    digest, _, shape1, s1 = _read_shaped(args.slset)
-    op = args.bounded_op
-    if op == "member":
-        w = _word(args.word, [c for u in shape1.words for c in u])
-        got = bounded_word_member(w, shape1, s1)
-        emit_report({
-            "command": "bounded member", "input": digest, "word": args.word,
-            "member": str(got).lower(), "status": "ok",
-        })
-        return PROVEN if got else REFUTED
-    digest2, _, shape2, s2 = _read_shaped(args.other)
+def _slset_member(sls, args) -> tuple:
+    try:
+        vector = parse_vector(args.vector)
+    except ValueError as exc:
+        raise UsageError(f"argument --vector: {exc}") from None
+    got = slset_member(vector, sls[2])
+    return PROVEN if got else REFUTED, {"vector": args.vector, "member": str(got).lower()}
+
+
+def _bounded_member(sls, args) -> tuple:
+    _, shape, s = _shaped(sls, args.slset)
+    got = bounded_word_member(_word(args.word, [c for u in shape.words for c in u]), shape, s)
+    return PROVEN if got else REFUTED, {"word": args.word, "member": str(got).lower()}
+
+
+def _bounded_subset(sls, other, args) -> tuple:
+    _, shape1, s1 = _shaped(sls, args.slset)
+    _, shape2, s2 = _shaped(other, args.other)
     v = bounded_lang_subset(shape1, s1, shape2, s2, args.check_len)
-    witness = {} if v.witness is None else {"witness": _render_word(v.witness)}
-    emit_report({"command": "bounded subset", "input": digest, "input.2": digest2,
-                 "verdict": v.kind, **witness, **v.info, "status": v.kind})
-    return v.kind
+    kind, fields = _decided(v, _render_word)
+    return kind, {**fields, **v.info}
 
 
-def cmd_etol(args) -> str:
-    text, digest = _read(args.system)
-    sys_ = parse_etol(text)
-    op = args.etol_op
-    if op == "enumerate":
-        res = etol_enumerate(sys_, args.max_len, _budget(args))
-        emit_report({
-            "command": "etol enumerate", "input": digest,
-            "count": len(res.words),
-            "words": ", ".join(_render_word(w) for w in res.words),
-            "exhausted": str(res.exhausted).lower(),
-            **_stopped_by(res.stop),
-            "status": "ok",
-        })
-        return PROVEN
-    if op == "check-anf":
-        problems = check_anf(sys_)
-        emit_report({
-            "command": "etol check-anf", "input": digest,
-            "violations": len(problems),
-            **{f"violation.{i}": p for i, p in enumerate(problems)},
-            "status": "ok" if not problems else "invalid",
-        })
-        return REFUTED if problems else PROVEN
-    g = etol_to_indexed(sys_)
-    _write_grammar(g, args.out)
-    emit_report({
-        "command": "etol convert", "input": digest, "out": args.out,
-        "variables": len(g.variables), "productions": len(g.productions),
-        "status": "ok",
-    })
-    return PROVEN
+def _etol_enumerate(sys_, args) -> tuple:
+    res = etol_enumerate(sys_, args.max_len, _budget(args))
+    return PROVEN, {**_words(res.words), **_swept(res.exhausted, res.stop)}
 
 
-def cmd_ncm(args) -> str:
-    text, digest = _read(args.machine)
-    m = parse_ncm(text)
-    op = args.ncm_op
-    if op == "run":
-        w = _word(args.word, m.alphabet)
-        v = ncm_run(m, w, counter_cap=args.counter_cap)
-        emit_report({
-            "command": "ncm run", "input": digest, "word": args.word,
-            "outcome": OUTCOME[v.kind], "configs": v.info["configs"],
-            **_stopped_by(v.info["stop"]), "status": OUTCOME[v.kind],
-        })
-        return v.kind
-    if op == "one-reversal":
-        m1 = to_one_reversal(m)
-        Path(args.out).write_text(serialize_ncm(m1), encoding="utf-8")
-        emit_report({
-            "command": "ncm one-reversal", "input": digest, "out": args.out,
-            "counters": m1.num_counters, "states": len(m1.states),
-            "status": "ok",
-        })
-        return PROVEN
-    if op == "expand":
-        nfa = expand_to_nfa(to_one_reversal(m))
-        Path(args.out).write_text(serialize_fsa(nfa), encoding="utf-8")
-        emit_report({
-            "command": "ncm expand", "input": digest, "out": args.out,
-            "states": len(nfa.states), "status": "ok",
-        })
-        return PROVEN
-    text2, digest2 = _read(args.grammar)
-    g = parse_grammar(text2)
-    sample = parikh_of_intersection(
-        g, m, args.radius, enum_len=args.enum_len, budget=_budget(args)
-    )
-    emit_report({
-        "command": "ncm parikh-intersect", "input": digest, "input.2": digest2,
-        "radius": sample.radius, "enum_len": sample.enum_len,
-        "exhausted": str(sample.exhausted).lower(), **_stopped_by(sample.stop),
-        "vectors": "; ".join(str(v) for v in sample.vectors),
-        "status": "ok",
-    })
-    return PROVEN
+def _check_anf(sys_, args) -> tuple:
+    problems = check_anf(sys_)
+    return REFUTED if problems else PROVEN, {
+        "violations": len(problems), **{f"violation.{i}": p for i, p in enumerate(problems)}}
+
+
+def _ncm_run(m, args) -> tuple:
+    v = ncm_run(m, _word(args.word, m.alphabet), counter_cap=args.counter_cap)
+    return v.kind, {"word": args.word, "outcome": OUTCOME[v.kind], "configs": v.info["configs"],
+                    **_stopped_by(v.info["stop"])}
+
+
+def _one_reversal(m, args) -> tuple:
+    m1 = to_one_reversal(m)
+    return _written(args, serialize_ncm(m1), counters=m1.num_counters, states=len(m1.states))
+
+
+def _expand(m, args) -> tuple:
+    nfa = expand_to_nfa(to_one_reversal(m))
+    return _written(args, serialize_fsa(nfa), states=len(nfa.states))
+
+
+def _parikh_intersect(m, g, args) -> tuple:
+    sample = parikh_of_intersection(g, m, args.radius, enum_len=args.enum_len,
+                                    budget=_budget(args))
+    return PROVEN, {"radius": sample.radius, "enum_len": sample.enum_len,
+                    **_swept(sample.exhausted, sample.stop),
+                    "vectors": "; ".join(str(v) for v in sample.vectors)}
 
 
 # ---------------------------------------------------------------------------
@@ -567,32 +438,23 @@ def _claim_error(lines, out: str) -> str | None:
     return None
 
 
-def cmd_replicate(args) -> str:
+def _replicate(args) -> tuple:
+    """One `check:` block per claim, then the count of the claims that fail."""
     failures = 0
-    t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as out:
         for name, lines in PAPER_CLAIMS:
             try:
                 error = _claim_error(lines, out)
             except Exception as exc:  # a defect that escaped `main`: report it, run the rest
                 error = f"{type(exc).__name__}: {exc}"
-            if error is None:
-                emit_report({"check": name, "result": "pass"})
-            else:
-                emit_report({"check": name, "result": "fail", "error": error})
-                failures += 1
-    emit_report({
-        "command": "replicate-paper",
-        "checks": len(PAPER_CLAIMS),
-        "failures": failures,
-        "elapsed_s": f"{time.monotonic() - t0:.3f}",
-        "status": "ok" if failures == 0 else "fail",
-    })
-    return REFUTED if failures else PROVEN
+            check = {"check": name, "result": "pass" if error is None else "fail"}
+            emit_report(check if error is None else {**check, "error": error})
+            failures += error is not None
+    return REFUTED if failures else PROVEN, {"checks": len(PAPER_CLAIMS), "failures": failures}
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the command table
 
 
 class UsageError(ValueError):
@@ -627,13 +489,120 @@ def _count(text: str) -> int:
     return n
 
 
-def _add_budget_flags(p, *caps, steps=400):
+def _add_budget_flags(p, steps, *caps):
     """--max-steps, a --max-<cap> flag for each cap the command honors
     (`width`, `stack`), and --hard-cap."""
     p.add_argument("--max-steps", type=int, default=steps)
     for cap in caps:
         p.add_argument(f"--max-{cap}", type=int, default=None)
     p.add_argument("--hard-cap", type=int, default=1_000_000)
+
+
+class _Row:
+    """A command: its help; its inputs, each (argument, name of the global of
+    this module that parses the file's text); its other arguments, each
+    (name, keywords of `add_argument`); its budget, (--max-steps default,
+    caps...), or None; its handler; and the `status:` of each kind."""
+
+    __slots__ = ("help", "inputs", "args", "budget", "run", "status")
+
+    def __init__(self, text, inputs, run, *args, budget=None, status=OK):
+        self.help, self.inputs, self.run, self.args = text, inputs, run, args
+        self.budget, self.status = budget, status
+
+
+GRAMMAR = (("grammar", "parse_grammar"),)
+SLSET = (("slset", "parse_slset"),)
+SYSTEM = (("system", "parse_etol"),)
+MACHINE = (("machine", "parse_ncm"),)
+WORD = ("word", {})
+OUT = ("--out", {"required": True})
+MAX_LEN = ("--max-len", {"type": _count, "required": True})
+SEARCH = (400, "width", "stack")
+
+TABLE = {
+    # reading the input raises a ParseError listing every problem `validate` finds
+    "validate": _Row("check a grammar file", GRAMMAR, lambda g, args: (PROVEN, {"violations": 0})),
+    "enumerate": _Row("list generated words up to a length", GRAMMAR, _enumerate, MAX_LEN,
+                      budget=SEARCH),
+    "member": _Row("search for a derivation of a word", GRAMMAR, _member, WORD, (
+        "--exhaustive", {"action": "store_true",
+                         "help": "caller asserts the width/stack caps cover every derivation"}),
+        budget=SEARCH, status=VERDICT),
+    "min-index": _Row("smallest derivation width for a word", GRAMMAR, _min_index, WORD,
+                      ("--exhaustive", {"action": "store_true"}), budget=SEARCH,
+                      status=MIN_INDEX_STATUS),
+    "check-uncontrolled": _Row("look for wide successful derivations", GRAMMAR,
+                               _check_uncontrolled, ("--k", {"type": int, "required": True}),
+                               budget=(400, "stack"), status=VERDICT),
+    "transform union": _Row("a grammar for the union of two languages",
+                            GRAMMAR + (("other", "parse_grammar"),),
+                            lambda g, h, args: _grammar_out(union(g, h), args), OUT),
+    "transform morph": _Row("a grammar for the image under a morphism",
+                            GRAMMAR + (("morphism", "parse_morphism"),),
+                            lambda g, h, args: _grammar_out(morphism_image(g, h), args), OUT),
+    "transform inv-morph": _Row("a grammar for the inverse image under a morphism",
+                                GRAMMAR + (("morphism", "parse_morphism"),),
+                                lambda g, h, args: _grammar_out(inverse_morphism(g, h), args),
+                                OUT),
+    "transform normalize": _Row("the grammar with right sides u, uXv or uXZ", GRAMMAR,
+                                lambda g, args: _grammar_out(normalize_rhs(g), args), OUT),
+    "transform intersect-dfa": _Row(
+        "a grammar for the intersection with an automaton's language",
+        GRAMMAR + (("fsa", "parse_fsa"),),
+        lambda g, nfa, args: _grammar_out(intersect_dfa(normalize_rhs(g), determinize(nfa)),
+                                          args), OUT),
+    "transform inv-proj": _Row("a grammar for the words with new letters inserted anywhere",
+                               GRAMMAR, _inverse_projection,
+                               ("--letters", {"required": True,
+                                              "help": "comma-separated new letters"}), OUT),
+    "transform transduce": _Row(
+        "a grammar for the image under a Nivat transducer", GRAMMAR + (("fsa", "parse_fsa"),),
+        _transduce, ("--source", {"required": True}), ("--target", {"required": True}),
+        ("--rename", {"default": None, "help": "comma-separated tagged=final pairs"}), OUT),
+    "synth-linear": _Row("grammar for one linear component", SLSET, _synth_linear, OUT),
+    "synth-semilinear": _Row("grammar for a semilinear set", SLSET, _synth_semilinear, OUT),
+    "slset member": _Row("is a vector in the set", SLSET, _slset_member,
+                         ("--vector", {"required": True})),
+    "slset subset": _Row("is the first set in the second", SLSET + (("other", "parse_slset"),),
+                         lambda s, t, args: _decided(slset_subset(s[2], t[2])), status=VERDICT),
+    "slset equal": _Row("are the two sets equal", SLSET + (("other", "parse_slset"),),
+                        lambda s, t, args: _decided(slset_equal(s[2], t[2])), status=VERDICT),
+    "slset empty": _Row("is the set empty", SLSET, lambda s, args: _decided(slset_empty(s[2])),
+                        status=VERDICT),
+    "bounded member": _Row("is a word in the bounded language", SLSET, _bounded_member, WORD),
+    "bounded subset": _Row("is the first bounded language in the second",
+                           SLSET + (("other", "parse_slset"),), _bounded_subset,
+                           ("--check-len", {"type": _count, "default": 20}), status=VERDICT),
+    "etol enumerate": _Row("list generated words up to a length", SYSTEM, _etol_enumerate,
+                           MAX_LEN, budget=(30, "width")),
+    "etol check-anf": _Row("list the violations of active normal form", SYSTEM, _check_anf,
+                           status={PROVEN: "ok", REFUTED: "invalid"}),
+    "etol convert": _Row("an indexed grammar for the same language", SYSTEM,
+                         lambda s, args: _grammar_out(etol_to_indexed(s), args), OUT),
+    "ncm run": _Row("run the machine on a word", MACHINE, _ncm_run, WORD, (
+        "--counter-cap", {"type": _count, "help": "largest counter value (default 2|w|+4)"}),
+        status=OUTCOME),
+    "ncm one-reversal": _Row("an equivalent machine whose counters reverse once", MACHINE,
+                             _one_reversal, OUT),
+    "ncm expand": _Row("an automaton that shows the counters' moves as letters", MACHINE,
+                       _expand, OUT),
+    "ncm parikh-intersect": _Row(
+        "Parikh vectors of the grammar's words the machine accepts",
+        MACHINE + GRAMMAR, _parikh_intersect, ("--radius", {"type": _count, "required": True}),
+        ("--enum-len", {"type": _count, "default": None}), budget=(600, "width", "stack")),
+    "replicate-paper": _Row("run the bundled fixture suite", (), _replicate,
+                            status={PROVEN: "ok", REFUTED: "fail"}),
+}
+# the commands with subcommands: their help, and the name argparse gives a missing one
+GROUPS = {
+    "transform": ("grammar-to-grammar constructions", "transform_kind"),
+    "slset": ("semilinear set decisions", "slset_op"),
+    "bounded": ("bounded-language decisions", "bounded_op"),
+    "etol": ("parallel rewriting systems", "etol_op"),
+    "ncm": ("reversal-bounded counter machines", "ncm_op"),
+}
+COMMANDS = tuple(dict.fromkeys(name.partition(" ")[0] for name in TABLE))
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -643,142 +612,27 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="workbench for grammars whose variables carry index stacks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, text):
-        return sub.add_parser(name, help=text) if command in (None, name) else None
-
-    if p := add("validate", "check a grammar file"):
-        p.add_argument("grammar")
-        p.set_defaults(func=cmd_validate)
-
-    if p := add("enumerate", "list generated words up to a length"):
-        p.add_argument("grammar")
-        p.add_argument("--max-len", type=_count, required=True)
-        _add_budget_flags(p, "width", "stack")
-        p.set_defaults(func=cmd_enumerate)
-
-    if p := add("member", "search for a derivation of a word"):
-        p.add_argument("grammar")
-        p.add_argument("word")
-        p.add_argument("--exhaustive", action="store_true",
-                       help="caller asserts the width/stack caps cover every derivation")
-        _add_budget_flags(p, "width", "stack")
-        p.set_defaults(func=cmd_member)
-
-    if p := add("min-index", "smallest derivation width for a word"):
-        p.add_argument("grammar")
-        p.add_argument("word")
-        p.add_argument("--exhaustive", action="store_true")
-        _add_budget_flags(p, "width", "stack")
-        p.set_defaults(func=cmd_min_index)
-
-    if p := add("check-uncontrolled", "look for wide successful derivations"):
-        p.add_argument("grammar")
-        p.add_argument("--k", type=int, required=True)
-        _add_budget_flags(p, "stack")
-        p.set_defaults(func=cmd_check_uncontrolled)
-
-    if p := add("transform", "grammar-to-grammar constructions"):
-        tsub = p.add_subparsers(dest="transform_kind", required=True)
-        for kind in ("union", "morph", "inv-morph", "normalize", "intersect-dfa",
-                     "inv-proj", "transduce"):
-            tp = tsub.add_parser(kind)
-            tp.add_argument("grammar")
-            if kind == "union":
-                tp.add_argument("other")
-            elif kind in ("morph", "inv-morph"):
-                tp.add_argument("morphism")
-            elif kind in ("intersect-dfa", "transduce"):
-                tp.add_argument("fsa")
-            if kind == "inv-proj":
-                tp.add_argument("--letters", required=True,
-                                help="comma-separated new letters")
-            if kind == "transduce":
-                tp.add_argument("--source", required=True)
-                tp.add_argument("--target", required=True)
-                tp.add_argument("--rename", default=None,
-                                help="comma-separated tagged=final pairs")
-            tp.add_argument("--out", required=True)
-            tp.set_defaults(func=cmd_transform)
-
-    if p := add("synth-linear", "grammar for one linear component"):
-        p.add_argument("slset")
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=lambda a: cmd_synth(a, semi=False))
-
-    if p := add("synth-semilinear", "grammar for a semilinear set"):
-        p.add_argument("slset")
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=lambda a: cmd_synth(a, semi=True))
-
-    if p := add("slset", "semilinear set decisions"):
-        ssub = p.add_subparsers(dest="slset_op", required=True)
-        for op in ("member", "subset", "equal", "empty"):
-            sp = ssub.add_parser(op)
-            sp.add_argument("slset")
-            if op in ("subset", "equal"):
-                sp.add_argument("other")
-            if op == "member":
-                sp.add_argument("--vector", required=True)
-            sp.set_defaults(func=cmd_slset)
-
-    if p := add("bounded", "bounded-language decisions"):
-        bsub = p.add_subparsers(dest="bounded_op", required=True)
-        bp = bsub.add_parser("member")
-        bp.add_argument("slset")
-        bp.add_argument("word")
-        bp.set_defaults(func=cmd_bounded)
-        bp = bsub.add_parser("subset")
-        bp.add_argument("slset")
-        bp.add_argument("other")
-        bp.add_argument("--check-len", type=_count, default=20)
-        bp.set_defaults(func=cmd_bounded)
-
-    if p := add("etol", "parallel rewriting systems"):
-        esub = p.add_subparsers(dest="etol_op", required=True)
-        ep = esub.add_parser("enumerate")
-        ep.add_argument("system")
-        ep.add_argument("--max-len", type=_count, required=True)
-        _add_budget_flags(ep, "width", steps=30)
-        ep.set_defaults(func=cmd_etol)
-        ep = esub.add_parser("check-anf")
-        ep.add_argument("system")
-        ep.set_defaults(func=cmd_etol)
-        ep = esub.add_parser("convert")
-        ep.add_argument("system")
-        ep.add_argument("--out", required=True)
-        ep.set_defaults(func=cmd_etol)
-
-    if p := add("ncm", "reversal-bounded counter machines"):
-        nsub = p.add_subparsers(dest="ncm_op", required=True)
-        np_ = nsub.add_parser("run")
-        np_.add_argument("machine")
-        np_.add_argument("word")
-        np_.add_argument("--counter-cap", type=_count, help="largest counter value (default 2|w|+4)")
-        np_.set_defaults(func=cmd_ncm)
-        np_ = nsub.add_parser("one-reversal")
-        np_.add_argument("machine")
-        np_.add_argument("--out", required=True)
-        np_.set_defaults(func=cmd_ncm)
-        np_ = nsub.add_parser("expand")
-        np_.add_argument("machine")
-        np_.add_argument("--out", required=True)
-        np_.set_defaults(func=cmd_ncm)
-        np_ = nsub.add_parser("parikh-intersect")
-        np_.add_argument("machine")
-        np_.add_argument("grammar")
-        np_.add_argument("--radius", type=_count, required=True)
-        np_.add_argument("--enum-len", type=_count, default=None)
-        _add_budget_flags(np_, "width", "stack", steps=600)
-        np_.set_defaults(func=cmd_ncm)
-
-    if p := add("replicate-paper", "run the bundled fixture suite"):
-        p.set_defaults(func=cmd_replicate)
+    groups = {}
+    for name, row in TABLE.items():
+        top, _, op = name.partition(" ")
+        if command not in (None, top):
+            continue
+        if not op:
+            p = sub.add_parser(name, help=row.help)
+        else:
+            if top not in groups:
+                text, dest = GROUPS[top]
+                groups[top] = sub.add_parser(top, help=text).add_subparsers(dest=dest,
+                                                                            required=True)
+            p = groups[top].add_parser(op, help=row.help)
+        for arg, _ in row.inputs:
+            p.add_argument(arg)
+        for arg, kwargs in row.args:
+            p.add_argument(arg, **kwargs)
+        if row.budget:
+            _add_budget_flags(p, *row.budget)
+        p.set_defaults(row=(name, row))
     return ap
-
-
-COMMANDS = ("validate", "enumerate", "member", "min-index", "check-uncontrolled", "transform",
-            "synth-linear", "synth-semilinear", "slset", "bounded", "etol", "ncm", "replicate-paper")
 
 
 @functools.cache  # built on the first call of `main` for a command, reused by later ones
@@ -790,7 +644,19 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-        return EXIT[args.func(args)]
+        name, row = args.row
+        report = {"command": name}
+        inputs = []
+        for key, (arg, reader) in zip(("input", "input.2"), row.inputs):
+            text, report[key] = _read(getattr(args, arg))
+            inputs.append(globals()[reader](text))
+        t0 = time.monotonic()
+        kind, fields = row.run(*inputs, args)
+        report.update(fields)
+        report["elapsed_s"] = f"{time.monotonic() - t0:.3f}"
+        report["status"] = row.status[kind]
+        emit_report(report)
+        return EXIT[kind]
     except _Help:
         return 0
     except (GrammarError, OSError, ValueError) as exc:

@@ -13,8 +13,9 @@ from igkit import cli
 from igkit.automata import parse_fsa
 from igkit.cli import build_parser, main, parse_report
 from igkit.counters import parse_ncm
+from igkit.grammar import parse_grammar
 
-from util import SILENT_SIX
+from util import SILENT_SIX, validate
 
 
 def run(capsys, *argv):
@@ -574,6 +575,7 @@ def test_written_files_read_back(tmp_path, capsys, argv, name, flags, words):
         return
     code, blocks = run_clean(capsys, "validate", str(out))
     assert code == 0 and blocks[0]["violations"] == "0"
+    assert validate(parse_grammar(out.read_text(encoding="utf-8"))) == []
     code, blocks = run_clean(capsys, "enumerate", str(out), *flags)
     assert blocks[0]["exhausted"] == "true" and blocks[0]["words"] == words
 
@@ -793,23 +795,46 @@ def test_no_layer_loads_dataclasses_or_importlib_resources(tmp_path):
     assert heavy == []
 
 
-# a wrapper set on a stand-in before its first call, as perfbench/tracing.py
-# sets its spans; the stand-in must not rebind the global when it resolves
+# wrappers set on globals of cli after import, as perfbench/tracing.py sets its
+# spans: on a stand-in before its first call, which must not rebind the global
+# when it resolves, and on names cli imports; each must see every call `main`
+# makes, as `main` looks readers and layer functions up when a command runs
 WRAPPED = """
 import contextlib, io, json, sys
 from igkit import cli
-calls, union = [], cli.union
-cli.union = lambda *args: calls.append(1) or union(*args)
-wrapper = cli.union
-for _ in range(2):
+calls = []
+def wrap(name, fn):
+    return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+wrappers = {name: wrap(name, getattr(cli, name))
+            for name in ("union", "parse_grammar", "parse_fsa", "serialize_grammar", "membership")}
+for name, wrapper in wrappers.items():
+    setattr(cli, name, wrapper)
+seen = []
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(["transform", "union", "fixture:astar.ig", "fixture:bstar.ig", "--out", sys.argv[1]])
-print(json.dumps([len(calls), cli.union is wrapper]))
+        cli.main(argv)
+    seen.append(sorted(calls))
+    calls.clear()
+print(json.dumps([seen, all(getattr(cli, name) is w for name, w in wrappers.items())]))
 """
 
 
 def test_a_wrapper_on_a_stand_in_sees_every_call(tmp_path):
-    assert json.loads(fresh("-c", WRAPPED, str(tmp_path / "g.ig"))) == [2, True]
+    out = str(tmp_path / "g.ig")
+    union = ["transform", "union", "fixture:astar.ig", "fixture:bstar.ig", "--out", out]
+    seen, kept = json.loads(fresh("-c", WRAPPED, json.dumps([
+        union, union, ["member", "fixture:anbn.ig", "aabb"],
+        ["transform", "intersect-dfa", "fixture:twin.ig", "fixture:dollar.fsa", "--out", out],
+        ["enumerate", "fixture:twin.ig", "--max-len", "6"],
+    ])))
+    assert kept
+    assert seen == [
+        ["parse_grammar", "parse_grammar", "serialize_grammar", "union"],
+        ["parse_grammar", "parse_grammar", "serialize_grammar", "union"],
+        ["membership", "parse_grammar"],
+        ["parse_fsa", "parse_grammar", "serialize_grammar"],
+        ["parse_grammar"],
+    ]
 
 
 def test_reports_parse_back(capsys):
@@ -827,6 +852,7 @@ SHAPES = [
         'command: validate',
         'input: fixture:twin.ig sha256:7cffbe76b783',
         'violations: 0',
+        'elapsed_s',
         'status: ok',
     ]),
     ('enumerate fixture:twin.ig --max-len 14 --max-steps 60 --max-stack 3', 0, 1, [
@@ -847,9 +873,9 @@ SHAPES = [
         'word: aabb',
         'verdict: proven',
         'exhausted: false',
+        'witness: init | S ; p0 @ 0 | a S b ; p0 @ 1 | a a S b b ; p1 @ 2 | a a b b ; ',
         'elapsed_s',
         'status: proven',
-        'witness: init | S ; p0 @ 0 | a S b ; p0 @ 1 | a a S b b ; p1 @ 2 | a a b b ; ',
     ]),
     ('min-index fixture:ramp.ig abaa --max-steps 60 --max-stack 4', 0, 1, [
         'command: min-index',
@@ -866,6 +892,7 @@ SHAPES = [
         'command: min-index',
         'input: fixture:anbn.ig sha256:8e6779c798c2',
         'word: ba',
+        'elapsed_s',
         'status: not-a-member',
     ]),
     ('min-index fixture:twin.ig aabbcc$aabbcc --max-stack 3 --hard-cap 10', 3, 1, [
@@ -873,6 +900,7 @@ SHAPES = [
         'input: fixture:twin.ig sha256:7cffbe76b783',
         'word: aabbcc$aabbcc',
         'stopped_by: hard_cap',
+        'elapsed_s',
         'status: unknown',
     ]),
     ('check-uncontrolled fixture:ramp.ig --k 3 --max-stack 5 --max-steps 60', 1, 1, [
@@ -882,8 +910,6 @@ SHAPES = [
         'verdict: refuted',
         'exhausted: false',
         'forms: 30',
-        'elapsed_s',
-        'status: refuted',
         'witness_width: 5',
         'witness: init | S ; p0 @ 0 | X[e] ; p1 @ 0 | A[e] B[e] H[e] ; '
         "p2 @ 2 | A[e] B[e] X'[f,e] ; p3 @ 2 | A[e] B[e] X[f,e] ; "
@@ -893,6 +919,8 @@ SHAPES = [
         "p10 @ 4 | a b a a b H[f,e] ; p2 @ 5 | a b a a b X'[f,f,e] ; "
         "p4 @ 5 | a b a a b X''[f,f,e] ; p5 @ 5 | a b a a b a X''[f,e] ; "
         "p5 @ 6 | a b a a b a a X''[e] ; p6 @ 7 | a b a a b a a a ; ",
+        'elapsed_s',
+        'status: refuted',
     ]),
     ('transform union fixture:astar.ig fixture:bstar.ig --out {tmp}/o.ig', 0, 1, [
         'command: transform union',
@@ -969,6 +997,7 @@ SHAPES = [
         'out: {tmp}/o.ig',
         'variables: 9',
         'productions: 17',
+        'elapsed_s',
         'status: ok',
     ]),
     ('synth-semilinear fixture:twin.sls --out {tmp}/o.ig', 0, 1, [
@@ -977,6 +1006,7 @@ SHAPES = [
         'out: {tmp}/o.ig',
         'variables: 9',
         'productions: 17',
+        'elapsed_s',
         'status: ok',
     ]),
     ('slset member fixture:diag.sls --vector (2,2)', 0, 1, [
@@ -984,6 +1014,7 @@ SHAPES = [
         'input: fixture:diag.sls sha256:8eb3f2b46b2d',
         'vector: (2,2)',
         'member: true',
+        'elapsed_s',
         'status: ok',
     ]),
     ('slset subset fixture:quadrant.sls fixture:diag.sls', 1, 1, [
@@ -992,6 +1023,7 @@ SHAPES = [
         'input.2: fixture:diag.sls sha256:8eb3f2b46b2d',
         'verdict: refuted',
         'witness: (1, 0)',
+        'elapsed_s',
         'status: refuted',
     ]),
     ('slset equal fixture:diag.sls fixture:diag.sls', 0, 1, [
@@ -999,6 +1031,7 @@ SHAPES = [
         'input: fixture:diag.sls sha256:8eb3f2b46b2d',
         'input.2: fixture:diag.sls sha256:8eb3f2b46b2d',
         'verdict: proven',
+        'elapsed_s',
         'status: proven',
     ]),
     ('slset empty fixture:diag.sls', 1, 1, [
@@ -1006,6 +1039,7 @@ SHAPES = [
         'input: fixture:diag.sls sha256:8eb3f2b46b2d',
         'verdict: refuted',
         'witness: (0, 0)',
+        'elapsed_s',
         'status: refuted',
     ]),
     ('bounded member fixture:twin.sls abc$ac', 1, 1, [
@@ -1013,6 +1047,7 @@ SHAPES = [
         'input: fixture:twin.sls sha256:b087e2ac6139',
         'word: abc$ac',
         'member: false',
+        'elapsed_s',
         'status: ok',
     ]),
     ('bounded subset fixture:twin.sls fixture:twin.sls --check-len 14', 0, 1, [
@@ -1020,6 +1055,7 @@ SHAPES = [
         'input: fixture:twin.sls sha256:b087e2ac6139',
         'input.2: fixture:twin.sls sha256:b087e2ac6139',
         'verdict: proven',
+        'elapsed_s',
         'status: proven',
     ]),
     ('etol enumerate fixture:anbn1.etol --max-len 6 --max-steps 2', 0, 1, [
@@ -1029,12 +1065,14 @@ SHAPES = [
         'words: _, ab',
         'exhausted: false',
         'stopped_by: max_steps',
+        'elapsed_s',
         'status: ok',
     ]),
     ('etol check-anf fixture:anbn1.etol', 0, 1, [
         'command: etol check-anf',
         'input: fixture:anbn1.etol sha256:020f924ad654',
         'violations: 0',
+        'elapsed_s',
         'status: ok',
     ]),
     ('etol convert fixture:anbn1.etol --out {tmp}/o.ig', 0, 1, [
@@ -1043,6 +1081,7 @@ SHAPES = [
         'out: {tmp}/o.ig',
         'variables: 2',
         'productions: 5',
+        'elapsed_s',
         'status: ok',
     ]),
     ('ncm run fixture:anbn.ncm aabb', 0, 1, [
@@ -1051,6 +1090,7 @@ SHAPES = [
         'word: aabb',
         'outcome: accepted',
         'configs: 7',
+        'elapsed_s',
         'status: accepted',
     ]),
     ('ncm one-reversal fixture:updown.ncm --out {tmp}/o.ncm', 0, 1, [
@@ -1059,6 +1099,7 @@ SHAPES = [
         'out: {tmp}/o.ncm',
         'counters: 2',
         'states: 8',
+        'elapsed_s',
         'status: ok',
     ]),
     ('ncm expand fixture:anbn.ncm --out {tmp}/o.fsa', 0, 1, [
@@ -1066,6 +1107,7 @@ SHAPES = [
         'input: fixture:anbn.ncm sha256:7f56ec4a71d2',
         'out: {tmp}/o.fsa',
         'states: 12',
+        'elapsed_s',
         'status: ok',
     ]),
     ('ncm parikh-intersect fixture:anbn.ncm fixture:sigmastar_ab.ig '
@@ -1077,6 +1119,7 @@ SHAPES = [
         'enum_len: 12',
         'exhausted: true',
         'vectors: (0, 0); (1, 1); (2, 2)',
+        'elapsed_s',
         'status: ok',
     ]),
     ('replicate-paper', 0, 15, [

@@ -27,9 +27,9 @@ check_uncontrolled searches no forms; its width table is checked against the
 two-phase form search in util.py, which may only be less decisive.
 """
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from igkit import fixture_text
+from igkit import fixture_text, replace
 from igkit.engine import (
     Budget,
     check_uncontrolled,
@@ -216,6 +216,28 @@ def test_check_uncontrolled_matches_all_orders(g, budget, k):
         assert ours.kind == full.kind
     if ours.kind == REFUTED:
         assert ours.witness.index() > k and replay(g, ours.witness).is_terminal()
+
+
+# both orders: a step cap with no width cap, or with one
+either_order = budget_strategy((None, 1, 2, 3))
+
+
+@settings(max_examples=300)  # about 2 s
+@given(grammars(), either_order, words, st.integers(0, 4))
+def test_more_steps_keep_what_fewer_decided(g, budget, w, max_len):
+    """With 8 more steps and the same caps, a caps_exact refutation does not
+    turn into a proof, a proof is kept, a swept enumeration gains no word,
+    and min_index's k does not grow."""
+    more = replace(budget, max_steps=budget.max_steps + 8)
+    few, many = (membership(g, w, b, caps_exact=True) for b in (budget, more))
+    assert not (few.kind == REFUTED and many.is_proven)
+    assert many.is_proven or not few.is_proven
+    few, many = (enumerate_language(g, max_len, b) for b in (budget, more))
+    if few.exhausted:
+        assert set(many.words) <= set(few.words)
+    few, many = (min_index(g, w, b, caps_exact=True) for b in (budget, more))
+    if few.is_proven:
+        assert many.is_proven and many.info["k"] <= few.info["k"]
 
 
 def test_ramp_wide_derivation_is_refuted_quickly():

@@ -6,11 +6,13 @@ assigned names) in any module: a bare name to the definition of that name in
 its own module or to the one it imports under that name, and `module.name`
 to a definition of an igkit module imported as `module`. A stand-in that
 cli.py makes with `_lazy("module", "name", …)` is read as an import of
-`module.name` under the name it is assigned to. A method or
-property of a class is a definition of its own: it is reached when its
-class is, and reached code uses an attribute of that name (`x.name`, any x).
-Dunders count as used, and so do the argparse overrides in OVERRIDES, which
-argparse calls.
+`module.name` under the name it is assigned to. Any other string in cli.py
+that spells a name of its scope is read as that name, because `main` looks
+up the reader of a command's input by the name the command's row gives. A
+method or property of a class is a definition of its own: it is reached
+when its class is, and reached code uses an attribute of that name
+(`x.name`, any x). Dunders count as used, and so do the argparse overrides
+in OVERRIDES, which argparse calls.
 
 The definitions it leaves unreached must be exactly ALLOWED: names that code
 outside the package uses. The test fails when src/igkit gains a definition
@@ -118,12 +120,16 @@ def unreached(src=SRC):
     scopes = {mod: _scope(mod, tree, defs, trees) for mod, tree in trees.items()}
 
     attrs = set()  # the attribute names that reached code uses
+    lazy = stand_ins(trees["cli"])
 
     def uses(key):
         names, aliases = scopes[key[0]]
+        by_name = key[0] == "cli" and key[1] not in lazy
         for node in _walk(defs[key]):
             if isinstance(node, ast.Name) and node.id in names:
                 yield names[node.id]
+            elif by_name and isinstance(node, ast.Constant) and node.value in names:
+                yield names[node.value]
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
                 if isinstance(node.value, ast.Name) and node.value.id in aliases:
