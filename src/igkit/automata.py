@@ -1,5 +1,6 @@
-"""Finite automata over symbol alphabets: NFA with optional epsilon moves,
-total deterministic automata, and subset-construction determinization.
+"""Finite automata over symbol alphabets: one record, Nfa, with optional
+epsilon moves, and the subset construction that makes an Nfa total and
+deterministic (no epsilon move, one target for each state and letter).
 
 These support the regular-language side of the closure constructions; the
 bit-vector tuple automata used by the semilinear decision core live in
@@ -50,54 +51,7 @@ class Nfa:
         return frozenset(reach(states, lambda s: [(t,) for t in self.moves(s, None)]))
 
 
-@record
-class Dfa:
-    """Deterministic automaton; total over its alphabet after validate() is clean."""
-
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    initial: str
-    accepting: frozenset[str]
-    transitions: tuple[tuple[str, str, str], ...]
-    name: str = field(default="dfa", compare=False)
-
-    @functools.cached_property
-    def _map(self) -> dict:
-        out: dict = {}
-        for src, sym, dst in self.transitions:
-            out[(src, sym)] = dst
-        return out
-
-    def validate(self) -> list[str]:
-        problems = []
-        seen = set()
-        if self.initial not in self.states:
-            problems.append(f"initial state {self.initial!r} unknown")
-        for s in self.accepting:
-            if s not in self.states:
-                problems.append(f"accepting state {s!r} unknown")
-        for src, sym, dst in self.transitions:
-            if (src, sym) in seen:
-                problems.append(f"nondeterministic on ({src!r}, {sym!r})")
-            seen.add((src, sym))
-            if src not in self.states or dst not in self.states:
-                problems.append(f"transition {src!r}-{sym!r}->{dst!r} uses unknown state")
-            if sym not in self.alphabet:
-                problems.append(f"transition symbol {sym!r} not in alphabet")
-        for s in self.states:
-            for sym in self.alphabet:
-                if (s, sym) not in seen:
-                    problems.append(f"missing transition ({s!r}, {sym!r})")
-        return problems
-
-    def run(self, word, state: Optional[str] = None) -> str:
-        cur = self.initial if state is None else state
-        for sym in word:
-            cur = self._map[(cur, sym)]
-        return cur
-
-
-def determinize(nfa: Nfa, alphabet=None) -> Dfa:
+def determinize(nfa: Nfa, alphabet=None) -> Nfa:
     """Total deterministic automaton for L(nfa) via the subset construction;
     the empty subset acts as the sink. A subset is named by its states,
     `{a|b}`; a name that an earlier subset took (a state may be called `a|b`)
@@ -118,7 +72,7 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
             name = fresh_name(name, taken)
         names[s] = name
         taken.add(name)
-    return Dfa(
+    return Nfa(
         states=tuple(names.values()),
         alphabet=letters,
         initial=names[start],
@@ -129,8 +83,8 @@ def determinize(nfa: Nfa, alphabet=None) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# text format (shared by NFA and DFA fixtures; `_` as the label is an
-# epsilon move, multiple `trans:` lines per (state, symbol) make it an NFA)
+# text format (`_` as the label is an epsilon move, and a (state, symbol)
+# may have several targets)
 
 
 def parse_fsa(text: str) -> Nfa:

@@ -594,13 +594,13 @@ TABLE = {
     "replicate-paper": _Row("run the bundled fixture suite", (), _replicate,
                             status={PROVEN: "ok", REFUTED: "fail"}),
 }
-# the commands with subcommands: their help, and the name argparse gives a missing one
+# the commands with subcommands, and their help
 GROUPS = {
-    "transform": ("grammar-to-grammar constructions", "transform_kind"),
-    "slset": ("semilinear set decisions", "slset_op"),
-    "bounded": ("bounded-language decisions", "bounded_op"),
-    "etol": ("parallel rewriting systems", "etol_op"),
-    "ncm": ("reversal-bounded counter machines", "ncm_op"),
+    "transform": "grammar-to-grammar constructions",
+    "slset": "semilinear set decisions",
+    "bounded": "bounded-language decisions",
+    "etol": "parallel rewriting systems",
+    "ncm": "reversal-bounded counter machines",
 }
 COMMANDS = tuple(dict.fromkeys(name.partition(" ")[0] for name in TABLE))
 
@@ -620,10 +620,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         if not op:
             p = sub.add_parser(name, help=row.help)
         else:
-            if top not in groups:
-                text, dest = GROUPS[top]
-                groups[top] = sub.add_parser(top, help=text).add_subparsers(dest=dest,
-                                                                            required=True)
+            if top not in groups:  # no dest: a missing subcommand is reported by its choices
+                groups[top] = sub.add_parser(top, help=GROUPS[top]).add_subparsers(required=True)
             p = groups[top].add_parser(op, help=row.help)
         for arg, _ in row.inputs:
             p.add_argument(arg)

@@ -15,7 +15,7 @@ import itertools
 from typing import Optional, Sequence
 
 from . import field, record, replace
-from .automata import Dfa, Nfa, determinize
+from .automata import Nfa, determinize
 from .grammar import (
     PUSH,
     GrammarError,
@@ -252,12 +252,14 @@ def normalize_rhs(g: IndexedGrammar) -> IndexedGrammar:
 # intersection with a regular language
 
 
-def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
+def intersect_dfa(g: IndexedGrammar, d: Nfa) -> IndexedGrammar:
     """Grammar for L(g) ∩ L(d) (Bar-Hillel, Perles & Shamir 1961). Requires g
-    in normalized rhs form and d total and deterministic over (at least) g's
-    terminals. State-annotated variables <p|A|q> generate exactly the words A
-    derives that drive d from p to q; the index alphabet is replaced by a
-    disjoint copy.
+    in normalized rhs form and d total and deterministic, as `determinize`
+    builds it: no epsilon move, exactly one target for each state and letter
+    of its alphabet, and every terminal of g in that alphabet; any other d
+    raises InvalidAutomaton. State-annotated variables <p|A|q> generate
+    exactly the words A derives that drive d from p to q; the index alphabet
+    is replaced by a disjoint copy.
 
     Only useful triples are built. With d's states numbered, A's row p is an
     int whose bit q says that A derives a word driving d from p to q, indices
@@ -272,11 +274,10 @@ def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
     (production, states), and the indices that the productions use."""
     if not is_normalized(g):
         raise NotNormalized(f"{g.name} has productions outside the u/uXv/uXZ shapes")
-    problems = d.validate()
-    if problems:
-        raise InvalidAutomaton(f"{d.name}: " + "; ".join(problems))
-    if not set(g.terminals) <= set(d.alphabet):
-        raise InvalidAutomaton(f"{d.name} alphabet does not cover the grammar terminals")
+    to = {(src, a): dst for src, a, dst in d.transitions}
+    if (len(to) < len(d.transitions) or to.keys() != {(q, a) for q in d.states for a in d.alphabet}
+            or not set(g.terminals) <= set(d.alphabet)):
+        raise InvalidAutomaton(f"{d.name} is not total and deterministic over {g.name}'s terminals")
 
     imap = {f: f"{f}#i" for f in g.indices}
     n, rank = len(d.states), {q: i for i, q in enumerate(d.states)}
@@ -292,7 +293,7 @@ def intersect_dfa(g: IndexedGrammar, d: Dfa) -> IndexedGrammar:
                 cols[a][q] |= 1 << p
             todo[a, p] = todo.get((a, p), 0) | new
 
-    step = {a: [rank[d.run((a,), q)] for q in d.states] for a in g.terminals}
+    step = {a: [rank[to[q, a]] for q in d.states] for a in g.terminals}
     maps: dict = {}  # word -> (the state it drives d to from each p, the p's it drives to each)
 
     def smap(w):
@@ -506,28 +507,21 @@ class NivatTransducer:
 
 def nivat_transduce(g: IndexedGrammar, tau: NivatTransducer) -> IndexedGrammar:
     """Image of L(g) under the transduction: inverse projection onto the
-    joint alphabet, intersection with the (determinized) relation, then
-    erasure of the source letters; an optional final renaming restores
-    overlapping target alphabets."""
+    joint alphabet, intersection with the (determinized) relation, then one
+    morphism that erases the source letters and gives each tagged target
+    letter its output_rename spelling, which restores overlapping target
+    alphabets."""
     if set(tau.source) != set(g.terminals):
         raise GrammarError("transducer source alphabet must equal the grammar terminals")
     ext = g.terminals + tuple(t for t in tau.target)
     g1 = inverse_projection(g, ext)
     d = determinize(tau.rel, alphabet=ext)
     g2 = intersect_dfa(normalize_rhs(g1), d)
+    rename = dict(tau.output_rename or ())
     erase = Morphism.make(
-        {a: () for a in g.terminals} | {t: (t,) for t in tau.target},
-        target=tuple(tau.target),
-        name="erase_src",
-    )
-    out = morphism_image(g2, erase)
-    if tau.output_rename:
-        rename = Morphism.make(
-            {t: (dict(tau.output_rename).get(t, t),) for t in tau.target},
-            name="untag",
-        )
-        out = morphism_image(out, rename)
-    return replace(out, name=f"{tau.name}({g.name})")
+        {a: () for a in g.terminals} | {t: (rename.get(t, t),) for t in tau.target},
+        name="erase_src")
+    return replace(morphism_image(g2, erase), name=f"{tau.name}({g.name})")
 
 
 def inverse_morphism(g: IndexedGrammar, h: Morphism) -> IndexedGrammar:

@@ -212,9 +212,10 @@ def parse_etol(text: str) -> EtolSystem:
     """Line format: `etol <name>`, `axiom:`, `terminals:`, optional `strict:`
     (with no value), then `table <name>:` blocks of `rule: B -> ν` lines.
     Without `strict:`, symbols a table does not mention default to the
-    identity rule. The alphabet is every symbol in the order the file first
+    identity rule; with it, a table that misses a symbol is an error at its
+    `table` line. The alphabet is every symbol in the order the file first
     names it."""
-    tables: list[tuple[str, list]] = []
+    tables: list[tuple[str, int, list]] = []
     order: dict[str, None] = {}  # the alphabet, as an ordered set
 
     def axiom(value, line_no, what):
@@ -234,7 +235,7 @@ def parse_etol(text: str) -> EtolSystem:
         return True
 
     def table(value, line_no, what):
-        tables.append((value, []))
+        tables.append((value, line_no, []))
 
     def rule(value, line_no, what):
         if not tables:
@@ -244,7 +245,7 @@ def parse_etol(text: str) -> EtolSystem:
         declared(sym, line_no, what)
         toks = read_symbols(rhs.split(), line_no)
         order.update(dict.fromkeys((sym, *toks)))
-        tables[-1][1].append((sym, toks))
+        tables[-1][2].append((sym, toks))
 
     name, values, _ = read_file(text, "etol",
                                 {"axiom": axiom, "terminals": terminals, "strict": strict},
@@ -254,10 +255,14 @@ def parse_etol(text: str) -> EtolSystem:
     if not tables:
         raise ParseError("missing `table <name>:` block", 1)
     filled = []
-    for tname, rules in tables:
+    for tname, line_no, rules in tables:
         covered = {sym for sym, _ in rules}
+        missing = [s for s in order if s not in covered]
         if "strict" not in values:
-            rules = rules + [(s, (s,)) for s in order if s not in covered]
+            rules = rules + [(s, (s,)) for s in missing]
+        elif missing:  # the whole file is read: a later line may have added a symbol
+            raise ParseError(f"table {tname}: no production for {sorted(missing)} "
+                             "(parallel totality)", line_no)
         filled.append(Table(tname, tuple(rules)))
     return EtolSystem(
         alphabet=tuple(order),

@@ -167,7 +167,7 @@ def linearset_automaton(ls: LinearSet) -> va.TupleAutomaton:
         return out
 
     keys, edges = explore([pack(ls.base)], successors)
-    return va.renumber(k, keys, [0], edges, deterministic=not periods)
+    return va.renumber(k, keys, [0], edges)
 
 
 def slset_automaton(s: SemilinearSet) -> va.TupleAutomaton:

@@ -30,15 +30,15 @@ class TrackMismatch(Exception):
 
 @record(eq=False)
 class TupleAutomaton:
-    """States are 0..num_states-1; transitions[(state, symbol)] is a tuple of
-    successor states (at most one when deterministic)."""
+    """States are 0..num_states-1; transitions[(state, symbol)] is the tuple
+    of successor states. Whether there is at most one is not recorded:
+    `determinize` builds an automaton where there is."""
 
     tracks: int
     num_states: int
     initial: int
     accepting: frozenset[int]
     transitions: dict = field(repr=False)
-    deterministic: bool = False
 
     def targets(self, state: int, sym: int) -> tuple[int, ...]:
         return self.transitions.get((state, sym), ())
@@ -58,7 +58,7 @@ def decode(word, tracks: int) -> tuple[int, ...]:
     )
 
 
-def renumber(tracks, keys, accepting_keys, edges, deterministic):
+def renumber(tracks, keys, accepting_keys, edges):
     """The automaton whose state i is `keys[i]` (the initial state first);
     `edges` are (src, symbol, dst) triples of keys. The targets of each
     (state, symbol) are sorted, each once."""
@@ -72,7 +72,6 @@ def renumber(tracks, keys, accepting_keys, edges, deterministic):
         initial=0,
         accepting=frozenset(number[k] for k in accepting_keys),
         transitions={k: tuple(sorted(v)) for k, v in targets.items()},
-        deterministic=deterministic,
     )
 
 
@@ -93,11 +92,11 @@ def equation_automaton(coefficients, constant: int) -> TupleAutomaton:
         return [(sym, (s - dot) // 2) for sym, dot in enumerate(dots) if (s - dot) % 2 == 0]
 
     keys, edges = explore([constant], successors)
-    return renumber(m, keys, [0] if 0 in keys else [], edges, deterministic=True)
+    return renumber(m, keys, [0] if 0 in keys else [], edges)
 
 
 def never(tracks: int) -> TupleAutomaton:
-    return TupleAutomaton(tracks, 1, 0, frozenset(), {}, deterministic=True)
+    return TupleAutomaton(tracks, 1, 0, frozenset(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def product(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
 
     keys, edges = explore([(a.initial, b.initial)], successors)
     acc = [s for s in keys if s[0] in a.accepting and s[1] in b.accepting]
-    return renumber(a.tracks, keys, acc, edges, a.deterministic and b.deterministic)
+    return renumber(a.tracks, keys, acc, edges)
 
 
 def union(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
@@ -143,7 +142,6 @@ def union(a: TupleAutomaton, b: TupleAutomaton) -> TupleAutomaton:
         initial=0,
         accepting=frozenset(acc),
         transitions=trans,
-        deterministic=False,
     )
 
 
@@ -165,7 +163,6 @@ def project_tracks(a: TupleAutomaton, keep) -> TupleAutomaton:
         initial=a.initial,
         accepting=a.accepting,
         transitions=trans,
-        deterministic=False,
     )
     return saturate(out)
 
@@ -185,7 +182,6 @@ def saturate(a: TupleAutomaton) -> TupleAutomaton:
         initial=a.initial,
         accepting=frozenset(acc),
         transitions=a.transitions,
-        deterministic=a.deterministic,
     )
 
 
@@ -197,8 +193,7 @@ def determinize(a: TupleAutomaton) -> TupleAutomaton:
                 for sym in range(1 << a.tracks)]
 
     keys, edges = explore([frozenset({a.initial})], successors)
-    return renumber(a.tracks, keys, [s for s in keys if s & a.accepting], edges,
-                    deterministic=True)
+    return renumber(a.tracks, keys, [s for s in keys if s & a.accepting], edges)
 
 
 def complement(a: TupleAutomaton) -> TupleAutomaton:
@@ -211,7 +206,6 @@ def complement(a: TupleAutomaton) -> TupleAutomaton:
         initial=d.initial,
         accepting=frozenset(range(d.num_states)) - d.accepting,
         transitions=d.transitions,
-        deterministic=True,
     )
 
 

@@ -437,6 +437,11 @@ ERRORS = [
     (["transform", "transduce", "fixture:anbncn.ig", "fixture:dollar.fsa", "--source", "a,b,c",
       "--target", "$,$", "--out", "{tmp}/o.ig"],
      "UsageError: argument --target: letter '$' is given twice"),
+    # a group given no subcommand names its subcommands
+    (["ncm"], "UsageError: igkit ncm: the following arguments are required: "
+              "{run,one-reversal,expand,parikh-intersect}"),
+    (["transform"], "UsageError: igkit transform: the following arguments are required: "
+                    "{union,morph,inv-morph,normalize,intersect-dfa,inv-proj,transduce}"),
 ]
 
 
@@ -453,7 +458,9 @@ ERRORS = [
                                                   "empty-letter", "spaced-rename",
                                                   "rename-without-equals", "rename-off-target",
                                                   "reserved-target", "repeated-letter",
-                                                  "letter-of-the-grammar", "repeated-target"])
+                                                  "letter-of-the-grammar", "repeated-target",
+                                                  "ncm-no-subcommand",
+                                                  "transform-no-subcommand"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import igkit
 from igkit import fixture_text
-from igkit.automata import Dfa, Nfa
+from igkit.automata import Nfa
 from igkit.closure import (
+    InvalidAutomaton,
     Morphism,
     NivatTransducer,
     NotNormalized,
@@ -46,6 +47,7 @@ from util import (
     parikh_route,
     prune_nonproductive,
     prune_unreachable,
+    run_dfa,
     total_dfas,
     universal_dfa,
     validate,
@@ -211,7 +213,7 @@ def dollar_dfa():
         ("dead", "a", "dead"), ("dead", "b", "dead"), ("dead", "c", "dead"), ("dead", "$", "dead"),
     ]:
         ts.append((src, sym, dst))
-    return Dfa(("q0", "qa", "q1", "dead"), ("a", "b", "c", "$"), "q0",
+    return Nfa(("q0", "qa", "q1", "dead"), ("a", "b", "c", "$"), "q0",
                frozenset({"q1"}), tuple(ts), name="one_dollar")
 
 
@@ -221,17 +223,17 @@ def contains_aa_dfa(alphabet=("a", "b")):
         ts.append(("s0", sym, "s1" if sym == "a" else "s0"))
         ts.append(("s1", sym, "s2" if sym == "a" else "s0"))
         ts.append(("s2", sym, "s2"))
-    return Dfa(("s0", "s1", "s2"), tuple(alphabet), "s0", frozenset({"s2"}), tuple(ts), name="has_aa")
+    return Nfa(("s0", "s1", "s2"), tuple(alphabet), "s0", frozenset({"s2"}), tuple(ts), name="has_aa")
 
 
 def ends_b_dfa():
     ts = [("s0", "a", "s0"), ("s0", "b", "s1"), ("s1", "a", "s0"), ("s1", "b", "s1")]
-    return Dfa(("s0", "s1"), ("a", "b"), "s0", frozenset({"s1"}), tuple(ts), name="ends_b")
+    return Nfa(("s0", "s1"), ("a", "b"), "s0", frozenset({"s1"}), tuple(ts), name="ends_b")
 
 
 def even_a_dfa():
     ts = [("e", "a", "o"), ("o", "a", "e")]
-    return Dfa(("e", "o"), ("a",), "e", frozenset({"e"}), tuple(ts), name="even_a")
+    return Nfa(("e", "o"), ("a",), "e", frozenset({"e"}), tuple(ts), name="even_a")
 
 
 INTERSECT_CASES = [
@@ -252,7 +254,7 @@ def test_intersection_matches_filtered_enumeration(name, mk, n, kw):
     d = mk()
     out = intersect_dfa(g, d)
     assert validate(out) == []
-    oracle = {w for w in enum_set(g, n, **kw) if d.run(w) in d.accepting}
+    oracle = {w for w in enum_set(g, n, **kw) if run_dfa(d, w) in d.accepting}
     assert enum_set(out, n, **kw) == oracle
 
 
@@ -266,12 +268,20 @@ def test_intersect_requires_normal_form():
         intersect_dfa(load("twin.ig"), dollar_dfa())
 
 
-def test_intersect_requires_total_dfa():
-    from igkit.closure import InvalidAutomaton
+# automata over astar.ig's one terminal `a` that are not total and deterministic over it
+NOT_TOTAL_DFAS = {
+    "epsilon-move": (("s",), ("a",), (("s", "a", "s"), ("s", None, "s"))),
+    "two-targets": (("s", "t"), ("a",), (("s", "a", "s"), ("s", "a", "t"), ("t", "a", "t"))),
+    "missing-move": (("s", "t"), ("a",), (("s", "a", "t"),)),
+    "terminal-outside-alphabet": (("s",), ("b",), (("s", "b", "s"),)),
+}
 
-    partial = Dfa(("s",), ("a",), "s", frozenset({"s"}), (), name="partial")
+
+@pytest.mark.parametrize("states,alphabet,moves", NOT_TOTAL_DFAS.values(), ids=NOT_TOTAL_DFAS)
+def test_intersect_requires_total_dfa(states, alphabet, moves):
+    bad = Nfa(states, alphabet, "s", frozenset({"s"}), moves, name="bad")
     with pytest.raises(InvalidAutomaton):
-        intersect_dfa(load("astar.ig"), partial)
+        intersect_dfa(load("astar.ig"), bad)
 
 
 IG_FIXTURES = sorted(p.name for p in (Path(igkit.__file__).parent / "fixtures").glob("*.ig"))

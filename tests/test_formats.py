@@ -178,6 +178,9 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
     # `strict:` is a flag: a value is an error, not a way to switch it off
     ("etol", f"etol e\n{ETOL}strict: no\ntable t:\nrule: S -> a\n", 4,
      "`strict:` takes no value, got 'no'"),
+    # a strict table covers every symbol, those of later lines too
+    ("etol", f"etol e\n{ETOL}strict:\ntable t1:\nrule: S -> a\ntable t2:\nrule: S -> b\n"
+     "rule: a -> a\nrule: b -> b\n", 5, "table t1: no production for ['a', 'b'] (parallel totality)"),
     # each line is read where it stands, so of two bad lines the earlier one
     # is reported, and a bad line comes before a missing key
     ("grammar", f"grammar g\n{G}prod: S -> a _\nstart: S\n", 6,

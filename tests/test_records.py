@@ -108,5 +108,4 @@ def test_repr_is_pinned():
         "start='S', name='aaword')")
     assert repr(Verdict(PROVEN, None, {"k": 1})) == "Verdict(kind='proven', witness=None, info={'k': 1})"
     assert repr(TupleAutomaton(1, 1, 0, frozenset({0}), {(0, 1): (0,)})) == (
-        "TupleAutomaton(tracks=1, num_states=1, initial=0, accepting=frozenset({0}), "
-        "deterministic=False)")
+        "TupleAutomaton(tracks=1, num_states=1, initial=0, accepting=frozenset({0}))")

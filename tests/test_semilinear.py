@@ -184,8 +184,7 @@ def linear_sets(dim, max_entry=3):
 
 
 def automaton_bytes(a):
-    return (a.tracks, a.num_states, a.initial, a.accepting, list(a.transitions.items()),
-            a.deterministic)
+    return (a.tracks, a.num_states, a.initial, a.accepting, list(a.transitions.items()))
 
 
 @given(st.integers(1, 4).flatmap(linear_sets))

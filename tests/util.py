@@ -21,9 +21,10 @@ igkit.semilinear are checked against, Parikh vectors and the `.sls` writer
 the round-trip tests read back, the character loop that
 grammar.strip_comment is checked against, the sorted formula that
 engine.tree_width is checked against, the one-state automata that accept
-everything and nothing, the nodes on a stored search path, and short forms
-for the words of a result as strings, the image of a word under a morphism
-and a semilinear set of given components."""
+everything and nothing, the run of a total deterministic automaton, the
+nodes on a stored search path, and short forms for the words of a result
+as strings, the image of a word under a morphism and a semilinear set of
+given components."""
 
 import math
 from itertools import product
@@ -167,7 +168,7 @@ def total_dfas(draw, alphabet):
     states = tuple(f"s{i}" for i in range(draw(st.integers(1, 5))))
     moves = tuple((q, a, draw(st.sampled_from(states))) for q in states for a in alphabet)
     accepting = frozenset(draw(st.sets(st.sampled_from(states))))
-    return automata.Dfa(states, tuple(alphabet), draw(st.sampled_from(states)), accepting,
+    return automata.Nfa(states, tuple(alphabet), draw(st.sampled_from(states)), accepting,
                         moves, name="rnd")
 
 
@@ -484,13 +485,22 @@ def prune_nonproductive(g):
 
 
 def universal_dfa(alphabet, name="universal"):
-    return automata.Dfa(("u",), tuple(alphabet), "u", frozenset({"u"}),
+    return automata.Nfa(("u",), tuple(alphabet), "u", frozenset({"u"}),
                         tuple(("u", a, "u") for a in alphabet), name=name)
 
 
 def empty_dfa(alphabet, name="empty"):
-    return automata.Dfa(("u",), tuple(alphabet), "u", frozenset(),
+    return automata.Nfa(("u",), tuple(alphabet), "u", frozenset(),
                         tuple(("u", a, "u") for a in alphabet), name=name)
+
+
+def run_dfa(d, word, state=None):
+    """The state that the total deterministic automaton d reaches on `word`
+    from `state` (its initial state when None)."""
+    cur = d.initial if state is None else state
+    for a in word:
+        (cur,) = d.moves(cur, a)
+    return cur
 
 
 def clean(g):
@@ -521,19 +531,19 @@ def oracle_intersect_dfa(g, d):
         words, xs = _split_rhs(g, prod.rhs)
         if not xs:
             for p in states:
-                prods.append(Production(tri(p, prod.lhs_var, d.run(words[0], p)), words[0],
+                prods.append(Production(tri(p, prod.lhs_var, run_dfa(d, words[0], p)), words[0],
                                         lhs_index=lhs_index))
         elif len(xs) == 1:
             u, v = words
             for p, s in product(states, states):
-                prods.append(Production(tri(p, prod.lhs_var, d.run(v, s)),
-                                        u + (tri(d.run(u, p), xs[0], s),) + v,
+                prods.append(Production(tri(p, prod.lhs_var, run_dfa(d, v, s)),
+                                        u + (tri(run_dfa(d, u, p), xs[0], s),) + v,
                                         lhs_index=lhs_index))
         else:
             u = words[0]
             for p, mid, q in product(states, states, states):
                 prods.append(Production(tri(p, prod.lhs_var, q),
-                                        u + (tri(d.run(u, p), xs[0], mid), tri(mid, xs[1], q)),
+                                        u + (tri(run_dfa(d, u, p), xs[0], mid), tri(mid, xs[1], q)),
                                         lhs_index=lhs_index))
     return clean(IndexedGrammar(
         variables=(start,) + tuple(variables),
