@@ -27,17 +27,17 @@ class field:
         self.repr = repr
 
 
-def record(cls=None, /, *, frozen=True, eq=True):
-    """Make `cls` a value type over the fields its annotations name, in order:
-    `__init__` takes them by position or keyword, fills in defaults and runs
-    `__post_init__`; `__repr__` reads `Name(field=value, ...)`; records of one
-    class with equal compared fields are equal and hash alike (eq=False: each
-    equals only itself; frozen=False: unhashable); a frozen one refuses
-    assignment. `__init__` is compiled from source, as namedtuple compiles
-    `__new__`, so that a call binds its arguments at the speed of a written
-    one; the other methods are closures."""
+def record(cls=None, /, *, eq=True):
+    """Make `cls` a frozen value type over the fields its annotations name, in
+    order: `__init__` takes them by position or keyword, fills in defaults and
+    runs `__post_init__`; `__repr__` reads `Name(field=value, ...)`; records
+    of one class with equal compared fields are equal and hash alike (eq=False:
+    each equals only itself); every record refuses assignment. `__init__` is
+    compiled from source, as namedtuple compiles `__new__`, so that a call
+    binds its arguments at the speed of a written one; the other methods are
+    closures."""
     if cls is None:
-        return lambda cls: record(cls, frozen=frozen, eq=eq)
+        return lambda cls: record(cls, eq=eq)
     names = tuple(cls.__annotations__)
     specs = {name: vars(cls).get(name, _MISSING) for name in names}
     specs = {name: s if isinstance(s, field) else field(default=s) for name, s in specs.items()}
@@ -78,9 +78,8 @@ def record(cls=None, /, *, frozen=True, eq=True):
     cls._fields = names
     if eq:
         cls.__eq__ = __eq__
-        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = refuse
+        cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
     return cls
 
 

@@ -152,9 +152,9 @@ def _stopped_by(stop: str) -> dict:
     return {"stopped_by": stop} if stop not in (SWEPT, FOUND) else {}
 
 
-def _swept(exhausted: bool, stop: str) -> dict:
-    """The `exhausted:` line of a search, then its `stopped_by:` line."""
-    return {"exhausted": str(exhausted).lower(), **_stopped_by(stop)}
+def _swept(stop: str) -> dict:
+    """The `exhausted:` line of a search (true when it swept), then `stopped_by:`."""
+    return {"exhausted": str(stop == SWEPT).lower(), **_stopped_by(stop)}
 
 
 def _word(text: str, alphabet) -> tuple[str, ...]:
@@ -233,17 +233,17 @@ def _grammar_out(g, args) -> tuple:
 
 
 def _enumerate(g, args) -> tuple:
-    res = enumerate_language(g, args.max_len, _budget(args))
-    return PROVEN, {"max_len": args.max_len, **_words(res.words),
-                    **_swept(res.exhausted, res.stop), "caps": " ".join(res.active_caps),
-                    "forms": res.forms_seen}
+    budget = _budget(args)
+    res = enumerate_language(g, args.max_len, budget)
+    return PROVEN, {"max_len": args.max_len, **_words(res.witness), **_swept(res.info["stop"]),
+                    "caps": " ".join(budget.active_caps()), "forms": res.info["forms"]}
 
 
 def _member(g, args) -> tuple:
     w = _word(args.word, g.terminals)
     v = membership(g, w, _budget(args), caps_exact=args.exhaustive)
     return v.kind, {"word": _render_word(w), "verdict": v.kind,
-                    **_swept(v.info["exhausted"], v.info["stop"]), **_witness(g, v.witness)}
+                    **_swept(v.info["stop"]), **_witness(g, v.witness)}
 
 
 def _min_index(g, args) -> tuple:
@@ -257,8 +257,7 @@ def _min_index(g, args) -> tuple:
 
 def _check_uncontrolled(g, args) -> tuple:
     v = check_uncontrolled(g, args.k, _budget(args))
-    fields = {"k": args.k, "verdict": v.kind, **_swept(v.info["exhausted"], v.info["stop"]),
-              "forms": v.info["forms"]}
+    fields = {"k": args.k, "verdict": v.kind, **_swept(v.info["stop"]), "forms": v.info["forms"]}
     if v.witness is not None:
         fields.update({"witness_width": v.witness.index(), **_witness(g, v.witness)})
     return v.kind, fields
@@ -328,7 +327,7 @@ def _bounded_subset(sls, other, args) -> tuple:
 
 def _etol_enumerate(sys_, args) -> tuple:
     res = etol_enumerate(sys_, args.max_len, _budget(args))
-    return PROVEN, {**_words(res.words), **_swept(res.exhausted, res.stop)}
+    return PROVEN, {**_words(res.witness), **_swept(res.info["stop"])}
 
 
 def _check_anf(sys_, args) -> tuple:
@@ -356,9 +355,9 @@ def _expand(m, args) -> tuple:
 def _parikh_intersect(m, g, args) -> tuple:
     sample = parikh_of_intersection(g, m, args.radius, enum_len=args.enum_len,
                                     budget=_budget(args))
-    return PROVEN, {"radius": sample.radius, "enum_len": sample.enum_len,
-                    **_swept(sample.exhausted, sample.stop),
-                    "vectors": "; ".join(str(v) for v in sample.vectors)}
+    return PROVEN, {"radius": args.radius, "enum_len": sample.info["enum_len"],
+                    **_swept(sample.info["stop"]),
+                    "vectors": "; ".join(str(v) for v in sample.witness)}
 
 
 # ---------------------------------------------------------------------------

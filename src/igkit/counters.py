@@ -41,7 +41,7 @@ from .grammar import (
     split_names,
     verbatim,
 )
-from .search import EXPAND, GOAL, HARD_CAP, SWEPT, Verdict, bfs, decide, explore, moves
+from .search import EXPAND, GOAL, HARD_CAP, PROVEN, SWEPT, Verdict, bfs, decide, explore, moves
 
 ZERO = "z"
 POS = "p"
@@ -157,12 +157,9 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
         return GOAL if state == m.halt and pos == len(w) and not any(counters) else EXPAND
 
     s = bfs(start, successors, max_steps, math.inf, visit)
-    v = decide(s, not capped, lambda goal: tuple(
+    return decide(s, not capped, lambda goal: tuple(
         (ti, cfg[0], cfg[1], cfg[2]) for ti, cfg in moves(s.parents, goal)),
-        configs=len(s.parents))
-    if s.swept and capped:
-        v.info["stop"] = COUNTER_CAP
-    return v
+        stop=COUNTER_CAP if s.stop == SWEPT and capped else s.stop, configs=len(s.parents))
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +329,24 @@ def expand_to_nfa(m: CounterMachine) -> Nfa:
 # the counting pipeline
 
 
-@record
-class ParikhSample:
-    """Letter-count vectors (over the grammar's terminal order) of the words
-    of length <= radius lying in both languages."""
-
-    vectors: tuple[tuple[int, ...], ...]
-    radius: int
-    enum_len: int  # the length cap of the intersection grammar's words, counter letters included
-    exhausted: bool
-    stop: str  # why the last table stopped: swept, max_steps (a push left out) or hard_cap
-
-
 def parikh_of_intersection(
     g: IndexedGrammar,
     m: CounterMachine,
     radius: int,
     enum_len: Optional[int] = None,
     budget: Optional[Budget] = None,
-) -> ParikhSample:
+) -> Verdict:
     """Counting vectors of L(g) ∩ L(m) up to the radius, computed through the
     regular route: extend the grammar alphabet with counter letters, intersect
     with the expanded NFA, tabulate the letter counts of the intersection
     grammar's words up to enum_len (`_parikh_table`, grown by `tabulate` at
     depth caps: max_steps bounds the stack depth, not the derivation length),
-    keep the balanced ones, project away the counter letters."""
+    keep the balanced ones, project away the counter letters. Proven, with
+    the letter-count vectors (over g's terminal order) of the words of length
+    <= radius in both languages, sorted; `info` holds `stop` (why the last
+    table stopped: swept, max_steps when a push was left out, or hard_cap)
+    and `enum_len` (the length cap of the intersection grammar's words,
+    counter letters included)."""
     if radius < 0 or (enum_len is not None and enum_len < 0):
         raise ValueError("radius and enum_len must be >= 0")
     if set(g.terminals) != set(m.alphabet):
@@ -372,7 +362,7 @@ def parikh_of_intersection(
     counts, stop = _parikh_table(c, length, budget)
     n = len(g.terminals)  # g2's terminals are ext, in order
     vectors = {v[:n] for v in counts if sum(v[:n]) <= radius and v[n::2] == v[n + 1::2]}
-    return ParikhSample(tuple(sorted(vectors)), radius, length, stop == SWEPT, stop)
+    return Verdict(PROVEN, tuple(sorted(vectors)), {"stop": stop, "enum_len": length})
 
 
 def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):

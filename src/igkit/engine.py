@@ -4,8 +4,8 @@ Search-based language enumeration, membership and index measurement, and
 tables over (variable, stack) pairs (`tabulate`): the words of a width-capped
 enumeration and the derivation-tree widths of uncontrolled-width checking
 here, letter counts in igkit.counters. Index stacks are unbounded in general,
-so every operation takes a Budget; verdicts are relative to the budget caps
-and each result records whether the budgeted space was swept completely.
+so every operation takes a Budget; verdicts are relative to the budget caps,
+and each one's `info["stop"]` is SWEPT exactly when the space was swept.
 
 The hot path (one-step expansion of a sentential form) runs through
 igkit.kernel. Membership (and so min_index) and enumeration follow one
@@ -88,15 +88,6 @@ class Budget:
             if getattr(self, name) is not None:
                 out.append(name)
         return tuple(out)
-
-
-@record
-class EnumerationResult:
-    words: tuple[Word, ...]
-    exhausted: bool
-    active_caps: tuple[str, ...]
-    forms_seen: int
-    stop: str  # why the search stopped: swept, max_steps or hard_cap
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +236,11 @@ def _derivation(c: CompiledGrammar, parents: dict, goal, depths: int, key=None) 
 # enumeration
 
 
-def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> EnumerationResult:
-    """Words of L(g) of length <= max_len reachable within the budget, in
-    length-lexicographic order. `exhausted` is True when the budgeted space
-    was swept completely, making the list exact under the active caps. Under
+def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Verdict:
+    """Proven, with the words of L(g) of length <= max_len reachable within
+    the budget, in length-lexicographic order. `info` holds `stop` (why the
+    search stopped: swept, max_steps or hard_cap; the list is exact under
+    the active caps when it is SWEPT) and `forms` (the forms stored). Under
     a width cap with a bounded stack (a stack cap, or no push production)
     the words come from `_word_table`, otherwise from the search."""
     if max_len < 0:
@@ -271,7 +263,7 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Enume
         stop, forms = s.stop, len(s.parents)
     decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
                      key=lambda w: (len(w), w))
-    return EnumerationResult(tuple(decoded), stop == SWEPT, budget.active_caps(), forms, stop)
+    return Verdict(PROVEN, tuple(decoded), {"stop": stop, "forms": forms})
 
 
 def _yield_blocks(form: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
@@ -387,7 +379,7 @@ def _can_yield(form: tuple[int, ...], target: tuple[int, ...]) -> bool:
 
 def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = False) -> Verdict:
     """Search for a derivation of w. Refuted is only claimed when the budgeted
-    space is exhausted and the caller asserts (caps_exact) that the budget's
+    space was swept and the caller asserts (caps_exact) that the budget's
     width/stack caps cover every derivation of words up to |w|.
 
     Under a width cap the search runs over (form, index) states, the index
@@ -476,7 +468,7 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
     the tree they build is finite on cyclic grammars too. The table stops
     when the start pair reaches k + 1, and the hard cap counts its pairs.
     The budget's width cap is ignored: it would hide the forms looked for.
-    """
+    `info` holds `stop` and `forms` (the pairs tabulated)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     c = CompiledGrammar(g)
@@ -497,12 +489,10 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
 
     pairs, stop = tabulate(c, start, budget, fire,
                            lambda: FOUND if value.get(start, 0) == top else None)
-    info = {"exhausted": stop == SWEPT, "caps": budget.active_caps(), "stop": stop,
-            "forms": pairs}
+    info = {"stop": stop, "forms": pairs}
     if stop != FOUND:
         return Verdict(PROVEN if stop == SWEPT else UNKNOWN, None, info)
-    witness = _widest_derivation(g, back, (start, top))
-    return Verdict(REFUTED, witness, {**info, "width": witness.index()})
+    return Verdict(REFUTED, _widest_derivation(g, back, (start, top)), info)
 
 
 def tree_width(kids, push: bool) -> int:

@@ -26,7 +26,7 @@ from .grammar import (
     read_symbols,
     split_arrow,
 )
-from .search import bfs
+from .search import PROVEN, Verdict, bfs
 
 
 class NotInANF(GrammarError):
@@ -120,14 +120,6 @@ def _successor_words(sys: EtolSystem, word, inactive: frozenset[str]):
             yield ti, tuple(itertools.chain.from_iterable(combo))
 
 
-@record
-class EtolEnumeration:
-    words: tuple[tuple[str, ...], ...]
-    exhausted: bool
-    words_seen: int
-    stop: str  # why the search stopped: swept, max_steps or hard_cap
-
-
 def _bounded_successors(sys: EtolSystem, max_inactive: int, max_active: Optional[int]):
     """Successor function for the search: the parallel steps to words with at
     most max_inactive inert and max_active (None: any number) active
@@ -145,19 +137,18 @@ def _bounded_successors(sys: EtolSystem, max_inactive: int, max_active: Optional
     return successors
 
 
-def etol_enumerate(sys: EtolSystem, max_len: int, budget: Budget) -> EtolEnumeration:
-    """Terminal words of length <= max_len reachable within the budget;
-    budget.max_width caps the number of active occurrences per word."""
+def etol_enumerate(sys: EtolSystem, max_len: int, budget: Budget) -> Verdict:
+    """Proven, with the terminal words of length <= max_len reachable within
+    the budget, in length-lexicographic order; budget.max_width caps the
+    number of active occurrences per word. `info` holds `stop` (why the
+    search stopped: swept, max_steps or hard_cap) and `forms` (the number of
+    words it stored)."""
     s = bfs((sys.axiom,), _bounded_successors(sys, max_len, budget.max_width),
             budget.max_steps, budget.hard_cap)
     terminals = set(sys.terminals)
     found = [w for w in s.parents if len(w) <= max_len and all(x in terminals for x in w)]
-    return EtolEnumeration(
-        words=tuple(sorted(found, key=lambda w: (len(w), w))),
-        exhausted=s.swept,
-        words_seen=len(s.parents),
-        stop=s.stop,
-    )
+    return Verdict(PROVEN, tuple(sorted(found, key=lambda w: (len(w), w))),
+                   {"stop": s.stop, "forms": len(s.parents)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ index of a derivation), then by level, so its first goal has the least rank
 same search without caps: `reach` returns every node reachable from a set of
 starts, and `explore` also every edge.
 
-Every decision procedure answers with one `Verdict` of three kinds, and
-`decide` turns a finished search into one. A verdict that needs the whole
-space (a refutation, a minimum) may only rest on a search that stopped with
-SWEPT.
+Every decision procedure and enumeration answers with one `Verdict` of
+three kinds, and `decide` turns a finished search into one. A verdict that
+needs the whole space (a refutation, a minimum) may only rest on a search
+that stopped with SWEPT.
 """
 
 from __future__ import annotations
@@ -48,20 +48,16 @@ class Search:
     # stored node -> (its parent, the successor tuple that stored it);
     # None for the start
     parents: dict
-    stop: str
+    stop: str  # the search swept its whole space exactly when this is SWEPT
     goal: Optional[Hashable] = None
 
-    @property
-    def swept(self) -> bool:
-        return self.stop == SWEPT
 
-
-@record(frozen=False)
+@record
 class Verdict:
-    """The answer of a decision procedure: its kind, the witness that backs
-    it where there is one (a derivation, a run trace, a vector or a word),
-    and what else it reports in `info` (why its search stopped, a minimum
-    `k`, a size)."""
+    """The answer of a decision procedure or an enumeration: its kind, the
+    witness that backs it (a derivation, a run trace, a vector, a word or the
+    list an enumeration found), and the rest in `info` (its stop, a `k`, a
+    size). An enumeration is proven, and complete when its stop is SWEPT."""
 
     kind: str
     witness: Any = None
@@ -71,12 +67,16 @@ class Verdict:
     def is_proven(self) -> bool:
         return self.kind == PROVEN
 
+    # The benchmark's tracer (perfbench/tracing.py) reads `counters.configs`
+    # and `etol.words_seen` off `cli.ncm_run` and `cli.etol_enumerate`
+    # results through these two; keep them while the tracer does.
     @property
     def configs_seen(self) -> int:
-        # The benchmark's tracer (perfbench/tracing.py) reads
-        # `counters.configs` from this attribute of a `cli.ncm_run` result;
-        # keep it while the tracer does.
         return self.info["configs"]
+
+    @property
+    def words_seen(self) -> int:
+        return self.info["forms"]
 
 
 def decide(s: Search, exact: bool, witness: Optional[Callable[[Hashable], Any]] = None,
@@ -84,11 +84,11 @@ def decide(s: Search, exact: bool, witness: Optional[Callable[[Hashable], Any]] 
     """The verdict of a finished search for a goal: proven when it found
     one, with `witness(goal)`; refuted only when it swept and the caller's
     caps are `exact` (the capped space holds every goal there is); unknown
-    otherwise. `info` also gets `exhausted` and `stop`."""
-    info = {"exhausted": s.swept, "stop": s.stop, **info}
+    otherwise. `info` also gets `stop`, unless the caller passes its own."""
+    info = {"stop": s.stop, **info}
     if s.stop == FOUND:
         return Verdict(PROVEN, witness(s.goal) if witness else None, info)
-    return Verdict(REFUTED if s.swept and exact else UNKNOWN, None, info)
+    return Verdict(REFUTED if s.stop == SWEPT and exact else UNKNOWN, None, info)
 
 
 def bfs(

@@ -20,7 +20,7 @@ from igkit.counters import (
 from igkit.engine import Budget, check_uncontrolled, enumerate_language, min_index
 from igkit.etol import etol_enumerate, etol_to_indexed, parse_etol
 from igkit.grammar import parse_grammar, replay
-from igkit.search import REFUTED
+from igkit.search import REFUTED, SWEPT
 from igkit.semilinear import (
     GinsburgShape,
     LinearSet,
@@ -63,7 +63,7 @@ def test_criterion_1_twin_replication():
     t0 = time.monotonic()
     g = load("twin.ig")
     res = enumerate_language(g, 14, Budget(max_steps=60, max_stack=3))
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
     expected = {"$", "abc$abc", "aabbcc$aabbcc"}
     assert set(rendered(res)) == expected
 
@@ -84,7 +84,7 @@ def test_criterion_2_ramp_grammar():
     g = load("ramp.ig")
     budget = Budget(max_steps=260, max_width=4, max_stack=7)
     res = enumerate_language(g, 20, budget)
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
     # the n = 4 word has length 19, so the closed form gives n = 1..4 here
     assert set(rendered(res)) == {ramp_word(n) for n in (1, 2, 3, 4)}
 
@@ -255,13 +255,13 @@ def test_criterion_6_etol_conversion():
         sys_ = parse_etol(fixture_text(name))
         g = etol_to_indexed(sys_)
         direct = etol_enumerate(sys_, 10, Budget(max_steps=30))
-        assert direct.exhausted
+        assert direct.info["stop"] == SWEPT
         conv = enumerate_language(
             g, 10, Budget(max_steps=220, max_stack=stack, max_width=width)
         )
-        assert conv.exhausted
-        assert conv.words == direct.words, name
-        for w in direct.words:
+        assert conv.info["stop"] == SWEPT
+        assert conv.witness == direct.witness, name
+        for w in direct.witness:
             k_sys = etol_min_index(sys_, w, Budget(max_steps=30))
             got = min_index(g, w, Budget(max_steps=220, max_stack=stack, max_width=width))
             assert k_sys.is_proven and got.is_proven
@@ -294,12 +294,12 @@ def test_criterion_7_counter_pipeline():
     for g, mname, enum_len, budget in fixtures:
         m = parse_ncm(fixture_text(mname))
         sample = parikh_of_intersection(g, m, 6, enum_len=enum_len, budget=budget)
-        assert sample.exhausted
+        assert sample.info["stop"] == SWEPT
         res = enumerate_language(g, 6, Budget(max_steps=30))
         brute = tuple(sorted(
-            parikh(w, g.terminals) for w in res.words if ncm_run(m, w).is_proven
+            parikh(w, g.terminals) for w in res.witness if ncm_run(m, w).is_proven
         ))
-        assert sample.vectors == brute, (g.name, mname)
+        assert sample.witness == brute, (g.name, mname)
     ok("criterion-7", "conditions exhaustive to 8; pipeline == brute force at radius 6")
 
 

@@ -20,7 +20,7 @@ from igkit.counters import (
 )
 from igkit.engine import Budget, enumerate_language
 from igkit.grammar import parse_grammar
-from igkit.search import PROVEN, REFUTED, UNKNOWN
+from igkit.search import PROVEN, REFUTED, SWEPT, UNKNOWN
 
 from util import (
     SILENT_SIX,
@@ -255,9 +255,9 @@ PIPE_BUDGET = Budget(max_steps=600, max_width=6)
 
 def brute_vectors(g, m, radius, g_budget):
     res = enumerate_language(g, radius, g_budget)
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
     return tuple(sorted(
-        parikh(w, g.terminals) for w in res.words if ncm_run(m, w).is_proven
+        parikh(w, g.terminals) for w in res.witness if ncm_run(m, w).is_proven
     ))
 
 
@@ -265,16 +265,16 @@ def test_parikh_intersection_anbn():
     g = load("sigmastar_ab.ig")
     m = m_fix("anbn.ncm")
     sample = parikh_of_intersection(g, m, 6, budget=PIPE_BUDGET)
-    assert sample.exhausted
-    assert sample.vectors == tuple((n, n) for n in range(4))
-    assert sample.vectors == brute_vectors(g, m, 6, Budget(max_steps=30))
+    assert sample.info["stop"] == SWEPT
+    assert sample.witness == tuple((n, n) for n in range(4))
+    assert sample.witness == brute_vectors(g, m, 6, Budget(max_steps=30))
 
 
 def test_parikh_intersection_neutral_machine():
     g = load("anbn.ig")
     m = m_fix("freeall.ncm")
     sample = parikh_of_intersection(g, m, 6, budget=PIPE_BUDGET)
-    assert sample.vectors == brute_vectors(g, m, 6, Budget(max_steps=30))
+    assert sample.witness == brute_vectors(g, m, 6, Budget(max_steps=30))
 
 
 def test_parikh_intersection_empty_grammar():
@@ -282,7 +282,7 @@ def test_parikh_intersection_empty_grammar():
         "grammar none\nvariables: S\nterminals: a, b\nindices:\nstart: S\n"
     )
     sample = parikh_of_intersection(g, m_fix("anbn.ncm"), 6, budget=PIPE_BUDGET)
-    assert sample.vectors == ()
+    assert sample.witness == ()
 
 
 # the table against the enumeration route it replaced: (machine, grammar, radius)
@@ -303,7 +303,7 @@ def test_parikh_table_matches_the_enumeration_on_fixtures(machine, grammar, radi
     g, m = load(grammar), m_fix(machine)
     budget = Budget(max_steps=600, max_width=width)
     got = parikh_of_intersection(g, m, radius, budget=budget)
-    assert got.exhausted
+    assert got.info["stop"] == SWEPT
     assert got == oracle_parikh(g, m, radius, budget=budget)
 
 
@@ -329,10 +329,10 @@ def test_parikh_table_on_a_grammar_that_pushes(stack, width, vectors):
     budget = Budget(max_steps=40, max_width=width, max_stack=stack)
     got = parikh_of_intersection(g, m, 3, budget=budget)
     want = oracle_parikh(g, m, 3, budget=budget)
-    assert got.vectors == want.vectors == vectors
-    assert got.exhausted == (stack is not None)
+    assert got.witness == want.witness == vectors
+    assert (got.info["stop"] == SWEPT) == (stack is not None)
     if stack is None:
-        assert got.stop == want.stop == "max_steps"
+        assert got.info["stop"] == want.info["stop"] == "max_steps"
 
 
 @given(grammars(), st.sampled_from(["anbn.ncm", "freeall.ncm", "updown.ncm"]),
@@ -343,10 +343,10 @@ def test_parikh_table_matches_the_enumeration(g, machine, radius, width, stack):
     budget = Budget(max_steps=10, max_width=width, max_stack=stack, hard_cap=20_000)
     got = parikh_of_intersection(g, m, radius, budget=budget)
     want = oracle_parikh(g, m, radius, budget=budget)
-    if got.exhausted:
-        assert set(want.vectors) <= set(got.vectors)
-    if want.exhausted:
-        assert set(got.vectors) <= set(want.vectors)
+    if got.info["stop"] == SWEPT:
+        assert set(want.witness) <= set(got.witness)
+    if want.info["stop"] == SWEPT:
+        assert set(got.witness) <= set(want.witness)
 
 
 # -- text format ------------------------------------------------------------------------

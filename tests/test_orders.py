@@ -38,7 +38,7 @@ from igkit.engine import (
     min_index,
 )
 from igkit.grammar import PUSH, Production, parse_grammar, replay
-from igkit.search import HARD_CAP, MAX_STEPS, REFUTED, UNKNOWN
+from igkit.search import HARD_CAP, MAX_STEPS, REFUTED, SWEPT, UNKNOWN
 
 from util import (
     TERMS,
@@ -71,15 +71,25 @@ uncontrolled = budget_strategy((None,), hard_cap=500)
 words = st.lists(st.sampled_from(TERMS), max_size=4).map(tuple)
 
 
+# S -> _ | S S a | a, up to length 5: the search over every order sweeps in 7
+# levels, the leftmost search only in 11
+EMPTY_LEFT_CHILD = make_grammar(
+    "empty", ("S",), TERMS, (),
+    [Production("S", ()), Production("S", ("S", "S", "a")), Production("S", ("a",))], "S")
+
+
 @given(grammars(), budgets)
+@example(EMPTY_LEFT_CHILD, Budget(max_steps=7))
 def test_enumeration_matches_all_orders(g, budget):
+    # the same words; the leftmost search can need more levels to sweep, and
+    # a list it swept holds every word
     left = enumerate_language(g, 5, budget)
     full = oracle_enumerate(g, 5, budget)
-    if HARD_CAP not in (left.stop, full.stop):
-        assert left.words == full.words
-    if full.exhausted:
-        assert left.exhausted and left.words == full.words
-    assert left.forms_seen <= full.forms_seen or full.stop == HARD_CAP
+    if HARD_CAP not in (left.info["stop"], full.info["stop"]):
+        assert left.witness == full.witness
+    if left.info["stop"] == SWEPT:
+        assert set(full.witness) <= set(left.witness)
+    assert left.info["forms"] <= full.info["forms"] or full.info["stop"] == HARD_CAP
 
 
 # S -> B A, A -> a, B -> C C, C -> b: "bba" has width 2 only when A, the
@@ -100,10 +110,10 @@ def _bounded(g, budget):
 def test_capped_enumeration_matches_all_orders(g, budget):
     ours = enumerate_language(g, 5, budget)
     full = oracle_enumerate(g, 5, budget)
-    if HARD_CAP not in (ours.stop, full.stop):
-        assert ours.words == full.words
-        if full.exhausted and _bounded(g, budget):
-            assert ours.exhausted
+    if HARD_CAP not in (ours.info["stop"], full.info["stop"]):
+        assert ours.witness == full.witness
+        if full.info["stop"] == SWEPT and _bounded(g, budget):
+            assert ours.info["stop"] == SWEPT
 
 
 # S -> A [+e], A -> b: at width 0 the search takes the push from the start
@@ -131,10 +141,10 @@ def test_word_table_matches_the_search(g, budget):
     # runs out of levels, never the other way round
     ours = enumerate_language(g, 5, budget)
     search = search_enumerate(g, 5, budget)
-    if HARD_CAP not in (ours.stop, search.stop):
-        assert ours.words == search.words
-        if search.exhausted and _bounded(g, budget):
-            assert ours.exhausted
+    if HARD_CAP not in (ours.info["stop"], search.info["stop"]):
+        assert ours.witness == search.witness
+        if search.info["stop"] == SWEPT and _bounded(g, budget):
+            assert ours.info["stop"] == SWEPT
 
 
 def _replays_within(g, witness, w, budget):
@@ -233,8 +243,8 @@ def test_more_steps_keep_what_fewer_decided(g, budget, w, max_len):
     assert not (few.kind == REFUTED and many.is_proven)
     assert many.is_proven or not few.is_proven
     few, many = (enumerate_language(g, max_len, b) for b in (budget, more))
-    if few.exhausted:
-        assert set(many.words) <= set(few.words)
+    if few.info["stop"] == SWEPT:
+        assert set(many.witness) <= set(few.witness)
     few, many = (min_index(g, w, b, caps_exact=True) for b in (budget, more))
     if few.is_proven:
         assert many.is_proven and many.info["k"] <= few.info["k"]

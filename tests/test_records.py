@@ -81,12 +81,13 @@ def test_replace_checks_the_copy_again():
         replace(push, missing=1)
 
 
-def test_each_verdict_gets_its_own_info_and_a_verdict_is_mutable_and_unhashable():
+def test_each_verdict_gets_its_own_info_and_a_verdict_is_frozen_and_unhashable():
     a, b = Verdict(PROVEN), Verdict(PROVEN)
     a.info["k"] = 1
     assert b.info == {} and a != b
-    a.kind = REFUTED
-    assert a.kind == REFUTED
+    with pytest.raises(AttributeError):
+        a.kind = REFUTED
+    assert a.kind == PROVEN
     with pytest.raises(TypeError):
         hash(b)
 

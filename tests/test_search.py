@@ -66,7 +66,7 @@ def doubling(n):
 
 def test_bfs_sweeps_the_whole_space():
     s = bfs(1, doubling, 100, 100)
-    assert s.stop == SWEPT and s.swept and s.goal is None
+    assert s.stop == SWEPT and s.goal is None
     assert set(s.parents) == set(range(1, 20))
 
 
@@ -84,7 +84,7 @@ def test_bfs_visits_the_start():
 
 def test_bfs_leaves_are_stored_but_not_expanded():
     s = bfs(1, doubling, 100, 100, lambda n: LEAF if n == 2 else EXPAND)
-    assert s.swept
+    assert s.stop == SWEPT
     assert set(s.parents) == {1, 2}  # both moves from 1 lead to 2
 
 
@@ -98,7 +98,7 @@ def test_bfs_hard_cap_counts_stored_nodes():
     for cap in range(1, 19):
         s = bfs(1, doubling, math.inf, cap)
         assert s.stop == HARD_CAP and len(s.parents) == cap
-    assert bfs(1, doubling, math.inf, 19).swept
+    assert bfs(1, doubling, math.inf, 19).stop == SWEPT
 
 
 def test_explore_stores_in_bfs_order_and_lists_every_edge():
@@ -236,14 +236,14 @@ RANKED_BUDGETS = st.builds(Budget, max_steps=st.integers(0, 12),
 
 @given(grammars(), RANKED_BUDGETS, st.lists(st.sampled_from(TERMS), max_size=4).map(tuple))
 def test_ranked_search_answers_as_the_unranked_one(g, budget, w):
-    # the kind, stop and exhaustion of membership, and the kind, minimum and
-    # stop of min_index, are those of the unranked search and of the search at
-    # each k; the witnesses replay within max_steps, min_index's with index k
-    # and as short as the search at width k finds it
+    # the kind and stop of membership, and the kind, minimum and stop of
+    # min_index, are those of the unranked search and of the search at each
+    # k; the witnesses replay within max_steps, min_index's with index k and
+    # as short as the search at width k finds it
     ours, theirs = membership(g, w, budget, True), search_membership(g, w, budget, True)
     if HARD_CAP in (ours.info["stop"], theirs.info["stop"]):
         return
-    _same_answer(ours, theirs, ("stop", "exhausted"))
+    _same_answer(ours, theirs, ("stop",))
     least, per_k = min_index(g, w, budget, True), per_k_min_index(g, w, budget, True)
     if HARD_CAP not in (least.info["stop"], per_k.info["stop"]):
         _same_answer(least, per_k, ("k", "stop"))
@@ -332,14 +332,14 @@ ENUMERATIONS = [
 
 
 @pytest.mark.parametrize(
-    "name,n,budget,words,exhausted,forms,forms_default", ENUMERATIONS,
+    "name,n,budget,words,swept,forms,forms_default", ENUMERATIONS,
     ids=[f"{r[0]}-{r[1]}-budget{i}-words{i}-{r[4]}-{r[5]}" for i, r in enumerate(ENUMERATIONS)])
-def test_enumeration_pinned(name, n, budget, words, exhausted, forms, forms_default):
+def test_enumeration_pinned(name, n, budget, words, swept, forms, forms_default):
     for search, count in ((oracle_enumerate, forms), (enumerate_language, forms_default)):
         res = search(g_fix(name), n, budget)
         assert list(rendered(res)) == words
-        assert res.exhausted == exhausted
-        assert res.forms_seen == count
+        assert (res.info["stop"] == SWEPT) == swept
+        assert res.info["forms"] == count
 
 
 # the enumerations that stay on the search: no width cap (leftmost order), and
@@ -357,7 +357,7 @@ STAY_ON_THE_SEARCH = [
 def test_enumerations_that_stay_on_the_search(name, n, budget, words, forms):
     res = enumerate_language(g_fix(name), n, budget)
     assert res == search_enumerate(g_fix(name), n, budget)
-    assert list(rendered(res)) == words and res.exhausted and res.forms_seen == forms
+    assert list(rendered(res)) == words and res.info == {"stop": SWEPT, "forms": forms}
 
 
 def test_deepening_expands_each_pair_once(monkeypatch):

@@ -30,7 +30,7 @@ from igkit.semilinear import (
     slset_member,
     slset_subset,
 )
-from igkit.search import PROVEN, REFUTED, UNKNOWN
+from igkit.search import PROVEN, REFUTED, SWEPT, UNKNOWN
 
 from util import (
     grid_members,
@@ -361,7 +361,7 @@ def test_members_up_to_order():
 
 def enum(g, n, **kw):
     res = enumerate_language(g, n, Budget(max_steps=kw.pop("steps", 300), **kw))
-    assert res.exhausted
+    assert res.info["stop"] == SWEPT
     return set(rendered(res))
 
 

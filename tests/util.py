@@ -34,11 +34,10 @@ from hypothesis import strategies as st
 from igkit import automata, fixture_text, kernel, replace
 from igkit import vector_automata as va
 from igkit.closure import _split_rhs, inverse_projection, normalize_rhs
-from igkit.counters import ParikhSample, counter_letters, expand_to_nfa, to_one_reversal
+from igkit.counters import counter_letters, expand_to_nfa, to_one_reversal
 from igkit.engine import (
     Budget,
     CompiledGrammar,
-    EnumerationResult,
     _can_yield,
     _derivation,
     _is_terminal_enc,
@@ -68,6 +67,7 @@ from igkit.search import (
     LEAF,
     PROVEN,
     REFUTED,
+    SWEPT,
     UNKNOWN,
     Verdict,
     bfs,
@@ -194,7 +194,7 @@ def _search_enumerate(g, budget, successors):
     s = bfs(c.start(), successors(c), budget.max_steps, budget.hard_cap, visit)
     decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
                      key=lambda w: (len(w), w))
-    return EnumerationResult(tuple(decoded), s.swept, budget.active_caps(), len(s.parents), s.stop)
+    return Verdict(PROVEN, tuple(decoded), {"stop": s.stop, "forms": len(s.parents)})
 
 
 def oracle_enumerate(g, max_len, budget):
@@ -391,18 +391,17 @@ def oracle_check_uncontrolled(g, k, budget):
                      lambda f: EXPAND if f else GOAL)
             if s2.stop == FOUND:
                 return GOAL
-            if s2.swept:
+            if s2.stop == SWEPT:
                 dead.update(s2.parents)
             else:
                 cut = s2.stop
         return EXPAND if form else LEAF
 
     s = bfs(c.start(), erased(phase1_budget), budget.max_steps, budget.hard_cap, visit)
-    info = {"exhausted": s.swept and cut is None,
-            "stop": cut if s.swept and cut else s.stop}
+    info = {"stop": cut if s.stop == SWEPT and cut else s.stop}
     if s.stop == FOUND:
         return Verdict(REFUTED, None, info)
-    return Verdict(PROVEN if info["exhausted"] else UNKNOWN, None, info)
+    return Verdict(PROVEN if info["stop"] == SWEPT else UNKNOWN, None, info)
 
 
 def path(parents, node):
@@ -574,12 +573,12 @@ def oracle_parikh(g, m, radius, enum_len=None, budget=None):
     length = enum_len if enum_len is not None else radius * (1 + 2 * k)
     res = search_enumerate(g2, length, budget or Budget(max_steps=600))
     vectors = set()
-    for w in res.words:
+    for w in res.witness:
         xs = [ltr for ltr in w if ltr in g.terminal_set]
         if len(xs) <= radius and all(w.count(f"p#{i}") == w.count(f"q#{i}")
                                      for i in range(1, k + 1)):
             vectors.add(parikh(xs, g.terminals))
-    return ParikhSample(tuple(sorted(vectors)), radius, length, res.exhausted, res.stop)
+    return Verdict(PROVEN, tuple(sorted(vectors)), {"stop": res.info["stop"], "enum_len": length})
 
 
 def accepts_via_expansion(nfa, input_alphabet, k, x, cap=None):
@@ -793,7 +792,7 @@ def oracle_tree_width(kids, push):
 
 def rendered(res):
     """The words of an enumeration result, as strings."""
-    return tuple("".join(w) for w in res.words)
+    return tuple("".join(w) for w in res.witness)
 
 
 def image(h, word):
@@ -814,7 +813,7 @@ def enum_set(g, max_len, steps=400, stack=None, width=None):
     res = enumerate_language(
         g, max_len, Budget(max_steps=steps, max_stack=stack, max_width=width)
     )
-    assert res.exhausted, f"enumeration of {g.name} not exhausted; raise the budget"
+    assert res.info["stop"] == SWEPT, f"enumeration of {g.name} not exhausted; raise the budget"
     return set(rendered(res))
 
 
