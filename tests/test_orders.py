@@ -14,8 +14,12 @@ A refutation needs a sweep, and either order can need more levels to sweep
 than the oracle when the shortest derivation of some form is not in that
 order. A grammar of seven variables shows it for the leftmost order:
 S -> X0 Y | Xi W (i = 0..3), Xi -> Xi+1 (i < 3), X3 -> x, W -> Y, Y -> y
-sweeps in 4 levels in all orders and needs 5 leftmost; no grammar within the
-bounds below has shown it, and the leftmost tests require the oracle's sweeps.
+sweeps in 4 levels in all orders and needs 5 leftmost. Within the bounds
+below, S -> _ | S S a | a shows it for the leftmost enumeration up to length
+5 (7 levels against 11); that test requires the leftmost search to sweep
+within as many levels as the oracle stores forms, since its forms are among
+those. The leftmost membership and minimum tests require the oracle's sweeps,
+and no grammar within the bounds has refuted them.
 The subtree order shows it on S -> S | S S at width 2: every order sweeps in
 2 levels, but S S is stored again once per grouping of its variables (both in
 one group, or one S started in a group of its own), and those states need a
@@ -81,15 +85,18 @@ EMPTY_LEFT_CHILD = make_grammar(
 @given(grammars(), budgets)
 @example(EMPTY_LEFT_CHILD, Budget(max_steps=7))
 def test_enumeration_matches_all_orders(g, budget):
-    # the same words; the leftmost search can need more levels to sweep, and
-    # a list it swept holds every word
     left = enumerate_language(g, 5, budget)
     full = oracle_enumerate(g, 5, budget)
     if HARD_CAP not in (left.info["stop"], full.info["stop"]):
         assert left.witness == full.witness
-    if left.info["stop"] == SWEPT:
-        assert set(full.witness) <= set(left.witness)
     assert left.info["forms"] <= full.info["forms"] or full.info["stop"] == HARD_CAP
+    if full.info["stop"] == SWEPT:
+        # the leftmost search can need more levels to sweep, but no more than
+        # the oracle's forms, among which are its own
+        assert left.info["stop"] in (SWEPT, MAX_STEPS)
+        if left.info["stop"] == MAX_STEPS:
+            left = enumerate_language(g, 5, replace(budget, max_steps=full.info["forms"]))
+        assert left.info["stop"] == SWEPT and left.witness == full.witness
 
 
 # S -> B A, A -> a, B -> C C, C -> b: "bba" has width 2 only when A, the

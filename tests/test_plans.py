@@ -5,6 +5,7 @@ must be right. The plan and the oracles are imported from perfbench/ as they
 are."""
 
 import contextlib
+import importlib
 import io
 import sys
 from pathlib import Path
@@ -13,15 +14,28 @@ import pytest
 
 from igkit import cli
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-import oracles  # noqa: E402
-from workloads import Plan  # noqa: E402
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's `oracles` module and `Plan` class. Its modules import each
+    other by bare name, so its directory is on sys.path, and they are in
+    sys.modules, only while they load: no later bare import can find them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("oracles"), importlib.import_module("workloads").Plan
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "").parent == PERFBENCH:
+                del sys.modules[name]
 
 
 @pytest.mark.parametrize("seed", [1201, 7])
 @pytest.mark.parametrize("workload", ["derive", "width", "pipeline"])
-def test_plan_reports_pass_the_oracles(workload, seed, tmp_path, monkeypatch):
+def test_plan_reports_pass_the_oracles(workload, seed, bench, tmp_path, monkeypatch):
+    oracles, Plan = bench
     monkeypatch.chdir(tmp_path)  # the plan's inputs and the commands' outputs live here
     grammars = oracles.Grammars(tmp_path)
     problems = []
