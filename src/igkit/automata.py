@@ -9,10 +9,9 @@ igkit.vector_automata.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
-from . import field, record
+from . import cached, field, record
 from .grammar import (
     ParseError,
     declared,
@@ -37,7 +36,7 @@ class Nfa:
     transitions: tuple[tuple[str, Optional[str], str], ...]
     name: str = field(default="nfa", compare=False)
 
-    @functools.cached_property
+    @cached
     def _by_src(self) -> dict:
         out: dict = {}
         for src, label, dst in self.transitions:

@@ -21,9 +21,13 @@ error: an unreadable file or argument, or a file that does not parse
 `engine`, `kernel`), and no `dataclasses`. Every name taken from the other
 layers (`automata`, `closure`, `counters`, `etol`, `semilinear` and, through
 it, `vector_automata`) is a stand-in made by `_lazy`, so each layer loads on
-the first command that runs it; `main` builds only that command's parser.
-Handlers call readers and layer functions as globals of this module, found
-when the command runs, so a wrapper set on one of them sees every call.
+the first command that runs it. `main` parses the arguments after a
+command's words with that row's own parser (`_row_parser`, built on first
+use), and builds the parser of every command (`build_parser`) only for an
+argv that names no row: no arguments, `-h` at the top or on a group, or an
+unknown command. Handlers call readers and layer functions as globals of
+this module, found when the command runs, so a wrapper set on one of them
+sees every call.
 """
 
 from __future__ import annotations
@@ -107,10 +111,12 @@ def _resolve(path: str) -> str:
 
 
 def _read(path: str) -> tuple[str, str]:
-    with open(_resolve(path), encoding="utf-8") as f:
-        text = f.read()
-    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return text, f"{path} sha256:{digest}"
+    """The text of a file, and its `input:` line: the path and the head of
+    the SHA-256 of the file's bytes as stored."""
+    with open(_resolve(path), "rb") as f:
+        data = f.read()
+    digest = hashlib.sha256(data).hexdigest()[:12]
+    return data.decode("utf-8"), f"{path} sha256:{digest}"
 
 
 def emit_report(fields: dict) -> None:
@@ -604,8 +610,24 @@ GROUPS = {
 COMMANDS = tuple(dict.fromkeys(name.partition(" ")[0] for name in TABLE))
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of one of COMMANDS alone (the same for it)."""
+def _row_parser(name: str, p=None) -> argparse.ArgumentParser:
+    """`p` with the arguments of the row `name`: a subparser of build_parser,
+    or by default a parser of that row alone, which prints the same help."""
+    row = TABLE[name]
+    if p is None:
+        p = _Parser(prog=f"igkit {name}")
+    for arg, _ in row.inputs:
+        p.add_argument(arg)
+    for arg, kwargs in row.args:
+        p.add_argument(arg, **kwargs)
+    if row.budget:
+        _add_budget_flags(p, *row.budget)
+    p.set_defaults(row=(name, row))
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
     ap = _Parser(
         prog="igkit",
         description="workbench for grammars whose variables carry index stacks",
@@ -614,33 +636,42 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     groups = {}
     for name, row in TABLE.items():
         top, _, op = name.partition(" ")
-        if command not in (None, top):
-            continue
         if not op:
             p = sub.add_parser(name, help=row.help)
         else:
             if top not in groups:  # no dest: a missing subcommand is reported by its choices
                 groups[top] = sub.add_parser(top, help=GROUPS[top]).add_subparsers(required=True)
             p = groups[top].add_parser(op, help=row.help)
-        for arg, _ in row.inputs:
-            p.add_argument(arg)
-        for arg, kwargs in row.args:
-            p.add_argument(arg, **kwargs)
-        if row.budget:
-            _add_budget_flags(p, *row.budget)
-        p.set_defaults(row=(name, row))
+        _row_parser(name, p)
     return ap
 
 
-@functools.cache  # built on the first call of `main` for a command, reused by later ones
-def _parser(command=None) -> argparse.ArgumentParser:
-    return build_parser(command)
+@functools.cache  # built on the first call of `main` that needs it, reused by later ones
+def _parser(name=None) -> argparse.ArgumentParser:
+    """The parser of the row `name` alone, or of every command."""
+    return build_parser() if name is None else _row_parser(name)
+
+
+def _parse(argv: list[str]):
+    """The arguments of `argv`. When its first words name a row, the rest is
+    parsed by that row's own parser; an argv that names none (no arguments,
+    `-h` at the top or on a group, an unknown command) goes to the parser of
+    every command, which prints the help or reports the usage error."""
+    if argv and argv[0] in COMMANDS:
+        n = 2 if argv[0] in GROUPS else 1
+        name = " ".join(argv[:n])
+        if name in TABLE:
+            args, extra = _parser(name).parse_known_args(argv[n:])
+            if extra:  # reported as the parser of every command reports them
+                raise UsageError(f"igkit: unrecognized arguments: {' '.join(extra)}")
+            return args
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _parse(argv)
         name, row = args.row
         report = {"command": name}
         inputs = []

@@ -28,8 +28,6 @@ from typing import Optional
 
 from . import kernel, record, replace
 from .grammar import (
-    CONSUME,
-    PLAIN,
     PUSH,
     Derivation,
     GrammarError,
@@ -102,34 +100,31 @@ class CompiledGrammar:
     an append-only cons pool; id 0 is the empty stack.
     """
 
-    _KIND = {PLAIN: 0, PUSH: 1, CONSUME: 2}
-
     def __init__(self, g: IndexedGrammar):
         self.g = g
         self.var_names = g.variables
         self.term_names = g.terminals
         self.idx_names = g.indices
-        self.var_id = {v: i for i, v in enumerate(g.variables)}
+        self.var_id = var_id = {v: i for i, v in enumerate(g.variables)}
         self.term_id = {t: i for i, t in enumerate(g.terminals)}
-        self.idx_id = {f: i for i, f in enumerate(g.indices)}
+        idx_id = {f: i for i, f in enumerate(g.indices)}
+        code = {t: -i for i, t in enumerate(g.terminals, 1)}  # of each symbol of a right side
+        code.update(var_id)
         self.nv = max(1, len(g.variables))
         by_var: list[list[int]] = [[] for _ in range(self.nv)]
         prods = []
         for pid, p in enumerate(g.productions):
-            if p.kind == PUSH:
-                row = (1, -1, (), self.var_id[p.rhs[0]], self.idx_id[p.push_index], 1, 0)
+            if p.push_index is not None:
+                row = (1, -1, (), var_id[p.rhs[0]], idx_id[p.push_index], 1, 0)
             else:
-                rhs = tuple(
-                    self.var_id[s] if s in self.var_id else -(self.term_id[s] + 1)
-                    for s in p.rhs
-                )
-                nvars = sum(1 for c in rhs if c >= 0)
-                lhs_idx = -1 if p.lhs_index is None else self.idx_id[p.lhs_index]
-                row = (self._KIND[p.kind], lhs_idx, rhs, -1, -1, nvars, len(rhs) - nvars)
+                rhs = tuple(map(code.__getitem__, p.rhs))
+                nvars = sum(map(var_id.__contains__, p.rhs))
+                kind, lhs_idx = (0, -1) if p.lhs_index is None else (2, idx_id[p.lhs_index])
+                row = (kind, lhs_idx, rhs, -1, -1, nvars, len(rhs) - nvars)
             prods.append(row)
-            by_var[self.var_id[p.lhs_var]].append(pid)
+            by_var[var_id[p.lhs_var]].append(pid)
         self.prods = tuple(prods)
-        self.by_var = tuple(tuple(pids) for pids in by_var)
+        self.by_var = tuple(map(tuple, by_var))
         self.pool_top = [-1]
         self.pool_rest = [-1]
         self.pool_depth = [0]

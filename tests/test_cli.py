@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shape, file outputs."""
 
+import hashlib
 import json
 import os
 import re
@@ -29,6 +30,21 @@ def test_validate_ok(capsys):
     assert code == 0
     assert blocks[0]["status"] == "ok"
     assert blocks[0]["violations"] == "0"
+
+
+def test_input_digest_is_the_sha256_of_the_file(tmp_path, capsys):
+    """The `input:` digest is taken over the bytes as stored, so a CRLF copy
+    has its own digest; everything else in its report is the LF copy's."""
+    text = cli.fixture_path("anbn.ig").read_text(encoding="utf-8")
+    rest = []
+    for name, newline in (("lf.ig", "\n"), ("crlf.ig", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode())
+        code, blocks = run_clean(capsys, "enumerate", str(path), "--max-len", "4")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+        assert code == 0 and blocks[0].pop("input") == f"{path} sha256:{digest}"
+        rest.append({k: v for k, v in blocks[0].items() if k != "elapsed_s"})
+    assert rest[0] == rest[1] and rest[0]["words"] == "_, ab, aabb"
 
 
 def test_enumerate_twin(capsys):
@@ -442,6 +458,14 @@ ERRORS = [
               "{run,one-reversal,expand,parikh-intersect}"),
     (["transform"], "UsageError: igkit transform: the following arguments are required: "
                     "{union,morph,inv-morph,normalize,intersect-dfa,inv-proj,transduce}"),
+    # an argv that names no command row is parsed by the parser of every command
+    ([], "UsageError: igkit: the following arguments are required: command"),
+    (["nope"], "UsageError: igkit: argument command: invalid choice: 'nope'"),
+    (["transform", "nope"], "UsageError: igkit transform: argument "
+                            "{union,morph,inv-morph,normalize,intersect-dfa,inv-proj,transduce}: "
+                            "invalid choice: 'nope'"),
+    (["--max-len", "3", "enumerate", "fixture:anbn.ig"],
+     "UsageError: igkit: argument command: invalid choice: '3'"),
 ]
 
 
@@ -460,20 +484,24 @@ ERRORS = [
                                                   "reserved-target", "repeated-letter",
                                                   "letter-of-the-grammar", "repeated-target",
                                                   "ncm-no-subcommand",
-                                                  "transform-no-subcommand"])
+                                                  "transform-no-subcommand", "no-command",
+                                                  "unknown-command", "unknown-subcommand",
+                                                  "flag-before-command"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert len(blocks) == 1
-    assert blocks[0]["command"] == argv[0] and blocks[0]["status"] == "error"
-    assert blocks[0]["error"].startswith(error)
+    assert blocks[0]["command"] == (argv[0] if argv else "igkit")
+    assert blocks[0]["status"] == "error" and blocks[0]["error"].startswith(error)
     assert list(tmp_path.iterdir()) == []  # an input error writes no file
 
 
 
 @pytest.mark.parametrize("argv,usage", [(["-h"], "igkit [-h]"),
-                                        (["enumerate", "-h"], "igkit enumerate [-h]")],
-                         ids=["top", "enumerate"])
+                                        (["enumerate", "-h"], "igkit enumerate [-h]"),
+                                        (["transform", "union", "-h"],
+                                         "igkit transform union [-h]")],
+                         ids=["top", "enumerate", "subcommand"])
 def test_help_prints_and_returns_zero(capsys, argv, usage):
     code, blocks = run_clean(capsys, *argv)
     assert code == 0 and blocks[0]["usage"].startswith(usage)
@@ -486,8 +514,8 @@ def test_a_command_alone_helps_as_in_the_full_parser(capsys):
         return capsys.readouterr().out
 
     assert "{" + ",".join(cli.COMMANDS) + "}" in help_text(build_parser())
-    for name in cli.COMMANDS:
-        assert help_text(build_parser(name), name) == help_text(build_parser(), name)
+    for name in cli.TABLE:
+        assert help_text(cli._row_parser(name)) == help_text(build_parser(), *name.split())
 
 
 # a sequence of calls in one process: a flag given then left out, a usage error
@@ -514,6 +542,11 @@ SEQUENCE = [
 ]
 
 
+def row_name(argv):
+    """The TABLE row an argv runs."""
+    return " ".join(argv[:2]) if argv[0] in cli.GROUPS else argv[0]
+
+
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     def outcomes():
         got = []
@@ -524,18 +557,23 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
                                for b in blocks]))
         return got
 
-    # main builds the parser of each command alone, once
+    # main builds the parser of each row it runs alone, once, and never the
+    # parser of every command; replicate-paper runs the rows of its claims
     builds = []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: builds.append(command) or build_parser(command))
+    row_parser = cli._row_parser
+    monkeypatch.setattr(cli, "_row_parser",
+                        lambda name, p=None: builds.append(name) or row_parser(name, p))
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build_parser())
     cli._parser.cache_clear()
     reused = outcomes()
-    assert sorted(builds) == sorted(cli.COMMANDS)
+    run = {row_name(argv) for argv in SEQUENCE}
+    run |= {row_name(line.split()) for _, lines in cli.PAPER_CLAIMS for line, _ in lines}
+    assert sorted(builds) == sorted(run)
     assert [code for code, _ in reused[:7]] == [1, 3, 0, 0, 2, 2, 0]
     cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser for every call
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a fresh parser for every call
     assert outcomes() == reused
-    monkeypatch.setattr(cli, "_parser", lambda command=None: build_parser())  # the full one
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))  # the full one
     assert outcomes() == reused
 
 # commands that write a file: (argv, the file, enumerate flags for the output

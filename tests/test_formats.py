@@ -67,6 +67,14 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
      "production 0: rhs symbol 'T' is neither variable nor terminal"),
     ("grammar", f"grammar g\n{G}prod: S -> a\nprod: S [e] -> a\n", 7,
      "production 1: consumed symbol 'e' is not an index"),
+    ("grammar", f"grammar g\n{G}prod: S T -> a\n", 6, "bad production lhs 'S T'"),
+    ("grammar", f"grammar g\n{G}prod: S -> a[x]\n", 6, "unexpected bracket in rhs token 'a[x]'"),
+    ("grammar", f"grammar g\n{G}prod: S [e] -> T [+f]\n", 6,
+     "a push production cannot consume an index"),
+    ("grammar", f"grammar g\n{G}prod: S -> a [+f]\n", 6,
+     "production 0: push target 'a' is not a variable"),
+    ("grammar", "grammar g\nvariables: S, a\nterminals: a\nindices:\nstart: S\n", 1,
+     "alphabets not disjoint: ['a'] in both variables and terminals"),
     # a problem of the whole file is reported at line 1, before any of a line
     ("grammar", "grammar g\nvariables: S\nterminals: a\nindices:\nstart: T\nprod: S -> T\n", 1,
      "start symbol 'T' is not a variable; "

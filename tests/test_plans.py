@@ -1,8 +1,10 @@
 """The benchmark's query plans, run through `igkit.cli.main` and checked by
 the benchmark's own oracles (perfbench/oracles.py), which never call the
 search engine: every report of ten rounds of each workload, at two seeds,
-must be right. The plan and the oracles are imported from perfbench/ as they
-are."""
+must be right. Every command line of those rounds must also parse, through
+the parser of its command row that `main` uses, as the parser of every
+command parses it. The plan and the oracles are imported from perfbench/ as
+they are."""
 
 import contextlib
 import importlib
@@ -49,3 +51,27 @@ def test_plan_reports_pass_the_oracles(workload, seed, bench, tmp_path, monkeypa
         problems += [f"{' | '.join(map(' '.join, query['calls']))}: {p}"
                      for p in oracles.check(query, reports, codes, grammars)]
     assert problems == []
+
+
+def parsed(parse, argv):
+    """The fields `parse` gives `argv` (all but the nested parser's `command`,
+    which no handler reads), or the usage error it raises."""
+    try:
+        args = parse(argv)
+    except cli.UsageError as exc:
+        return str(exc)
+    return {k: v for k, v in vars(args).items() if k != "command"}
+
+
+@pytest.mark.parametrize("seed", [1201, 7])
+@pytest.mark.parametrize("workload", ["derive", "width", "pipeline"])
+def test_plan_command_lines_parse_as_in_the_full_parser(workload, seed, bench, tmp_path):
+    """Each command line of the plans gets from its row's own parser, which
+    `main` uses, what the parser of every command gives it."""
+    _, Plan = bench
+    full = cli.build_parser()
+    argvs = [argv for qs in Plan(workload, seed, tmp_path).rounds(10) for q in qs
+             for argv in q["calls"]]
+    assert argvs
+    for argv in argvs:
+        assert parsed(cli._parse, argv) == parsed(full.parse_args, argv), argv
