@@ -83,23 +83,6 @@ def record(cls=None, /, *, eq=True):
     return cls
 
 
-class cached:
-    """A property computed on its first read and then kept in the instance's
-    `__dict__`, as `functools.cached_property` keeps it, without the lock
-    that one takes on each first read under Python 3.11 (about a
-    microsecond, paid three times by every grammar read)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def replace(obj, /, **changes):
     """A copy of the record `obj` with `changes`, checked by `__post_init__`."""
     return type(obj)(*[changes.pop(name, getattr(obj, name)) for name in obj._fields], **changes)
@@ -114,5 +97,5 @@ def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
 
 
-__all__ = ["cached", "field", "fixture_path", "fixture_text", "record", "replace"]
+__all__ = ["field", "fixture_path", "fixture_text", "record", "replace"]
 __version__ = "0.1.0"

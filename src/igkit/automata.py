@@ -9,9 +9,10 @@ igkit.vector_automata.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
-from . import cached, field, record
+from . import field, record
 from .grammar import (
     ParseError,
     declared,
@@ -36,7 +37,7 @@ class Nfa:
     transitions: tuple[tuple[str, Optional[str], str], ...]
     name: str = field(default="nfa", compare=False)
 
-    @cached
+    @functools.cached_property
     def _by_src(self) -> dict:
         out: dict = {}
         for src, label, dst in self.transitions:

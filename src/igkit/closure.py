@@ -10,10 +10,11 @@ compose with further constructions and never capture user symbols.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional, Sequence
 
-from . import cached, field, record, replace
+from . import field, record, replace
 from .automata import Nfa, determinize
 from .grammar import (
     PUSH,
@@ -52,7 +53,7 @@ class Morphism:
     rules: tuple[tuple[str, tuple[str, ...]], ...]
     name: str = field(default="h", compare=False)
 
-    @cached
+    @functools.cached_property
     def images(self) -> dict[str, tuple[str, ...]]:
         return dict(self.rules)
 

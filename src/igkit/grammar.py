@@ -16,9 +16,10 @@ All types are immutable values; none of the operations mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import cached, field, record
+from . import field, record
 
 PLAIN = "plain"
 PUSH = "push"
@@ -29,10 +30,6 @@ CONSUME = "consume"
 #: with user names; the rest would break the line-oriented file formats.
 RESERVED_CHARS = "#|"
 FORBIDDEN_CHARS = RESERVED_CHARS + ",[]{}" + " \t\r\n"
-_RESERVED = frozenset(RESERVED_CHARS)
-# the characters that make a name illegal unless it is generated (has a
-# reserved character, and then it is not checked)
-_UNGENERATED_FORBIDDEN = frozenset(FORBIDDEN_CHARS) - _RESERVED
 
 
 class GrammarError(Exception):
@@ -75,7 +72,7 @@ def symbol_name_error(name: str) -> Optional[str]:
 
 
 def is_generated_name(name: str) -> bool:
-    return not _RESERVED.isdisjoint(name)
+    return any(ch in RESERVED_CHARS for ch in name)
 
 
 @record
@@ -118,15 +115,15 @@ class IndexedGrammar:
     start: str
     name: str = field(default="g", compare=False)
 
-    @cached
+    @functools.cached_property
     def variable_set(self) -> frozenset[str]:
         return frozenset(self.variables)
 
-    @cached
+    @functools.cached_property
     def terminal_set(self) -> frozenset[str]:
         return frozenset(self.terminals)
 
-    @cached
+    @functools.cached_property
     def index_set(self) -> frozenset[str]:
         return frozenset(self.indices)
 
@@ -223,35 +220,7 @@ def replay(g: IndexedGrammar, d: Derivation) -> SententialForm:
 def located_problems(g: IndexedGrammar) -> list[tuple[Optional[int], str]]:
     """Every structural violation of `g` (none when it is valid), each with
     the number of its production, or None when it is a problem of the whole
-    grammar. The names and the productions are checked with set operations
-    first, and walked one by one only when that check fails."""
-    vs, ts, is_ = g.variable_set, g.terminal_set, g.index_set
-    names = g.variables + g.terminals + g.indices
-    problems = []
-    if ("" in names or "_" in names or not _UNGENERATED_FORBIDDEN.isdisjoint("".join(names))
-            or len(vs) + len(ts) + len(is_) < len(names)):
-        problems = _name_problems(g)
-    if vs & ts:
-        problems.append(f"alphabets not disjoint: {sorted(vs & ts)} in both variables and terminals")
-    if vs & is_:
-        problems.append(f"alphabets not disjoint: {sorted(vs & is_)} in both variables and indices")
-    if ts & is_:
-        problems.append(f"alphabets not disjoint: {sorted(ts & is_)} in both terminals and indices")
-    if g.start not in vs:
-        problems.append(f"start symbol {g.start!r} is not a variable")
-    located: list[tuple[Optional[int], str]] = [(None, msg) for msg in problems]
-    ps = g.productions
-    indices = {p.lhs_index for p in ps} | {p.push_index for p in ps}
-    indices.discard(None)
-    if not ({p.lhs_var for p in ps} <= vs and indices <= is_
-            and {s for p in ps for s in p.rhs} <= vs | ts
-            and {p.rhs[0] for p in ps if p.push_index is not None} <= vs):
-        located += _production_problems(g)
-    return located
-
-
-def _name_problems(g: IndexedGrammar) -> list[str]:
-    """The illegal and the repeated names of `g`, group by group."""
+    grammar."""
     problems = []
     for group, names in (("variable", g.variables), ("terminal", g.terminals), ("index", g.indices)):
         seen = set()
@@ -262,13 +231,16 @@ def _name_problems(g: IndexedGrammar) -> list[str]:
             if n in seen:
                 problems.append(f"duplicate {group} name {n!r}")
             seen.add(n)
-    return problems
-
-
-def _production_problems(g: IndexedGrammar) -> list[tuple[int, str]]:
-    """The undeclared symbols of each production of `g`."""
     vs, ts, is_ = g.variable_set, g.terminal_set, g.index_set
-    located = []
+    if vs & ts:
+        problems.append(f"alphabets not disjoint: {sorted(vs & ts)} in both variables and terminals")
+    if vs & is_:
+        problems.append(f"alphabets not disjoint: {sorted(vs & is_)} in both variables and indices")
+    if ts & is_:
+        problems.append(f"alphabets not disjoint: {sorted(ts & is_)} in both terminals and indices")
+    if g.start not in vs:
+        problems.append(f"start symbol {g.start!r} is not a variable")
+    located: list[tuple[Optional[int], str]] = [(None, msg) for msg in problems]
     for i, p in enumerate(g.productions):
         where = f"production {i}"
         if p.lhs_var not in vs:
@@ -353,7 +325,7 @@ def read_file(text: str, kind: str, fields: dict, rows: dict, required: Iterable
     values: dict = {}
     found = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = (strip_comment(raw) if "#" in raw else raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         if name is None:
@@ -414,7 +386,7 @@ def split_names(text: str, line_no: int, what: str) -> tuple[str, ...]:
     """A comma list; empty text is the empty list, an empty item is an error."""
     if not text.strip():
         return ()
-    names = tuple(map(str.strip, text.split(",")))
+    names = tuple(tok.strip() for tok in text.split(","))
     if "" in names:
         raise ParseError(f"empty name in {what} list", line_no)
     return names
@@ -465,23 +437,6 @@ def parse_grammar(text: str) -> IndexedGrammar:
 
 
 def _parse_production(body: str, line_no: int, what: str) -> Production:
-    """One `prod:` value. The common shapes, `A -> s1 … sn` and `A [f] -> s1
-    … sn` with no bracket on the right and `_` only alone there, are read in
-    one pass; any other value goes through every check in turn."""
-    lhs_text, arrow, rhs_text = body.partition("->")
-    if arrow and "[" not in rhs_text and "]" not in rhs_text:
-        lhs_toks, rhs_toks = lhs_text.split(), rhs_text.split()
-        rhs = () if rhs_toks == ["_"] else tuple(rhs_toks)
-        if "_" not in rhs:
-            if len(lhs_toks) == 1:
-                return Production(lhs_toks[0], rhs)
-            index = lhs_toks[1] if len(lhs_toks) == 2 else ""
-            if index[:1] == "[" and index[-1:] == "]" and index[1:2] != "+":
-                return Production(lhs_toks[0], rhs, index[1:-1])
-    return _checked_production(body, line_no)
-
-
-def _checked_production(body: str, line_no: int) -> Production:
     lhs_text, rhs_text = split_arrow(body, line_no, "production")
     lhs_toks = lhs_text.split()
     lhs_index = None
@@ -495,6 +450,9 @@ def _checked_production(body: str, line_no: int) -> Production:
     lhs_var = lhs_toks[0]
 
     rhs_toks = rhs_text.split()
+    if "[" not in rhs_text and "]" not in rhs_text and "_" not in rhs_text:
+        # no push, no bracket and no empty word: the checks below pass
+        return Production(lhs_var, tuple(rhs_toks), lhs_index)
     push_index = None
     if rhs_toks and rhs_toks[-1].startswith("[+") and rhs_toks[-1].endswith("]"):
         push_index = rhs_toks[-1][2:-1]

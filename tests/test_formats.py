@@ -69,6 +69,7 @@ ROWS = [row for kind in PARSERS for row in shared_rows(kind)] + [
      "production 1: consumed symbol 'e' is not an index"),
     ("grammar", f"grammar g\n{G}prod: S T -> a\n", 6, "bad production lhs 'S T'"),
     ("grammar", f"grammar g\n{G}prod: S -> a[x]\n", 6, "unexpected bracket in rhs token 'a[x]'"),
+    ("grammar", f"grammar g\n{G}prod: S -> a]\n", 6, "unexpected bracket in rhs token 'a]'"),
     ("grammar", f"grammar g\n{G}prod: S [e] -> T [+f]\n", 6,
      "a push production cannot consume an index"),
     ("grammar", f"grammar g\n{G}prod: S -> a [+f]\n", 6,

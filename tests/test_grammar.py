@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from igkit import fixture_text, grammar
+from igkit import fixture_text
 from igkit.grammar import (
     EmptyStackOnConsume,
     GrammarError,
@@ -17,7 +17,6 @@ from igkit.grammar import (
     TopIndexMismatch,
     Var,
     apply_production,
-    located_problems,
     parse_grammar,
     replay,
     serialize_grammar,
@@ -259,66 +258,6 @@ def test_comment_rules_keep_generated_names():
 @example("a#b #")
 def test_strip_comment_matches_the_character_loop(line):
     assert strip_comment(line) == oracle_strip_comment(line)
-
-
-# tokens of a production value: names, indices on either side, brackets where
-# they do not belong, the empty word and arrows, spaced or glued
-PROD_TOKENS = ["S", "a", "X1", "_", "[f]", "[+f]", "[]", "[+]", "[", "]", "a[x]", "->", "S->a",
-               "[f]->", "[->]"]
-
-
-@given(st.lists(st.sampled_from(PROD_TOKENS), max_size=6), st.sampled_from([" ", "  ", "\t"]))
-@example(["X1", "[f]", "->", "a", "X1"], " ")
-@example(["S", "->", "Y", "[+e]"], " ")
-@example(["S", "[f]", "->", "T", "[+f]"], " ")
-def test_a_production_is_read_as_every_check_reads_it(toks, sep):
-    """The one-pass read of the common shapes gives what the full checks give,
-    the production or the error."""
-    def read(parse):
-        try:
-            return parse(sep.join(toks))
-        except ParseError as exc:
-            return str(exc)
-
-    assert read(lambda body: grammar._parse_production(body, 1, "prod")) == \
-        read(lambda body: grammar._checked_production(body, 1))
-
-
-ANY_NAMES = st.sampled_from(["S", "T", "a", "b", "f", "", "_", "x y", "a,b", "Z#0", "<p|A|q>",
-                             "Z#,"])
-
-
-@st.composite
-def unchecked_productions(draw):
-    push = draw(st.one_of(ANY_NAMES, st.none()))
-    if push is not None:
-        return Production(draw(ANY_NAMES), (draw(ANY_NAMES),), push_index=push)
-    return Production(draw(ANY_NAMES), tuple(draw(st.lists(ANY_NAMES, max_size=3))),
-                      lhs_index=draw(st.one_of(ANY_NAMES, st.none())))
-
-
-@st.composite
-def unchecked_grammars(draw):
-    """Grammars with every kind of structural problem, or none."""
-    names = st.lists(ANY_NAMES, max_size=4).map(tuple)
-    return IndexedGrammar(draw(names), draw(names), draw(names),
-                          tuple(draw(st.lists(unchecked_productions(), max_size=4))),
-                          draw(ANY_NAMES))
-
-
-@given(unchecked_grammars())
-@example(IndexedGrammar(("S",), ("a",), ("f",), (Production("S", ("a",), push_index="f"),),
-                        "S"))
-def test_located_problems_walks_whatever_a_walk_finds(g):
-    """The set checks before the walks of the names and the productions
-    pass only a grammar in which the walk finds no problem: every problem
-    of a walk is reported, in the walk's order."""
-    got = located_problems(g)
-    names = [(None, msg) for msg in grammar._name_problems(g)]
-    prods = grammar._production_problems(g)
-    assert got[:len(names)] == names
-    assert got[len(got) - len(prods):] == prods
-    assert all(i is None for i, _ in got[:len(got) - len(prods)])
 
 
 def test_classification_special_vs_linear():
