@@ -375,14 +375,14 @@ def _parikh_intersect(m, g, args) -> tuple:
 PAPER_CLAIMS = [
     ("twin-enumeration", [
         ("enumerate fixture:twin.ig --max-len 14 --max-steps 60 --max-stack 3",
-         {"words": "$, abc$abc, aabbcc$aabbcc"})]),
+         {"exhausted": "true", "words": "$, abc$abc, aabbcc$aabbcc"})]),
     ("twin-synthesis", [
         ("synth-linear fixture:twin.sls --out {out}/g.ig", {"status": "ok"}),
         ("enumerate {out}/g.ig --max-len 14 --max-steps 60 --max-stack 3",
-         {"words": "$, abc$abc, aabbcc$aabbcc"})]),
+         {"exhausted": "true", "words": "$, abc$abc, aabbcc$aabbcc"})]),
     ("ramp-enumeration", [
         ("enumerate fixture:ramp.ig --max-len 13 --max-steps 120 --max-width 4 --max-stack 5",
-         {"words": "abaa, abaabaaa, abaabaaabaaaa"})]),
+         {"exhausted": "true", "words": "abaa, abaabaaa, abaabaaabaaaa"})]),
     ("ramp-min-index", [
         ("min-index fixture:ramp.ig abaa --max-steps 60 --max-stack 4", {"min_index": "3"})]),
     ("ramp-not-uncontrolled", [
@@ -391,32 +391,33 @@ PAPER_CLAIMS = [
     ("union-closure", [
         ("transform union fixture:astar.ig fixture:bstar.ig --out {out}/g.ig", {"status": "ok"}),
         ("enumerate {out}/g.ig --max-len 5 --max-steps 30",
-         {"words": "_, a, b, aa, bb, aaa, bbb, aaaa, bbbb, aaaaa, bbbbb"})]),
+         {"exhausted": "true", "words": "_, a, b, aa, bb, aaa, bbb, aaaa, bbbb, aaaaa, bbbbb"})]),
     ("morphism-closure", [
         ("transform morph fixture:anbn.ig fixture:axy.map --out {out}/g.ig", {"status": "ok"}),
         ("enumerate {out}/g.ig --max-len 10 --max-steps 40",
-         {"words": "_, xy, xyxy, xyxyxy, xyxyxyxy, xyxyxyxyxy"})]),
+         {"exhausted": "true", "words": "_, xy, xyxy, xyxyxy, xyxyxyxy, xyxyxyxyxy"})]),
     ("intersection-closure", [
         ("transform intersect-dfa fixture:twin.ig fixture:dollar.fsa --out {out}/g.ig",
          {"status": "ok"}),
         ("enumerate {out}/g.ig --max-len 14 --max-steps 200 --max-stack 3",
-         {"words": "abc$abc, aabbcc$aabbcc"})]),
+         {"exhausted": "true", "words": "abc$abc, aabbcc$aabbcc"})]),
     ("inverse-projection-closure", [
         ("transform inv-proj fixture:abword.ig --letters x --out {out}/g.ig", {"status": "ok"}),
         ("enumerate {out}/g.ig --max-len 4 --max-steps 60",
-         {"words": "ab, abx, axb, xab, abxx, axbx, axxb, xabx, xaxb, xxab"})]),
+         {"exhausted": "true", "words": "ab, abx, axb, xab, abxx, axbx, axxb, xabx, xaxb, xxab"})]),
     ("etol-conversion", [
         ("etol enumerate fixture:anbn1.etol --max-len 8 --max-steps 20",
-         {"words": "_, ab, aabb, aaabbb, aaaabbbb"}),
+         {"exhausted": "true", "words": "_, ab, aabb, aaabbb, aaaabbbb"}),
         ("etol convert fixture:anbn1.etol --out {out}/g.ig", {"status": "ok"}),
         ("enumerate {out}/g.ig --max-len 8 --max-steps 120 --max-stack 8 --max-width 3",
-         {"words": "_, ab, aabb, aaabbb, aaaabbbb"})]),
+         {"exhausted": "true", "words": "_, ab, aabb, aaabbb, aaaabbbb"})]),
     ("ncm-acceptance", [
         ("ncm run fixture:anbn.ncm aabb", {"outcome": "accepted"}),
         ("ncm run fixture:anbn.ncm aab", {"outcome": "rejected"})]),
     ("ncm-counting", [
         ("ncm parikh-intersect fixture:anbn.ncm fixture:sigmastar_ab.ig --radius 4 "
-         "--max-steps 400 --max-width 6", {"vectors": "(0, 0); (1, 1); (2, 2)"})]),
+         "--max-steps 400 --max-width 6",
+         {"exhausted": "true", "vectors": "(0, 0); (1, 1); (2, 2)"})]),
     ("slset-decisions", [
         ("slset subset fixture:diag.sls fixture:quadrant.sls", {"verdict": "proven"}),
         ("slset subset fixture:quadrant.sls fixture:diag.sls", {"verdict": "refuted"})]),
@@ -497,10 +498,10 @@ def _count(text: str) -> int:
 def _add_budget_flags(p, steps, *caps):
     """--max-steps, a --max-<cap> flag for each cap the command honors
     (`width`, `stack`), and --hard-cap."""
-    p.add_argument("--max-steps", type=int, default=steps)
+    p.add_argument("--max-steps", type=_count, default=steps)
     for cap in caps:
-        p.add_argument(f"--max-{cap}", type=int, default=None)
-    p.add_argument("--hard-cap", type=int, default=1_000_000)
+        p.add_argument(f"--max-{cap}", type=_count, default=None)
+    p.add_argument("--hard-cap", type=_count, default=1_000_000)
 
 
 class _Row:

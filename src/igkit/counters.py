@@ -13,7 +13,8 @@ extended with per-counter increment/decrement letters; a word is accepted by
 the machine iff some expansion word with balanced increment/decrement counts
 projects onto it, which reduces counting behavior to a regular language plus
 a letter-count constraint. parikh_of_intersection reads the letter counts of
-a grammar's intersection with it off a table over (variable, stack) pairs.
+a grammar's intersection with it off engine.tree_table, the table over
+(variable, stack) pairs that width-capped enumeration reads words off.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .automata import Nfa, determinize
 from .closure import intersect_dfa, inverse_projection, normalize_rhs
 # unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
 # `enumerate_language` among this module's names: keep it while the tracer does
-from .engine import Budget, CompiledGrammar, enumerate_language, tabulate  # noqa: F401
+from .engine import Budget, CompiledGrammar, enumerate_language, tree_table  # noqa: F401
 from .grammar import (
     GrammarError,
     IndexedGrammar,
@@ -41,7 +42,7 @@ from .grammar import (
     split_names,
     verbatim,
 )
-from .search import EXPAND, GOAL, HARD_CAP, PROVEN, SWEPT, Verdict, bfs, decide, explore, moves
+from .search import EXPAND, GOAL, PROVEN, SWEPT, Verdict, bfs, decide, explore, moves
 
 ZERO = "z"
 POS = "p"
@@ -339,14 +340,15 @@ def parikh_of_intersection(
     """Counting vectors of L(g) ∩ L(m) up to the radius, computed through the
     regular route: extend the grammar alphabet with counter letters, intersect
     with the expanded NFA, tabulate the letter counts of the intersection
-    grammar's words up to enum_len (`_parikh_table`, grown by `tabulate` at
-    depth caps: max_steps bounds the stack depth, not the derivation length),
-    keep the balanced ones, project away the counter letters. Proven, with
-    the letter-count vectors (over g's terminal order) of the words of length
-    <= radius in both languages, sorted; `info` holds `stop` (why the last
-    table stopped: swept, max_steps when a push was left out, or hard_cap)
-    and `enum_len` (the length cap of the intersection grammar's words,
-    counter letters included)."""
+    grammar's words up to enum_len (`_parikh_table`: the tree table's
+    (counts, width) entries, grown by `tabulate` at depth caps, so max_steps
+    bounds the stack depth, not the derivation length), keep the balanced
+    ones, project away the counter letters. Proven, with the letter-count
+    vectors (over g's terminal order) of the words of length <= radius in
+    both languages, sorted; `info` holds `stop` (why the last table stopped:
+    swept, max_steps when a push was left out, or hard_cap, which counts the
+    pairs and entries) and `enum_len` (the length cap of the intersection
+    grammar's words, counter letters included)."""
     if radius < 0 or (enum_len is not None and enum_len < 0):
         raise ValueError("radius and enum_len must be >= 0")
     if set(g.terminals) != set(m.alphabet):
@@ -367,67 +369,18 @@ def parikh_of_intersection(
 
 def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
     """The letter counts of the start variable's words of length <=
-    `length`: a `tabulate` whose items are (vector, width), the counts of a
-    tree's word and the least width of a tree with them (`tree_width`).
-    Width and total only grow up a tree, so an entry over the width cap or
-    `length` is dropped, and so is a rule with more variable children than
-    the cap. The hard cap counts pairs and entries. A vector is one int,
-    count i in field i of `bits` bits and the total above: adding vectors
-    adds ints, and an int is below `over` exactly when its total is at most
-    `length` (its counts then fit their fields).
-
-    The grammar is `intersect_dfa`'s over a `normalize_rhs` grammar, so a
-    rule has at most two variable children, and the fire joins each shape
-    directly, with the widths of `tree_width` inline. It lists every join
-    before it writes the rule's row, which may be a row it reads."""
+    `length`: the `tree_table` of vectors, whose entries are (counts, width)
+    with a least size. A vector is one int, count i in field i of `bits`
+    bits and the total above: a rule's runs are its terminals' counts and
+    zeros, adding vectors adds ints, and an int is below `over` exactly when
+    its total is at most `length` (its counts then fit their fields)."""
     bits, n = length.bit_length(), len(c.term_names)
     unit = [(1 << bits * i) + (1 << bits * n) for i in range(n)]
     over = (length + 1) << bits * n
-    base = [sum(unit[-x - 1] for x in row[2] if x < 0) for row in c.prods]
-    cap = math.inf if budget.max_width is None else budget.max_width
-    table: dict = {}  # pair -> {vector: least width}
-    size = 0
-
-    def fire(rule, kid, item):
-        nonlocal size
-        pair, pid, kids = rule
-        if len(kids) > max(1, cap):  # two children or more make a tree that wide
-            return ()
-        got = table.setdefault(pair, {})
-        b = base[pid]
-        if not kids:
-            found = [(b, 0)]
-        elif len(kids) == 1:
-            push = c.prods[pid][0] == 1
-            found = [(b + v, w if push else w or 1)
-                     for v, w in (table.get(kids[0], {}).items() if kid is None else [item])]
-        else:
-            x, z = kids
-            if kid is None:
-                first = table.get(x, {}).items()
-            else:  # entries ignore order: the item goes first
-                first, z = [item], z if kid == x else x
-            second = table.get(z, {}).items()
-            found = []
-            for v1, w1 in first:
-                w1 = w1 or 1
-                for v2, w2 in second:
-                    w2 = w2 or 1
-                    found.append((b + v1 + v2, max(w1, w2) + (w1 == w2)))
-        new = []
-        for vec, w in found:
-            if vec < over and w <= cap and w < got.get(vec, math.inf):
-                size += vec not in got
-                got[vec] = w
-                new.append((vec, w))
-        return new
-
-    start = c.start()[0]
-    _, stop = tabulate(c, start, budget, fire,
-                       lambda: HARD_CAP if size > budget.hard_cap else None)
+    runs = [[sum(unit[-x - 1] for x in row[2] if x < 0)] + [0] * row[5] for row in c.prods]
+    entries, stop, _ = tree_table(c, budget, runs, over.__gt__)
     mask = (1 << bits) - 1
-    counts = [tuple(v >> bits * i & mask for i in range(n)) for v in table.get(start, ())]
-    return counts, stop
+    return [tuple(v >> bits * i & mask for i in range(n)) for v in {v for v, _ in entries}], stop
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Bounded exploration of the derivation relation.
 
 Search-based language enumeration, membership and index measurement, and
-tables over (variable, stack) pairs (`tabulate`): the words of a width-capped
-enumeration and the derivation-tree widths of uncontrolled-width checking
-here, letter counts in igkit.counters. Index stacks are unbounded in general,
-so every operation takes a Budget; verdicts are relative to the budget caps,
-and each one's `info["stop"]` is SWEPT exactly when the space was swept.
+tables over (variable, stack) pairs (`tabulate`): one `tree_table` of the
+values and widths of derivation trees, read for the words of a width-capped
+enumeration here and for letter counts in igkit.counters, and the widths of
+uncontrolled-width checking. Index stacks are unbounded in general, so every
+operation takes a Budget; verdicts are relative to the budget caps, and each
+one's `info["stop"]` is SWEPT exactly when the space was swept.
 
 The hot path (one-step expansion of a sentential form) runs through
 igkit.kernel. Membership (and so min_index) and enumeration follow one
@@ -16,14 +17,15 @@ its first witness has the least index, and min_index reads k off it: one
 search with a width cap, and without one a leftmost search for an upper
 bound i and one search at width i - 1. An enumeration under a width cap
 whose stack is bounded (a stack cap, or no push production) searches no
-forms: it tabulates the words below each pair with their least widths
-(`_word_table`), as check_uncontrolled tabulates the widest tree below each
-pair.
+forms: it reads the words below each pair, with their least widths and
+sizes, off the tree table (`_word_table`), as check_uncontrolled tabulates
+the widest tree below each pair.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Optional
 
 from . import kernel, record, replace
@@ -188,7 +190,7 @@ class CompiledGrammar:
         `_subtree_depths(budget)` depth values (decode them with that count),
         and the hard cap counts (form, depth) states. The subtree order
         serves membership, min_index and the width-capped enumerations whose
-        stack is unbounded; the others read `_word_table`.
+        stack is unbounded; the others read the words of `tree_table`.
         Membership labels each form with the index of its path and ranks the
         (form, index) states by it, so a least-index derivation, found in
         subtree order, is its first witness. kernel.expand with a width cap
@@ -261,67 +263,28 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Verdi
     return Verdict(PROVEN, tuple(decoded), {"stop": stop, "forms": forms})
 
 
-def _yield_blocks(form: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
-    blocks = []
-    cur: list[int] = []
-    nvars = 0
+def _yield_blocks(form: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The terminal runs of a form: before, between and after its variables."""
+    blocks: list[tuple[int, ...]] = [()]
     for x in form:
         if x < 0:
-            cur.append(x)
+            blocks[-1] += (x,)
         else:
-            blocks.append(tuple(cur))
-            cur = []
-            nvars += 1
-    blocks.append(tuple(cur))
-    return blocks, nvars
+            blocks.append(())
+    return blocks
 
 
 def _word_table(c: CompiledGrammar, max_len: int, budget: Budget):
-    """The words of a width-capped enumeration: a `tabulate` whose items are
-    ((word, width), size), a tree's word, its width (`tree_width`) and the
-    least size (rewrites) of a tree with both. Length and width only grow up
-    a tree, so an entry over `max_len` or the width cap is dropped, and so is
-    a rule with more variable children than the cap. The start words of
-    least size at most max_steps are the words the search finds. Returns
-    them, the stop (MAX_STEPS when the step cap left a start word out) and
-    the pairs plus entries, which the hard cap counts too."""
-    blocks = [_yield_blocks((0,) if row[0] == 1 else row[2])[0] for row in c.prods]
-    cap = budget.max_width
-    table: dict = {}  # pair -> {(word, width): least size}
-    size = 0
-
-    def fire(rule, kid, item):
-        nonlocal size
-        pair, pid, kids = rule
-        if len(kids) > max(1, cap):  # two children or more make a tree that wide
-            return ()
-        got = table.setdefault(pair, {})
-        push = c.prods[pid][0] == 1
-        new = []
-        for j in [i for i, x in enumerate(kids) if x == kid] or [None]:
-            # the (word so far, children's widths, size) of each combination,
-            # a child at a time, dropping words that already outgrow max_len
-            part = [(blocks[pid][0], (), 1)]
-            for i, x in enumerate(kids):
-                run = blocks[pid][i + 1]
-                part = [(word + w + run, ws + (cw,), n + cn) for word, ws, n in part
-                        for (w, cw), cn in ([item] if i == j else table.get(x, {}).items())
-                        if len(word) + len(w) + len(run) <= max_len]
-            for word, ws, n in part:
-                key = (word, tree_width(ws, push))
-                if len(word) <= max_len and key[1] <= cap and n < got.get(key, math.inf):
-                    size += key not in got
-                    got[key] = n
-                    new.append((key, n))
-        return new
-
-    start = c.start()[0]
-    pairs, stop = tabulate(c, start, budget, fire,
-                           lambda: HARD_CAP if size > budget.hard_cap else None)
-    words = {w for (w, _), n in table.get(start, {}).items() if n <= budget.max_steps}
-    if stop == SWEPT and any(w not in words for w, _ in table.get(start, ())):
+    """The words of a width-capped enumeration, read off the `tree_table` of
+    words: the start words of least size at most max_steps, which the search
+    finds; the stop (MAX_STEPS when the step cap left one out); and the
+    pairs plus entries, which the hard cap counts too."""
+    runs = [_yield_blocks((0,) if row[0] == 1 else row[2]) for row in c.prods]
+    entries, stop, size = tree_table(c, budget, runs, lambda word: len(word) <= max_len)
+    words = {w for (w, _), n in entries.items() if n <= budget.max_steps}
+    if stop == SWEPT and any(w not in words for w, _ in entries):
         stop = MAX_STEPS
-    return words, stop, pairs + size
+    return words, stop, size
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +435,14 @@ def check_uncontrolled(g: IndexedGrammar, k: int, budget: Budget) -> Verdict:
     back: dict = {}
     top = k + 1
 
-    def fire(rule, kid, item):
+    def fire(rule, place, item):
         pair, pid, kids = rule
         if all(x in value for x in kids):
             v = min(top, max(1, sum(value[x] for x in kids)))
             if v > value.get(pair, 0):
                 back[pair, v] = (pid, tuple((x, value[x]) for x in kids))
                 value[pair] = v
-                return (v,)
+                return ((pair, v),)
         return ()
 
     pairs, stop = tabulate(c, start, budget, fire,
@@ -508,15 +471,68 @@ def tree_width(kids, push: bool) -> int:
     return max((max(1, w) + i for i, w in enumerate(sorted(kids, reverse=True))), default=0)
 
 
+def tree_table(c: CompiledGrammar, budget: Budget, runs, fits):
+    """The values of the derivation trees below the start pair: a `tabulate`
+    whose items are ((value, width), size), the least size (rewrites) of a
+    tree with that value and width (`tree_width`). A rule's value joins by
+    `+` its runs and its children's values (run 0, child 1, run 1, …): words
+    are tuples, letter counts ints. Values and widths only grow up a tree,
+    so a value that `fits` rejects (a leaf's own run too), an entry over the
+    width cap and a rule with more children than the cap are dropped.
+    Returns the start pair's {(value, width): least size}, the stop, and the
+    pairs plus entries, which the hard cap counts too."""
+    cap = math.inf if budget.max_width is None else budget.max_width
+    # per production: its runs and whether it pushes, or None when it can add nothing
+    joins = [(run, row[0] == 1) if row[5] <= max(1, cap) and fits(run[0]) else None
+             for run, row in zip(runs, c.prods)]
+    table: dict = defaultdict(dict)  # pair -> {(value, width): least size}
+    size = 0
+
+    def fire(rule, j, item):
+        nonlocal size
+        pair, pid, kids = rule
+        if joins[pid] is None:
+            return ()
+        run, push = joins[pid]
+        part = [(run[0], (), 1)]  # (value so far, children's widths, size)
+        # a combination that holds the item is built once, at the first place
+        # of its child that holds it: the places before take the other entries
+        for i, x in enumerate(kids):
+            es = (item,) if i == j else table[x].items()
+            if i < j and x == kids[j]:
+                es = [e for e in es if e[0] != item[0]]
+            if not es:
+                return ()
+            r = run[i + 1]
+            part = [(u, ws + (w,), n + m) for v, ws, n in part for (y, w), m in es
+                    if fits(u := v + y + r)]
+        got = table[pair]
+        new = []
+        for v, ws, n in part:
+            key = (v, tree_width(ws, push))
+            if key[1] <= cap and n < got.get(key, math.inf):
+                size += key not in got
+                got[key] = n
+                new.append((pair, (key, n)))
+        return new
+
+    start = c.start()[0]
+    pairs, stop = tabulate(c, start, budget, fire,
+                           lambda: HARD_CAP if size > budget.hard_cap else None)
+    return table[start], stop, pairs + size
+
+
 def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
     """A monotone fixpoint over the (variable, stack) pairs reachable from
     `start` within the stack cap (Knuth 1977). A pair is encoded like a
     variable occurrence; its rules, read from its variable's rows in
     `c.prods`, are (pair, pid, the pairs of its variable children).
-    The caller owns the values: `fire(rule, kid, item)` returns the new items
-    of the rule's pair, combining the item of `kid` with the items its other
-    children hold (all of them with kid and item None, as each rule is first
-    fired), until `stopped()` returns a stop instead of None.
+    The caller owns the values: `fire(rule, place, item)` returns the new
+    (pair, item)s of the rule's pair, combining the item of the child at
+    `place` with the items its other children hold (all of them with place
+    -1 and item None, as each rule is first fired); a new item fires once
+    for each place of its pair among a rule's children. That goes on until
+    `stopped()` returns a stop instead of None.
 
     Without a stack cap, d pushes make a stack of depth d, so the table
     grows at depth caps 1, 2, 4, … up to max_steps until a round stops short
@@ -525,7 +541,7 @@ def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
     they reach. Returns the number of pairs and the stop: `stopped()`'s,
     HARD_CAP when the pairs outgrow the hard cap, MAX_STEPS when the last
     round still left out a push."""
-    users: dict = {}  # pair -> the rules with it among their children
+    users: dict = {}  # pair -> (rule, place) for each place of it among a rule's children
     known: set = set()  # the pairs of the earlier rounds
     items: list = []  # (pair, item), in the order found
     new: list = []  # the rules found in this round
@@ -535,8 +551,8 @@ def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
 
     def add(rule):
         new.append(rule)
-        for kid in set(rule[2]):
-            users.setdefault(kid, []).append(rule)
+        for place, kid in enumerate(rule[2]):
+            users.setdefault(kid, []).append((rule, place))
         return [(kid,) for kid in rule[2] if kid not in known]
 
     def children(pair):
@@ -564,13 +580,13 @@ def tabulate(c: CompiledGrammar, start: int, budget: Budget, fire, stopped):
         known.update(list(s.parents)[1:])
         new.sort(key=lambda rule: not rule[2])  # leaves last: the others see only old items
         for rule in new:
-            items.extend((rule[0], y) for y in fire(rule, None, None))
+            items.extend(fire(rule, -1, None))
         new.clear()
         while (stop := stopped()) is None and i < len(items):  # items grows as it runs
             pair, x = items[i]
             i += 1
-            for rule in users.get(pair, ()):
-                items.extend((rule[0], y) for y in fire(rule, pair, x))
+            for rule, place in users.get(pair, ()):
+                items.extend(fire(rule, place, x))
         stop = s.stop if s.stop != SWEPT else stop or SWEPT
         if stop != SWEPT or not cut:
             return len(known), stop

@@ -412,6 +412,14 @@ ERRORS = [
      "UsageError: igkit bounded subset: argument --check-len: must be >= 0: -1"),
     (["ncm", "run", "fixture:anbn.ncm", "ab", "--counter-cap", "-1"],
      "UsageError: igkit ncm run: argument --counter-cap: must be >= 0: -1"),
+    (["enumerate", "fixture:anbn.ig", "--max-len", "3", "--max-steps", "-1"],
+     "UsageError: igkit enumerate: argument --max-steps: must be >= 0: -1"),
+    (["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "3", "--max-width", "-1"],
+     "UsageError: igkit etol enumerate: argument --max-width: must be >= 0: -1"),
+    (["check-uncontrolled", "fixture:anbn.ig", "--k", "1", "--max-stack", "-1"],
+     "UsageError: igkit check-uncontrolled: argument --max-stack: must be >= 0: -1"),
+    (["member", "fixture:anbn.ig", "ab", "--hard-cap", "-1"],
+     "UsageError: igkit member: argument --hard-cap: must be >= 0: -1"),
     # a --vector outside ℕ^k, for the set's k: a negative component, or the wrong length
     (["slset", "member", "fixture:diag.sls", "--vector", "(-1,-1)"],
      "ValueError: vector (-1, -1) has a negative component"),
@@ -475,6 +483,8 @@ ERRORS = [
                                                   "negative-max-len", "negative-etol-max-len",
                                                   "negative-radius", "negative-enum-len",
                                                   "negative-check-len", "negative-counter-cap",
+                                                  "negative-max-steps", "negative-max-width",
+                                                  "negative-max-stack", "negative-hard-cap",
                                                   "negative-vector", "wrong-dim-vector",
                                                   "doubled-comma-vector", "nested-vector",
                                                   "bare-vector", "underscore-vector",
@@ -730,6 +740,18 @@ def test_replicate_paper_names_the_value_a_report_lacks(capsys, monkeypatch):
     assert [b["result"] for b in checks.values()] == ["pass"] * 13
     assert blocks[-1]["checks"] == "14" and blocks[-1]["failures"] == "1"
     assert blocks[-1]["status"] == "fail"
+
+
+def test_a_claim_pins_the_sweep_of_a_complete_list(tmp_path):
+    # S -> _ | S S a | a: at --max-steps 7 the leftmost search lists every word
+    # up to length 5, but sweeps only at 11, so a claim on the list alone passes
+    (tmp_path / "g.ig").write_text("grammar loose\nvariables: S\nterminals: a\nindices:\n"
+                                   "start: S\nprod: S -> _\nprod: S -> S S a\nprod: S -> a\n")
+    line = "enumerate {out}/g.ig --max-len 5 --max-steps 7"
+    words = {"words": "_, a, aa, aaa, aaaa, aaaaa"}
+    assert cli._claim_error([(line, words)], str(tmp_path)) is None
+    assert cli._claim_error([(line, {"exhausted": "true", **words})], str(tmp_path)) == (
+        f"igkit {line}: exhausted: false, want true")
 
 
 @pytest.mark.parametrize("line,error", [

@@ -2,13 +2,14 @@
 counting pipeline, against brute-force word enumeration."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from igkit import fixture_text
 from igkit.counters import (
     ZERO,
     NotOneReversal,
+    _parikh_table,
     counter_letters,
     expand_to_nfa,
     ncm_run,
@@ -18,7 +19,7 @@ from igkit.counters import (
     to_one_reversal,
     validate_ncm,
 )
-from igkit.engine import Budget, enumerate_language
+from igkit.engine import Budget, CompiledGrammar, enumerate_language
 from igkit.grammar import parse_grammar
 from igkit.search import PROVEN, REFUTED, SWEPT, UNKNOWN
 
@@ -347,6 +348,25 @@ def test_parikh_table_matches_the_enumeration(g, machine, radius, width, stack):
         assert set(want.witness) <= set(got.witness)
     if want.info["stop"] == SWEPT:
         assert set(got.witness) <= set(want.witness)
+
+
+# S -> A b A A: three children, one of them at two more places
+THREE_CHILDREN = parse_grammar("grammar three\nvariables: S, A\nterminals: a, b\nindices:\n"
+                               "start: S\nprod: S -> A b A A\nprod: A -> a\nprod: A -> b\n"
+                               "prod: A -> _\n")
+
+
+@given(grammars(), st.integers(0, 5), st.integers(0, 3), st.integers(0, 2))
+@example(THREE_CHILDREN, 4, 3, 0)
+def test_parikh_table_counts_the_letters_of_the_word_tables_words(g, length, width, stack):
+    # the two tables on one grammar, with rules of three children and rules
+    # with a repeated child, which no intersection grammar has; no tree
+    # reaches the step cap, which the word table reads as a length
+    budget = Budget(max_steps=1000, max_width=width, max_stack=stack, hard_cap=20_000)
+    counts, stop = _parikh_table(CompiledGrammar(g), length, budget)
+    words = enumerate_language(g, length, budget)
+    if stop == words.info["stop"] == SWEPT:
+        assert sorted(counts) == sorted({parikh(w, g.terminals) for w in words.witness})
 
 
 # -- text format ------------------------------------------------------------------------

@@ -145,13 +145,15 @@ REPEATED_CHILD = make_grammar(
 def test_word_table_matches_the_search(g, budget):
     # with a bounded stack, enumerate_language reads a width-capped
     # enumeration from its word table; the table may sweep where the search
-    # runs out of levels, never the other way round
-    ours = enumerate_language(g, 5, budget)
-    search = search_enumerate(g, 5, budget)
-    if HARD_CAP not in (ours.info["stop"], search.info["stop"]):
-        assert ours.witness == search.witness
-        if search.info["stop"] == SWEPT and _bounded(g, budget):
-            assert ours.info["stop"] == SWEPT
+    # runs out of levels, never the other way round. Every length up to 5,
+    # so that a leaf's own terminals meet the length cap too
+    for max_len in range(6):
+        ours = enumerate_language(g, max_len, budget)
+        search = search_enumerate(g, max_len, budget)
+        if HARD_CAP not in (ours.info["stop"], search.info["stop"]):
+            assert ours.witness == search.witness
+            if search.info["stop"] == SWEPT and _bounded(g, budget):
+                assert ours.info["stop"] == SWEPT
 
 
 def _replays_within(g, witness, w, budget):

@@ -214,8 +214,8 @@ def search_enumerate(g, max_len, budget):
 def oracle_can_yield(form, target):
     """engine._can_yield as it was first written: the form split into its
     terminal blocks, then the blocks placed in the target."""
-    blocks, nvars = _yield_blocks(form)
-    if nvars == 0:
+    blocks = _yield_blocks(form)
+    if len(blocks) == 1:
         return blocks[0] == target
     total = sum(len(b) for b in blocks)
     if total > len(target):
