@@ -474,14 +474,16 @@ def tree_width(kids, push: bool) -> int:
 def tree_table(c: CompiledGrammar, budget: Budget, runs, fits):
     """The values of the derivation trees below the start pair: a `tabulate`
     whose items are ((value, width), size), the least size (rewrites) of a
-    tree with that value and width (`tree_width`). A rule's value joins by
-    `+` its runs and its children's values (run 0, child 1, run 1, …): words
-    are tuples, letter counts ints. Values and widths only grow up a tree,
-    so a value that `fits` rejects (a leaf's own run too), an entry over the
-    width cap and a rule with more children than the cap are dropped.
-    Returns the start pair's {(value, width): least size}, the stop, and the
-    pairs plus entries, which the hard cap counts too."""
+    tree with that value and width (`tree_width`; 0 without a width cap, as
+    no reader wants it and a nullable pair of children makes it unbounded).
+    A rule's value joins by `+` its runs and its children's values (run 0,
+    child 1, run 1, …): words are tuples, letter counts ints. Values and
+    widths only grow up a tree, so a value that `fits` rejects (a leaf's own
+    run too), an entry over the width cap and a rule with more children than
+    the cap are dropped. Returns the start pair's {(value, width): least
+    size}, the stop, and the pairs plus entries, which the hard cap counts."""
     cap = math.inf if budget.max_width is None else budget.max_width
+    width = tree_width if budget.max_width is not None else lambda kids, push: 0
     # per production: its runs and whether it pushes, or None when it can add nothing
     joins = [(run, row[0] == 1) if row[5] <= max(1, cap) and fits(run[0]) else None
              for run, row in zip(runs, c.prods)]
@@ -506,18 +508,16 @@ def tree_table(c: CompiledGrammar, budget: Budget, runs, fits):
             r = run[i + 1]
             part = [(u, ws + (w,), n + m) for v, ws, n in part for (y, w), m in es
                     if fits(u := v + y + r)]
-        got = table[pair]
-        new = []
+        got, new = table[pair], []
         for v, ws, n in part:
-            key = (v, tree_width(ws, push))
+            key = (v, width(ws, push))
             if key[1] <= cap and n < got.get(key, math.inf):
                 size += key not in got
                 got[key] = n
                 new.append((pair, (key, n)))
         return new
 
-    start = c.start()[0]
-    pairs, stop = tabulate(c, start, budget, fire,
+    pairs, stop = tabulate(c, start := c.start()[0], budget, fire,
                            lambda: HARD_CAP if size > budget.hard_cap else None)
     return table[start], stop, pairs + size
 

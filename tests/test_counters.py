@@ -336,6 +336,16 @@ def test_parikh_table_on_a_grammar_that_pushes(stack, width, vectors):
         assert got.info["stop"] == want.info["stop"] == "max_steps"
 
 
+# S -> S S | _ makes one value of every width; without a width cap the
+# table keeps one entry per value, as it must to sweep
+def test_parikh_table_sweeps_a_nullable_pair_without_a_width_cap():
+    g = parse_grammar("grammar pairs\nvariables: S\nterminals: a, b\nindices:\nstart: S\n"
+                      "prod: S -> S S\nprod: S -> a\nprod: S -> b\nprod: S -> _\n")
+    got = parikh_of_intersection(g, m_fix("anbn.ncm"), 6, budget=Budget(600, hard_cap=5_000))
+    assert got.info["stop"] == SWEPT
+    assert got.witness == ((0, 0), (1, 1), (2, 2), (3, 3))
+
+
 @given(grammars(), st.sampled_from(["anbn.ncm", "freeall.ncm", "updown.ncm"]),
        st.integers(0, 3), st.sampled_from([None, 0, 1, 2, 3]), st.sampled_from([None, 1, 2]))
 def test_parikh_table_matches_the_enumeration(g, machine, radius, width, stack):
@@ -356,7 +366,7 @@ THREE_CHILDREN = parse_grammar("grammar three\nvariables: S, A\nterminals: a, b\
                                "prod: A -> _\n")
 
 
-@given(grammars(), st.integers(0, 5), st.integers(0, 3), st.integers(0, 2))
+@given(grammars(), st.integers(0, 5), st.sampled_from([None, 0, 1, 2, 3]), st.integers(0, 2))
 @example(THREE_CHILDREN, 4, 3, 0)
 def test_parikh_table_counts_the_letters_of_the_word_tables_words(g, length, width, stack):
     # the two tables on one grammar, with rules of three children and rules
