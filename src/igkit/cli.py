@@ -484,14 +484,14 @@ class _Parser(argparse.ArgumentParser):
         raise _Help
 
 
-def _count(text: str) -> int:
-    """A non-negative integer argument."""
+def _count(text: str, least: int = 0) -> int:
+    """An integer argument of at least `least`."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}: {n}")
     return n
 
 
@@ -501,7 +501,7 @@ def _add_budget_flags(p, steps, *caps):
     p.add_argument("--max-steps", type=_count, default=steps)
     for cap in caps:
         p.add_argument(f"--max-{cap}", type=_count, default=None)
-    p.add_argument("--hard-cap", type=_count, default=1_000_000)
+    p.add_argument("--hard-cap", type=_count, default=Budget.hard_cap)
 
 
 class _Row:
@@ -539,7 +539,8 @@ TABLE = {
                       ("--exhaustive", {"action": "store_true"}), budget=SEARCH,
                       status=MIN_INDEX_STATUS),
     "check-uncontrolled": _Row("look for wide successful derivations", GRAMMAR,
-                               _check_uncontrolled, ("--k", {"type": int, "required": True}),
+                               _check_uncontrolled,
+                               ("--k", {"type": lambda text: _count(text, 1), "required": True}),
                                budget=(400, "stack"), status=VERDICT),
     "transform union": _Row("a grammar for the union of two languages",
                             GRAMMAR + (("other", "parse_grammar"),),

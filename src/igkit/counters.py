@@ -47,6 +47,7 @@ from .search import EXPAND, GOAL, PROVEN, SWEPT, Verdict, bfs, decide, explore, 
 ZERO = "z"
 POS = "p"
 COUNTER_CAP = "counter_cap"  # why ncm_run stopped: it swept, but a counter value was capped
+RUN_STEPS = 4000  # the levels ncm_run searches
 
 
 class NotOneReversal(GrammarError):
@@ -107,7 +108,7 @@ def validate_ncm(m: CounterMachine) -> list[tuple[Optional[int], str]]:
 # simulation
 
 
-def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[int] = None) -> Verdict:
+def ncm_run(m: CounterMachine, w, counter_cap: Optional[int] = None) -> Verdict:
     """Breadth-first search over configurations: proven (accepted) with the
     run trace, one (transition, state, position, counters) per step.
     Counter values are capped at 2|w|+4 by default (a budget, not machine
@@ -157,7 +158,7 @@ def ncm_run(m: CounterMachine, w, max_steps: int = 4000, counter_cap: Optional[i
         state, pos, counters, _, _ = cfg
         return GOAL if state == m.halt and pos == len(w) and not any(counters) else EXPAND
 
-    s = bfs(start, successors, max_steps, math.inf, visit)
+    s = bfs(start, successors, RUN_STEPS, math.inf, visit)
     return decide(s, not capped, lambda goal: tuple(
         (ti, cfg[0], cfg[1], cfg[2]) for ti, cfg in moves(s.parents, goal)),
         stop=COUNTER_CAP if s.stop == SWEPT and capped else s.stop, configs=len(s.parents))

@@ -38,9 +38,6 @@ class Table:
     name: str
     rules: tuple[tuple[str, tuple[str, ...]], ...]
 
-    def options(self, symbol: str) -> tuple[tuple[str, ...], ...]:
-        return tuple(rhs for sym, rhs in self.rules if sym == symbol)
-
 
 @record
 class EtolSystem:
@@ -100,39 +97,31 @@ def check_anf(sys: EtolSystem) -> list[str]:
 # semantics
 
 
-def _successor_words(sys: EtolSystem, word, inactive: frozenset[str]):
-    """(table index, successor word) for every parallel step from word."""
-    for ti, t in enumerate(sys.tables):
-        option_lists = []
-        ok = True
-        for sym in word:
-            if sym in inactive:
-                option_lists.append(((sym,),))
-                continue
-            opts = t.options(sym)
-            if not opts:
-                ok = False
-                break
-            option_lists.append(opts)
-        if not ok:
-            continue
-        for combo in itertools.product(*option_lists):
-            yield ti, tuple(itertools.chain.from_iterable(combo))
-
-
 def _bounded_successors(sys: EtolSystem, max_inactive: int, max_active: Optional[int]):
-    """Successor function for the search: the parallel steps to words with at
-    most max_inactive inert and max_active (None: any number) active
-    occurrences."""
+    """Successor function for the search: (table index, word) for the parallel
+    steps to words with at most max_inactive inert and max_active (None: any
+    number) active occurrences. Each table maps a symbol to its right sides in
+    rule order, an inert symbol to itself alone; a table's steps from a word
+    are the product of its occurrences' right sides, and none when it has no
+    rule for one of them."""
     inactive = frozenset(sys.alphabet) - sys.active_symbols()
+    maps = []
+    for t in sys.tables:
+        options = {sym: [(sym,)] for sym in inactive}
+        for sym, rhs in t.rules:
+            if sym not in inactive:
+                options.setdefault(sym, []).append(rhs)
+        maps.append(options)
 
     def successors(word):
-        for step in _successor_words(sys, word, inactive):
-            n_inactive = sum(1 for s in step[1] if s in inactive)
-            if n_inactive <= max_inactive and (
-                max_active is None or len(step[1]) - n_inactive <= max_active
-            ):
-                yield step
+        for ti, options in enumerate(maps):
+            for combo in itertools.product(*[options.get(sym, ()) for sym in word]):
+                w = tuple(itertools.chain.from_iterable(combo))
+                n_inactive = sum(1 for s in w if s in inactive)
+                if n_inactive <= max_inactive and (
+                    max_active is None or len(w) - n_inactive <= max_active
+                ):
+                    yield ti, w
 
     return successors
 

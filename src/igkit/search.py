@@ -21,6 +21,7 @@ that stopped with SWEPT.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Any, Callable, Hashable, Iterable, Optional
 
@@ -152,24 +153,18 @@ def bfs(
 
 
 def _ranked(start, successors, max_steps, hard_cap, visit) -> Search:
-    """`bfs` with `rank`. What a node's expansion stores or moves waits at
-    a (rank, level) slot no lower than the node's own, so the slots are
-    taken in order from a heap, each holding its nodes in the order they
-    came."""
+    """`bfs` with `rank`. Each node waits in one heap as (rank, level, arrival,
+    node): an expansion stores and moves nodes above its own rank and level, so
+    the heap hands them out by rank, level, then arrival. A popped node that no
+    longer waits at its level (expanded, or moved lower since) is skipped."""
     parents: dict = {start: None}
     level: dict = {}  # stored node waiting for expansion -> its level
-    slots: dict = {}  # (rank, level) -> the nodes waiting there
-    order: list = []  # a heap of the slots
+    heap, arrival = [], itertools.count()
 
     def wait(node, depth):
         level[node] = depth
         if depth < max_steps:
-            nodes = slots.get(slot := (node[1], depth))
-            if nodes is None:
-                slots[slot] = [node]
-                heapq.heappush(order, slot)
-            else:
-                nodes.append(node)
+            heapq.heappush(heap, (node[1], depth, next(arrival), node))
 
     act = EXPAND if visit is None else visit(start)
     if act == GOAL:
@@ -177,28 +172,27 @@ def _ranked(start, successors, max_steps, hard_cap, visit) -> Search:
     if act == EXPAND:
         wait(start, 0)
     done = set()  # the keys of the expanded nodes
-    while order:
-        slot = heapq.heappop(order)
-        depth = slot[1] + 1
-        for node in slots.pop(slot):
-            if level.get(node) != slot[1]:
-                continue  # expanded, or moved to a lower level since
-            del level[node]
-            done.add(node[0])
-            for step in successors(node):
-                child = step[-1]
-                if child not in parents:
-                    if len(parents) >= hard_cap:
-                        return Search(parents, HARD_CAP)
-                    parents[child] = node, step
-                    act = EXPAND if visit is None else visit(child)
-                    if act == GOAL:
-                        return Search(parents, FOUND, child)
-                    if act == EXPAND:
-                        wait(child, depth)
-                elif level.get(child, -1) > depth:
-                    parents[child] = node, step
+    while heap:
+        _, depth, _, node = heapq.heappop(heap)
+        if level.get(node) != depth:
+            continue
+        del level[node]
+        done.add(node[0])
+        depth += 1
+        for step in successors(node):
+            child = step[-1]
+            if child not in parents:
+                if len(parents) >= hard_cap:
+                    return Search(parents, HARD_CAP)
+                parents[child] = node, step
+                act = EXPAND if visit is None else visit(child)
+                if act == GOAL:
+                    return Search(parents, FOUND, child)
+                if act == EXPAND:
                     wait(child, depth)
+            elif level.get(child, -1) > depth:
+                parents[child] = node, step
+                wait(child, depth)
     # what still waits was stored at the last level
     return Search(parents, MAX_STEPS if any(key not in done for key, _ in level) else SWEPT)
 

@@ -420,6 +420,10 @@ ERRORS = [
      "UsageError: igkit check-uncontrolled: argument --max-stack: must be >= 0: -1"),
     (["member", "fixture:anbn.ig", "ab", "--hard-cap", "-1"],
      "UsageError: igkit member: argument --hard-cap: must be >= 0: -1"),
+    (["check-uncontrolled", "fixture:anbn.ig", "--k", "0"],
+     "UsageError: igkit check-uncontrolled: argument --k: must be >= 1: 0"),
+    (["check-uncontrolled", "fixture:anbn.ig", "--k", "-1"],
+     "UsageError: igkit check-uncontrolled: argument --k: must be >= 1: -1"),
     # a --vector outside ℕ^k, for the set's k: a negative component, or the wrong length
     (["slset", "member", "fixture:diag.sls", "--vector", "(-1,-1)"],
      "ValueError: vector (-1, -1) has a negative component"),
@@ -485,6 +489,7 @@ ERRORS = [
                                                   "negative-check-len", "negative-counter-cap",
                                                   "negative-max-steps", "negative-max-width",
                                                   "negative-max-stack", "negative-hard-cap",
+                                                  "zero-k", "negative-k",
                                                   "negative-vector", "wrong-dim-vector",
                                                   "doubled-comma-vector", "nested-vector",
                                                   "bare-vector", "underscore-vector",

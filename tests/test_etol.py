@@ -2,6 +2,7 @@
 and conversion to stack-indexed grammars."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from igkit import fixture_text
 from igkit.engine import Budget, enumerate_language, min_index
@@ -9,6 +10,7 @@ from igkit.etol import (
     EtolSystem,
     NotInANF,
     Table,
+    _bounded_successors,
     check_anf,
     etol_enumerate,
     etol_to_indexed,
@@ -18,7 +20,7 @@ from igkit.etol import (
 from igkit.grammar import GrammarError
 from igkit.search import SWEPT
 
-from util import etol_min_index, rendered, validate
+from util import etol_min_index, oracle_etol_successors, rendered, validate
 
 
 def sys_fix(name):
@@ -36,7 +38,7 @@ def etol_step(sys, word, table, choices):
         raise GrammarError("need exactly one choice per occurrence")
     out = []
     for sym, choice in zip(word, choices):
-        opts = t.options(sym)
+        opts = [rhs for lhs, rhs in t.rules if lhs == sym]
         if not opts:
             raise GrammarError(f"table {t.name} has no production for {sym!r}")
         if not 0 <= choice < len(opts):
@@ -85,6 +87,32 @@ def test_step_missing_production():
     )
     with pytest.raises(GrammarError):
         etol_step(strict, ("A",), "broken", (0,))
+
+
+@st.composite
+def systems(draw):
+    """At most 4 symbols and 3 tables, right sides of length 0 to 3: the
+    symbols drawn inert have identity rules alone, and a table need not have
+    a rule for every symbol."""
+    alphabet = ("S", "A", "a", "b")[: draw(st.integers(1, 4))]
+    inert = draw(st.sets(st.sampled_from(alphabet)))
+    tables = []
+    for i in range(draw(st.integers(1, 3))):
+        rules = tuple((sym, (sym,) if sym in inert else
+                       tuple(draw(st.lists(st.sampled_from(alphabet), max_size=3))))
+                      for sym in draw(st.lists(st.sampled_from(alphabet), max_size=6)))
+        tables.append(Table(f"t{i}", rules))
+    return EtolSystem(alphabet, tuple(s for s in alphabet if s.islower()), "S", tuple(tables))
+
+
+@given(systems(), st.data())
+def test_successors_are_the_product_of_every_rule(sys, data):
+    # the same (table, word) list, repeats and order included
+    word = tuple(data.draw(st.lists(st.sampled_from(sys.alphabet), max_size=4)))
+    max_inactive = data.draw(st.integers(0, 6))
+    max_active = data.draw(st.none() | st.integers(0, 4))
+    got = list(_bounded_successors(sys, max_inactive, max_active)(word))
+    assert got == list(oracle_etol_successors(sys, max_inactive, max_active)(word))
 
 
 def test_enumerate_anbn():
@@ -209,4 +237,4 @@ def test_round_trip():
 def test_identity_defaulting():
     sys = sys_fix("anbn2.etol")
     grow = next(t for t in sys.tables if t.name == "grow")
-    assert grow.options("D") == (("D",),)
+    assert [rhs for sym, rhs in grow.rules if sym == "D"] == [("D",)]

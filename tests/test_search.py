@@ -5,7 +5,7 @@ fixtures (pinned values)."""
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from igkit import engine, fixture_text, replace
 from igkit import semilinear as sl
@@ -183,6 +183,33 @@ def test_ranked_bfs_sweeps_by_key():
     # the hard cap counts stored states
     s = bfs(("s", 1), successors, 2, 4, visit, rank=True)
     assert s.stop == HARD_CAP and len(s.parents) == 4
+
+
+@st.composite
+def graphs(draw):
+    """At most 8 nodes 0, 1, ...: the successors of each, in order and with
+    repeats, and what `visit` answers for each."""
+    n = draw(st.integers(1, 8))
+    edges = [draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)]
+    return edges, [draw(st.sampled_from((EXPAND, LEAF, GOAL))) for _ in range(n)]
+
+
+# 0 stores 2 before 1: both wait at level 1, and 2 goes first, storing 3
+@example(([[2, 1], [3], [3], []], [EXPAND] * 4), 6, 20)
+@given(graphs(), st.integers(0, 6), st.integers(1, 20))
+def test_one_rank_is_the_breadth_first_search(graph, max_steps, hard_cap):
+    edges, acts = graph
+    runs = []
+    for rank in (False, True):
+        expanded = []
+
+        def successors(node):
+            expanded.append(node)
+            return [((m, 0),) for m in edges[node[0]]]
+
+        s = bfs((0, 0), successors, max_steps, hard_cap, lambda node: acts[node[0]], rank)
+        runs.append((s.stop, s.goal, list(s.parents.items()), expanded))
+    assert runs[0] == runs[1]
 
 
 # S -> S1 | Y Z, S1 -> S2, S2 -> S3, S3 -> X, Y -> _, Z -> X, X -> P Q,

@@ -7,7 +7,8 @@ the engine are checked against, the unranked form search and the search at
 each width k that membership's and min_index's ranked search is checked
 against, the least number of special productions in a derivation, found in
 subtree order and in every order, the least ET0L width, found one cap at a
-time, the two-pass yield check that the one-pass one is checked against,
+time, the ET0L step that etol's per-table rule maps are checked against,
+the two-pass yield check that the one-pass one is checked against,
 the search that the word table of
 enumerate_language is checked against, the form search that the width table of
 check_uncontrolled is checked against, the full product that
@@ -27,7 +28,7 @@ as strings, the image of a word under a morphism and a semilinear set of
 given components."""
 
 import math
-from itertools import product
+from itertools import chain, product
 
 from hypothesis import strategies as st
 
@@ -427,6 +428,38 @@ def etol_min_index(sys, w, budget):
         if s.stop == HARD_CAP:
             break
     return Verdict(UNKNOWN, None, info)
+
+
+def oracle_etol_successors(sys, max_inactive, max_active):
+    """etol._bounded_successors as each table's product of options, read from
+    all of the table's rules for each occurrence, then filtered: the step that
+    the per-table rule maps are checked against."""
+    inactive = frozenset(sys.alphabet) - sys.active_symbols()
+
+    def successor_words(word):
+        for ti, t in enumerate(sys.tables):
+            option_lists = []
+            for sym in word:
+                if sym in inactive:
+                    option_lists.append(((sym,),))
+                    continue
+                opts = tuple(rhs for lhs, rhs in t.rules if lhs == sym)
+                if not opts:
+                    break
+                option_lists.append(opts)
+            else:
+                for combo in product(*option_lists):
+                    yield ti, tuple(chain.from_iterable(combo))
+
+    def successors(word):
+        for step in successor_words(word):
+            n_inactive = sum(1 for s in step[1] if s in inactive)
+            if n_inactive <= max_inactive and (
+                max_active is None or len(step[1]) - n_inactive <= max_active
+            ):
+                yield step
+
+    return successors
 
 
 def prune_unreachable(g):
