@@ -185,8 +185,8 @@ def _words(words) -> dict:
     return {"count": len(words), "words": ", ".join(_render_word(w) for w in words)}
 
 
-def _witness(g, d) -> dict:
-    return {} if d is None else {"witness": derivation_to_trace(g, d).replace("\n", " ; ")}
+def _witness(d) -> dict:
+    return {} if d is None else {"witness": derivation_to_trace(d)}
 
 
 def _decided(v, render=str) -> tuple:
@@ -249,7 +249,7 @@ def _member(g, args) -> tuple:
     w = _word(args.word, g.terminals)
     v = membership(g, w, _budget(args), caps_exact=args.exhaustive)
     return v.kind, {"word": _render_word(w), "verdict": v.kind,
-                    **_swept(v.info["stop"]), **_witness(g, v.witness)}
+                    **_swept(v.info["stop"]), **_witness(v.witness)}
 
 
 def _min_index(g, args) -> tuple:
@@ -257,7 +257,7 @@ def _min_index(g, args) -> tuple:
     v = min_index(g, w, _budget(args), caps_exact=args.exhaustive)
     fields = {"word": _render_word(w)}
     if v.is_proven:
-        fields.update({"min_index": v.info["k"], **_witness(g, v.witness)})
+        fields.update({"min_index": v.info["k"], **_witness(v.witness)})
     return v.kind, {**fields, **_stopped_by(v.info["stop"])}
 
 
@@ -265,7 +265,7 @@ def _check_uncontrolled(g, args) -> tuple:
     v = check_uncontrolled(g, args.k, _budget(args))
     fields = {"k": args.k, "verdict": v.kind, **_swept(v.info["stop"]), "forms": v.info["forms"]}
     if v.witness is not None:
-        fields.update({"witness_width": v.witness.index(), **_witness(g, v.witness)})
+        fields.update({"witness_width": v.witness.index(), **_witness(v.witness)})
     return v.kind, fields
 
 

@@ -19,7 +19,8 @@ bound i and one search at width i - 1. An enumeration under a width cap
 whose stack is bounded (a stack cap, or no push production) searches no
 forms: it reads the words below each pair, with their least widths and
 sizes, off the tree table (`_word_table`), as check_uncontrolled tabulates
-the widest tree below each pair.
+the widest tree below each pair. A witness's forms are made from its
+steps by grammar.apply_production (`_derivation`).
 """
 
 from __future__ import annotations
@@ -134,23 +135,20 @@ class CompiledGrammar:
 
     # -- decoding ----------------------------------------------------------
 
-    def stack_tuple(self, sid: int) -> tuple[str, ...]:
-        out = []
-        while sid != 0:
-            out.append(self.idx_names[self.pool_top[sid]])
-            sid = self.pool_rest[sid]
-        return tuple(out)
-
     def decode_form(self, enc: tuple[int, ...], depths: int = 0) -> SententialForm:
-        """The form of `enc`; `depths` is the one the search expanded it with."""
+        """The form of `enc`; `depths` is the one the search expanded it with.
+        Only the kernel's tests and the benchmark's tracer decode."""
         nd = depths or 1
         items: list = []
         for x in enc:
             if x < 0:
                 items.append(Terminal(self.term_names[-x - 1]))
-            else:
-                sid = x // self.nv // nd
-                items.append(Var(self.var_names[x % self.nv], self.stack_tuple(sid)))
+                continue
+            sid, stack = x // self.nv // nd, []
+            while sid != 0:
+                stack.append(self.idx_names[self.pool_top[sid]])
+                sid = self.pool_rest[sid]
+            items.append(Var(self.var_names[x % self.nv], tuple(stack)))
         return SententialForm(tuple(items))
 
     def encode_word(self, w: Word) -> tuple[int, ...]:
@@ -187,10 +185,11 @@ class CompiledGrammar:
         keeps exactly those orders, so a search bounded by the minimum width
         of a tree keeps its words, proofs and minimums (like the leftmost
         search, it can need more levels to sweep). Forms then carry
-        `_subtree_depths(budget)` depth values (decode them with that count),
-        and the hard cap counts (form, depth) states. The subtree order
-        serves membership, min_index and the width-capped enumerations whose
-        stack is unbounded; the others read the words of `tree_table`.
+        `_subtree_depths(budget)` depth values, and the hard cap counts
+        (form, depth) states; a witness's forms come from its steps by
+        grammar.apply_production. The subtree order serves membership,
+        min_index and the width-capped enumerations whose stack is
+        unbounded; the others read the words of `tree_table`.
         Membership labels each form with the index of its path and ranks the
         (form, index) states by it, so a least-index derivation, found in
         subtree order, is its first witness. kernel.expand with a width cap
@@ -219,14 +218,13 @@ def _is_terminal_enc(form: tuple[int, ...]) -> bool:
     return True
 
 
-def _derivation(c: CompiledGrammar, parents: dict, goal, depths: int, key=None) -> Derivation:
-    """Decode the derivation of `goal` from the moves a search stored; `key`
-    maps a search node to its encoded form."""
-    taken = moves(parents, goal)
-    nodes = [next(iter(parents)), *(child for _, _, child in taken)]
-    return Derivation(
-        tuple(c.decode_form(n if key is None else key(n), depths) for n in nodes),
-        tuple((pid, pos) for pos, pid, _ in taken))
+def _derivation(g: IndexedGrammar, steps) -> Derivation:
+    """The derivation that applies each (production, position) step to the
+    start form by `apply_production`: a step that does not apply raises."""
+    forms = [start_form(g)]
+    for pid, pos in steps:
+        forms.append(apply_production(g, forms[-1], pos, g.productions[pid]))
+    return Derivation(tuple(forms), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,6 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
         return EXPAND if _can_yield(form, target) else LEAF
 
     if budget.max_width is None:
-        key = None
         s = bfs(c.start(), expand, budget.max_steps, budget.hard_cap, visit)
     else:
         grow = [0 if row[0] == 1 else row[5] - 1 for row in c.prods]  # the width a rewrite adds
@@ -374,14 +371,10 @@ def membership(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = Fa
                 out.append((pos, pid, (f2, w2 if w2 > k else k)))
             return out
 
-        def key(state):
-            return state[0]
-
         s = bfs((c.start(), 1), successors, budget.max_steps, budget.hard_cap,
                 lambda state: visit(state[0]), rank=True)
-    return decide(s, caps_exact, lambda goal: _derivation(c, s.parents, goal,
-                                                          _subtree_depths(budget), key),
-                  forms=len(s.parents))
+    return decide(s, caps_exact, lambda goal: _derivation(
+        g, [(pid, pos) for pos, pid, _ in moves(s.parents, goal)]), forms=len(s.parents))
 
 
 def min_index(g: IndexedGrammar, w: Word, budget: Budget, caps_exact: bool = False) -> Verdict:
@@ -603,9 +596,8 @@ def _widest_derivation(g: IndexedGrammar, back: dict, root: tuple) -> Derivation
     such node's children sum to at least its value, so that reaches a form
     with at least the root's value in variables. Then it finishes the rest,
     leftmost."""
-    form = start_form(g)
     entries = [root]  # the entry below each item of the form; None for a terminal
-    forms, steps = [form], []
+    steps = []
     for wide in (True, False):
         i = 0
         while i < len(entries):
@@ -614,11 +606,8 @@ def _widest_derivation(g: IndexedGrammar, back: dict, root: tuple) -> Derivation
                 i += 1
                 continue
             pid, kids = back[e]
-            p = g.productions[pid]
-            form = apply_production(g, form, i, p)
             kids = iter(kids)
-            entries[i:i + 1] = [next(kids) if isinstance(x, Var) else None
-                                for x in form.items[i:i + len(p.rhs)]]
-            forms.append(form)
+            entries[i:i + 1] = [next(kids) if x in g.variable_set else None
+                                for x in g.productions[pid].rhs]
             steps.append((pid, i))
-    return Derivation(tuple(forms), tuple(steps))
+    return _derivation(g, steps)

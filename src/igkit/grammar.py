@@ -195,12 +195,12 @@ class Derivation:
         return max(f.width() for f in self.forms)
 
 
-def derivation_to_trace(g: IndexedGrammar, d: Derivation) -> str:
-    """Serialize a derivation witness; one line per step."""
+def derivation_to_trace(d: Derivation) -> str:
+    """A derivation witness on one line: each step and its form, ended by ` ; `."""
     lines = [f"init | {render_form(d.forms[0])}"]
     for (pid, pos), form in zip(d.steps, d.forms[1:]):
         lines.append(f"p{pid} @ {pos} | {render_form(form)}")
-    return "\n".join(lines) + "\n"
+    return " ; ".join(lines) + " ; "
 
 
 def replay(g: IndexedGrammar, d: Derivation) -> SententialForm:

@@ -14,6 +14,7 @@ from igkit import cli
 from igkit.automata import parse_fsa
 from igkit.cli import build_parser, main, parse_report
 from igkit.counters import parse_ncm
+from igkit.engine import CompiledGrammar
 from igkit.grammar import parse_grammar
 
 from util import SILENT_SIX, validate
@@ -145,6 +146,18 @@ def test_min_index_report(capsys):
     assert code == 0
     assert blocks[0]["min_index"] == "3"
     assert blocks[0]["witness"].startswith("init | S")
+
+
+def test_a_kernel_that_pushes_the_wrong_index_prints_no_witness(capsys, monkeypatch):
+    # witnesses are replayed by the grammar's own step, so an encoding defect
+    # is an error report, not a proof with a wrong form in it
+    push = CompiledGrammar.push
+    monkeypatch.setattr(CompiledGrammar, "push", lambda c, idx, sid: push(c, 1 - idx, sid))
+    code, blocks = run(capsys, "member", "fixture:twin.ig", "$", "--max-stack", "3",
+                       "--max-steps", "60")
+    assert code == 2
+    assert blocks[0]["status"] == "error" and "witness" not in blocks[0]
+    assert blocks[0]["error"].startswith("TopIndexMismatch: ")
 
 
 def test_check_uncontrolled_refuted(capsys):

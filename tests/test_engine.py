@@ -238,9 +238,10 @@ def test_trace_format():
 
     g = g_fix("eps.ig")
     v = membership(g, (), Budget(max_steps=3))
-    trace = derivation_to_trace(g, v.witness)
-    assert trace.splitlines()[0] == "init | S"
-    assert trace.splitlines()[1].startswith("p0 @ 0 | ")
+    steps = derivation_to_trace(v.witness).split(" ; ")
+    assert steps[0] == "init | S"
+    assert steps[1].startswith("p0 @ 0 | ")
+    assert steps[-1] == ""  # every step ends with ` ; `
 
 
 def test_enumeration_reports_active_caps():

@@ -22,6 +22,7 @@ the list cannot go stale.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "igkit"
@@ -37,6 +38,8 @@ ALLOWED = {
     "grammar.replay": "perfbench/oracles.py imports it",
     "semilinear.diophantine_member": "perfbench/oracles.py imports it",
     "kernel.IMPLEMENTATION": "perfbench/worker.py reads it",
+    "engine.CompiledGrammar.decode_form":
+        "perfbench/tracing.py wraps it; tests/test_kernel.py checks the kernel's encoding with it",
     "vector_automata.equation_automaton": TRACER,
     "vector_automata.product": TRACER,
     "vector_automata.project_tracks": TRACER,
@@ -159,6 +162,14 @@ def test_every_definition_is_reached_from_the_cli_or_allowed():
     left = unreached()
     assert sorted(left - ALLOWED.keys()) == [], "reached by no command: move it to the tests"
     assert sorted(ALLOWED.keys() - left) == [], "reached by a command, or gone: drop it from ALLOWED"
+
+
+def test_every_allowed_user_in_the_benchmark_spells_the_name():
+    # a pin whose reason names a benchmark file lasts only while that file uses the name
+    for name, reason in ALLOWED.items():
+        for user in re.findall(r"perfbench/\w+\.py", reason):
+            text = (SRC.parent.parent / user).read_text(encoding="utf-8")
+            assert re.search(rf"\b{name.rpartition('.')[2]}\b", text), f"{user} does not use {name}"
 
 
 def test_the_pass_follows_imports_and_module_aliases(tmp_path):

@@ -42,7 +42,6 @@ from igkit.engine import (
     _can_yield,
     _derivation,
     _is_terminal_enc,
-    _subtree_depths,
     _yield_blocks,
     enumerate_language,
 )
@@ -146,11 +145,20 @@ TERMS = ("a", "b")  # the terminals of the random grammars
 
 @st.composite
 def grammars(draw):
-    """At most 4 variables and 2 indices; plain, push and consume productions."""
+    """At most 4 variables, 2 indices and 7 plain, push and consume
+    productions. Half of the grammars start from a skeleton: each variable
+    rewrites to a letter, and the start to three other variables, the widest
+    rule the tables join under a width cap of 3, which a random rule rarely
+    is in a grammar whose search sweeps."""
     vs = ("S", "A", "B", "C")[: draw(st.integers(1, 4))]
     idx = ("e", "f")[: draw(st.integers(0, 2))]
     prods = []
-    for _ in range(draw(st.integers(1, 7))):
+    if draw(st.booleans()):
+        prods += [Production(v, (draw(st.sampled_from(TERMS)),)) for v in vs]
+        if len(vs) > 1:
+            prods.append(Production("S", tuple(draw(st.lists(st.sampled_from(vs[1:]),
+                                                             min_size=3, max_size=3)))))
+    for _ in range(draw(st.integers(1, 7)) - len(prods)):
         lhs = draw(st.sampled_from(vs))
         kind = draw(st.sampled_from(("plain", "push", "consume") if idx else ("plain",)))
         if kind == "push":
@@ -240,7 +248,7 @@ def oracle_can_yield(form, target):
     return True
 
 
-def _search_membership(g, w, budget, caps_exact, successors, depths):
+def _search_membership(g, w, budget, caps_exact, successors):
     c = CompiledGrammar(g)
     target = c.encode_word(w)
     expand = successors(c)
@@ -251,14 +259,14 @@ def _search_membership(g, w, budget, caps_exact, successors, depths):
         return EXPAND if oracle_can_yield(form, target) else LEAF
 
     s = bfs(c.start(), expand, budget.max_steps, budget.hard_cap, visit)
-    return decide(s, caps_exact, lambda goal: _derivation(c, s.parents, goal, depths),
-                  forms=len(s.parents))
+    return decide(s, caps_exact, lambda goal: _derivation(
+        g, [(pid, pos) for pos, pid, _ in moves(s.parents, goal)]), forms=len(s.parents))
 
 
 def oracle_membership(g, w, budget, caps_exact=False):
     """membership over every rewrite order (see oracle_enumerate)."""
     return _search_membership(g, w, budget, caps_exact,
-                              lambda c: every_order(c, budget, len(w)), 0)
+                              lambda c: every_order(c, budget, len(w)))
 
 
 def search_membership(g, w, budget, caps_exact=False):
@@ -266,8 +274,7 @@ def search_membership(g, w, budget, caps_exact=False):
     order (CompiledGrammar.expand), not ranked by index: the oracle of the
     verdicts of the ranked search that membership runs under a width cap."""
     return _search_membership(g, w, budget, caps_exact,
-                              lambda c: lambda f: c.expand(f, budget, len(w)),
-                              _subtree_depths(budget))
+                              lambda c: lambda f: c.expand(f, budget, len(w)))
 
 
 def _per_k_min_index(search, g, w, budget, caps_exact):
@@ -329,8 +336,8 @@ def special_count_min(g, w, budget, caps_exact=False):
     s = bfs((c.start(), 0), successors, budget.max_steps, budget.hard_cap, visit)
     if best is None or s.stop == HARD_CAP:
         return decide(s, caps_exact)
-    return Verdict(PROVEN, _derivation(c, s.parents, best_state, _subtree_depths(budget),
-                                       key=lambda st: st[0]),
+    taken = moves(s.parents, best_state)
+    return Verdict(PROVEN, _derivation(g, [(pid, pos) for pos, pid, _ in taken]),
                    {"k": best, "stop": s.stop})
 
 
