@@ -21,18 +21,22 @@ error: an unreadable file or argument, or a file that does not parse
 `engine`, `kernel`), and no `dataclasses`. Every name taken from the other
 layers (`automata`, `closure`, `counters`, `etol`, `semilinear` and, through
 it, `vector_automata`) is a stand-in made by `_lazy`, so each layer loads on
-the first command that runs it. `main` parses the arguments after a
-command's words with that row's own parser (`_row_parser`, built on first
-use), and builds the parser of every command (`build_parser`) only for an
-argv that names no row: no arguments, `-h` at the top or on a group, or an
-unknown command. Handlers call readers and layer functions as globals of
-this module, found when the command runs, so a wrapper set on one of them
-sees every call.
+the first command that runs it. The rows read argv: when its first words
+name a row, `_read_args` reads the rest from that row's declarations, its
+inputs, its args and its budget flags. argparse loads only for help, usage
+errors and argv that names no row. An argv the reader cannot read plainly
+(`-h`, `--`, an undeclared or `--flag=value` token, a value or positional
+that starts with `-`, a missing or extra argument, a value its type refuses)
+goes to that row's own argparse parser (`_row_parser`, built on first use),
+which prints the help or raises the usage error; an argv that names no row
+(no arguments, `-h` at the top or on a group, an unknown command) goes to
+the parser of every command (`build_parser`). Handlers call readers and
+layer functions as globals of this module, found when the command runs, so
+a wrapper set on one of them sees every call.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import hashlib
@@ -40,8 +44,8 @@ import importlib
 import io
 import os
 import sys
-import tempfile
 import time
+import types
 
 from . import fixture_path
 from .engine import Budget, check_uncontrolled, enumerate_language, membership, min_index
@@ -120,9 +124,7 @@ def _read(path: str) -> tuple[str, str]:
 
 
 def emit_report(fields: dict) -> None:
-    for key, value in fields.items():
-        print(f"{key}: {value}")
-    print("---")
+    sys.stdout.write("".join(f"{key}: {value}\n" for key, value in fields.items()) + "---\n")
 
 
 def parse_report(text: str) -> list[dict]:
@@ -319,8 +321,9 @@ def _slset_member(sls, args) -> tuple:
 
 def _bounded_member(sls, args) -> tuple:
     _, shape, s = _shaped(sls, args.slset)
-    got = bounded_word_member(_word(args.word, [c for u in shape.words for c in u]), shape, s)
-    return PROVEN if got else REFUTED, {"word": args.word, "member": str(got).lower()}
+    w = _word(args.word, [c for u in shape.words for c in u])
+    got = bounded_word_member(w, shape, s)
+    return PROVEN if got else REFUTED, {"word": _render_word(w), "member": str(got).lower()}
 
 
 def _bounded_subset(sls, other, args) -> tuple:
@@ -343,9 +346,10 @@ def _check_anf(sys_, args) -> tuple:
 
 
 def _ncm_run(m, args) -> tuple:
-    v = ncm_run(m, _word(args.word, m.alphabet), counter_cap=args.counter_cap)
-    return v.kind, {"word": args.word, "outcome": OUTCOME[v.kind], "configs": v.info["configs"],
-                    **_stopped_by(v.info["stop"])}
+    w = _word(args.word, m.alphabet)
+    v = ncm_run(m, w, counter_cap=args.counter_cap)
+    return v.kind, {"word": _render_word(w), "outcome": OUTCOME[v.kind],
+                    "configs": v.info["configs"], **_stopped_by(v.info["stop"])}
 
 
 def _one_reversal(m, args) -> tuple:
@@ -446,6 +450,8 @@ def _claim_error(lines, out: str) -> str | None:
 
 def _replicate(args) -> tuple:
     """One `check:` block per claim, then the count of the claims that fail."""
+    import tempfile
+
     failures = 0
     with tempfile.TemporaryDirectory() as out:
         for name, lines in PAPER_CLAIMS:
@@ -471,17 +477,25 @@ class _Help(Exception):
     """`-h` printed the help: `main` returns 0."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # the subparsers are built from the same class, so their errors end here too,
-    # and every flag is exact (`add_parser` does not pass `allow_abbrev` on)
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
+@functools.cache
+def _parser_class():
+    """argparse's parser with every flag exact, whose usage errors raise
+    UsageError and whose `-h` raises _Help. argparse loads on the first call."""
+    import argparse
 
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+    class Parser(argparse.ArgumentParser):
+        # the subparsers are built from the same class, so their errors end here too,
+        # and every flag is exact (`add_parser` does not pass `allow_abbrev` on)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, allow_abbrev=False, **kwargs)
 
-    def exit(self, status=0, message=None):  # only `-h` exits
-        raise _Help
+        def error(self, message):
+            raise UsageError(f"{self.prog}: {message}")
+
+        def exit(self, status=0, message=None):  # only `-h` exits
+            raise _Help
+
+    return Parser
 
 
 def _count(text: str, least: int = 0) -> int:
@@ -489,32 +503,43 @@ def _count(text: str, least: int = 0) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < least:
-        raise argparse.ArgumentTypeError(f"must be >= {least}: {n}")
-    return n
+        problem = f"invalid int value: {text!r}"
+    else:
+        if n >= least:
+            return n
+        problem = f"must be >= {least}: {n}"
+    import argparse  # a refused value is read again by argparse, which reports this
+
+    raise argparse.ArgumentTypeError(problem)
 
 
-def _add_budget_flags(p, steps, *caps):
+def _budget_flags(steps, *caps) -> tuple:
     """--max-steps, a --max-<cap> flag for each cap the command honors
-    (`width`, `stack`), and --hard-cap."""
-    p.add_argument("--max-steps", type=_count, default=steps)
-    for cap in caps:
-        p.add_argument(f"--max-{cap}", type=_count, default=None)
-    p.add_argument("--hard-cap", type=_count, default=Budget.hard_cap)
+    (`width`, `stack`), and --hard-cap, as a row declares its arguments."""
+    return (("--max-steps", {"type": _count, "default": steps}),
+            *((f"--max-{cap}", {"type": _count, "default": None}) for cap in caps),
+            ("--hard-cap", {"type": _count, "default": Budget.hard_cap}))
 
 
 class _Row:
     """A command: its help; its inputs, each (argument, name of the global of
     this module that parses the file's text); its other arguments, each
-    (name, keywords of `add_argument`); its budget, (--max-steps default,
-    caps...), or None; its handler; and the `status:` of each kind."""
+    (name, keywords of `add_argument`), ending with the flags of its budget,
+    (--max-steps default, caps...), if it has one; its handler; and the
+    `status:` of each kind. `_read_args` reads the same arguments through
+    `places`, the positionals in order, `flags`, each flag's (dest,
+    keywords), and `defaults`, each flag's value when it is not given."""
 
-    __slots__ = ("help", "inputs", "args", "budget", "run", "status")
+    __slots__ = ("help", "inputs", "args", "run", "status", "places", "flags", "defaults")
 
     def __init__(self, text, inputs, run, *args, budget=None, status=OK):
-        self.help, self.inputs, self.run, self.args = text, inputs, run, args
-        self.budget, self.status = budget, status
+        args += _budget_flags(*budget) if budget else ()
+        self.help, self.inputs, self.run, self.args, self.status = text, inputs, run, args, status
+        self.places = tuple(arg for arg, _ in inputs) + tuple(a for a, _ in args if a[0] != "-")
+        self.flags = {a: (a[2:].replace("-", "_"), kw) for a, kw in args if a[0] == "-"}
+        self.defaults = {
+            dest: kw.get("default", False if kw.get("action") == "store_true" else None)
+            for dest, kw in self.flags.values()}
 
 
 GRAMMAR = (("grammar", "parse_grammar"),)
@@ -612,25 +637,23 @@ GROUPS = {
 COMMANDS = tuple(dict.fromkeys(name.partition(" ")[0] for name in TABLE))
 
 
-def _row_parser(name: str, p=None) -> argparse.ArgumentParser:
+def _row_parser(name: str, p=None):
     """`p` with the arguments of the row `name`: a subparser of build_parser,
     or by default a parser of that row alone, which prints the same help."""
     row = TABLE[name]
     if p is None:
-        p = _Parser(prog=f"igkit {name}")
+        p = _parser_class()(prog=f"igkit {name}")
     for arg, _ in row.inputs:
         p.add_argument(arg)
     for arg, kwargs in row.args:
         p.add_argument(arg, **kwargs)
-    if row.budget:
-        _add_budget_flags(p, *row.budget)
     p.set_defaults(row=(name, row))
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The parser of every command."""
-    ap = _Parser(
+    ap = _parser_class()(
         prog="igkit",
         description="workbench for grammars whose variables carry index stacks",
     )
@@ -649,20 +672,61 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache  # built on the first call of `main` that needs it, reused by later ones
-def _parser(name=None) -> argparse.ArgumentParser:
+def _parser(name=None):
     """The parser of the row `name` alone, or of every command."""
     return build_parser() if name is None else _row_parser(name)
 
 
+def _read_args(name: str, words: list[str]):
+    """The arguments `words` give the row `name`, as its parser would read
+    them, or None for words that only that parser reads: `-h`, `--`, an
+    undeclared or `--flag=value` token, a value or positional that starts
+    with `-`, a missing value or argument, an extra positional, or a value
+    its type refuses. A flag given twice keeps its last value."""
+    row = TABLE[name]
+    got = {}
+    places = iter(row.places)
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            place = next(places, None)
+            if place is None:
+                return None
+            got[place] = word
+            continue
+        flag = row.flags.get(word)
+        if flag is None:
+            return None
+        dest, kwargs = flag
+        if kwargs.get("action") == "store_true":
+            got[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            got[dest] = kwargs.get("type", str)(value)
+        except Exception:  # the parser calls the type again and reports its error
+            return None
+    if next(places, None) is not None or any(
+            kwargs.get("required") and dest not in got for dest, kwargs in row.flags.values()):
+        return None
+    return types.SimpleNamespace(**{**row.defaults, **got}, row=(name, row))
+
+
 def _parse(argv: list[str]):
     """The arguments of `argv`. When its first words name a row, the rest is
-    parsed by that row's own parser; an argv that names none (no arguments,
-    `-h` at the top or on a group, an unknown command) goes to the parser of
-    every command, which prints the help or reports the usage error."""
+    read by `_read_args`, or, where that cannot read it, by the row's own
+    parser, which prints the help or raises the usage error; an argv that
+    names none (no arguments, `-h` at the top or on a group, an unknown
+    command) goes to the parser of every command."""
     if argv and argv[0] in COMMANDS:
         n = 2 if argv[0] in GROUPS else 1
         name = " ".join(argv[:n])
         if name in TABLE:
+            args = _read_args(name, argv[n:])
+            if args is not None:
+                return args
             args, extra = _parser(name).parse_known_args(argv[n:])
             if extra:  # reported as the parser of every command reports them
                 raise UsageError(f"igkit: unrecognized arguments: {' '.join(extra)}")

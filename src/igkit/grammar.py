@@ -17,6 +17,7 @@ All types are immutable values; none of the operations mutate their inputs.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import field, record
@@ -30,6 +31,8 @@ CONSUME = "consume"
 #: with user names; the rest would break the line-oriented file formats.
 RESERVED_CHARS = "#|"
 FORBIDDEN_CHARS = RESERVED_CHARS + ",[]{}" + " \t\r\n"
+_RESERVED = re.compile(f"[{re.escape(RESERVED_CHARS)}]")
+_FORBIDDEN = re.compile(f"[{re.escape(FORBIDDEN_CHARS)}]")
 
 
 class GrammarError(Exception):
@@ -65,14 +68,14 @@ def symbol_name_error(name: str) -> Optional[str]:
         return "symbol name is empty"
     if name == "_":  # the empty word on a right side, a silent move in a transition
         return "`_` is the empty word, not a symbol name"
-    for ch in name:
-        if ch in FORBIDDEN_CHARS:
-            return f"symbol name {name!r} contains forbidden character {ch!r}"
+    found = _FORBIDDEN.search(name)
+    if found:
+        return f"symbol name {name!r} contains forbidden character {found.group()!r}"
     return None
 
 
 def is_generated_name(name: str) -> bool:
-    return any(ch in RESERVED_CHARS for ch in name)
+    return _RESERVED.search(name) is not None
 
 
 @record
@@ -325,7 +328,7 @@ def read_file(text: str, kind: str, fields: dict, rows: dict, required: Iterable
     values: dict = {}
     found = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
+        line = (strip_comment(raw) if "#" in raw else raw).strip()
         if not line:
             continue
         if name is None:

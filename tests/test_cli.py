@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, report shape, file outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igkit import cli
 from igkit.automata import parse_fsa
@@ -546,6 +550,57 @@ def test_a_command_alone_helps_as_in_the_full_parser(capsys):
         assert help_text(cli._row_parser(name)) == help_text(build_parser(), *name.split())
 
 
+# tokens a row's parser must read itself: a negative number, `--flag=value`,
+# a lone `-`, `--`, `-h`, an unknown flag, an extra positional
+HOSTILE = [["-1"], ["--max-len=3"], ["-"], ["--"], ["-h"], ["--nope"], ["--nope", "3"],
+           ["extra"]]
+# values for the flags and positionals a row declares
+VALUES = ["0", "3", "x", "-1", "-x", "", "a,b"]
+PLACES = ["fixture:anbn.ig", "ab", "", "a b"]
+
+
+@st.composite
+def command_lines(draw, name):
+    """An argv of the row `name`: each positional and required flag of the
+    row, then up to four pieces, each a declared flag with or without a
+    value, or a hostile token, all in any order."""
+    row = cli.TABLE[name]
+    flags = [(flag, kwargs) for flag, kwargs in row.args if flag.startswith("-")]
+    parts = [[draw(st.sampled_from(PLACES))] for _ in row.places]
+    parts += [[flag, draw(st.sampled_from(VALUES))] for flag, kwargs in flags
+              if kwargs.get("required")]
+    pieces = HOSTILE + [[flag] for flag, _ in flags]
+    pieces += [[flag, value] for flag, kwargs in flags if kwargs.get("action") != "store_true"
+               for value in VALUES]
+    parts += draw(st.lists(st.sampled_from(pieces), max_size=4))
+    return name.split() + [token for piece in draw(st.permutations(parts)) for token in piece]
+
+
+def parse_outcome(parse, argv):
+    """The fields `parse` gives `argv` (all but the full parser's `command`,
+    which no handler reads), the usage error it raises, or the help it prints."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(argv)
+    except cli.UsageError as exc:
+        return "error", str(exc)
+    except cli._Help:
+        return "help", out.getvalue()
+    return "fields", {k: v for k, v in vars(args).items() if k != "command"}
+
+
+FULL = build_parser()
+
+
+@pytest.mark.parametrize("name", list(cli.TABLE))
+@settings(max_examples=20)  # per row: 560 command lines in all
+@given(data=st.data())
+def test_a_row_reads_its_command_lines_as_the_full_parser(name, data):
+    argv = data.draw(command_lines(name))
+    assert parse_outcome(cli._parse, argv) == parse_outcome(FULL.parse_args, argv), argv
+
+
 # a sequence of calls in one process: a flag given then left out, a usage error
 # then a valid call, and each top-level command once
 SEQUENCE = [
@@ -565,14 +620,10 @@ SEQUENCE = [
     ["slset", "subset", "fixture:diag.sls", "fixture:quadrant.sls"],
     ["bounded", "member", "fixture:twin.sls", "abc$abc"],
     ["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6"],
+    ["ncm", "run", "fixture:anbn.ncm", "aabb", "--counter-cap", "-1"],
     ["ncm", "run", "fixture:anbn.ncm", "aabb"],
     ["replicate-paper"],
 ]
-
-
-def row_name(argv):
-    """The TABLE row an argv runs."""
-    return " ".join(argv[:2]) if argv[0] in cli.GROUPS else argv[0]
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
@@ -585,8 +636,9 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
                                for b in blocks]))
         return got
 
-    # main builds the parser of each row it runs alone, once, and never the
-    # parser of every command; replicate-paper runs the rows of its claims
+    # the rows read every well-formed line, replicate-paper's claims too, and
+    # build no parser; a usage-error line builds the parser of its row alone,
+    # once: the second error on `enumerate` reuses the first one's
     builds = []
     row_parser = cli._row_parser
     monkeypatch.setattr(cli, "_row_parser",
@@ -594,13 +646,8 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build_parser())
     cli._parser.cache_clear()
     reused = outcomes()
-    run = {row_name(argv) for argv in SEQUENCE}
-    run |= {row_name(line.split()) for _, lines in cli.PAPER_CLAIMS for line, _ in lines}
-    assert sorted(builds) == sorted(run)
-    assert [code for code, _ in reused[:7]] == [1, 3, 0, 0, 2, 2, 0]
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a fresh parser for every call
-    assert outcomes() == reused
+    assert builds == ["enumerate", "ncm run"]
+    assert [code for code, _ in reused[:7]] == [1, 3, 0, 0, 2, 2, 0] and reused[-3][0] == 2
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))  # the full one
     assert outcomes() == reused
 
@@ -851,21 +898,25 @@ def test_import_loads_the_derivation_core_and_a_command_its_layers(tmp_path):
     assert loaded[6] == sorted(core + ["igkit.automata", "igkit.closure"])
 
 
-# without `site`, nothing but igkit's own imports loads a module; after a
-# command of every layer, neither `dataclasses` nor `importlib.resources` is
-# among them
+# without `site`, nothing but igkit's own imports loads a module; after each
+# command, the modules of HEAVY_MODULES loaded so far
 HEAVY = """
 import contextlib, io, json, sys
 import igkit.cli
+heavy = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         igkit.cli.main(argv)
-print(json.dumps([sorted(m for m in sys.modules if m.startswith("igkit")),
-                  [m for m in ("dataclasses", "importlib.resources") if m in sys.modules]]))
+    heavy.append([m for m in ("dataclasses", "importlib.resources", "argparse", "tempfile")
+                  if m in sys.modules])
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("igkit")), heavy]))
 """
 
 
 def test_no_layer_loads_dataclasses_or_importlib_resources(tmp_path):
+    """After a command of every layer, none of `dataclasses`,
+    `importlib.resources`, `argparse` and `tempfile` is loaded: the rows read
+    well-formed argv without argparse. `-h` loads argparse."""
     loaded, heavy = json.loads(fresh("-S", "-c", HEAVY, json.dumps([
         ["enumerate", "fixture:twin.ig", "--max-len", "6"],
         ["transform", "intersect-dfa", "fixture:twin.ig", "fixture:dollar.fsa",
@@ -873,11 +924,12 @@ def test_no_layer_loads_dataclasses_or_importlib_resources(tmp_path):
         ["slset", "subset", "fixture:diag.sls", "fixture:quadrant.sls"],
         ["etol", "enumerate", "fixture:anbn1.etol", "--max-len", "6"],
         ["ncm", "run", "fixture:anbn.ncm", "aabb"],
+        ["enumerate", "-h"],
     ])))
     assert loaded == ["igkit"] + [f"igkit.{m}" for m in (
         "automata", "cli", "closure", "counters", "engine", "etol", "grammar", "kernel", "search",
         "semilinear", "vector_automata")]
-    assert heavy == []
+    assert heavy == [[]] * 5 + [["argparse"]]
 
 
 # wrappers set on globals of cli after import, as perfbench/tracing.py sets its
@@ -1225,12 +1277,60 @@ SHAPES = [
 @pytest.mark.parametrize("line,code,count,want", SHAPES,
                          ids=[r[0].split(" --")[0].replace("{tmp}/", "") for r in SHAPES])
 def test_report_shape(tmp_path, capsys, line, code, count, want):
-    got = main([a.format(tmp=tmp_path) for a in line.split()])
+    assert shape(tmp_path, capsys, line.split()) == (code, count, want)
+
+
+def shape(tmp_path, capsys, argv):
+    """The exit status of `argv`, the number of its report's blocks, and the
+    lines of the last one, as SHAPES writes them."""
+    got = main([a.format(tmp=tmp_path) for a in argv])
     blocks = capsys.readouterr().out.replace(str(tmp_path), "{tmp}").split("---\n")
-    assert blocks.pop() == "" and len(blocks) == count
+    assert blocks.pop() == ""
     lines = ["elapsed_s" if re.fullmatch(r"elapsed_s: \d+\.\d{3}", x) else x
              for x in blocks[-1].splitlines()]
-    assert (got, lines) == (code, want)
+    return got, len(blocks), lines
+
+
+# words that `split` cannot carry: the report echoes each as it was read, `_`
+# for the empty word and the letters of a spaced one
+@pytest.mark.parametrize("argv,code,want", [
+    (["ncm", "run", "fixture:anbn.ncm", ""], 0, [
+        'command: ncm run',
+        'input: fixture:anbn.ncm sha256:7f56ec4a71d2',
+        'word: _',
+        'outcome: accepted',
+        'configs: 2',
+        'elapsed_s',
+        'status: accepted',
+    ]),
+    (["ncm", "run", "fixture:anbn.ncm", "a a b b"], 0, [
+        'command: ncm run',
+        'input: fixture:anbn.ncm sha256:7f56ec4a71d2',
+        'word: aabb',
+        'outcome: accepted',
+        'configs: 7',
+        'elapsed_s',
+        'status: accepted',
+    ]),
+    (["bounded", "member", "fixture:twin.sls", ""], 1, [
+        'command: bounded member',
+        'input: fixture:twin.sls sha256:b087e2ac6139',
+        'word: _',
+        'member: false',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    (["bounded", "member", "fixture:twin.sls", "a b c $ a b c"], 0, [
+        'command: bounded member',
+        'input: fixture:twin.sls sha256:b087e2ac6139',
+        'word: abc$abc',
+        'member: true',
+        'elapsed_s',
+        'status: ok',
+    ]),
+], ids=["ncm-empty", "ncm-spaced", "bounded-empty", "bounded-spaced"])
+def test_a_word_is_echoed_as_read(tmp_path, capsys, argv, code, want):
+    assert shape(tmp_path, capsys, argv) == (code, 1, want)
 
 
 def test_multichar_terminal_words_use_spaces(tmp_path, capsys):

@@ -1,10 +1,9 @@
 """The benchmark's query plans, run through `igkit.cli.main` and checked by
 the benchmark's own oracles (perfbench/oracles.py), which never call the
 search engine: every report of ten rounds of each workload, at two seeds,
-must be right. Every command line of those rounds must also parse, through
-the parser of its command row that `main` uses, as the parser of every
-command parses it. The plan and the oracles are imported from perfbench/ as
-they are."""
+must be right. Every command line of those rounds must also be read by its
+command row, as `main` reads it, as the parser of every command parses it.
+The plan and the oracles are imported from perfbench/ as they are."""
 
 import contextlib
 import importlib
@@ -66,8 +65,8 @@ def parsed(parse, argv):
 @pytest.mark.parametrize("seed", [1201, 7])
 @pytest.mark.parametrize("workload", ["derive", "width", "pipeline"])
 def test_plan_command_lines_parse_as_in_the_full_parser(workload, seed, bench, tmp_path):
-    """Each command line of the plans gets from its row's own parser, which
-    `main` uses, what the parser of every command gives it."""
+    """Each command line of the plans gets from its row, as `main` reads it,
+    what the parser of every command gives it."""
     _, Plan = bench
     full = cli.build_parser()
     argvs = [argv for qs in Plan(workload, seed, tmp_path).rounds(10) for q in qs

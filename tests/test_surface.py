@@ -11,8 +11,7 @@ that spells a name of its scope is read as that name, because `main` looks
 up the reader of a command's input by the name the command's row gives. A
 method or property of a class is a definition of its own: it is reached
 when its class is, and reached code uses an attribute of that name
-(`x.name`, any x). Dunders count as used, and so do the argparse overrides
-in OVERRIDES, which argparse calls.
+(`x.name`, any x). Dunders count as used.
 
 The definitions it leaves unreached must be exactly ALLOWED: names that code
 outside the package uses. The test fails when src/igkit gains a definition
@@ -51,9 +50,6 @@ ALLOWED = {
     "search.Verdict.configs_seen": "perfbench/tracing.py reads it",
     "search.Verdict.words_seen": "perfbench/tracing.py reads it",
 }
-
-# methods that argparse calls on its parser
-OVERRIDES = {"cli._Parser.error", "cli._Parser.exit"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -141,7 +137,7 @@ def unreached(src=SRC):
 
     def used(mod, name):
         cls, _, method = name.partition(".")
-        return ((mod, cls) in seen and (method in attrs or f"{mod}.{name}" in OVERRIDES
+        return ((mod, cls) in seen and (method in attrs
                                         or method.startswith("__") and method.endswith("__")))
 
     methods = [key for key in defs if "." in key[1]]
