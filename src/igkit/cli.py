@@ -21,28 +21,23 @@ error: an unreadable file or argument, or a file that does not parse
 `engine`, `kernel`), and no `dataclasses`. Every name taken from the other
 layers (`automata`, `closure`, `counters`, `etol`, `semilinear` and, through
 it, `vector_automata`) is a stand-in made by `_lazy`, so each layer loads on
-the first command that runs it. The rows read argv: when its first words
-name a row, `_read_args` reads the rest from that row's declarations, its
-inputs, its args and its budget flags. argparse loads only for help, usage
-errors and argv that names no row. An argv the reader cannot read plainly
-(`-h`, `--`, an undeclared or `--flag=value` token, a value or positional
-that starts with `-`, a missing or extra argument, a value its type refuses)
-goes to that row's own argparse parser (`_row_parser`, built on first use),
-which prints the help or raises the usage error; an argv that names no row
-(no arguments, `-h` at the top or on a group, an unknown command) goes to
-the parser of every command (`build_parser`). Handlers call readers and
-layer functions as globals of this module, found when the command runs, so
-a wrapper set on one of them sees every call.
+the first command that runs it. The rows read argv, with no argparse:
+`_parse` walks the menus (the commands, a group's subcommands) to a row, and
+`_read_args` reads the rest from that row's inputs, args and budget flags as
+argparse would, with its usage-error texts; -h prints a help built from the
+row or the menu. Handlers call readers and layer functions as globals of
+this module, found when the command runs, so a wrapper set on one of them
+sees every call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import importlib
 import io
 import os
+import re
 import sys
 import time
 import types
@@ -109,9 +104,7 @@ _FIXTURES = str(fixture_path(""))
 
 
 def _resolve(path: str) -> str:
-    if path.startswith("fixture:"):
-        return os.path.join(_FIXTURES, path[len("fixture:"):])
-    return path
+    return os.path.join(_FIXTURES, path[8:]) if path.startswith("fixture:") else path
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -128,31 +121,19 @@ def emit_report(fields: dict) -> None:
 
 
 def parse_report(text: str) -> list[dict]:
-    blocks = []
-    cur: dict = {}
+    """The blocks of a report, each {key: value} of its `key: value` lines."""
+    blocks: list = [[]]
     for line in text.splitlines():
-        line = line.rstrip()
-        if line == "---":
-            if cur:
-                blocks.append(cur)
-            cur = {}
-            continue
-        if not line:
-            continue
-        key, _, value = line.partition(":")
-        cur[key.strip()] = value.strip()
-    if cur:
-        blocks.append(cur)
-    return blocks
+        if line.rstrip() == "---":
+            blocks.append([])
+        elif line.strip():
+            blocks[-1].append(line.partition(":"))
+    return [{key.strip(): value.strip() for key, _, value in b} for b in blocks if b]
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        max_steps=args.max_steps,
-        max_width=getattr(args, "max_width", None),
-        max_stack=getattr(args, "max_stack", None),
-        hard_cap=args.hard_cap,
-    )
+    return Budget(max_steps=args.max_steps, max_width=getattr(args, "max_width", None),
+                  max_stack=getattr(args, "max_stack", None), hard_cap=args.hard_cap)
 
 
 def _stopped_by(stop: str) -> dict:
@@ -177,14 +158,16 @@ def _word(text: str, alphabet) -> tuple[str, ...]:
     return (text,)
 
 
-def _render_word(w) -> str:
-    if not w:
-        return "_"
-    return " ".join(w) if any(len(s) > 1 for s in w) else "".join(w)
+def _words(words, alphabet) -> dict:
+    """A word list as `_word` reads each word back: `_` for the empty word,
+    and letters joined with spaces when some letter of `alphabet` is longer
+    than one character, so `a b` and `ab` stay apart."""
+    space = " " if any(len(t) > 1 for t in alphabet) else ""
+    return {"count": len(words), "words": ", ".join(space.join(w) or "_" for w in words)}
 
 
-def _words(words) -> dict:
-    return {"count": len(words), "words": ", ".join(_render_word(w) for w in words)}
+def _render_word(w, alphabet) -> str:
+    return _words([w], alphabet)["words"]
 
 
 def _witness(d) -> dict:
@@ -243,21 +226,22 @@ def _grammar_out(g, args) -> tuple:
 def _enumerate(g, args) -> tuple:
     budget = _budget(args)
     res = enumerate_language(g, args.max_len, budget)
-    return PROVEN, {"max_len": args.max_len, **_words(res.witness), **_swept(res.info["stop"]),
-                    "caps": " ".join(budget.active_caps()), "forms": res.info["forms"]}
+    return PROVEN, {"max_len": args.max_len, **_words(res.witness, g.terminals),
+                    **_swept(res.info["stop"]), "caps": " ".join(budget.active_caps()),
+                    "forms": res.info["forms"]}
 
 
 def _member(g, args) -> tuple:
     w = _word(args.word, g.terminals)
     v = membership(g, w, _budget(args), caps_exact=args.exhaustive)
-    return v.kind, {"word": _render_word(w), "verdict": v.kind,
+    return v.kind, {"word": _render_word(w, g.terminals), "verdict": v.kind,
                     **_swept(v.info["stop"]), **_witness(v.witness)}
 
 
 def _min_index(g, args) -> tuple:
     w = _word(args.word, g.terminals)
     v = min_index(g, w, _budget(args), caps_exact=args.exhaustive)
-    fields = {"word": _render_word(w)}
+    fields = {"word": _render_word(w, g.terminals)}
     if v.is_proven:
         fields.update({"min_index": v.info["k"], **_witness(v.witness)})
     return v.kind, {**fields, **_stopped_by(v.info["stop"])}
@@ -321,22 +305,23 @@ def _slset_member(sls, args) -> tuple:
 
 def _bounded_member(sls, args) -> tuple:
     _, shape, s = _shaped(sls, args.slset)
-    w = _word(args.word, [c for u in shape.words for c in u])
+    w = _word(args.word, shape.letters)
     got = bounded_word_member(w, shape, s)
-    return PROVEN if got else REFUTED, {"word": _render_word(w), "member": str(got).lower()}
+    return PROVEN if got else REFUTED, {"word": _render_word(w, shape.letters),
+                                        "member": str(got).lower()}
 
 
 def _bounded_subset(sls, other, args) -> tuple:
     _, shape1, s1 = _shaped(sls, args.slset)
     _, shape2, s2 = _shaped(other, args.other)
     v = bounded_lang_subset(shape1, s1, shape2, s2, args.check_len)
-    kind, fields = _decided(v, _render_word)
+    kind, fields = _decided(v, lambda w: _render_word(w, shape1.letters))
     return kind, {**fields, **v.info}
 
 
 def _etol_enumerate(sys_, args) -> tuple:
     res = etol_enumerate(sys_, args.max_len, _budget(args))
-    return PROVEN, {**_words(res.witness), **_swept(res.info["stop"])}
+    return PROVEN, {**_words(res.witness, sys_.terminals), **_swept(res.info["stop"])}
 
 
 def _check_anf(sys_, args) -> tuple:
@@ -348,7 +333,7 @@ def _check_anf(sys_, args) -> tuple:
 def _ncm_run(m, args) -> tuple:
     w = _word(args.word, m.alphabet)
     v = ncm_run(m, w, counter_cap=args.counter_cap)
-    return v.kind, {"word": _render_word(w), "outcome": OUTCOME[v.kind],
+    return v.kind, {"word": _render_word(w, m.alphabet), "outcome": OUTCOME[v.kind],
                     "configs": v.info["configs"], **_stopped_by(v.info["stop"])}
 
 
@@ -473,44 +458,15 @@ class UsageError(ValueError):
     """A command line that does not parse: `main` reports it as an input error."""
 
 
-class _Help(Exception):
-    """`-h` printed the help: `main` returns 0."""
-
-
-@functools.cache
-def _parser_class():
-    """argparse's parser with every flag exact, whose usage errors raise
-    UsageError and whose `-h` raises _Help. argparse loads on the first call."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        # the subparsers are built from the same class, so their errors end here too,
-        # and every flag is exact (`add_parser` does not pass `allow_abbrev` on)
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, allow_abbrev=False, **kwargs)
-
-        def error(self, message):
-            raise UsageError(f"{self.prog}: {message}")
-
-        def exit(self, status=0, message=None):  # only `-h` exits
-            raise _Help
-
-    return Parser
-
-
 def _count(text: str, least: int = 0) -> int:
     """An integer argument of at least `least`."""
     try:
         n = int(text)
     except ValueError:
-        problem = f"invalid int value: {text!r}"
-    else:
-        if n >= least:
-            return n
-        problem = f"must be >= {least}: {n}"
-    import argparse  # a refused value is read again by argparse, which reports this
-
-    raise argparse.ArgumentTypeError(problem)
+        raise ValueError(f"invalid int value: {text!r}") from None
+    if n < least:
+        raise ValueError(f"must be >= {least}: {n}")
+    return n
 
 
 def _budget_flags(steps, *caps) -> tuple:
@@ -523,12 +479,11 @@ def _budget_flags(steps, *caps) -> tuple:
 
 class _Row:
     """A command: its help; its inputs, each (argument, name of the global of
-    this module that parses the file's text); its other arguments, each
-    (name, keywords of `add_argument`), ending with the flags of its budget,
-    (--max-steps default, caps...), if it has one; its handler; and the
-    `status:` of each kind. `_read_args` reads the same arguments through
-    `places`, the positionals in order, `flags`, each flag's (dest,
-    keywords), and `defaults`, each flag's value when it is not given."""
+    this module that parses the file's text); its other arguments, each (name,
+    keywords: `type`, `default`, `required`, `action` store_true, `help`),
+    then its budget flags, (--max-steps default, caps...); its handler; and
+    the `status:` of each kind. `_read_args` reads them through `places`, the
+    positionals in order, `flags`, each flag's (dest, keywords), `defaults`."""
 
     __slots__ = ("help", "inputs", "args", "run", "status", "places", "flags", "defaults")
 
@@ -537,9 +492,8 @@ class _Row:
         self.help, self.inputs, self.run, self.args, self.status = text, inputs, run, args, status
         self.places = tuple(arg for arg, _ in inputs) + tuple(a for a, _ in args if a[0] != "-")
         self.flags = {a: (a[2:].replace("-", "_"), kw) for a, kw in args if a[0] == "-"}
-        self.defaults = {
-            dest: kw.get("default", False if kw.get("action") == "store_true" else None)
-            for dest, kw in self.flags.values()}
+        self.defaults = {dest: kw.get("default", False if "action" in kw else None)
+                         for dest, kw in self.flags.values() if not kw.get("required")}
 
 
 GRAMMAR = (("grammar", "parse_grammar"),)
@@ -626,118 +580,133 @@ TABLE = {
     "replicate-paper": _Row("run the bundled fixture suite", (), _replicate,
                             status={PROVEN: "ok", REFUTED: "fail"}),
 }
-# the commands with subcommands, and their help
+# the help of each menu, the commands ("") or a group's subcommands; MENUS: its choices
 GROUPS = {
+    "": "workbench for grammars whose variables carry index stacks",
     "transform": "grammar-to-grammar constructions",
     "slset": "semilinear set decisions",
     "bounded": "bounded-language decisions",
     "etol": "parallel rewriting systems",
     "ncm": "reversal-bounded counter machines",
 }
-COMMANDS = tuple(dict.fromkeys(name.partition(" ")[0] for name in TABLE))
+MENUS = {group: tuple(dict.fromkeys(name.split()[bool(group)] for name in TABLE
+                                    if not group or name.split()[0] == group)) for group in GROUPS}
+# -h and --help: a flag that takes no value, whose (dest, keywords) has no dest
+HELP = dict.fromkeys(("-h", "--help"), (None, {"action": "help"}))
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _row_parser(name: str, p=None):
-    """`p` with the arguments of the row `name`: a subparser of build_parser,
-    or by default a parser of that row alone, which prints the same help."""
-    row = TABLE[name]
-    if p is None:
-        p = _parser_class()(prog=f"igkit {name}")
-    for arg, _ in row.inputs:
-        p.add_argument(arg)
-    for arg, kwargs in row.args:
-        p.add_argument(arg, **kwargs)
-    p.set_defaults(row=(name, row))
-    return p
-
-
-def build_parser():
-    """The parser of every command."""
-    ap = _parser_class()(
-        prog="igkit",
-        description="workbench for grammars whose variables carry index stacks",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    groups = {}
-    for name, row in TABLE.items():
-        top, _, op = name.partition(" ")
-        if not op:
-            p = sub.add_parser(name, help=row.help)
-        else:
-            if top not in groups:  # no dest: a missing subcommand is reported by its choices
-                groups[top] = sub.add_parser(top, help=GROUPS[top]).add_subparsers(required=True)
-            p = groups[top].add_parser(op, help=row.help)
-        _row_parser(name, p)
-    return ap
-
-
-@functools.cache  # built on the first call of `main` that needs it, reused by later ones
-def _parser(name=None):
-    """The parser of the row `name` alone, or of every command."""
-    return build_parser() if name is None else _row_parser(name)
-
-
-def _read_args(name: str, words: list[str]):
-    """The arguments `words` give the row `name`, as its parser would read
-    them, or None for words that only that parser reads: `-h`, `--`, an
-    undeclared or `--flag=value` token, a value or positional that starts
-    with `-`, a missing value or argument, an extra positional, or a value
-    its type refuses. A flag given twice keeps its last value."""
-    row = TABLE[name]
-    got = {}
-    places = iter(row.places)
-    words = iter(words)
-    for word in words:
-        if not word.startswith("-"):
-            place = next(places, None)
-            if place is None:
-                return None
-            got[place] = word
-            continue
-        flag = row.flags.get(word)
-        if flag is None:
-            return None
-        dest, kwargs = flag
-        if kwargs.get("action") == "store_true":
-            got[dest] = True
-            continue
-        value = next(words, None)
-        if value is None or value.startswith("-"):
-            return None
-        try:
-            got[dest] = kwargs.get("type", str)(value)
-        except Exception:  # the parser calls the type again and reports its error
-            return None
-    if next(places, None) is not None or any(
-            kwargs.get("required") and dest not in got for dest, kwargs in row.flags.values()):
+def _option(word: str, flags):
+    """How argparse reads `word` where `flags` and -h are declared: None for
+    a value or a positional (`-1`, `-`, a word with a space), else the flag
+    and its value given after `=` or None; the flag is None when undeclared."""
+    if word[:1] != "-":
         return None
-    return types.SimpleNamespace(**{**row.defaults, **got}, row=(name, row))
+    if word in flags or word in HELP:
+        return word, None
+    flag, eq, value = word.partition("=")
+    if not (eq and (flag in flags or flag in HELP)):
+        if word[1:2] != "h":
+            return None if word == "-" or _NUMBER.match(word) or " " in word else (None, None)
+        flag, value = "-h", word[2:]
+    if flag == "-h" and value:  # -hx is -h given x, and -hhx is -h, then -hx
+        value = value.lstrip("h") or None
+    return flag, value
+
+
+def _help(prog: str, usage, text: str, lines) -> None:
+    """Print a help: the usage line, the text, then each (argument, what it is)."""
+    sys.stdout.write(f"usage: {prog} [-h] {' '.join(usage)}\n\n{text}\n\n"
+                     + "".join(f"  {arg:<24}{what}".rstrip() + "\n" for arg, what in lines))
+
+
+def _read_args(name: str, words: list[str], extras: list):
+    """The arguments `words` give the row `name`, read as argparse reads them:
+    positionals in turn (every row declares them first), a declared flag with
+    the word after it or its `=value` (the last one wins), `--` ending the
+    flags, then defaults. Other words go to `extras`. None when -h printed the
+    help: the row's text, and each input and arg with its help and default."""
+    row, prog = TABLE[name], f"igkit {name}"
+    places, got, dash, took, i = list(row.places), {}, False, False, 0
+    while i < len(words):
+        word, i = words[i], i + 1
+        if word == "--" and not dash:  # read with the positional beside it, if any
+            dash = True
+            if not (took or places and i < len(words)):
+                extras.append(word)
+            continue
+        opt = None if dash or word[:1] != "-" else _option(word, row.flags)
+        took = opt is None and bool(places)
+        if opt is None or opt[0] is None:
+            if took:
+                got[places.pop(0)] = word
+            else:
+                extras.append(word)
+            continue
+        flag, value = opt
+        dest, kw = row.flags.get(flag) or HELP[flag]
+        if "action" in kw and value is not None:
+            raise UsageError(f"{prog}: argument {flag if dest else '-h/--help'}: "
+                             f"ignored explicit argument {value!r}")
+        if dest is None:
+            shown = [(a if a[0] != "-" or "action" in kw else f"{a} {row.flags[a][0].upper()}",
+                     a[0] != "-" or kw.get("required"), kw.get("help", "") + (
+                         "" if kw.get("default") is None else f" (default: {kw['default']})"))
+                    for a, kw in (*((a, {}) for a, _ in row.inputs), *row.args)]
+            return _help(prog, [a if must else f"[{a}]" for a, must, _ in shown], row.help,
+                         [(a, what) for a, _, what in shown])
+        if value is None and "action" not in kw:
+            if i == len(words) or words[i][:1] == "-" and _option(words[i], row.flags):
+                raise UsageError(f"{prog}: argument {flag}: expected one argument")
+            value, i = words[i], i + 1
+        try:  # a store_true flag has no value
+            got[dest] = True if value is None else kw.get("type", str)(value)
+        except ValueError as exc:
+            raise UsageError(f"{prog}: argument {flag}: {exc}") from None
+    args = {**row.defaults, **got}  # a required flag has no default
+    if len(args) < len(row.places) + len(row.flags):
+        missing = places + [flag for flag, (dest, _) in row.flags.items() if dest not in args]
+        raise UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    return types.SimpleNamespace(**args, row=(name, row))
 
 
 def _parse(argv: list[str]):
-    """The arguments of `argv`. When its first words name a row, the rest is
-    read by `_read_args`, or, where that cannot read it, by the row's own
-    parser, which prints the help or raises the usage error; an argv that
-    names none (no arguments, `-h` at the top or on a group, an unknown
-    command) goes to the parser of every command."""
-    if argv and argv[0] in COMMANDS:
-        n = 2 if argv[0] in GROUPS else 1
-        name = " ".join(argv[:n])
-        if name in TABLE:
-            args = _read_args(name, argv[n:])
-            if args is not None:
-                return args
-            args, extra = _parser(name).parse_known_args(argv[n:])
-            if extra:  # reported as the parser of every command reports them
-                raise UsageError(f"igkit: unrecognized arguments: {' '.join(extra)}")
-            return args
-    return _parser().parse_args(argv)
+    """The arguments of `argv`, read as argparse reads them: a menu (the
+    commands, a group's subcommands) reads -h and undeclared flags up to its
+    first other word, one of its choices, and the row that names reads the
+    rest (`_read_args`). None when -h printed a help."""
+    menu, words, extras = "", list(argv), []
+    while menu in MENUS:
+        prog, choices, i = f"igkit {menu}".rstrip(), MENUS[menu], 0
+        while i < len(words) and words[i] != "--" and (opt := _option(words[i], ())):
+            if opt[1] is not None:
+                raise UsageError(f"{prog}: argument -h/--help: "
+                                 f"ignored explicit argument {opt[1]!r}")
+            if opt[0] is not None:
+                return _help(prog, ["{%s}" % ",".join(choices), "..."], GROUPS[menu], [
+                    (c, getattr(TABLE.get(f"{menu} {c}".lstrip()), "help", GROUPS.get(c)))
+                    for c in choices])
+            extras.append(words[i])
+            i += 1
+        if i == len(words) or words[i] not in choices:
+            dest = "{%s}" % ",".join(choices) if menu else "command"
+            if words[i:] in ([], ["--"]):
+                raise UsageError(f"{prog}: the following arguments are required: {dest}")
+            raise UsageError(f"{prog}: argument {dest}: invalid choice: {words[i]!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        menu, words = f"{menu} {words[i]}".lstrip(), words[i + 1:]
+    args = _read_args(menu, words, extras)
+    if args is not None and extras:
+        raise UsageError(f"igkit: unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
+        if args is None:  # -h printed a help
+            return 0
         name, row = args.row
         report = {"command": name}
         inputs = []
@@ -751,14 +720,9 @@ def main(argv=None) -> int:
         report["status"] = row.status[kind]
         emit_report(report)
         return EXIT[kind]
-    except _Help:
-        return 0
     except (GrammarError, OSError, ValueError) as exc:
-        emit_report({
-            "command": argv[0] if argv else "igkit",
-            "error": f"{type(exc).__name__}: {exc}",
-            "status": "error",
-        })
+        emit_report({"command": argv[0] if argv else "igkit",
+                     "error": f"{type(exc).__name__}: {exc}", "status": "error"})
         return ERROR
 
 

@@ -375,10 +375,10 @@ def _parikh_table(c: CompiledGrammar, length: int, budget: Budget):
     bits and the total above: a rule's runs are its terminals' counts and
     zeros, adding vectors adds ints, and an int is below `over` exactly when
     its total is at most `length` (its counts then fit their fields)."""
-    bits, n = length.bit_length(), len(c.term_names)
-    unit = [(1 << bits * i) + (1 << bits * n) for i in range(n)]
+    bits, n = length.bit_length(), len(c.term_code)
+    unit = {x: (1 << bits * i) + (1 << bits * n) for i, x in enumerate(c.term_code.values())}
     over = (length + 1) << bits * n
-    runs = [[sum(unit[-x - 1] for x in row[2] if x < 0)] + [0] * row[5] for row in c.prods]
+    runs = [[sum(unit[x] for x in row[2] if x < 0)] + [0] * row[5] for row in c.prods]
     entries, stop, _ = tree_table(c, budget, runs, over.__gt__)
     mask = (1 << bits) - 1
     return [tuple(v >> bits * i & mask for i in range(n)) for v in {v for v, _ in entries}], stop

@@ -98,21 +98,22 @@ class Budget:
 class CompiledGrammar:
     """Integer tables consumed by the expansion kernel.
 
-    Encoded forms are tuples of ints: -(tid+1) for terminal tid, and
-    stack_id * nv + var_id for a variable occurrence. Stacks are interned in
-    an append-only cons pool; id 0 is the empty stack.
+    Encoded forms are tuples of ints: `term_code[t]`, -(tid + 2), for the
+    terminal t of id tid, which `letters[-x]` reads back (not -(tid + 1):
+    hash(-1) == hash(-2), so forms that swap the first two terminals would
+    hash alike), and stack_id * nv + var_id for a variable occurrence. Stacks
+    are interned in an append-only cons pool; id 0 is the empty stack.
     """
 
     def __init__(self, g: IndexedGrammar):
         self.g = g
         self.var_names = g.variables
-        self.term_names = g.terminals
         self.idx_names = g.indices
         self.var_id = var_id = {v: i for i, v in enumerate(g.variables)}
-        self.term_id = {t: i for i, t in enumerate(g.terminals)}
+        self.term_code = {t: -i for i, t in enumerate(g.terminals, 2)}
+        self.letters = (None, None) + g.terminals
         idx_id = {f: i for i, f in enumerate(g.indices)}
-        code = {t: -i for i, t in enumerate(g.terminals, 1)}  # of each symbol of a right side
-        code.update(var_id)
+        code = {**self.term_code, **var_id}  # of each symbol of a right side
         self.nv = max(1, len(g.variables))
         by_var: list[list[int]] = [[] for _ in range(self.nv)]
         prods = []
@@ -142,7 +143,7 @@ class CompiledGrammar:
         items: list = []
         for x in enc:
             if x < 0:
-                items.append(Terminal(self.term_names[-x - 1]))
+                items.append(Terminal(self.letters[-x]))
                 continue
             sid, stack = x // self.nv // nd, []
             while sid != 0:
@@ -153,7 +154,7 @@ class CompiledGrammar:
 
     def encode_word(self, w: Word) -> tuple[int, ...]:
         try:
-            return tuple(-(self.term_id[s] + 1) for s in w)
+            return tuple(map(self.term_code.__getitem__, w))
         except KeyError as exc:
             raise GrammarError(f"letter {exc.args[0]!r} is not a terminal of {self.g.name}")
 
@@ -256,7 +257,7 @@ def enumerate_language(g: IndexedGrammar, max_len: int, budget: Budget) -> Verdi
         s = bfs(c.start(), lambda f: c.expand(f, budget, max_len), budget.max_steps,
                 budget.hard_cap, visit)
         stop, forms = s.stop, len(s.parents)
-    decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
+    decoded = sorted((tuple(c.letters[-x] for x in w) for w in words),
                      key=lambda w: (len(w), w))
     return Verdict(PROVEN, tuple(decoded), {"stop": stop, "forms": forms})
 

@@ -1,11 +1,12 @@
 """The expansion kernel of the derivation search: the one-step successors of
 an encoded sentential form.
 
-Forms are tuples of ints: a terminal item is -(terminal_id + 1); a variable
-occurrence is stack_id * nv + var_id where stack_id interns an index stack in
-the cons pool (pool_top / pool_rest / pool_depth, entry 0 = empty stack). In
-subtree order (`depths` > 0) a variable occurrence also carries the depth of
-its sibling group: (stack_id * depths + depth) * nv + var_id.
+Forms are tuples of ints: a terminal item is -(terminal_id + 2) (see
+`CompiledGrammar`); a variable occurrence is stack_id * nv + var_id where
+stack_id interns an index stack in the cons pool (pool_top / pool_rest /
+pool_depth, entry 0 = empty stack). In subtree order (`depths` > 0) a
+variable occurrence also carries the depth of its sibling group:
+(stack_id * depths + depth) * nv + var_id.
 """
 
 IMPLEMENTATION = "pure"

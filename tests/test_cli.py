@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from igkit import cli
 from igkit.automata import parse_fsa
-from igkit.cli import build_parser, main, parse_report
+from igkit.cli import main, parse_report
 from igkit.counters import parse_ncm
 from igkit.engine import CompiledGrammar
 from igkit.grammar import parse_grammar
 
-from util import SILENT_SIX, validate
+from util import SILENT_SIX, Help, build_parser, parsed_fields, validate
 
 
 def run(capsys, *argv):
@@ -487,7 +487,7 @@ ERRORS = [
               "{run,one-reversal,expand,parikh-intersect}"),
     (["transform"], "UsageError: igkit transform: the following arguments are required: "
                     "{union,morph,inv-morph,normalize,intersect-dfa,inv-proj,transduce}"),
-    # an argv that names no command row is parsed by the parser of every command
+    # an argv that names no command row: the top menu or a group's reports it
     ([], "UsageError: igkit: the following arguments are required: command"),
     (["nope"], "UsageError: igkit: argument command: invalid choice: 'nope'"),
     (["transform", "nope"], "UsageError: igkit transform: argument "
@@ -495,6 +495,33 @@ ERRORS = [
                             "invalid choice: 'nope'"),
     (["--max-len", "3", "enumerate", "fixture:anbn.ig"],
      "UsageError: igkit: argument command: invalid choice: '3'"),
+    # the whole text of each usage error, as argparse words it
+    (["nope"], "UsageError: igkit: argument command: invalid choice: 'nope' (choose from "
+               "'validate', 'enumerate', 'member', 'min-index', 'check-uncontrolled', "
+               "'transform', 'synth-linear', 'synth-semilinear', 'slset', 'bounded', 'etol', "
+               "'ncm', 'replicate-paper')"),
+    (["transform", "nope"], "UsageError: igkit transform: argument "
+                            "{union,morph,inv-morph,normalize,intersect-dfa,inv-proj,transduce}: "
+                            "invalid choice: 'nope' (choose from 'union', 'morph', 'inv-morph', "
+                            "'normalize', 'intersect-dfa', 'inv-proj', 'transduce')"),
+    (["member", "fixture:anbn.ig"],
+     "UsageError: igkit member: the following arguments are required: word"),
+    (["enumerate", "fixture:anbn.ig", "--max-len"],
+     "UsageError: igkit enumerate: argument --max-len: expected one argument"),
+    (["validate", "fixture:twin.ig", "extra"], "UsageError: igkit: unrecognized arguments: extra"),
+    # `-1` is a value, but `-x` is read as a flag, so --letters is given none
+    (["transform", "inv-proj", "fixture:abword.ig", "--letters", "-x", "--out", "{tmp}/o.ig"],
+     "UsageError: igkit transform inv-proj: argument --letters: expected one argument"),
+    # `--` ends the flags: the word after it is a positional, and one with no place is extra
+    (["enumerate", "fixture:anbn.ig", "--", "--max-len", "3"],
+     "UsageError: igkit enumerate: the following arguments are required: --max-len"),
+    (["enumerate", "fixture:anbn.ig", "--max-len", "3", "--"],
+     "UsageError: igkit: unrecognized arguments: --"),
+    (["member", "fixture:anbn.ig", "ab", "--exhaustive=1"],
+     "UsageError: igkit member: argument --exhaustive: ignored explicit argument '1'"),
+    # after the `--` that ends the flags, `--` is a positional like any other
+    (["bounded", "subset", "fixture:twin.sls", "--", "--"],
+     "FileNotFoundError: [Errno 2] No such file or directory: '--'"),
 ]
 
 
@@ -518,7 +545,12 @@ ERRORS = [
                                                   "ncm-no-subcommand",
                                                   "transform-no-subcommand", "no-command",
                                                   "unknown-command", "unknown-subcommand",
-                                                  "flag-before-command"])
+                                                  "flag-before-command", "unknown-command-text",
+                                                  "unknown-subcommand-text", "missing-word",
+                                                  "flag-without-value", "extra-positional",
+                                                  "dash-value", "flag-after-dashes",
+                                                  "trailing-dashes", "switch-given-a-value",
+                                                  "dashes-after-dashes"])
 def test_error_exit_code(tmp_path, capsys, argv, error):
     code, blocks = run_clean(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
@@ -539,18 +571,35 @@ def test_help_prints_and_returns_zero(capsys, argv, usage):
     assert code == 0 and blocks[0]["usage"].startswith(usage)
 
 
-def test_a_command_alone_helps_as_in_the_full_parser(capsys):
-    def help_text(ap, *argv):
-        with pytest.raises(cli._Help):
-            ap.parse_args([*argv, "-h"])
-        return capsys.readouterr().out
+def test_each_help_is_built_from_its_row_or_menu(capsys):
+    """A row's help gives its text and a line for each input and arg, budget
+    flags included, in the row's order, each with its help and its default;
+    a menu's help gives its choices, each with its help."""
+    def help_lines(*argv):
+        assert main([*argv, "-h"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: {' '.join(['igkit', *argv])} [-h] ")
+        return text, [line for line in text.splitlines() if line.startswith("  ")]
 
-    assert "{" + ",".join(cli.COMMANDS) + "}" in help_text(build_parser())
-    for name in cli.TABLE:
-        assert help_text(cli._row_parser(name)) == help_text(build_parser(), *name.split())
+    for name, row in cli.TABLE.items():
+        text, lines = help_lines(*name.split())
+        assert row.help in text
+        args = [(arg, {}) for arg, _ in row.inputs] + list(row.args)
+        assert [line.split()[0] for line in lines] == [arg for arg, _ in args]
+        for (arg, kwargs), line in zip(args, lines):
+            assert kwargs.get("help", "") in line
+            if kwargs.get("default") is not None:
+                assert f"(default: {kwargs['default']})" in line, (name, arg)
+    for menu, choices in cli.MENUS.items():
+        text, lines = help_lines(*menu.split())
+        assert "{" + ",".join(choices) + "}" in text and cli.GROUPS[menu] in text
+        assert [line.split()[0] for line in lines] == list(choices)
+        for choice, line in zip(choices, lines):
+            row = cli.TABLE.get(f"{menu} {choice}".strip())
+            assert line.split(None, 1)[1] == (row.help if row else cli.GROUPS[choice])
 
 
-# tokens a row's parser must read itself: a negative number, `--flag=value`,
+# tokens a row must read as argparse does: a negative number, `--flag=value`,
 # a lone `-`, `--`, `-h`, an unknown flag, an extra positional
 HOSTILE = [["-1"], ["--max-len=3"], ["-"], ["--"], ["-h"], ["--nope"], ["--nope", "3"],
            ["extra"]]
@@ -577,17 +626,17 @@ def command_lines(draw, name):
 
 
 def parse_outcome(parse, argv):
-    """The fields `parse` gives `argv` (all but the full parser's `command`,
-    which no handler reads), the usage error it raises, or the help it prints."""
-    out = io.StringIO()
+    """The fields `parse` gives `argv` (`parsed_fields`), the usage error it
+    raises, or "help" when -h printed a help (the rows' help is not
+    argparse's)."""
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(io.StringIO()):
             args = parse(argv)
     except cli.UsageError as exc:
         return "error", str(exc)
-    except cli._Help:
-        return "help", out.getvalue()
-    return "fields", {k: v for k, v in vars(args).items() if k != "command"}
+    except Help:
+        return "help"
+    return "help" if args is None else ("fields", parsed_fields(args))
 
 
 FULL = build_parser()
@@ -626,7 +675,7 @@ SEQUENCE = [
 ]
 
 
-def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+def test_main_reads_a_sequence_of_lines_as_the_full_parser(tmp_path, capsys, monkeypatch):
     def outcomes():
         got = []
         for argv in SEQUENCE:
@@ -636,20 +685,12 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
                                for b in blocks]))
         return got
 
-    # the rows read every well-formed line, replicate-paper's claims too, and
-    # build no parser; a usage-error line builds the parser of its row alone,
-    # once: the second error on `enumerate` reuses the first one's
-    builds = []
-    row_parser = cli._row_parser
-    monkeypatch.setattr(cli, "_row_parser",
-                        lambda name, p=None: builds.append(name) or row_parser(name, p))
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build_parser())
-    cli._parser.cache_clear()
-    reused = outcomes()
-    assert builds == ["enumerate", "ncm run"]
-    assert [code for code, _ in reused[:7]] == [1, 3, 0, 0, 2, 2, 0] and reused[-3][0] == 2
-    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))  # the full one
-    assert outcomes() == reused
+    # one process keeps no state from a line to the next, a usage error
+    # included, and replicate-paper's claims read as the other lines do
+    rows = outcomes()
+    assert [code for code, _ in rows[:7]] == [1, 3, 0, 0, 2, 2, 0] and rows[-3][0] == 2
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))  # the oracle
+    assert outcomes() == rows
 
 # commands that write a file: (argv, the file, enumerate flags for the output
 # grammar, its words); a grammar must pass `validate`, an automaton `parse_fsa`
@@ -916,7 +957,7 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("igkit")), heavy
 def test_no_layer_loads_dataclasses_or_importlib_resources(tmp_path):
     """After a command of every layer, none of `dataclasses`,
     `importlib.resources`, `argparse` and `tempfile` is loaded: the rows read
-    well-formed argv without argparse. `-h` loads argparse."""
+    argv without argparse, and -h prints a help built from the row."""
     loaded, heavy = json.loads(fresh("-S", "-c", HEAVY, json.dumps([
         ["enumerate", "fixture:twin.ig", "--max-len", "6"],
         ["transform", "intersect-dfa", "fixture:twin.ig", "fixture:dollar.fsa",
@@ -929,7 +970,7 @@ def test_no_layer_loads_dataclasses_or_importlib_resources(tmp_path):
     assert loaded == ["igkit"] + [f"igkit.{m}" for m in (
         "automata", "cli", "closure", "counters", "engine", "etol", "grammar", "kernel", "search",
         "semilinear", "vector_automata")]
-    assert heavy == [[]] * 5 + [["argparse"]]
+    assert heavy == [[]] * 6
 
 
 # wrappers set on globals of cli after import, as perfbench/tracing.py sets its
@@ -1330,6 +1371,54 @@ def shape(tmp_path, capsys, argv):
     ]),
 ], ids=["ncm-empty", "ncm-spaced", "bounded-empty", "bounded-spaced"])
 def test_a_word_is_echoed_as_read(tmp_path, capsys, argv, code, want):
+    assert shape(tmp_path, capsys, argv) == (code, 1, want)
+
+
+# the letters a, b and ab: a word's letters are spaced whenever a letter of
+# the alphabet is longer than one character, so each word reads back alone
+AB = ("grammar ab\nvariables: S\nterminals: a, b, ab\nindices:\nstart: S\n"
+      "prod: S -> a b\nprod: S -> ab\nprod: S -> a\n")
+
+
+@pytest.mark.parametrize("argv,code,want", [
+    (["enumerate", "{tmp}/ab.ig", "--max-len", "2"], 0, [
+        'command: enumerate',
+        'input: {tmp}/ab.ig sha256:0028add2f591',
+        'max_len: 2',
+        'count: 3',
+        'words: a, ab, a b',
+        'exhausted: true',
+        'caps: max_steps',
+        'forms: 4',
+        'elapsed_s',
+        'status: ok',
+    ]),
+    (["member", "{tmp}/ab.ig", "a b"], 0, [
+        'command: member',
+        'input: {tmp}/ab.ig sha256:0028add2f591',
+        'word: a b',
+        'verdict: proven',
+        'exhausted: false',
+        'witness: init | S ; p0 @ 0 | a b ; ',
+        'elapsed_s',
+        'status: proven',
+    ]),
+    # a flag's value may follow an `=`
+    (["enumerate", "fixture:anbn.ig", "--max-len=3"], 0, [
+        'command: enumerate',
+        'input: fixture:anbn.ig sha256:8e6779c798c2',
+        'max_len: 3',
+        'count: 2',
+        'words: _, ab',
+        'exhausted: true',
+        'caps: max_steps',
+        'forms: 4',
+        'elapsed_s',
+        'status: ok',
+    ]),
+], ids=["long-letter-words", "long-letter-word", "equals-value"])
+def test_a_line_reads_one_way(tmp_path, capsys, argv, code, want):
+    (tmp_path / "ab.ig").write_text(AB, encoding="utf-8")
     assert shape(tmp_path, capsys, argv) == (code, 1, want)
 
 

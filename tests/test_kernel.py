@@ -1,6 +1,7 @@
 """The expansion kernel must agree with the reference one-step semantics."""
 
 import random
+from itertools import product
 
 from igkit import fixture_text, kernel
 from igkit.engine import Budget, CompiledGrammar
@@ -77,3 +78,11 @@ def test_kernel_matches_reference_semantics():
                 [child] * sum(1 for x in f2[pos:pos + n] if x >= 0)
             assert f2[:pos] == form[:pos] and f2[pos + n:] == form[pos + 1:]
 
+
+
+def test_words_that_swap_letters_hash_apart():
+    # the search keys its dicts and sets by encoded forms; codes -1 and -2
+    # hash alike, so the 511 words of length <= 8 over {a, b} had 9 hashes
+    _, c = build("sigmastar_ab.ig")
+    words = [w for n in range(9) for w in product("ab", repeat=n)]
+    assert len({hash(c.encode_word(w)) for w in words}) == len(words) == 511

@@ -2,7 +2,8 @@
 the benchmark's own oracles (perfbench/oracles.py), which never call the
 search engine: every report of ten rounds of each workload, at two seeds,
 must be right. Every command line of those rounds must also be read by its
-command row, as `main` reads it, as the parser of every command parses it.
+command row, as `main` reads it, as argparse's parser of every command (the
+tests' oracle, tests/util.py) parses it.
 The plan and the oracles are imported from perfbench/ as they are."""
 
 import contextlib
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from igkit import cli
+
+from util import Help, build_parser, parsed_fields
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,22 +56,24 @@ def test_plan_reports_pass_the_oracles(workload, seed, bench, tmp_path, monkeypa
 
 
 def parsed(parse, argv):
-    """The fields `parse` gives `argv` (all but the nested parser's `command`,
-    which no handler reads), or the usage error it raises."""
+    """The fields `parse` gives `argv` (`parsed_fields`), the usage error it
+    raises, or "help"."""
     try:
         args = parse(argv)
     except cli.UsageError as exc:
         return str(exc)
-    return {k: v for k, v in vars(args).items() if k != "command"}
+    except Help:
+        return "help"
+    return "help" if args is None else parsed_fields(args)
 
 
 @pytest.mark.parametrize("seed", [1201, 7])
 @pytest.mark.parametrize("workload", ["derive", "width", "pipeline"])
 def test_plan_command_lines_parse_as_in_the_full_parser(workload, seed, bench, tmp_path):
     """Each command line of the plans gets from its row, as `main` reads it,
-    what the parser of every command gives it."""
+    what argparse's parser of every command (the tests' oracle) gives it."""
     _, Plan = bench
-    full = cli.build_parser()
+    full = build_parser()
     argvs = [argv for qs in Plan(workload, seed, tmp_path).rounds(10) for q in qs
              for argv in q["calls"]]
     assert argvs

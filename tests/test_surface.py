@@ -220,3 +220,14 @@ def test_every_stand_in_is_a_callable_of_its_module():
     for local, (module, name) in found.items():
         assert local == name  # no renames, so a stand-in cannot sit under another's name
         assert callable(getattr(importlib.import_module(f"igkit.{module}"), name))
+
+
+def test_no_module_imports_argparse():
+    # the command rows read argv and print their own help; argparse parses
+    # command lines only in tests/util.py, as the oracle of that reader
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "argparse" not in [a.name.partition(".")[0] for a in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").partition(".")[0] != "argparse", path.name

@@ -25,14 +25,16 @@ engine.tree_width is checked against, the one-state automata that accept
 everything and nothing, the run of a total deterministic automaton, the
 nodes on a stored search path, and short forms for the words of a result
 as strings, the image of a word under a morphism and a semilinear set of
-given components."""
+given components, and argparse's parser of every command of cli.TABLE, which
+the rows' own argv reader is checked against."""
 
+import argparse
 import math
 from itertools import chain, product
 
 from hypothesis import strategies as st
 
-from igkit import automata, fixture_text, kernel, replace
+from igkit import automata, cli, fixture_text, kernel, replace
 from igkit import vector_automata as va
 from igkit.closure import _split_rhs, inverse_projection, normalize_rhs
 from igkit.counters import counter_letters, expand_to_nfa, to_one_reversal
@@ -201,7 +203,7 @@ def _search_enumerate(g, budget, successors):
         return EXPAND
 
     s = bfs(c.start(), successors(c), budget.max_steps, budget.hard_cap, visit)
-    decoded = sorted((tuple(c.term_names[-x - 1] for x in w) for w in words),
+    decoded = sorted((tuple(c.letters[-x] for x in w) for w in words),
                      key=lambda w: (len(w), w))
     return Verdict(PROVEN, tuple(decoded), {"stop": s.stop, "forms": len(s.parents)})
 
@@ -882,3 +884,77 @@ def interleavings(word, pads, max_len):
 
     rec("", word)
     return out
+
+
+class Help(Exception):
+    """The oracle parser's -h printed its help."""
+
+
+class Parser(argparse.ArgumentParser):
+    """argparse's parser with every flag exact, whose usage errors raise
+    cli.UsageError and whose -h raises Help. The subparsers are built from
+    the same class, so their errors end here too, and every flag is exact
+    (`add_parser` does not pass `allow_abbrev` on)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise cli.UsageError(f"{self.prog}: {message}")
+
+    def exit(self, status=0, message=None):  # only -h exits
+        raise Help
+
+
+def _argparse_type(read):
+    """The reader of a row's flag as an argparse type: its ValueError's text
+    is the text of the usage error."""
+    def typed(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return typed
+
+
+def parsed_fields(args):
+    """The fields of a namespace, all but the full parser's `command`, which
+    no handler reads. argparse reads a lone `--` that comes after the `--`
+    ending the flags as [], which no handler can read; the rows read `--`."""
+    return {k: "--" if v == [] else v for k, v in vars(args).items() if k != "command"}
+
+
+def row_parser(name, p=None):
+    """`p` with the arguments of the row `name`: a subparser of
+    build_parser, or by default a parser of that row alone."""
+    row = cli.TABLE[name]
+    if p is None:
+        p = Parser(prog=f"igkit {name}")
+    for arg, _ in row.inputs:
+        p.add_argument(arg)
+    for arg, kwargs in row.args:
+        if "type" in kwargs:
+            kwargs = {**kwargs, "type": _argparse_type(kwargs["type"])}
+        p.add_argument(arg, **kwargs)
+    p.set_defaults(row=(name, row))
+    return p
+
+
+def build_parser():
+    """The argparse parser of every command of `cli.TABLE`, with a
+    subparser per group: the oracle of the rows' own reader, cli._parse."""
+    ap = Parser(prog="igkit", description=cli.GROUPS[""])
+    sub = ap.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, row in cli.TABLE.items():
+        top, _, op = name.partition(" ")
+        if not op:
+            p = sub.add_parser(name, help=row.help)
+        else:
+            if top not in groups:  # no dest: a missing subcommand is reported by its choices
+                groups[top] = sub.add_parser(top, help=cli.GROUPS[top]).add_subparsers(
+                    required=True)
+            p = groups[top].add_parser(op, help=row.help)
+        row_parser(name, p)
+    return ap
